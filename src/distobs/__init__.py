@@ -8,6 +8,7 @@ convergence rate), and deterministic simulation of the coupled dynamics.
 from .error_system import (
     GlobalErrorSystem,
     build_error_system,
+    certify,
     certify_rate,
     lyapunov_decrease_check,
 )
@@ -61,6 +62,7 @@ from .synthesis import (
     SynthesisParameters,
     assemble_gains,
     compute_epsilon,
+    decompose_nodes,
     place_injection,
     select_gamma,
     solve_pie,

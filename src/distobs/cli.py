@@ -7,12 +7,13 @@ Exit codes: 0 ok, 1 I/O or parse error, 2 infeasible or violated assumptions,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .error_system import build_error_system, certify_rate, lyapunov_decrease_check
+from .error_system import build_error_system, certify
 from .graph import GraphStructureError, spectral_data
 from .problem import (
     ProblemFormatError,
@@ -30,15 +31,7 @@ from .simulate import (
     simulate,
     suggested_timestep,
 )
-from .synthesis import (
-    SynthesisError,
-    SynthesisParameters,
-    full_rank_factorize,
-    observability_decomposition,
-    synthesize,
-    verify_cancellation,
-    verify_lmi_th1,
-)
+from .synthesis import SynthesisError, decompose_nodes, synthesize
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -47,11 +40,12 @@ EXIT_DIVERGED = 3
 EXIT_CERTIFICATE = 4
 
 
-def _emit_error(step: str, message: str) -> None:
-    print(json.dumps({"error": {"step": step, "message": message}}), file=sys.stderr)
+def _emit_error(step: str, message: str, **extra) -> None:
+    print(json.dumps({"error": {"step": step, "message": message, **extra}}),
+          file=sys.stderr)
 
 
-def _report_from_realization(realization, plant) -> dict:
+def _report_from_realization(realization) -> dict:
     cert = realization.certificate
     return {
         "total_order": realization.total_order,
@@ -72,33 +66,17 @@ def cmd_synthesize(args) -> int:
         _emit_error("parse", str(exc))
         return EXIT_IO
 
-    params = problem.parameters()
-    if args.rank_tol is not None:
-        params = SynthesisParameters(
-            alpha=params.alpha, g_weights=params.g_weights,
-            epsilon_fraction=params.epsilon_fraction,
-            gamma_safety=params.gamma_safety, rank_tol=args.rank_tol,
-        )
-    if args.epsilon_fraction is not None:
-        params = SynthesisParameters(
-            alpha=params.alpha, g_weights=params.g_weights,
-            epsilon_fraction=args.epsilon_fraction,
-            gamma_safety=params.gamma_safety, rank_tol=params.rank_tol,
-        )
-    if args.gamma_safety is not None:
-        params = SynthesisParameters(
-            alpha=params.alpha, g_weights=params.g_weights,
-            epsilon_fraction=params.epsilon_fraction,
-            gamma_safety=args.gamma_safety, rank_tol=params.rank_tol,
-        )
+    overrides = {
+        name: getattr(args, name)
+        for name in ("rank_tol", "epsilon_fraction", "gamma_safety")
+        if getattr(args, name) is not None
+    }
+    params = dataclasses.replace(problem.parameters(), **overrides)
 
     try:
         realization = synthesize(problem.plant, problem.graph, params)
     except SynthesisError as exc:
         _emit_error(exc.step, exc.message)
-        return EXIT_INFEASIBLE
-    except GraphStructureError as exc:
-        _emit_error("graph", str(exc))
         return EXIT_INFEASIBLE
 
     try:
@@ -107,7 +85,7 @@ def cmd_synthesize(args) -> int:
         _emit_error("write", str(exc))
         return EXIT_IO
 
-    report = _report_from_realization(realization, problem.plant)
+    report = _report_from_realization(realization)
     if args.json:
         print(json.dumps(report, indent=1))
     else:
@@ -221,62 +199,25 @@ def cmd_verify(args) -> int:
     try:
         spectral = spectral_data(problem.graph)
         params = problem.parameters()
-        frfs, decomps = [], []
-        for i in range(plant.node_count):
-            frf = full_rank_factorize(plant.c_block(i), params.rank_tol)
-            frfs.append(frf)
-            decomps.append(
-                observability_decomposition(plant.a, frf.f_factor, params.rank_tol)
-            )
-    except (GraphStructureError, ValueError) as exc:
+        frfs, decomps = decompose_nodes(plant, params.rank_tol)
+    except (ValueError, SynthesisError) as exc:
         _emit_error("assumptions", str(exc))
         return EXIT_INFEASIBLE
 
-    alpha = realization.alpha
     g_weights = params.g_weights or tuple(1.0 for _ in range(plant.node_count))
-    a_norm = np.linalg.norm(plant.a)
-
-    checks = []
-    cancel = max(
-        verify_cancellation(g, d, f)
-        for g, d, f in zip(realization.nodes, decomps, frfs)
-    )
-    checks.append(("cancellation", cancel <= 1e-9 * max(a_norm, 1e-300),
-                   f"residual {cancel:.3e}"))
-
-    candidates = [
-        {"p_ie": g.p_ie, "p_iu": np.eye(d.n_dim - d.v_dim),
-         "w": g.p_ie @ g.h_inj if g.p_ie.size else np.zeros((0, d.p_dim))}
-        for g, d in zip(realization.nodes, decomps)
-    ]
-    lmi_ok, lmi_eigs = verify_lmi_th1(
-        candidates, decomps, realization.gamma, realization.epsilon, alpha, g_weights
-    )
-    checks.append(("lmi", lmi_ok, f"worst eigenvalue {max(lmi_eigs):.3e}"))
-
-    err_sys = build_error_system(realization, spectral)
-    rate = certify_rate(err_sys, alpha)
-    checks.append(("rate", rate["pass"],
-                   f"abscissa {rate['abscissa']:.6g} vs -alpha {-alpha:.6g}"))
-
-    inv_resid = float(np.linalg.norm(err_sys.t_p.T @ err_sys.full_matrix @ err_sys.t_s))
-    checks.append(("invariance", inv_resid <= 1e-9, f"residual {inv_resid:.3e}"))
-
-    rng = np.random.default_rng(args.seed)
-    lyap = lyapunov_decrease_check(err_sys, realization, alpha, samples=16, rng=rng)
-    checks.append(("lyapunov", lyap < 0, f"max eigenvalue {lyap:.3e}"))
+    checks = certify(realization, plant, spectral, frfs, decomps, g_weights)
+    for check in checks.values():
+        check["detail"] = f"value {check['value']:.6g} vs bound {check['bound']:.6g}"
 
     if args.json:
-        print(json.dumps(
-            {name: {"pass": bool(ok), "detail": detail} for name, ok, detail in checks},
-            indent=1,
-        ))
+        print(json.dumps(checks, indent=1))
     else:
-        for name, ok, detail in checks:
-            print(f"{name:<14}{'pass' if ok else 'FAIL':<6}{detail}")
-    for name, ok, _ in checks:
-        if not ok:
-            _emit_error(name, f"certificate '{name}' failed")
+        for name, check in checks.items():
+            print(f"{name:<14}{'pass' if check['pass'] else 'FAIL':<6}{check['detail']}")
+    for name, check in checks.items():
+        if not check["pass"]:
+            _emit_error(name, f"certificate '{name}' failed",
+                        value=check["value"], bound=check["bound"])
             return EXIT_CERTIFICATE
     return EXIT_OK
 
@@ -294,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--rank-tol", type=float, default=None)
     p_syn.add_argument("--epsilon-fraction", type=float, default=None)
     p_syn.add_argument("--gamma-safety", type=float, default=None)
-    p_syn.add_argument("--seed", type=int, default=0)
     p_syn.add_argument("--json", action="store_true")
     p_syn.set_defaults(func=cmd_synthesize)
 
@@ -307,14 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--z0", type=str, default=None)
     p_sim.add_argument("--trace-out", type=str, default=None)
     p_sim.add_argument("--record-stride", type=int, default=1)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--json", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="re-check all certificates of a gains file")
     p_ver.add_argument("gains")
     p_ver.add_argument("problem")
-    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
     return parser

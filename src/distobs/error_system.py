@@ -14,8 +14,30 @@ import numpy as np
 import scipy.linalg
 
 from .graph import GraphSpectralData
-from .linalg import spectral_abscissa
-from .synthesis import ObserverRealization
+from .linalg import FullRankFactorization, NodeDecomposition, spectral_abscissa
+from .synthesis import (
+    ObserverRealization,
+    Plant,
+    verify_cancellation,
+    verify_lmi_th1,
+)
+
+# The certificates in the order certify() reports them.  Each has its bound as
+# a function of (||A||_F, alpha), and whether a value equal to the bound passes.
+CERTIFICATE_BOUNDS = {
+    "cancellation": (lambda a_norm, alpha: 1e-9 * max(a_norm, 1e-300), True),
+    "lmi": (lambda a_norm, alpha: 0.0, False),
+    "rate": (lambda a_norm, alpha: -alpha, False),
+    "invariance": (lambda a_norm, alpha: 1e-9, True),
+    "lyapunov": (lambda a_norm, alpha: 0.0, False),
+}
+
+
+def _judge(name: str, value: float, a_norm: float, alpha: float) -> dict:
+    bound_of, inclusive = CERTIFICATE_BOUNDS[name]
+    bound = float(bound_of(a_norm, alpha))
+    ok = value <= bound if inclusive else value < bound
+    return {"value": float(value), "bound": bound, "pass": bool(ok)}
 
 
 @dataclass(frozen=True)
@@ -62,7 +84,7 @@ def build_error_system(
 def certify_rate(sys: GlobalErrorSystem, alpha: float) -> dict:
     """Spectral abscissa of the restricted generator versus the target rate."""
     absc = spectral_abscissa(sys.restricted_matrix)
-    return {"abscissa": absc, "pass": bool(absc < -alpha)}
+    return {"abscissa": absc, "pass": _judge("rate", absc, 0.0, alpha)["pass"]}
 
 
 def _stacked_lyapunov_weight(realization: ObserverRealization) -> np.ndarray:
@@ -80,17 +102,11 @@ def _stacked_lyapunov_weight(realization: ObserverRealization) -> np.ndarray:
 
 
 def lyapunov_decrease_check(
-    sys: GlobalErrorSystem,
-    realization: ObserverRealization,
-    alpha: float,
-    samples: int = 0,
-    rng: np.random.Generator | None = None,
+    sys: GlobalErrorSystem, realization: ObserverRealization, alpha: float
 ) -> float:
     """Largest eigenvalue of T_s^T (Lambda + 2 alpha P) T_s (must be < 0).
 
-    Lambda is the quadratic-form generator of dV/dt for V(e) = e^T P e.  When
-    samples > 0 the eigenvalue is cross-validated against Rayleigh quotients
-    at random unit directions; the maximum over both is returned.
+    Lambda is the quadratic-form generator of dV/dt for V(e) = e^T P e.
     """
     p_w = _stacked_lyapunov_weight(realization)
     full = sys.full_matrix
@@ -99,12 +115,44 @@ def lyapunov_decrease_check(
     reduced = 0.5 * (reduced + reduced.T)
     if reduced.size == 0:
         return -np.inf
-    max_eig = float(scipy.linalg.eigvalsh(reduced)[-1])
-    if samples > 0:
-        rng = rng or np.random.default_rng(0)
-        k = reduced.shape[0]
-        for _ in range(samples):
-            z = rng.standard_normal(k)
-            z /= np.linalg.norm(z)
-            max_eig = max(max_eig, float(z @ reduced @ z))
-    return max_eig
+    return float(scipy.linalg.eigvalsh(reduced)[-1])
+
+
+def certify(
+    realization: ObserverRealization,
+    plant: Plant,
+    spectral: GraphSpectralData,
+    frfs: list[FullRankFactorization],
+    decomps: list[NodeDecomposition],
+    g_weights,
+) -> dict:
+    """Check a design against every certificate in CERTIFICATE_BOUNDS.
+
+    Returns {name: {"value", "bound", "pass"}} in the table's order.  The lmi
+    check also carries "nodes", the worst eigenvalue of each node's LMI.
+    """
+    alpha = realization.alpha
+    candidates = [
+        {"p_ie": g.p_ie, "p_iu": np.eye(d.n_dim - d.v_dim),
+         "w": g.p_ie @ g.h_inj if g.p_ie.size else np.zeros((0, d.p_dim))}
+        for g, d in zip(realization.nodes, decomps)
+    ]
+    _, lmi_eigs = verify_lmi_th1(
+        candidates, decomps, realization.gamma, realization.epsilon, alpha, g_weights
+    )
+    err_sys = build_error_system(realization, spectral)
+    values = {
+        "cancellation": max(
+            verify_cancellation(g, d, f)
+            for g, d, f in zip(realization.nodes, decomps, frfs)
+        ),
+        # np.max propagates a NaN eigenvalue, so that it fails the check
+        "lmi": np.max(lmi_eigs),
+        "rate": certify_rate(err_sys, alpha)["abscissa"],
+        "invariance": np.linalg.norm(err_sys.t_p.T @ err_sys.full_matrix @ err_sys.t_s),
+        "lyapunov": lyapunov_decrease_check(err_sys, realization, alpha),
+    }
+    a_norm = float(np.linalg.norm(plant.a))
+    checks = {name: _judge(name, values[name], a_norm, alpha) for name in CERTIFICATE_BOUNDS}
+    checks["lmi"]["nodes"] = lmi_eigs
+    return checks

@@ -115,7 +115,6 @@ def realization_to_dict(realization: ObserverRealization) -> dict:
                 "K": _mat(g.k_mat),
                 "H": _mat(g.h_inj),
                 "Pie": _mat(g.p_ie),
-                "Tis": _mat(g.t_is),
             }
             for g in realization.nodes
         ],
@@ -135,11 +134,13 @@ def _as_matrix(data, rows: int, cols: int) -> np.ndarray:
 
 
 def realization_from_dict(doc: dict) -> ObserverRealization:
+    """Gains-file document to realization.  An older file may also carry P
+    as "Tis"; that key is ignored."""
     try:
         nodes = []
         for nd in doc["nodes"]:
-            t_is = np.asarray(nd["Tis"], dtype=float)
-            n, order = t_is.shape
+            p_out = np.asarray(nd["P"], dtype=float)
+            n, order = p_out.shape
             p = n - order
             q = np.asarray(nd["Q"], dtype=float)
             m_i = q.shape[1]
@@ -151,12 +152,11 @@ def realization_from_dict(doc: dict) -> ObserverRealization:
                     n_gain=_as_matrix(nd["N"], order, order),
                     l_gain=_as_matrix(nd["L"], order, m_i),
                     m_gain=_as_matrix(nd["M"], order, n),
-                    p_out=_as_matrix(nd["P"], n, order),
+                    p_out=p_out,
                     q_out=q,
                     k_mat=_as_matrix(nd["K"], n, m_i),
                     h_inj=_as_matrix(nd["H"], v - p, p),
                     p_ie=_as_matrix(nd["Pie"], k_e, k_e),
-                    t_is=t_is,
                     p_dim=p,
                     v_dim=v,
                 )

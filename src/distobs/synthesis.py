@@ -8,12 +8,12 @@ with z_i of dimension n - p_i, so the total observer order is N*n - sum p_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
-from .graph import GraphSpectralData, NetworkGraph, is_strongly_connected, spectral_data
+from .graph import GraphSpectralData, GraphStructureError, NetworkGraph, spectral_data
 from .linalg import (
     DEFAULT_RANK_TOL,
     FullRankFactorization,
@@ -112,9 +112,13 @@ class NodeGains:
     k_mat: np.ndarray
     h_inj: np.ndarray
     p_ie: np.ndarray
-    t_is: np.ndarray
     p_dim: int
     v_dim: int
+
+    @property
+    def t_is(self) -> np.ndarray:
+        """The node's observer subspace basis T_is, which is the output map P."""
+        return self.p_out
 
 
 @dataclass(frozen=True)
@@ -303,7 +307,6 @@ def assemble_gains(
         k_mat=k_mat,
         h_inj=h,
         p_ie=pie,
-        t_is=t_is.copy(),
         p_dim=p,
         v_dim=v,
     )
@@ -375,6 +378,29 @@ def verify_lmi_th1(
     return all(w < 0 for w in worst), worst
 
 
+def decompose_nodes(
+    plant: Plant, rank_tol: float
+) -> tuple[list[FullRankFactorization], list[NodeDecomposition]]:
+    """Factorize every C_i = D_i F_i and decompose (F_i, A) by observability.
+
+    Raises SynthesisError tagged "factorization" or "decomposition" with the
+    1-based node that failed.
+    """
+    frfs, decomps = [], []
+    for i in range(plant.node_count):
+        try:
+            frf = full_rank_factorize(plant.c_block(i), rank_tol)
+        except ValueError as exc:
+            raise SynthesisError("factorization", f"node {i + 1}: {exc}") from exc
+        try:
+            decomp = observability_decomposition(plant.a, frf.f_factor, rank_tol)
+        except ValueError as exc:
+            raise SynthesisError("decomposition", f"node {i + 1}: {exc}") from exc
+        frfs.append(frf)
+        decomps.append(decomp)
+    return frfs, decomps
+
+
 def synthesize(
     plant: Plant,
     graph: NetworkGraph,
@@ -386,7 +412,7 @@ def synthesize(
     fail: graph not strongly connected, (C, A) not observable, or a node
     with zero output matrix.
     """
-    from .error_system import build_error_system, certify_rate, lyapunov_decrease_check
+    from .error_system import certify
 
     params = params or SynthesisParameters()
     big_n = plant.node_count
@@ -396,26 +422,15 @@ def synthesize(
     if len(g_weights) != big_n:
         raise SynthesisError("input", "g_weights length does not match node count")
 
-    if not is_strongly_connected(graph):
-        raise SynthesisError("graph", "communication graph is not strongly connected")
-    spectral = spectral_data(graph)
+    try:
+        spectral = spectral_data(graph)
+    except GraphStructureError as exc:
+        raise SynthesisError("graph", str(exc)) from exc
 
     if numerical_rank(observability_matrix(plant.c, plant.a), params.rank_tol) != plant.n:
         raise SynthesisError("observability", "(C, A) is not observable")
 
-    frfs, decomps = [], []
-    for i in range(big_n):
-        try:
-            frf = full_rank_factorize(plant.c_block(i), params.rank_tol)
-        except ValueError as exc:
-            raise SynthesisError("factorization", f"node {i + 1}: {exc}") from exc
-        try:
-            decomp = observability_decomposition(plant.a, frf.f_factor, params.rank_tol)
-        except ValueError as exc:
-            raise SynthesisError("decomposition", f"node {i + 1}: {exc}") from exc
-        frfs.append(frf)
-        decomps.append(decomp)
-
+    frfs, decomps = decompose_nodes(plant, params.rank_tol)
     epsilon = compute_epsilon(decomps, spectral, g_weights, params.epsilon_fraction)
     gamma = select_gamma(decomps, epsilon, params.alpha, params.gamma_safety)
 
@@ -434,21 +449,6 @@ def synthesize(
         except ValueError as exc:
             raise SynthesisError("gains", f"node {i + 1}: {exc}") from exc
 
-    cancel_max = max(
-        verify_cancellation(g, d, f) for g, d, f in zip(nodes, decomps, frfs)
-    )
-    candidates = [
-        {
-            "p_ie": g.p_ie,
-            "p_iu": np.eye(d.n_dim - d.v_dim),
-            "w": g.p_ie @ g.h_inj if g.p_ie.size else np.zeros((0, d.p_dim)),
-        }
-        for g, d in zip(nodes, decomps)
-    ]
-    lmi_pass, lmi_eigs = verify_lmi_th1(
-        candidates, decomps, gamma, epsilon, params.alpha, g_weights
-    )
-
     realization = ObserverRealization(
         nodes=tuple(nodes),
         gamma=gamma,
@@ -456,25 +456,16 @@ def synthesize(
         r_vector=spectral.perron_row.copy(),
         alpha=params.alpha,
     )
-    err_sys = build_error_system(realization, spectral)
-    rate = certify_rate(err_sys, params.alpha)
-    lyap_max = lyapunov_decrease_check(err_sys, realization, params.alpha)
-
+    checks = certify(realization, plant, spectral, frfs, decomps, g_weights)
     certificate = {
         "epsilon": epsilon,
         "gamma": gamma,
-        "restricted_spectral_abscissa": rate["abscissa"],
-        "cancellation_residual_max": cancel_max,
-        "lmi_max_eigenvalues": lmi_eigs,
-        "lmi_pass": lmi_pass,
-        "lyapunov_max_eigenvalue": lyap_max,
-        "rate_pass": rate["pass"],
+        "restricted_spectral_abscissa": checks["rate"]["value"],
+        "cancellation_residual_max": checks["cancellation"]["value"],
+        "lmi_max_eigenvalues": checks["lmi"]["nodes"],
+        "lmi_pass": checks["lmi"]["pass"],
+        "lyapunov_max_eigenvalue": checks["lyapunov"]["value"],
+        "rate_pass": checks["rate"]["pass"],
+        "checks": checks,
     }
-    return ObserverRealization(
-        nodes=realization.nodes,
-        gamma=gamma,
-        epsilon=epsilon,
-        r_vector=realization.r_vector,
-        alpha=params.alpha,
-        certificate=certificate,
-    )
+    return replace(realization, certificate=certificate)

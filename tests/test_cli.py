@@ -7,15 +7,19 @@ import pytest
 from distobs import (
     NetworkGraph,
     Plant,
+    SynthesisParameters,
     full_rank_factorize,
     load_realization,
     observability_decomposition,
+    observability_matrix,
     save_realization,
+    synthesize,
 )
 from distobs.cli import main
+from distobs.linalg import numerical_rank
 from distobs.synthesis import assemble_gains
 
-from conftest import standard_instance
+from conftest import random_strongly_connected_graph, standard_instance
 
 
 def problem_dict(plant, graph, alpha=0.5, overrides=None):
@@ -106,6 +110,18 @@ class TestSynthesizeCommand:
                          "k_mat", "h_inj", "p_ie", "t_is"):
                 np.testing.assert_array_equal(getattr(g1, name), getattr(g2, name))
         assert r1.gamma == r2.gamma and r1.epsilon == r2.epsilon
+
+    def test_legacy_tis_key_ignored(self, standard_files, tmp_path):
+        _, _, _, gains = standard_files
+        doc = json.loads(open(gains).read())
+        assert all("Tis" not in nd for nd in doc["nodes"])
+        for nd in doc["nodes"]:
+            nd["Tis"] = nd["P"]
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(doc))
+        resaved = tmp_path / "resaved.json"
+        save_realization(load_realization(legacy), resaved)
+        assert resaved.read_bytes() == open(gains, "rb").read()
 
     def test_deterministic_output(self, standard_files, tmp_path, capsys):
         _, _, problem, _ = standard_files
@@ -255,3 +271,46 @@ class TestVerifyCommand:
         _, _, _, gains = standard_files
         _, _, other_problem = jordan_problem(tmp_path)
         assert main(["verify", gains, other_problem]) == 1
+
+
+def cancellation_failing_instance():
+    """n = 6, N = 4, one output row per node: A ~ N(0,1)/sqrt(n), C ~ N(0,1),
+    a Hamiltonian cycle plus N random edges.  Its synthesized gains miss the
+    cancellation bound."""
+    rng = np.random.default_rng([1, 3, 6, 4])
+    n, n_nodes = 6, 4
+    while True:
+        a = rng.standard_normal((n, n)) / np.sqrt(n)
+        c = rng.standard_normal((n_nodes, n))
+        if numerical_rank(observability_matrix(c, a)) == n:
+            break
+    plant = Plant(a=a, c=c, node_rows=(1,) * n_nodes)
+    return plant, random_strongly_connected_graph(rng, n_nodes)
+
+
+class TestSynthesizeAndVerifyAgree:
+    @pytest.mark.parametrize("instance, failing", [
+        (standard_instance, set()),
+        (cancellation_failing_instance, {"cancellation"}),
+    ])
+    def test_same_checks(self, instance, failing, tmp_path, capsys):
+        plant, graph = instance()
+        cert = synthesize(plant, graph, SynthesisParameters(alpha=0.5)).certificate
+        problem = write_problem(tmp_path, problem_dict(plant, graph, alpha=0.5))
+        gains = str(tmp_path / "gains.json")
+        assert main(["synthesize", problem, gains]) == 0
+        capsys.readouterr()
+        code = main(["verify", gains, problem, "--json"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == (4 if failing else 0)
+        if failing:
+            error = json.loads(captured.err.strip().splitlines()[-1])["error"]
+            step = error["step"]
+            assert (error["value"], error["bound"]) == (
+                report[step]["value"], report[step]["bound"])
+        assert list(report) == list(cert["checks"])
+        assert {n for n, c in report.items() if not c["pass"]} == failing
+        for name, check in cert["checks"].items():
+            for key in ("pass", "value", "bound"):
+                assert report[name][key] == check[key], (name, key)
