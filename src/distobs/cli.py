@@ -20,7 +20,6 @@ from .problem import (
     load_problem,
     load_realization,
     save_realization,
-    trace_summary,
     write_trace_csv,
 )
 from .simulate import (
@@ -30,6 +29,7 @@ from .simulate import (
     estimate_rate,
     simulate,
     suggested_timestep,
+    trace_summary,
 )
 from .synthesis import SynthesisError, decompose_nodes, synthesize
 
@@ -71,7 +71,11 @@ def cmd_synthesize(args) -> int:
         for name in ("rank_tol", "epsilon_fraction", "gamma_safety")
         if getattr(args, name) is not None
     }
-    params = dataclasses.replace(problem.parameters(), **overrides)
+    try:
+        params = dataclasses.replace(problem.parameters(), **overrides)
+    except ValueError as exc:
+        _emit_error("parse", str(exc))
+        return EXIT_IO
 
     try:
         realization = synthesize(problem.plant, problem.graph, params)
@@ -104,6 +108,15 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",") if v.strip() != ""])
 
 
+def _dimensions_match(realization, plant) -> bool:
+    """True iff the gains file has one node per problem node, each with a Q of
+    shape (n, m_i)."""
+    return len(realization.nodes) == plant.node_count and all(
+        g.q_out.shape == (plant.n, m)
+        for g, m in zip(realization.nodes, plant.node_rows)
+    )
+
+
 def cmd_simulate(args) -> int:
     try:
         problem = load_problem(args.problem)
@@ -114,9 +127,7 @@ def cmd_simulate(args) -> int:
 
     plant, graph = problem.plant, problem.graph
     n = plant.n
-    if len(realization.nodes) != plant.node_count or any(
-        g.q_out.shape != (n, m) for g, m in zip(realization.nodes, plant.node_rows)
-    ):
+    if not _dimensions_match(realization, plant):
         _emit_error("dimensions", "gains file does not match the problem file")
         return EXIT_IO
 
@@ -125,13 +136,13 @@ def cmd_simulate(args) -> int:
     except GraphStructureError as exc:
         _emit_error("graph", str(exc))
         return EXIT_INFEASIBLE
-    err_sys = build_error_system(realization, spectral)
 
     alpha = realization.alpha
     t_final = args.tfinal if args.tfinal else 10.0 / max(alpha, 0.5)
     if args.dt:
         dt = args.dt
     else:
+        err_sys = build_error_system(realization, spectral)
         dt = suggested_timestep(
             realization, plant, spectral.laplacian, err_sys.full_matrix
         )
@@ -192,7 +203,7 @@ def cmd_verify(args) -> int:
         return EXIT_IO
 
     plant = problem.plant
-    if len(realization.nodes) != plant.node_count:
+    if not _dimensions_match(realization, plant):
         _emit_error("dimensions", "gains file does not match the problem file")
         return EXIT_IO
 

@@ -12,7 +12,6 @@ followed by a read reproduces every matrix bit-exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -192,29 +191,15 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Columns: t, x_1..x_n, then per node k: z_k_*, xhat_k_*, err_norm_k, inv_res_k."""
     n = trace.x.shape[1]
     header = ["t"] + [f"x_{j + 1}" for j in range(n)]
-    for k, z in enumerate(trace.z, start=1):
-        header += [f"z_{k}_{j + 1}" for j in range(z.shape[1])]
-        header += [f"xhat_{k}_{j + 1}" for j in range(n)]
-        header += [f"err_norm_{k}", f"inv_res_{k}"]
+    columns = [trace.times[:, None], trace.x]
+    for k, z in enumerate(trace.z):
+        header += [f"z_{k + 1}_{j + 1}" for j in range(z.shape[1])]
+        header += [f"xhat_{k + 1}_{j + 1}" for j in range(n)]
+        header += [f"err_norm_{k + 1}", f"inv_res_{k + 1}"]
+        columns += [z, trace.xhat[k], np.linalg.norm(trace.errors[k], axis=1)[:, None],
+                    trace.invariance_residuals[:, k : k + 1]]
+    # the csv module's "\r\n" line ending; repr round-trips every float
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in range(trace.times.size):
-            row = [repr(float(trace.times[s]))]
-            row += [repr(float(v)) for v in trace.x[s]]
-            for k in range(len(trace.z)):
-                row += [repr(float(v)) for v in trace.z[k][s]]
-                row += [repr(float(v)) for v in trace.xhat[k][s]]
-                row.append(repr(float(np.linalg.norm(trace.errors[k][s]))))
-                row.append(repr(float(trace.invariance_residuals[s, k])))
-            writer.writerow(row)
-
-
-def trace_summary(trace: SimulationTrace, alpha_hat: float, max_inv: float) -> dict:
-    return {
-        "alpha_hat": alpha_hat,
-        "max_invariance_residual": max_inv,
-        "final_error_norms": [
-            float(np.linalg.norm(e[-1])) for e in trace.errors
-        ],
-    }
+        fh.write(",".join(header) + "\r\n")
+        for row in np.hstack(columns):
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")

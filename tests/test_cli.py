@@ -161,6 +161,20 @@ class TestSynthesizeCommand:
         missing = str(tmp_path / "nope.json")
         assert main(["synthesize", missing, str(tmp_path / "g.json")]) == 1
 
+    def test_invalid_override_exit1(self, tmp_path, capsys):
+        plant, graph = standard_instance()
+        doc = problem_dict(plant, graph, overrides={"epsilon_fraction": 2.0})
+        problem = write_problem(tmp_path, doc)
+        assert main(["synthesize", problem, str(tmp_path / "g.json")]) == 1
+        assert stderr_step(capsys) == "parse"
+
+    def test_invalid_flag_value_exit1(self, standard_files, tmp_path, capsys):
+        _, _, problem, _ = standard_files
+        capsys.readouterr()
+        args = ["synthesize", problem, str(tmp_path / "g.json"), "--gamma-safety", "0.5"]
+        assert main(args) == 1
+        assert stderr_step(capsys) == "parse"
+
 
 class TestSimulateCommand:
     def test_default_flags_converges(self, standard_files, capsys):
@@ -271,6 +285,18 @@ class TestVerifyCommand:
         _, _, _, gains = standard_files
         _, _, other_problem = jordan_problem(tmp_path)
         assert main(["verify", gains, other_problem]) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_gains_for_another_state_dimension_exit1(command, standard_files, tmp_path,
+                                                 capsys):
+    """Same node count, but the gains were designed for n = 4, not n = 5."""
+    plant, graph, _, gains = standard_files
+    other = Plant(a=-np.eye(5), c=np.ones((3, 5)), node_rows=plant.node_rows)
+    other_problem = write_problem(tmp_path, problem_dict(other, graph))
+    capsys.readouterr()
+    assert main([command, gains, other_problem]) == 1
+    assert stderr_step(capsys) == "dimensions"
 
 
 def cancellation_failing_instance():

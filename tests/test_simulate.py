@@ -111,6 +111,70 @@ class TestSimulate:
             run(plant, graph, r, spectral, err_sys, t_final=500.0, dt=5.0)
 
 
+def reference_rk4(realization, plant, graph, s0, dt, steps):
+    """Per-node classical RK4 of plant and observers, with the coupling
+    sum_j a_ij (xhat_j - xhat_i) built node by node; one row per step."""
+    n, big_n, nodes = plant.n, plant.node_count, realization.nodes
+    offsets = np.cumsum([n] + [g.n_gain.shape[0] for g in nodes])
+    c_blocks = [plant.c_block(i) for i in range(big_n)]
+
+    def rhs(s):
+        x = s[:n]
+        xh = [g.p_out @ s[offsets[i]:offsets[i + 1]] + g.q_out @ (c_blocks[i] @ x)
+              for i, g in enumerate(nodes)]
+        ds = np.empty_like(s)
+        ds[:n] = plant.a @ x
+        for i, g in enumerate(nodes):
+            coupling = np.zeros(n)
+            for j in range(big_n):
+                if graph.weights[i, j] > 0:
+                    coupling += graph.weights[i, j] * (xh[j] - xh[i])
+            ds[offsets[i]:offsets[i + 1]] = (
+                g.n_gain @ s[offsets[i]:offsets[i + 1]] + g.l_gain @ (c_blocks[i] @ x)
+                + realization.gamma * realization.r_vector[i] * (g.m_gain @ coupling)
+            )
+        return ds
+
+    states = [np.asarray(s0, dtype=float)]
+    for _ in range(steps):
+        s = states[-1]
+        k1 = rhs(s)
+        k2 = rhs(s + 0.5 * dt * k1)
+        k3 = rhs(s + 0.5 * dt * k2)
+        k4 = rhs(s + dt * k3)
+        states.append(s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    generator = np.column_stack([rhs(e) for e in np.eye(s0.size)])
+    return np.array(states), generator
+
+
+class TestPropagator:
+    def test_matches_per_node_rk4(self, standard_setup):
+        plant, graph, r, _, _ = standard_setup
+        x0 = np.array([1.0, -2.0, 0.5, 3.0])
+        z0 = [np.linspace(-1.0, 1.0, g.n_gain.shape[0]) for g in r.nodes]
+        s0 = np.concatenate([x0] + z0)
+        _, generator = reference_rk4(r, plant, graph, s0, 0.0, 0)
+        dt = 0.5 / np.linalg.norm(generator, 2)
+        expected, _ = reference_rk4(r, plant, graph, s0, dt, 5)
+        trace = simulate(r, plant, graph,
+                         SimulationConfig(t_final=5 * dt, dt=dt, x0=x0, z0=z0))
+        assert trace.times.size == 6
+        got = np.hstack([trace.x] + trace.z)
+        scale = np.linalg.norm(expected, axis=1)
+        assert np.all(np.linalg.norm(got - expected, axis=1) <= 1e-12 * scale)
+
+    def test_truncated_final_step_with_stride(self, standard_setup):
+        plant, graph, r, _, _ = standard_setup
+        x0 = np.array([1.0, -2.0, 0.5, 3.0])
+        t_final, dt = 0.2505, 1e-3
+        trace = simulate(r, plant, graph, SimulationConfig(
+            t_final=t_final, dt=dt, x0=x0, record_stride=7))
+        assert trace.times[-1] == t_final
+        np.testing.assert_array_equal(trace.times[1:-1], dt * np.arange(7, 251, 7))
+        exact = scipy.linalg.expm(plant.a * t_final) @ x0
+        assert np.linalg.norm(trace.x[-1] - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
 class TestEstimateRate:
     def _trace_from_error(self, times, err):
         n = err.shape[1]
