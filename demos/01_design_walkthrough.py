@@ -57,13 +57,13 @@ print(f"  coupling gain gamma = {realization.gamma:.6g}")
 cert = realization.certificate
 print("\ncertificates")
 print(f"  restricted error-system abscissa: "
-      f"{cert['restricted_spectral_abscissa']:.4f}  (must be < -0.5)")
+      f"{cert['rate']['value']:.4f}  (must be < -0.5)")
 print(f"  cancellation identity residual : "
-      f"{cert['cancellation_residual_max']:.3e}")
+      f"{cert['cancellation']['value']:.3e}")
 print(f"  feasibility LMI                : "
-      f"{'pass' if cert['lmi_pass'] else 'FAIL'}")
+      f"{'pass' if cert['lmi']['pass'] else 'FAIL'}")
 print(f"  Lyapunov decrease max eigenvalue: "
-      f"{cert['lyapunov_max_eigenvalue']:.3e}  (must be < 0)")
+      f"{cert['lyapunov']['value']:.3e}  (must be < 0)")
 
 print("\nnode 1 gain shapes")
 g = realization.nodes[0]

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .error_system import build_error_system, certify
-from .graph import GraphStructureError, spectral_data
+from .graph import GraphStructureError, is_strongly_connected, spectral_data
 from .problem import (
     ProblemFormatError,
     load_problem,
@@ -52,9 +52,9 @@ def _report_from_realization(realization) -> dict:
         "nodes": [{"p": g.p_dim, "v": g.v_dim} for g in realization.nodes],
         "epsilon": realization.epsilon,
         "gamma": realization.gamma,
-        "restricted_abscissa": cert.get("restricted_spectral_abscissa"),
-        "cancellation_residual": cert.get("cancellation_residual_max"),
-        "lmi_pass": cert.get("lmi_pass"),
+        "restricted_abscissa": cert["rate"]["value"],
+        "cancellation_residual": cert["cancellation"]["value"],
+        "lmi_pass": cert["lmi"]["pass"],
         "alpha": realization.alpha,
     }
 
@@ -109,11 +109,14 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _dimensions_match(realization, plant) -> bool:
-    """True iff the gains file has one node per problem node, each with a Q of
-    shape (n, m_i)."""
-    return len(realization.nodes) == plant.node_count and all(
-        g.q_out.shape == (plant.n, m)
-        for g, m in zip(realization.nodes, plant.node_rows)
+    """True iff the gains file has one node and one r entry per problem node,
+    each node with a Q of shape (n, m_i)."""
+    big_n = plant.node_count
+    return (
+        len(realization.nodes) == big_n
+        and realization.r_vector.shape == (big_n,)
+        and all(g.q_out.shape == (plant.n, m)
+                for g, m in zip(realization.nodes, plant.node_rows))
     )
 
 
@@ -131,10 +134,8 @@ def cmd_simulate(args) -> int:
         _emit_error("dimensions", "gains file does not match the problem file")
         return EXIT_IO
 
-    try:
-        spectral = spectral_data(graph)
-    except GraphStructureError as exc:
-        _emit_error("graph", str(exc))
+    if not is_strongly_connected(graph):
+        _emit_error("graph", "graph is not strongly connected")
         return EXIT_INFEASIBLE
 
     alpha = realization.alpha
@@ -142,6 +143,11 @@ def cmd_simulate(args) -> int:
     if args.dt:
         dt = args.dt
     else:
+        try:
+            spectral = spectral_data(graph)
+        except GraphStructureError as exc:
+            _emit_error("graph", str(exc))
+            return EXIT_INFEASIBLE
         err_sys = build_error_system(realization, spectral)
         dt = suggested_timestep(
             realization, plant, spectral.laplacian, err_sys.full_matrix

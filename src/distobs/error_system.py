@@ -1,9 +1,14 @@
 """Global closed-loop error dynamics and the analytic convergence certificates.
 
-The stacked error e = col(e_1, ..., e_N) obeys
-    e' = (T_s N T_s^T - gamma T_s M (R L (x) I_n)) e
-and stays on im T_s, where it is generated by the restricted matrix
-    N - gamma M (R L (x) I_n) T_s.
+Node i's observer hears its neighbours through the coupling term
+    gamma r_i M_i sum_j a_ij (xhat_j - xhat_i),
+written once, in _coupling, for the simulator and the error system alike.
+With G = blkdiag(N_i) T_s^T plus the coupling term applied to I_Nn, the
+stacked error e = col(e_1, ..., e_N) obeys e' = T_s G e and stays on im T_s,
+of dimension N n - sum p_i.  There it is generated by the restricted matrix
+R = G T_s, which is the observer block of the simulator's generator F.  The
+Lyapunov certificate is taken in these coordinates, with the weight
+W = blkdiag_i(P_ie, I).
 """
 
 from __future__ import annotations
@@ -58,26 +63,35 @@ def _orthogonal_complement(t_is: np.ndarray) -> np.ndarray:
     return scipy.linalg.null_space(t_is.T)
 
 
+def _coupling(
+    realization: ObserverRealization, lap: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Rows gamma r_i M_i sum_j a_ij (X_j - X_i), stacked over the nodes i, of a
+    node-stacked X (Nn x k)."""
+    nodes = realization.nodes
+    n = x.shape[0] // len(nodes)
+    # block i of -(Lap (x) I_n) X is sum_j a_ij (X_j - X_i)
+    diff = -(lap @ x.reshape(len(nodes), -1)).reshape(x.shape)
+    return np.vstack([
+        (realization.gamma * r_i) * (g.m_gain @ diff[i * n : (i + 1) * n])
+        for i, (g, r_i) in enumerate(zip(nodes, realization.r_vector))
+    ])
+
+
 def build_error_system(
     realization: ObserverRealization, spectral: GraphSpectralData
 ) -> GlobalErrorSystem:
     """Assemble the full (Nn x Nn) and restricted error generators."""
     nodes = realization.nodes
-    n = nodes[0].t_is.shape[0]
-    big_n = len(nodes)
-    if spectral.laplacian.shape[0] != big_n:
+    if spectral.laplacian.shape[0] != len(nodes):
         raise ValueError("graph size does not match the realization")
 
     t_s = scipy.linalg.block_diag(*(g.t_is for g in nodes))
     t_p = scipy.linalg.block_diag(*(_orthogonal_complement(g.t_is) for g in nodes))
-    n_blk = scipy.linalg.block_diag(*(g.n_gain for g in nodes))
-    m_blk = scipy.linalg.block_diag(*(g.m_gain for g in nodes))
-    coupling = np.kron(spectral.r_diag @ spectral.laplacian, np.eye(n))
-
-    full = t_s @ n_blk @ t_s.T - realization.gamma * t_s @ m_blk @ coupling
-    restricted = n_blk - realization.gamma * m_blk @ coupling @ t_s
+    coupled = _coupling(realization, spectral.laplacian, np.eye(t_s.shape[0]))
+    g_mat = scipy.linalg.block_diag(*(g.n_gain for g in nodes)) @ t_s.T + coupled
     return GlobalErrorSystem(
-        full_matrix=full, restricted_matrix=restricted, t_s=t_s, t_p=t_p
+        full_matrix=t_s @ g_mat, restricted_matrix=g_mat @ t_s, t_s=t_s, t_p=t_p
     )
 
 
@@ -87,31 +101,22 @@ def certify_rate(sys: GlobalErrorSystem, alpha: float) -> dict:
     return {"abscissa": absc, "pass": _judge("rate", absc, 0.0, alpha)["pass"]}
 
 
-def _stacked_lyapunov_weight(realization: ObserverRealization) -> np.ndarray:
-    """Block-diagonal P with P_i = I + T_ie (P_ie - I) T_ie^T (P_iu = I)."""
-    blocks = []
-    for g in realization.nodes:
-        n = g.t_is.shape[0]
-        k = g.p_ie.shape[0]  # = v_i - p_i
-        p_i = np.eye(n)
-        if k:
-            t_e = g.t_is[:, :k]
-            p_i = p_i + t_e @ (g.p_ie - np.eye(k)) @ t_e.T
-        blocks.append(p_i)
-    return scipy.linalg.block_diag(*blocks)
-
-
 def lyapunov_decrease_check(
     sys: GlobalErrorSystem, realization: ObserverRealization, alpha: float
 ) -> float:
-    """Largest eigenvalue of T_s^T (Lambda + 2 alpha P) T_s (must be < 0).
+    """Largest eigenvalue of W R + R^T W + 2 alpha W (must be < 0).
 
-    Lambda is the quadratic-form generator of dV/dt for V(e) = e^T P e.
+    R is the restricted generator and W = blkdiag_i(P_ie, I_{n - v_i}) the
+    weight of V(e) = e^T P e in the coordinates of im T_s.
     """
-    p_w = _stacked_lyapunov_weight(realization)
-    full = sys.full_matrix
-    lam = p_w @ full + full.T @ p_w
-    reduced = sys.t_s.T @ (lam + 2.0 * alpha * p_w) @ sys.t_s
+    w = np.eye(sys.restricted_matrix.shape[0])
+    start = 0
+    for g in realization.nodes:
+        stop = start + g.p_ie.shape[0]
+        w[start:stop, start:stop] = g.p_ie
+        start += g.n_gain.shape[0]
+    wr = w @ sys.restricted_matrix
+    reduced = wr + wr.T + 2.0 * alpha * w
     reduced = 0.5 * (reduced + reduced.T)
     if reduced.size == 0:
         return -np.inf

@@ -53,7 +53,6 @@ class GraphSpectralData:
 
     laplacian: np.ndarray
     perron_row: np.ndarray
-    r_diag: np.ndarray
     mirror: np.ndarray
     lambda2: float = field(default=math.inf)
 
@@ -118,8 +117,7 @@ def spectral_data(g: NetworkGraph) -> GraphSpectralData:
         raise GraphStructureError("graph is not strongly connected")
     lap = laplacian(g)
     r = perron_row_vector(lap)
-    r_diag = np.diag(r)
-    mirror = r_diag @ lap + lap.T @ r_diag
+    mirror = r[:, None] * lap + lap.T * r
     mirror = 0.5 * (mirror + mirror.T)
     n = g.node_count
     if n == 1:
@@ -128,5 +126,5 @@ def spectral_data(g: NetworkGraph) -> GraphSpectralData:
         eigs = np.sort(scipy.linalg.eigvalsh(mirror))
         lam2 = float(eigs[1])
     return GraphSpectralData(
-        laplacian=lap, perron_row=r, r_diag=r_diag, mirror=mirror, lambda2=lam2
+        laplacian=lap, perron_row=r, mirror=mirror, lambda2=lam2
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .error_system import _coupling
 from .graph import NetworkGraph, laplacian
 from .synthesis import ObserverRealization, Plant
 
@@ -100,14 +101,11 @@ def _generator(
     for i, g in enumerate(nodes):
         est[i * n : (i + 1) * n, :n] = g.q_out @ plant.c_block(i)
         est[i * n : (i + 1) * n, offsets[i] : offsets[i + 1]] = g.p_out
-    # block i of -(Lap (x) I_n) E is sum_j a_ij (E_j - E_i)
-    coupling = -(laplacian(graph) @ est.reshape(big_n, -1)).reshape(est.shape)
     f = np.zeros((offsets[-1], offsets[-1]))
     f[:n, :n] = plant.a
+    f[n:] = _coupling(realization, laplacian(graph), est)
     for i, g in enumerate(nodes):
         lo, hi = offsets[i], offsets[i + 1]
-        f[lo:hi] = (realization.gamma * realization.r_vector[i]) * (
-            g.m_gain @ coupling[i * n : (i + 1) * n])
         f[lo:hi, :n] += g.l_gain @ plant.c_block(i)
         f[lo:hi, lo:hi] += g.n_gain
     return f, est

@@ -260,43 +260,32 @@ def assemble_gains(
     frf: FullRankFactorization,
     h: np.ndarray,
     pie: np.ndarray,
-    node_special: bool,
 ) -> NodeGains:
     """Evaluate the closed-form gain formulas for one node.
 
-    node_special selects the v = p route where the middle block is void:
-    N = A_u, L = A_31 E^-1 D^+, M = T_s^T and K drops the H rows.
+    When v = p the middle block is void (H and P_ie are empty) and the
+    formulas reduce to N = A_u, L = A_31 E^-1 D^+, M = T_s^T.
     """
     n, v, p = decomp.n_dim, decomp.v_dim, decomp.p_dim
     e_inv = np.linalg.inv(decomp.e_mat)
     d_dag = np.linalg.pinv(frf.d_factor)
     t_is = decomp.t_s
 
-    if node_special:
-        if v != p:
-            raise ValueError("special route requires v = p")
-        n_gain = decomp.a_u.copy()
-        k_mat = np.vstack([e_inv, np.zeros((n - p, p))]) @ d_dag
-        l_gain = decomp.a31 @ e_inv @ d_dag
-        m_gain = t_is.T.copy()
-    else:
-        n_gain = np.block(
-            [
-                [decomp.a22 - h @ decomp.e_mat @ decomp.a12,
-                 np.zeros((v - p, n - v))],
-                [decomp.a32, decomp.a_u],
-            ]
-        )
-        k_mat = np.vstack([e_inv, h, np.zeros((n - v, p))]) @ d_dag
-        l_gain = (
-            np.vstack([decomp.a21 - h @ decomp.e_mat @ decomp.a11, decomp.a31])
-            @ e_inv
-            @ d_dag
-            + n_gain @ k_mat[p:, :]
-        )
-        m_gain = (
-            scipy.linalg.block_diag(np.linalg.inv(pie), np.eye(n - v)) @ t_is.T
-        )
+    n_gain = np.block(
+        [
+            [decomp.a22 - h @ decomp.e_mat @ decomp.a12,
+             np.zeros((v - p, n - v))],
+            [decomp.a32, decomp.a_u],
+        ]
+    )
+    k_mat = np.vstack([e_inv, h, np.zeros((n - v, p))]) @ d_dag
+    l_gain = (
+        np.vstack([decomp.a21 - h @ decomp.e_mat @ decomp.a11, decomp.a31])
+        @ e_inv
+        @ d_dag
+        + n_gain @ k_mat[p:, :]
+    )
+    m_gain = scipy.linalg.block_diag(np.linalg.inv(pie), np.eye(n - v)) @ t_is.T
 
     return NodeGains(
         n_gain=n_gain,
@@ -436,16 +425,11 @@ def synthesize(
 
     nodes = []
     for i, (frf, decomp) in enumerate(zip(frfs, decomps)):
-        special = decomp.v_dim == decomp.p_dim
         try:
-            if special:
-                h = np.zeros((0, decomp.p_dim))
-                pie = np.zeros((0, 0))
-            else:
-                ea12 = decomp.e_mat @ decomp.a12
-                h = place_injection(decomp.a22, ea12, params.alpha)
-                pie = solve_pie(decomp.a22, ea12, h, gamma, params.alpha)
-            nodes.append(assemble_gains(decomp, frf, h, pie, special))
+            ea12 = decomp.e_mat @ decomp.a12
+            h = place_injection(decomp.a22, ea12, params.alpha)
+            pie = solve_pie(decomp.a22, ea12, h, gamma, params.alpha)
+            nodes.append(assemble_gains(decomp, frf, h, pie))
         except ValueError as exc:
             raise SynthesisError("gains", f"node {i + 1}: {exc}") from exc
 
@@ -456,16 +440,5 @@ def synthesize(
         r_vector=spectral.perron_row.copy(),
         alpha=params.alpha,
     )
-    checks = certify(realization, plant, spectral, frfs, decomps, g_weights)
-    certificate = {
-        "epsilon": epsilon,
-        "gamma": gamma,
-        "restricted_spectral_abscissa": checks["rate"]["value"],
-        "cancellation_residual_max": checks["cancellation"]["value"],
-        "lmi_max_eigenvalues": checks["lmi"]["nodes"],
-        "lmi_pass": checks["lmi"]["pass"],
-        "lyapunov_max_eigenvalue": checks["lyapunov"]["value"],
-        "rate_pass": checks["rate"]["pass"],
-        "checks": checks,
-    }
+    certificate = certify(realization, plant, spectral, frfs, decomps, g_weights)
     return replace(realization, certificate=certificate)

@@ -74,8 +74,7 @@ def zero_injection_gains(plant, realization, node):
     frf = full_rank_factorize(plant.c_block(node))
     dec = observability_decomposition(plant.a, frf.f_factor)
     g = realization.nodes[node]
-    bad = assemble_gains(dec, frf, np.zeros_like(g.h_inj),
-                         np.eye(g.p_ie.shape[0]), False)
+    bad = assemble_gains(dec, frf, np.zeros_like(g.h_inj), np.eye(g.p_ie.shape[0]))
     nodes = list(realization.nodes)
     nodes[node] = bad
     return dataclasses.replace(realization, nodes=tuple(nodes))
@@ -232,6 +231,17 @@ class TestSimulateCommand:
         assert main(["simulate", gains, other_problem]) == 1
         assert stderr_step(capsys) == "dimensions"
 
+    @pytest.mark.parametrize("flags", [[], ["--dt", "1e-3"]])
+    def test_not_strongly_connected_exit2(self, flags, standard_files, tmp_path,
+                                          capsys):
+        plant, graph, _, gains = standard_files
+        w = graph.weights.copy()
+        w[0, 2] = 0.0  # 1 -> 2 -> 3 remains: no path back to node 1
+        problem = write_problem(tmp_path, problem_dict(plant, NetworkGraph(weights=w)))
+        capsys.readouterr()
+        assert main(["simulate", gains, problem, "--tfinal", "0.5", *flags]) == 2
+        assert stderr_step(capsys) == "graph"
+
     def test_growing_error_exit3(self, tmp_path, capsys):
         plant, graph, problem = jordan_problem(tmp_path)
         gains = str(tmp_path / "gains.json")
@@ -281,6 +291,17 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert not report["rate"]["pass"]
 
+    def test_verify_reads_the_gains_file_r(self, standard_files, tmp_path, capsys):
+        """The certificates judge the observer simulate runs, whose coupling
+        weights are the gains file's r, not the graph's Perron vector."""
+        _, _, problem, gains = standard_files
+        doc = json.loads(open(gains).read())
+        doc["r"][0] *= 1e-3
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(bad), problem, "--json"]) == 4
+
     def test_mismatched_files_exit1(self, standard_files, tmp_path, capsys):
         _, _, _, gains = standard_files
         _, _, other_problem = jordan_problem(tmp_path)
@@ -296,6 +317,18 @@ def test_gains_for_another_state_dimension_exit1(command, standard_files, tmp_pa
     other_problem = write_problem(tmp_path, problem_dict(other, graph))
     capsys.readouterr()
     assert main([command, gains, other_problem]) == 1
+    assert stderr_step(capsys) == "dimensions"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_r_of_wrong_length_exit1(command, standard_files, tmp_path, capsys):
+    _, _, problem, gains = standard_files
+    doc = json.loads(open(gains).read())
+    doc["r"] = doc["r"][:-1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(bad), problem]) == 1
     assert stderr_step(capsys) == "dimensions"
 
 
@@ -335,8 +368,8 @@ class TestSynthesizeAndVerifyAgree:
             step = error["step"]
             assert (error["value"], error["bound"]) == (
                 report[step]["value"], report[step]["bound"])
-        assert list(report) == list(cert["checks"])
+        assert list(report) == list(cert)
         assert {n for n, c in report.items() if not c["pass"]} == failing
-        for name, check in cert["checks"].items():
+        for name, check in cert.items():
             for key in ("pass", "value", "bound"):
                 assert report[name][key] == check[key], (name, key)

@@ -14,6 +14,7 @@ from distobs import (
     spectral_data,
     synthesize,
 )
+from distobs.simulate import _generator
 
 from conftest import random_observable_instance, standard_instance
 
@@ -72,6 +73,17 @@ class TestBuildErrorSystem:
             )
             np.testing.assert_allclose(full_eigs, expected, atol=1e-8)
 
+    def test_restricted_is_simulator_observer_block(self, rng):
+        """R is the block of the simulator's generator F acting on the observer
+        states: both come from one coupling term."""
+        for plant, graph in (standard_instance(),
+                             random_observable_instance(rng, n_nodes=5)):
+            r = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
+            sys = build_error_system(r, spectral_data(graph))
+            block = _generator(r, plant, graph)[0][plant.n :, plant.n :]
+            assert (np.linalg.norm(sys.restricted_matrix - block)
+                    <= 1e-12 * np.linalg.norm(block))
+
 
 class TestCertifyRate:
     def test_synthesized_instance_passes(self):
@@ -111,3 +123,38 @@ class TestLyapunovDecrease:
             sys = build_error_system(r, spectral_data(graph))
             if certify_rate(sys, 0.5)["pass"]:
                 assert lyapunov_decrease_check(sys, r, 0.5) < 0
+
+    def test_matches_stacked_weight_sandwich(self, rng):
+        """The reduced value equals the Nn-coordinate form T_s^T (P F + F^T P +
+        2 alpha P) T_s with the stacked weight P_i = I + T_ie (P_ie - I) T_ie^T
+        and F assembled with a dense Kronecker coupling."""
+        instances = [standard_instance()] + [
+            random_observable_instance(rng) for _ in range(6)]
+        for plant, graph in instances:
+            for alpha in (0.0, 0.5, 1.0):
+                r = synthesize(plant, graph, SynthesisParameters(alpha=alpha))
+                spectral = spectral_data(graph)
+                sys = build_error_system(r, spectral)
+                got = lyapunov_decrease_check(sys, r, alpha)
+                ref = stacked_sandwich(r, spectral, alpha)
+                assert abs(got - ref) <= 1e-6 * abs(ref), (alpha, got, ref)
+
+
+def stacked_sandwich(r, spectral, alpha):
+    blocks = []
+    for g in r.nodes:
+        k = g.p_ie.shape[0]
+        p_i = np.eye(g.t_is.shape[0])
+        if k:
+            t_e = g.t_is[:, :k]
+            p_i = p_i + t_e @ (g.p_ie - np.eye(k)) @ t_e.T
+        blocks.append(p_i)
+    p_w = scipy.linalg.block_diag(*blocks)
+    t_s = scipy.linalg.block_diag(*(g.t_is for g in r.nodes))
+    n_blk = scipy.linalg.block_diag(*(g.n_gain for g in r.nodes))
+    m_blk = scipy.linalg.block_diag(*(g.m_gain for g in r.nodes))
+    n = r.nodes[0].t_is.shape[0]
+    coupling = np.kron(np.diag(r.r_vector) @ spectral.laplacian, np.eye(n))
+    full = t_s @ n_blk @ t_s.T - r.gamma * t_s @ m_blk @ coupling
+    reduced = t_s.T @ (p_w @ full + full.T @ p_w + 2.0 * alpha * p_w) @ t_s
+    return float(scipy.linalg.eigvalsh(0.5 * (reduced + reduced.T))[-1])
