@@ -11,6 +11,7 @@ from .error_system import (
     certify,
     certify_rate,
     lyapunov_decrease_check,
+    restricted_generator,
 )
 from .graph import (
     GraphSpectralData,
@@ -25,7 +26,6 @@ from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
     full_rank_factorize,
-    is_negative_definite,
     min_symmetric_eigenvalue,
     observability_decomposition,
     observability_matrix,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -253,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--epsilon-fraction", type=float, default=None)
     p_syn.add_argument("--gamma-safety", type=float, default=None)
     p_syn.add_argument("--json", action="store_true")
-    p_syn.set_defaults(func=cmd_synthesize)
 
     p_sim = sub.add_parser("simulate", help="integrate plant and observers")
     p_sim.add_argument("gains")
@@ -264,19 +264,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--z0", type=str, default=None)
     p_sim.add_argument("--trace-out", type=str, default=None)
     p_sim.add_argument("--record-stride", type=int, default=1)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="re-check all certificates of a gains file")
     p_ver.add_argument("gains")
     p_ver.add_argument("problem")
     p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so that a wrapper bound over cmd_* applies
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

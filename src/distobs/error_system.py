@@ -1,14 +1,20 @@
 """Global closed-loop error dynamics and the analytic convergence certificates.
 
 Node i's observer hears its neighbours through the coupling term
-    gamma r_i M_i sum_j a_ij (xhat_j - xhat_i),
-written once, in _coupling, for the simulator and the error system alike.
-With G = blkdiag(N_i) T_s^T plus the coupling term applied to I_Nn, the
-stacked error e = col(e_1, ..., e_N) obeys e' = T_s G e and stays on im T_s,
-of dimension N n - sum p_i.  There it is generated by the restricted matrix
-R = G T_s, which is the observer block of the simulator's generator F.  The
-Lyapunov certificate is taken in these coordinates, with the weight
-W = blkdiag_i(P_ie, I).
+    gamma r_i M_i sum_j a_ij (xhat_j - xhat_i) = sum_j C_ij xhat_j,
+written once, in _coupling, as the blocks C_ij = -gamma r_i lap_ij M_i at
+the nonzeros of the Laplacian, for the simulator and the error system alike.
+With G = blkdiag(N_i) T_s^T + [C_ij], the stacked error e = col(e_1, ...,
+e_N) obeys e' = T_s G e and stays on im T_s, of dimension N n - sum p_i.
+There it is generated by the restricted matrix R = G T_s, with blocks
+N_i [i = j] + C_ij T_js: the observer block of the simulator's generator F.
+
+certify() works on R alone, filled block by block, so no Nn-sized matrix is
+formed: the rate is R's spectral abscissa, the Lyapunov certificate the top
+eigenvalue of W R + R^T W + 2 alpha W with W = blkdiag_i(P_ie, I), and the
+invariance residual T_p^T F T_s = blkdiag_i(T_ip^T T_is) R.
+build_error_system() still assembles the full Nn x Nn generator T_s G, which
+the simulator's default time step reads.
 """
 
 from __future__ import annotations
@@ -63,19 +69,52 @@ def _orthogonal_complement(t_is: np.ndarray) -> np.ndarray:
     return scipy.linalg.null_space(t_is.T)
 
 
-def _coupling(
-    realization: ObserverRealization, lap: np.ndarray, x: np.ndarray
+def _coupling(realization: ObserverRealization, lap: np.ndarray):
+    """Nonzero blocks (i, j, C_ij) of the coupling term.
+
+    Node i's observer receives sum_j C_ij xhat_j = gamma r_i M_i sum_j a_ij
+    (xhat_j - xhat_i), so C_ij = -gamma r_i lap_ij M_i, one block for each
+    nonzero of the Laplacian lap = D - A.
+    """
+    rows, cols = np.nonzero(lap)
+    scales = -realization.gamma * realization.r_vector[rows] * lap[rows, cols]
+    for i, j, scale in zip(rows.tolist(), cols.tolist(), scales.tolist()):
+        yield i, j, scale * realization.nodes[i].m_gain
+
+
+def _offsets(realization: ObserverRealization) -> np.ndarray:
+    """Start of each node's observer state z_i in col(z_1, ..., z_N), and the end."""
+    return np.cumsum([0] + [g.n_gain.shape[0] for g in realization.nodes])
+
+
+def _coupling_matrix(realization: ObserverRealization, lap: np.ndarray) -> np.ndarray:
+    """The blocks C_ij as one dense (sum_i (n - p_i)) x Nn matrix."""
+    off = _offsets(realization)
+    n = realization.nodes[0].m_gain.shape[1]
+    c_mat = np.zeros((off[-1], lap.shape[0] * n))
+    for i, j, c in _coupling(realization, lap):
+        c_mat[off[i] : off[i + 1], j * n : (j + 1) * n] = c
+    return c_mat
+
+
+def restricted_generator(
+    realization: ObserverRealization, laplacian: np.ndarray
 ) -> np.ndarray:
-    """Rows gamma r_i M_i sum_j a_ij (X_j - X_i), stacked over the nodes i, of a
-    node-stacked X (Nn x k)."""
+    """The restricted error generator R, of order N n - sum p_i.
+
+    Block (i, j) is N_i [i = j] + C_ij P_j: the observer block of the
+    simulator's generator, filled only where the Laplacian has a nonzero.
+    """
     nodes = realization.nodes
-    n = x.shape[0] // len(nodes)
-    # block i of -(Lap (x) I_n) X is sum_j a_ij (X_j - X_i)
-    diff = -(lap @ x.reshape(len(nodes), -1)).reshape(x.shape)
-    return np.vstack([
-        (realization.gamma * r_i) * (g.m_gain @ diff[i * n : (i + 1) * n])
-        for i, (g, r_i) in enumerate(zip(nodes, realization.r_vector))
-    ])
+    if laplacian.shape[0] != len(nodes):
+        raise ValueError("graph size does not match the realization")
+    off = _offsets(realization)
+    r_mat = np.zeros((off[-1], off[-1]))
+    for i, g in enumerate(nodes):
+        r_mat[off[i] : off[i + 1], off[i] : off[i + 1]] = g.n_gain
+    for i, j, c in _coupling(realization, laplacian):
+        r_mat[off[i] : off[i + 1], off[j] : off[j + 1]] += c @ nodes[j].p_out
+    return r_mat
 
 
 def build_error_system(
@@ -83,44 +122,56 @@ def build_error_system(
 ) -> GlobalErrorSystem:
     """Assemble the full (Nn x Nn) and restricted error generators."""
     nodes = realization.nodes
-    if spectral.laplacian.shape[0] != len(nodes):
-        raise ValueError("graph size does not match the realization")
-
+    r_mat = restricted_generator(realization, spectral.laplacian)
     t_s = scipy.linalg.block_diag(*(g.t_is for g in nodes))
     t_p = scipy.linalg.block_diag(*(_orthogonal_complement(g.t_is) for g in nodes))
-    coupled = _coupling(realization, spectral.laplacian, np.eye(t_s.shape[0]))
-    g_mat = scipy.linalg.block_diag(*(g.n_gain for g in nodes)) @ t_s.T + coupled
+    g_mat = scipy.linalg.block_diag(*(g.n_gain @ g.t_is.T for g in nodes))
+    g_mat += _coupling_matrix(realization, spectral.laplacian)
     return GlobalErrorSystem(
-        full_matrix=t_s @ g_mat, restricted_matrix=g_mat @ t_s, t_s=t_s, t_p=t_p
+        full_matrix=t_s @ g_mat, restricted_matrix=r_mat, t_s=t_s, t_p=t_p
     )
 
 
-def certify_rate(sys: GlobalErrorSystem, alpha: float) -> dict:
+def certify_rate(r_mat: np.ndarray, alpha: float) -> dict:
     """Spectral abscissa of the restricted generator versus the target rate."""
-    absc = spectral_abscissa(sys.restricted_matrix)
+    absc = spectral_abscissa(r_mat)
     return {"abscissa": absc, "pass": _judge("rate", absc, 0.0, alpha)["pass"]}
 
 
 def lyapunov_decrease_check(
-    sys: GlobalErrorSystem, realization: ObserverRealization, alpha: float
+    r_mat: np.ndarray, realization: ObserverRealization, alpha: float
 ) -> float:
     """Largest eigenvalue of W R + R^T W + 2 alpha W (must be < 0).
 
     R is the restricted generator and W = blkdiag_i(P_ie, I_{n - v_i}) the
-    weight of V(e) = e^T P e in the coordinates of im T_s.
+    weight of V(e) = e^T P e in the coordinates of im T_s.  W R is R with the
+    first v_i - p_i rows of each node block scaled by P_ie.
     """
-    w = np.eye(sys.restricted_matrix.shape[0])
-    start = 0
-    for g in realization.nodes:
-        stop = start + g.p_ie.shape[0]
-        w[start:stop, start:stop] = g.p_ie
-        start += g.n_gain.shape[0]
-    wr = w @ sys.restricted_matrix
-    reduced = wr + wr.T + 2.0 * alpha * w
-    reduced = 0.5 * (reduced + reduced.T)
-    if reduced.size == 0:
+    if r_mat.size == 0:
         return -np.inf
-    return float(scipy.linalg.eigvalsh(reduced)[-1])
+    # rows of W (R + alpha I), so that reduced = W R + R^T W + 2 alpha W
+    wr = r_mat.copy()
+    wr[np.diag_indices_from(wr)] += alpha
+    for g, start in zip(realization.nodes, _offsets(realization)):
+        stop = start + g.p_ie.shape[0]
+        wr[start:stop] = g.p_ie @ wr[start:stop]
+    reduced = wr + wr.T
+    del wr
+    top = reduced.shape[0] - 1
+    # reduced is exactly symmetric, so its transpose is the same matrix in
+    # Fortran order, which LAPACK overwrites without a copy
+    return float(scipy.linalg.eigvalsh(
+        reduced.T, overwrite_a=True, subset_by_index=[top, top])[0])
+
+
+def _invariance(realization: ObserverRealization, r_mat: np.ndarray) -> float:
+    """||T_p^T F T_s|| = ||stack_i (T_ip^T T_is) R_i||, with R_i the rows of
+    node i in R: F = T_s G and R = G T_s, and T_p^T T_s = blkdiag(T_ip^T T_is)."""
+    off = _offsets(realization)
+    return float(np.linalg.norm(np.vstack([
+        (_orthogonal_complement(g.t_is).T @ g.t_is) @ r_mat[start:stop]
+        for g, start, stop in zip(realization.nodes, off, off[1:])
+    ])))
 
 
 def certify(
@@ -137,25 +188,21 @@ def certify(
     check also carries "nodes", the worst eigenvalue of each node's LMI.
     """
     alpha = realization.alpha
-    candidates = [
-        {"p_ie": g.p_ie, "p_iu": np.eye(d.n_dim - d.v_dim),
-         "w": g.p_ie @ g.h_inj if g.p_ie.size else np.zeros((0, d.p_dim))}
-        for g, d in zip(realization.nodes, decomps)
-    ]
+    nodes = realization.nodes
     _, lmi_eigs = verify_lmi_th1(
-        candidates, decomps, realization.gamma, realization.epsilon, alpha, g_weights
+        [g.p_ie for g in nodes], [g.h_inj for g in nodes], decomps,
+        realization.gamma, realization.epsilon, alpha, g_weights,
     )
-    err_sys = build_error_system(realization, spectral)
+    r_mat = restricted_generator(realization, spectral.laplacian)
     values = {
         "cancellation": max(
-            verify_cancellation(g, d, f)
-            for g, d, f in zip(realization.nodes, decomps, frfs)
+            verify_cancellation(g, d, f) for g, d, f in zip(nodes, decomps, frfs)
         ),
         # np.max propagates a NaN eigenvalue, so that it fails the check
         "lmi": np.max(lmi_eigs),
-        "rate": certify_rate(err_sys, alpha)["abscissa"],
-        "invariance": np.linalg.norm(err_sys.t_p.T @ err_sys.full_matrix @ err_sys.t_s),
-        "lyapunov": lyapunov_decrease_check(err_sys, realization, alpha),
+        "rate": certify_rate(r_mat, alpha)["abscissa"],
+        "invariance": _invariance(realization, r_mat),
+        "lyapunov": lyapunov_decrease_check(r_mat, realization, alpha),
     }
     a_norm = float(np.linalg.norm(plant.a))
     checks = {name: _judge(name, values[name], a_norm, alpha) for name in CERTIFICATE_BOUNDS}

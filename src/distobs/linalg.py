@@ -1,5 +1,5 @@
 """Dense linear-algebra kernels: full-rank factorization, observability
-decomposition, Lyapunov solves and eigenvalue/definiteness utilities."""
+decomposition, Lyapunov solves and eigenvalue utilities."""
 
 from __future__ import annotations
 
@@ -57,11 +57,6 @@ class NodeDecomposition:
         return self.t_orth[:, : self.p_dim]
 
     @property
-    def t_obs(self) -> np.ndarray:
-        """First v columns of T (basis of the observable subspace)."""
-        return self.t_orth[:, : self.v_dim]
-
-    @property
     def t_s(self) -> np.ndarray:
         """Last n - p columns of T; the observer lives on their span."""
         return self.t_orth[:, self.p_dim :]
@@ -78,16 +73,6 @@ class NodeDecomposition:
         out[v:, :p] = self.a31
         out[v:, p:v] = self.a32
         out[v:, v:] = self.a_u
-        return out
-
-    @property
-    def a_io(self) -> np.ndarray:
-        return self.a_transformed[: self.v_dim, : self.v_dim]
-
-    @property
-    def f_io(self) -> np.ndarray:
-        out = np.zeros((self.p_dim, self.v_dim))
-        out[:, : self.p_dim] = self.e_mat
         return out
 
 
@@ -224,19 +209,16 @@ def min_symmetric_eigenvalue(m: np.ndarray, tol: float = 1e-10) -> float:
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return np.inf
-    asym = np.max(np.abs(m - m.T))
-    if asym > tol * max(1.0, np.max(np.abs(m))):
+    # one work array: the asymmetry m - m^T, then sym(m) for LAPACK
+    work = np.subtract(m, m.T)
+    asym = np.max(np.abs(work, out=work))
+    if asym > tol * max(1.0, m.max(), -m.min()):
         raise ValueError(f"matrix is not symmetric (deviation {asym:.3e})")
-    return float(scipy.linalg.eigvalsh(0.5 * (m + m.T))[0])
-
-
-def is_negative_definite(m: np.ndarray, margin: float = 0.0) -> bool:
-    """True iff the largest eigenvalue of sym(m) is <= -margin."""
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return True
-    sym = 0.5 * (m + m.T)
-    return bool(scipy.linalg.eigvalsh(sym)[-1] <= -margin)
+    np.add(m, m.T, out=work)
+    work *= 0.5
+    # work is exactly symmetric, so its transpose is the same matrix in
+    # Fortran order, which LAPACK overwrites without a copy
+    return float(scipy.linalg.eigvalsh(work.T, overwrite_a=True)[0])
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_system import _coupling
+from .error_system import _coupling_matrix
 from .graph import NetworkGraph, laplacian
 from .synthesis import ObserverRealization, Plant
 
@@ -103,7 +103,7 @@ def _generator(
         est[i * n : (i + 1) * n, offsets[i] : offsets[i + 1]] = g.p_out
     f = np.zeros((offsets[-1], offsets[-1]))
     f[:n, :n] = plant.a
-    f[n:] = _coupling(realization, laplacian(graph), est)
+    f[n:] = _coupling_matrix(realization, laplacian(graph)) @ est
     for i, g in enumerate(nodes):
         lo, hi = offsets[i], offsets[i + 1]
         f[lo:hi, :n] += g.l_gain @ plant.c_block(i)

@@ -152,16 +152,24 @@ def compute_epsilon(
     n = decomps[0].n_dim
     big_n = len(decomps)
     mirror = spectral.mirror
+
+    def block(i, j):
+        blk = mirror[i, j] * (decomps[i].t_orth.T @ decomps[j].t_orth)
+        if i == j:
+            g_blk = np.zeros(n)
+            g_blk[: decomps[i].v_dim] = g_weights[i]
+            blk += np.diag(g_blk)
+        return blk
+
+    # Only the blocks at the mirror's nonzeros (and the diagonal, which
+    # carries G) are nonzero.  Each is symmetrized as 0.5 (m + m^T) would.
     m = np.zeros((big_n * n, big_n * n))
-    for i in range(big_n):
-        for j in range(big_n):
-            blk = mirror[i, j] * (decomps[i].t_orth.T @ decomps[j].t_orth)
-            m[i * n : (i + 1) * n, j * n : (j + 1) * n] = blk
-        v = decomps[i].v_dim
-        g_blk = np.zeros(n)
-        g_blk[:v] = g_weights[i]
-        m[i * n : (i + 1) * n, i * n : (i + 1) * n] += np.diag(g_blk)
-    lam_min = min_symmetric_eigenvalue(0.5 * (m + m.T))
+    pattern = (mirror != 0) | (mirror.T != 0) | np.eye(big_n, dtype=bool)
+    for i, j in zip(*np.nonzero(np.triu(pattern))):
+        sym = 0.5 * (block(i, j) + block(j, i).T)
+        m[i * n : (i + 1) * n, j * n : (j + 1) * n] = sym
+        m[j * n : (j + 1) * n, i * n : (i + 1) * n] = sym.T
+    lam_min = min_symmetric_eigenvalue(m)
     if lam_min <= 0:
         raise SynthesisError(
             "epsilon",
@@ -322,31 +330,29 @@ def verify_cancellation(
 
 
 def verify_lmi_th1(
-    candidates: list[dict],
+    p_ies: list[np.ndarray],
+    h_injs: list[np.ndarray],
     decomps: list[NodeDecomposition],
     gamma: float,
     epsilon: float,
     alpha: float,
     g_weights,
 ) -> tuple[bool, list[float]]:
-    """Check the per-node feasibility LMI at a candidate (P_ie, P_iu, W_i).
+    """Check each node's feasibility LMI at its design (P_ie, H).
 
-    Returns (all negative definite, worst eigenvalue per node).  Empty node
-    blocks (p = n) report -inf.
+    The LMI is taken at P_iu = I and W_i = P_ie H_i.  Returns (all negative
+    definite, worst eigenvalue per node).  Empty node blocks (p = n) report
+    -inf.
     """
     worst = []
-    for cand, decomp, g_i in zip(candidates, decomps, g_weights):
+    for pie, h, decomp, g_i in zip(p_ies, h_injs, decomps, g_weights):
         n, v, p = decomp.n_dim, decomp.v_dim, decomp.p_dim
-        pie = np.atleast_2d(np.asarray(cand["p_ie"], dtype=float)).reshape(v - p, v - p)
-        piu = np.atleast_2d(np.asarray(cand["p_iu"], dtype=float)).reshape(n - v, n - v)
-        w = np.asarray(cand["w"], dtype=float).reshape(v - p, p)
         if n - p == 0:
             worst.append(-np.inf)
             continue
         if pie.size and scipy.linalg.eigvalsh(0.5 * (pie + pie.T))[0] <= 0:
-            raise ValueError("candidate P_ie is not positive definite")
-        if piu.size and scipy.linalg.eigvalsh(0.5 * (piu + piu.T))[0] <= 0:
-            raise ValueError("candidate P_iu is not positive definite")
+            raise ValueError("P_ie is not positive definite")
+        w = pie @ h
         ea12 = decomp.e_mat @ decomp.a12
         phi = (
             pie @ decomp.a22
@@ -355,11 +361,11 @@ def verify_lmi_th1(
             - ea12.T @ w.T
             + 2.0 * alpha * pie
         )
+        a_u = decomp.a_u
         blk = np.block(
             [
-                [phi + gamma * g_i * np.eye(v - p), decomp.a32.T @ piu],
-                [piu @ decomp.a32,
-                 decomp.a_u.T @ piu + piu @ decomp.a_u + 2.0 * alpha * piu],
+                [phi + gamma * g_i * np.eye(v - p), decomp.a32.T],
+                [decomp.a32, a_u.T + a_u + 2.0 * alpha * np.eye(n - v)],
             ]
         ) - gamma * epsilon * np.eye(n - p)
         blk = 0.5 * (blk + blk.T)

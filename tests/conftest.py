@@ -88,3 +88,15 @@ def standard_instance():
     # directed cycle 1 -> 2 -> 3 -> 1, unit weights
     w[1, 0] = w[2, 1] = w[0, 2] = 1.0
     return plant, NetworkGraph(weights=w)
+
+
+def mixed_structure_instance():
+    """n=3, N=3 with one node of each structure: v > p with an unobservable
+    direction (n - v = 1), full rank output (p = n, empty observer), and
+    v = p (n - v = 2)."""
+    a = np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+    c = np.vstack([[1.0, 0.0, 0.0], np.eye(3), [0.0, 0.0, 1.0]])
+    w = np.zeros((3, 3))
+    w[1, 0] = w[2, 1] = w[0, 2] = 1.0
+    w[0, 1] = 0.5
+    return Plant(a=a, c=c, node_rows=(1, 3, 1)), NetworkGraph(weights=w)

@@ -4,7 +4,6 @@ import scipy.linalg
 
 from distobs import (
     full_rank_factorize,
-    is_negative_definite,
     min_symmetric_eigenvalue,
     observability_decomposition,
     observability_matrix,
@@ -101,7 +100,9 @@ class TestObservabilityDecomposition:
             np.testing.assert_allclose(ft[:, :2], dec.e_mat, atol=1e-10)
             assert np.max(np.abs(ft[:, 2:])) <= 1e-10 * max(1.0, np.linalg.norm(f))
             # observable sub-pairs
-            assert numerical_rank(observability_matrix(dec.f_io, dec.a_io)) == v
+            f_io = np.hstack([dec.e_mat, np.zeros((dec.p_dim, v - dec.p_dim))])
+            a_io = dec.a_transformed[:v, :v]
+            assert numerical_rank(observability_matrix(f_io, a_io)) == v
             if v > dec.p_dim:
                 pair_rank = numerical_rank(
                     observability_matrix(dec.e_mat @ dec.a12, dec.a22)
@@ -199,7 +200,3 @@ class TestEigenUtilities:
         with pytest.raises(ValueError, match="symmetric"):
             min_symmetric_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_negative_definite(self):
-        assert is_negative_definite(-np.eye(2))
-        assert not is_negative_definite(np.diag([-1.0, 1e-3]))
-        assert is_negative_definite(np.array([[-2.0, 1.0], [1.0, -2.0]]), margin=0.5)

@@ -12,6 +12,7 @@ from distobs import (
     assemble_gains,
     build_error_system,
     compute_epsilon,
+    decompose_nodes,
     full_rank_factorize,
     min_symmetric_eigenvalue,
     observability_decomposition,
@@ -26,7 +27,12 @@ from distobs import (
 )
 from distobs.synthesis import BETA_FLOOR, _min_beta_for_node
 
-from conftest import random_observable_instance, random_strongly_connected_graph
+from conftest import (
+    mixed_structure_instance,
+    random_observable_instance,
+    random_strongly_connected_graph,
+    standard_instance,
+)
 
 
 def decomp_of(a, c):
@@ -87,6 +93,24 @@ class TestComputeEpsilon:
             eps = compute_epsilon(decomps, sd, g, 0.9)
             m = lemma_matrix(decomps, sd, g)
             assert min_symmetric_eigenvalue(m - eps * np.eye(m.shape[0])) > 0
+
+    def test_equals_dense_loop(self, rng):
+        """Assembling only the mirror's nonzero blocks gives the epsilon of the
+        N^2 dense loop and full-size symmetrization, bit for bit."""
+        big_n = 25
+        wide = Plant(a=rng.standard_normal((5, 5)),
+                     c=rng.standard_normal((big_n, 5)), node_rows=(1,) * big_n)
+        pairs = [standard_instance(), mixed_structure_instance(),
+                 (wide, random_strongly_connected_graph(rng, big_n))] + [
+            random_observable_instance(rng) for _ in range(8)]
+        for plant, graph in pairs:
+            sd = spectral_data(graph)
+            _, decomps = decompose_nodes(plant, 1e-9)
+            for g in ([1.0] * plant.node_count,
+                      list(rng.uniform(0.01, 2.0, plant.node_count))):
+                m = lemma_matrix(decomps, sd, g)
+                ref = float(0.9 * scipy.linalg.eigvalsh(0.5 * (m + m.T))[0])
+                assert compute_epsilon(decomps, sd, g, 0.9) == ref
 
     def test_rejects_joint_unobservability(self):
         # N=1, v < n: the lemma matrix has an exact zero eigenvalue
@@ -282,11 +306,8 @@ class TestVerifyLmi:
         a = np.diag([0.0, 1.0])  # unobservable mode at +1
         frf1, d1 = decomp_of(a, [[1.0, 0.0]])
         frf2, d2 = decomp_of(a, [[0.0, 1.0]])
-        cands = [
-            {"p_ie": np.zeros((0, 0)), "p_iu": np.eye(1), "w": np.zeros((0, 1))},
-            {"p_ie": np.zeros((0, 0)), "p_iu": np.eye(1), "w": np.zeros((0, 1))},
-        ]
-        ok, eigs = verify_lmi_th1(cands, [d1, d2], gamma=0.0, epsilon=1.0,
+        ok, eigs = verify_lmi_th1([np.zeros((0, 0))] * 2, [np.zeros((0, 1))] * 2,
+                                  [d1, d2], gamma=0.0, epsilon=1.0,
                                   alpha=0.0, g_weights=[1.0, 1.0])
         assert not ok
         assert max(eigs) > 0
@@ -298,16 +319,13 @@ class TestVerifyLmi:
         decomps = [
             observability_decomposition(plant.a, f.f_factor) for f in frfs
         ]
-        cands = [
-            {"p_ie": g.p_ie, "p_iu": np.eye(d.n_dim - d.v_dim),
-             "w": g.p_ie @ g.h_inj if g.p_ie.size else np.zeros((0, d.p_dim))}
-            for g, d in zip(r.nodes, decomps)
-        ]
+        p_ies = [g.p_ie for g in r.nodes]
+        h_injs = [g.h_inj for g in r.nodes]
         alpha = 0.0
         ok = True
         while ok and alpha < 1e4:
             alpha = max(2 * alpha, 0.5)
-            ok, eigs = verify_lmi_th1(cands, decomps, r.gamma, r.epsilon,
+            ok, eigs = verify_lmi_th1(p_ies, h_injs, decomps, r.gamma, r.epsilon,
                                       alpha, [1.0, 1.0])
         assert not ok
         assert max(eigs) > 0
