@@ -36,7 +36,6 @@ spectral = spectral_data(graph)
 print("\ngraph data")
 print("  laplacian:\n", spectral.laplacian)
 print("  perron row vector r:", spectral.perron_row)
-print("  lambda_2 of the mirror:", spectral.lambda2)
 
 print("\nper-node structure")
 for i in range(3):

@@ -12,11 +12,10 @@ from distobs import (
     Plant,
     SimulationConfig,
     SynthesisParameters,
-    build_error_system,
     check_invariance,
     estimate_rate,
+    laplacian,
     simulate,
-    spectral_data,
     suggested_timestep,
     synthesize,
 )
@@ -32,11 +31,8 @@ graph = NetworkGraph(weights=w)
 
 alpha = 1.0
 realization = synthesize(plant, graph, SynthesisParameters(alpha=alpha))
-spectral = spectral_data(graph)
-err_sys = build_error_system(realization, spectral)
 
-dt = suggested_timestep(realization, plant, spectral.laplacian,
-                        err_sys.full_matrix)
+dt = suggested_timestep(realization, plant, laplacian(graph))
 t_final = 10.0
 print(f"integrating to t = {t_final} with dt = {dt:.2e}")
 

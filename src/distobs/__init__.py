@@ -6,8 +6,6 @@ convergence rate), and deterministic simulation of the coupled dynamics.
 """
 
 from .error_system import (
-    GlobalErrorSystem,
-    build_error_system,
     certify,
     certify_rate,
     lyapunov_decrease_check,

@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .error_system import build_error_system, certify
-from .graph import GraphStructureError, is_strongly_connected, spectral_data
+from .error_system import certify
+from .graph import is_strongly_connected, laplacian, spectral_data
 from .problem import (
     ProblemFormatError,
     load_problem,
@@ -144,17 +144,9 @@ def cmd_simulate(args) -> int:
     if args.dt:
         dt = args.dt
     else:
-        try:
-            spectral = spectral_data(graph)
-        except GraphStructureError as exc:
-            _emit_error("graph", str(exc))
-            return EXIT_INFEASIBLE
-        err_sys = build_error_system(realization, spectral)
-        dt = suggested_timestep(
-            realization, plant, spectral.laplacian, err_sys.full_matrix
-        )
         # short horizons: keep the default step strictly inside (0, t_final)
-        dt = min(dt, t_final / 10.0)
+        dt = min(suggested_timestep(realization, plant, laplacian(graph)),
+                 t_final / 10.0)
     x0 = _parse_vector(args.x0) if args.x0 else np.ones(n)
     z0 = None
     if args.z0:

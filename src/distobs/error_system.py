@@ -1,4 +1,4 @@
-"""Global closed-loop error dynamics and the analytic convergence certificates.
+"""Closed-loop error dynamics and the analytic convergence certificates.
 
 Node i's observer hears its neighbours through the coupling term
     gamma r_i M_i sum_j a_ij (xhat_j - xhat_i) = sum_j C_ij xhat_j,
@@ -7,19 +7,17 @@ the nonzeros of the Laplacian, for the simulator and the error system alike.
 With G = blkdiag(N_i) T_s^T + [C_ij], the stacked error e = col(e_1, ...,
 e_N) obeys e' = T_s G e and stays on im T_s, of dimension N n - sum p_i.
 There it is generated by the restricted matrix R = G T_s, with blocks
-N_i [i = j] + C_ij T_js: the observer block of the simulator's generator F.
+N_i [i = j] + C_ij P_j: the observer block of the simulator's generator F,
+which restricted_generator() fills block by block for both.
 
-certify() works on R alone, filled block by block, so no Nn-sized matrix is
-formed: the rate is R's spectral abscissa, the Lyapunov certificate the top
-eigenvalue of W R + R^T W + 2 alpha W with W = blkdiag_i(P_ie, I), and the
-invariance residual T_p^T F T_s = blkdiag_i(T_ip^T T_is) R.
-build_error_system() still assembles the full Nn x Nn generator T_s G, which
-the simulator's default time step reads.
+certify() works on R alone, so no Nn-sized matrix is formed: the rate is R's
+spectral abscissa, the Lyapunov certificate the top eigenvalue of
+W R + R^T W + 2 alpha W with W = blkdiag_i(P_ie, I), and the invariance
+residual T_p^T F T_s = blkdiag_i(T_ip^T P_i) R, with T_ip from the problem's
+own decomposition, so that it tests that each P_i spans im T_is.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -51,24 +49,6 @@ def _judge(name: str, value: float, a_norm: float, alpha: float) -> dict:
     return {"value": float(value), "bound": bound, "pass": bool(ok)}
 
 
-@dataclass(frozen=True)
-class GlobalErrorSystem:
-    full_matrix: np.ndarray
-    restricted_matrix: np.ndarray
-    t_s: np.ndarray
-    t_p: np.ndarray
-
-
-def _orthogonal_complement(t_is: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of im t_is (columns orthonormal)."""
-    n, k = t_is.shape
-    if k == 0:
-        return np.eye(n)
-    if k == n:
-        return np.zeros((n, 0))
-    return scipy.linalg.null_space(t_is.T)
-
-
 def _coupling(realization: ObserverRealization, lap: np.ndarray):
     """Nonzero blocks (i, j, C_ij) of the coupling term.
 
@@ -85,16 +65,6 @@ def _coupling(realization: ObserverRealization, lap: np.ndarray):
 def _offsets(realization: ObserverRealization) -> np.ndarray:
     """Start of each node's observer state z_i in col(z_1, ..., z_N), and the end."""
     return np.cumsum([0] + [g.n_gain.shape[0] for g in realization.nodes])
-
-
-def _coupling_matrix(realization: ObserverRealization, lap: np.ndarray) -> np.ndarray:
-    """The blocks C_ij as one dense (sum_i (n - p_i)) x Nn matrix."""
-    off = _offsets(realization)
-    n = realization.nodes[0].m_gain.shape[1]
-    c_mat = np.zeros((off[-1], lap.shape[0] * n))
-    for i, j, c in _coupling(realization, lap):
-        c_mat[off[i] : off[i + 1], j * n : (j + 1) * n] = c
-    return c_mat
 
 
 def restricted_generator(
@@ -115,21 +85,6 @@ def restricted_generator(
     for i, j, c in _coupling(realization, laplacian):
         r_mat[off[i] : off[i + 1], off[j] : off[j + 1]] += c @ nodes[j].p_out
     return r_mat
-
-
-def build_error_system(
-    realization: ObserverRealization, spectral: GraphSpectralData
-) -> GlobalErrorSystem:
-    """Assemble the full (Nn x Nn) and restricted error generators."""
-    nodes = realization.nodes
-    r_mat = restricted_generator(realization, spectral.laplacian)
-    t_s = scipy.linalg.block_diag(*(g.t_is for g in nodes))
-    t_p = scipy.linalg.block_diag(*(_orthogonal_complement(g.t_is) for g in nodes))
-    g_mat = scipy.linalg.block_diag(*(g.n_gain @ g.t_is.T for g in nodes))
-    g_mat += _coupling_matrix(realization, spectral.laplacian)
-    return GlobalErrorSystem(
-        full_matrix=t_s @ g_mat, restricted_matrix=r_mat, t_s=t_s, t_p=t_p
-    )
 
 
 def certify_rate(r_mat: np.ndarray, alpha: float) -> dict:
@@ -164,13 +119,16 @@ def lyapunov_decrease_check(
         reduced.T, overwrite_a=True, subset_by_index=[top, top])[0])
 
 
-def _invariance(realization: ObserverRealization, r_mat: np.ndarray) -> float:
-    """||T_p^T F T_s|| = ||stack_i (T_ip^T T_is) R_i||, with R_i the rows of
-    node i in R: F = T_s G and R = G T_s, and T_p^T T_s = blkdiag(T_ip^T T_is)."""
+def _invariance(
+    realization: ObserverRealization, r_mat: np.ndarray, t_ps: list[np.ndarray]
+) -> float:
+    """||T_p^T F T_s|| = ||stack_i (T_ip^T P_i) R_i||, with R_i the rows of
+    node i in R: F = T_s G and R = G T_s with T_s = blkdiag(P_i), and T_ip the
+    basis of im F_i^T that t_ps lists per node."""
     off = _offsets(realization)
     return float(np.linalg.norm(np.vstack([
-        (_orthogonal_complement(g.t_is).T @ g.t_is) @ r_mat[start:stop]
-        for g, start, stop in zip(realization.nodes, off, off[1:])
+        (t_p.T @ g.p_out) @ r_mat[start:stop]
+        for g, t_p, start, stop in zip(realization.nodes, t_ps, off, off[1:])
     ])))
 
 
@@ -201,7 +159,7 @@ def certify(
         # np.max propagates a NaN eigenvalue, so that it fails the check
         "lmi": np.max(lmi_eigs),
         "rate": certify_rate(r_mat, alpha)["abscissa"],
-        "invariance": _invariance(realization, r_mat),
+        "invariance": _invariance(realization, r_mat, [d.t_p for d in decomps]),
         "lyapunov": lyapunov_decrease_check(r_mat, realization, alpha),
     }
     a_norm = float(np.linalg.norm(plant.a))

@@ -7,8 +7,7 @@ to node j.  Node i therefore listens to node j whenever ``weights[i, j] > 0``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -45,16 +44,11 @@ class NetworkGraph:
 
 @dataclass(frozen=True)
 class GraphSpectralData:
-    """Laplacian, Perron row vector and mirror-Laplacian data of a digraph.
-
-    ``lambda2`` is the second-smallest eigenvalue of the mirror Laplacian
-    R L + L^T R; for a single-node graph it is the ``+inf`` sentinel.
-    """
+    """Laplacian, Perron row vector and mirror Laplacian R L + L^T R of a digraph."""
 
     laplacian: np.ndarray
     perron_row: np.ndarray
     mirror: np.ndarray
-    lambda2: float = field(default=math.inf)
 
 
 def laplacian(g: NetworkGraph) -> np.ndarray:
@@ -108,10 +102,9 @@ def perron_row_vector(lap: np.ndarray) -> np.ndarray:
 
 
 def spectral_data(g: NetworkGraph) -> GraphSpectralData:
-    """Bundle Laplacian, Perron vector, mirror Laplacian and its spectral gap.
+    """Bundle Laplacian, Perron vector and mirror Laplacian.
 
-    Requires a strongly connected graph.  A single-node graph has no
-    consensus coupling; lambda2 is returned as +inf.
+    Requires a strongly connected graph.
     """
     if not is_strongly_connected(g):
         raise GraphStructureError("graph is not strongly connected")
@@ -119,12 +112,4 @@ def spectral_data(g: NetworkGraph) -> GraphSpectralData:
     r = perron_row_vector(lap)
     mirror = r[:, None] * lap + lap.T * r
     mirror = 0.5 * (mirror + mirror.T)
-    n = g.node_count
-    if n == 1:
-        lam2 = math.inf
-    else:
-        eigs = np.sort(scipy.linalg.eigvalsh(mirror))
-        lam2 = float(eigs[1])
-    return GraphSpectralData(
-        laplacian=lap, perron_row=r, mirror=mirror, lambda2=lam2
-    )
+    return GraphSpectralData(laplacian=lap, perron_row=r, mirror=mirror)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_system import _coupling_matrix
+from .error_system import _coupling, _offsets, restricted_generator
 from .graph import NetworkGraph, laplacian
+from .linalg import spectral_abscissa
 from .synthesis import ObserverRealization, Plant
 
 
@@ -53,22 +54,21 @@ class SimulationTrace:
 
 
 def suggested_timestep(
-    realization: ObserverRealization,
-    plant: Plant,
-    laplacian: np.ndarray,
-    full_error_matrix: np.ndarray,
+    realization: ObserverRealization, plant: Plant, laplacian: np.ndarray
 ) -> float:
-    """Default step respecting the stiffness introduced by a large coupling gain."""
-    from .linalg import spectral_abscissa
+    """Default step respecting the stiffness introduced by a large coupling gain.
 
-    absc = abs(spectral_abscissa(full_error_matrix))
+    The simulator's generator is block triangular with diagonal blocks A and
+    the restricted error generator R, so their spectra bound its stiffness.
+    """
+    r_mat = restricted_generator(realization, laplacian)
+    absc = abs(spectral_abscissa(r_mat)) if r_mat.size else 0.0
     a_norm = np.linalg.norm(plant.a, 2)
     lap_norm = np.linalg.norm(laplacian, 2)
     # The injection blocks can dominate A and gamma*L when the internal
     # Lyapunov weights are ill-conditioned; bound the step by the spectral
-    # norm of the assembled error matrix as well.
-    scale = max(a_norm + realization.gamma * lap_norm,
-                np.linalg.norm(full_error_matrix, 2))
+    # norm of R as well.
+    scale = max(a_norm + realization.gamma * lap_norm, np.linalg.norm(r_mat, 2))
     return 0.1 / (absc + scale + 1e-12)
 
 
@@ -83,7 +83,7 @@ def equilibrium_initial_observer_states(
     out = []
     for i, g in enumerate(realization.nodes):
         y0 = plant.c_block(i) @ x0
-        out.append(g.t_is.T @ x0 - g.k_mat[g.p_dim :, :] @ y0)
+        out.append(g.p_out.T @ x0 - g.k_mat[g.p_dim :, :] @ y0)
     return out
 
 
@@ -93,21 +93,25 @@ def _generator(
     """Generator F of s' = F s and estimate map E: s -> col(xhat_1, ..., xhat_N).
 
     s = col(x, z_1, ..., z_N); node i reads xhat_i = P_i z_i + Q_i C_i x and
-    integrates z_i' = N_i z_i + L_i C_i x + gamma r_i M_i sum_j a_ij (xhat_j - xhat_i).
+    integrates z_i' = N_i z_i + L_i C_i x + sum_j C_ij xhat_j, the coupling
+    blocks C_ij of error_system._coupling.  So F = [[A, 0], [B, R]]: R is the
+    restricted error generator that certify() checks, and B_i = L_i C_i +
+    sum_j C_ij Q_j C_j.
     """
-    n, big_n, nodes = plant.n, plant.node_count, realization.nodes
-    offsets = np.cumsum([n] + [g.n_gain.shape[0] for g in nodes])
-    est = np.zeros((big_n * n, offsets[-1]))
-    for i, g in enumerate(nodes):
-        est[i * n : (i + 1) * n, :n] = g.q_out @ plant.c_block(i)
-        est[i * n : (i + 1) * n, offsets[i] : offsets[i + 1]] = g.p_out
-    f = np.zeros((offsets[-1], offsets[-1]))
+    n, nodes = plant.n, realization.nodes
+    lap = laplacian(graph)
+    off = n + _offsets(realization)
+    qc = [g.q_out @ plant.c_block(i) for i, g in enumerate(nodes)]
+    f = np.zeros((off[-1], off[-1]))
     f[:n, :n] = plant.a
-    f[n:] = _coupling_matrix(realization, laplacian(graph)) @ est
+    f[n:, n:] = restricted_generator(realization, lap)
+    est = np.zeros((len(nodes) * n, off[-1]))
     for i, g in enumerate(nodes):
-        lo, hi = offsets[i], offsets[i + 1]
-        f[lo:hi, :n] += g.l_gain @ plant.c_block(i)
-        f[lo:hi, lo:hi] += g.n_gain
+        f[off[i] : off[i + 1], :n] = g.l_gain @ plant.c_block(i)
+        est[i * n : (i + 1) * n, :n] = qc[i]
+        est[i * n : (i + 1) * n, off[i] : off[i + 1]] = g.p_out
+    for i, j, c in _coupling(realization, lap):
+        f[off[i] : off[i + 1], :n] += c @ qc[j]
     return f, est
 
 
@@ -171,8 +175,8 @@ def simulate(
     x_arr, *z_arrs = np.split(rows, np.cumsum([n] + orders[:-1]), axis=1)
     xh_arrs = np.split(rows @ est.T, len(nodes), axis=1)
     err_arrs = [xh - x_arr for xh in xh_arrs]
-    # ||T_ip^T e_i|| equals the norm of the component off im T_is
-    inv = np.column_stack([np.linalg.norm(e - (e @ g.t_is) @ g.t_is.T, axis=1)
+    # ||T_ip^T e_i|| equals the norm of the component off im P_i = im T_is
+    inv = np.column_stack([np.linalg.norm(e - (e @ g.p_out) @ g.p_out.T, axis=1)
                            for e, g in zip(err_arrs, nodes)])
     return SimulationTrace(
         times=times,

@@ -115,11 +115,6 @@ class NodeGains:
     p_dim: int
     v_dim: int
 
-    @property
-    def t_is(self) -> np.ndarray:
-        """The node's observer subspace basis T_is, which is the output map P."""
-        return self.p_out
-
 
 @dataclass(frozen=True)
 class ObserverRealization:
@@ -342,7 +337,7 @@ def verify_lmi_th1(
 
     The LMI is taken at P_iu = I and W_i = P_ie H_i.  Returns (all negative
     definite, worst eigenvalue per node).  Empty node blocks (p = n) report
-    -inf.
+    -inf, and a P_ie that is not positive definite reports +inf.
     """
     worst = []
     for pie, h, decomp, g_i in zip(p_ies, h_injs, decomps, g_weights):
@@ -351,7 +346,8 @@ def verify_lmi_th1(
             worst.append(-np.inf)
             continue
         if pie.size and scipy.linalg.eigvalsh(0.5 * (pie + pie.T))[0] <= 0:
-            raise ValueError("P_ie is not positive definite")
+            worst.append(np.inf)
+            continue
         w = pie @ h
         ea12 = decomp.e_mat @ decomp.a12
         phi = (

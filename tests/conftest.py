@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from distobs import (
     NetworkGraph,
@@ -54,8 +55,6 @@ def random_observable_instance(rng, n=None, n_nodes=None, margin=1e-2):
 
 
 def _well_conditioned(plant, margin) -> bool:
-    import scipy.linalg
-
     for i in range(plant.node_count):
         frf = full_rank_factorize(plant.c_block(i))
         dec = observability_decomposition(plant.a, frf.f_factor)
@@ -100,3 +99,19 @@ def mixed_structure_instance():
     w[1, 0] = w[2, 1] = w[0, 2] = 1.0
     w[0, 1] = 0.5
     return Plant(a=a, c=c, node_rows=(1, 3, 1)), NetworkGraph(weights=w)
+
+
+def dense_coupling(r, lap):
+    """The coupling blocks C_ij as one dense matrix,
+    -gamma blkdiag(M_i) (diag(r) Lap (x) I_n)."""
+    n = r.nodes[0].p_out.shape[0]
+    m_blk = scipy.linalg.block_diag(*(g.m_gain for g in r.nodes))
+    return -r.gamma * m_blk @ np.kron(np.diag(r.r_vector) @ lap, np.eye(n))
+
+
+def dense_g(r, lap):
+    """G = blkdiag(N_i) T_s^T + [C_ij] and T_s = blkdiag(P_i), each assembled
+    as one dense Nn-wide matrix.  The full error generator is T_s G."""
+    t_s = scipy.linalg.block_diag(*(g.p_out for g in r.nodes))
+    n_blk = scipy.linalg.block_diag(*(g.n_gain for g in r.nodes))
+    return n_blk @ t_s.T + dense_coupling(r, lap), t_s

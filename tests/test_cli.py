@@ -106,7 +106,7 @@ class TestSynthesizeCommand:
         r2 = load_realization(again)
         for g1, g2 in zip(r1.nodes, r2.nodes):
             for name in ("n_gain", "l_gain", "m_gain", "p_out", "q_out",
-                         "k_mat", "h_inj", "p_ie", "t_is"):
+                         "k_mat", "h_inj", "p_ie"):
                 np.testing.assert_array_equal(getattr(g1, name), getattr(g2, name))
         assert r1.gamma == r2.gamma and r1.epsilon == r2.epsilon
 
@@ -301,6 +301,36 @@ class TestVerifyCommand:
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", str(bad), problem, "--json"]) == 4
+
+    def test_indefinite_pie_fails_lmi(self, standard_files, tmp_path, capsys):
+        _, _, problem, gains = standard_files
+        doc = json.loads(open(gains).read())
+        doc["nodes"][1]["Pie"] = (-np.array(doc["nodes"][1]["Pie"])).tolist()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(bad), problem, "--json"]) == 4
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["lmi"]["nodes"][1] == np.inf
+        assert json.loads(captured.err.strip().splitlines()[-1]
+                          )["error"]["step"] == "lmi"
+
+    def test_foreign_observer_subspace_fails_invariance(self, standard_files,
+                                                        tmp_path, capsys):
+        """A P off the problem's im T_is breaks the invariance certificate."""
+        _, _, problem, gains = standard_files
+        doc = json.loads(open(gains).read())
+        p_shape = np.array(doc["nodes"][0]["P"]).shape
+        rng = np.random.default_rng(11)
+        doc["nodes"][0]["P"] = np.linalg.qr(
+            rng.standard_normal(p_shape))[0].tolist()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(bad), problem, "--json"]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert not report["invariance"]["pass"]
 
     def test_mismatched_files_exit1(self, standard_files, tmp_path, capsys):
         _, _, _, gains = standard_files

@@ -9,7 +9,6 @@ from distobs import (
     NetworkGraph,
     Plant,
     SynthesisParameters,
-    build_error_system,
     certify,
     certify_rate,
     decompose_nodes,
@@ -17,11 +16,14 @@ from distobs import (
     lyapunov_decrease_check,
     restricted_generator,
     spectral_data,
+    suggested_timestep,
     synthesize,
 )
 from distobs.simulate import _generator
 
 from conftest import (
+    dense_coupling,
+    dense_g,
     mixed_structure_instance,
     random_observable_instance,
     random_strongly_connected_graph,
@@ -38,45 +40,50 @@ def synthesized(rng=None, alpha=0.5, **kwargs):
     return plant, graph, r
 
 
+def restricted(r, graph):
+    return restricted_generator(r, spectral_data(graph).laplacian)
+
+
 class TestBuildErrorSystem:
+    """The restricted generator R against the full error generator T_s G,
+    assembled densely on the test side."""
+
     def test_single_node_no_coupling(self):
         plant = Plant(a=np.array([[0.0, 1.0], [0.0, 0.0]]),
                       c=np.array([[1.0, 0.0]]), node_rows=(1,))
         graph = NetworkGraph(weights=np.zeros((1, 1)))
         r = synthesize(plant, graph, SynthesisParameters(alpha=1.0))
-        sys = build_error_system(r, spectral_data(graph))
-        np.testing.assert_allclose(sys.restricted_matrix, r.nodes[0].n_gain,
+        np.testing.assert_allclose(restricted(r, graph), r.nodes[0].n_gain,
                                    atol=1e-12)
-        t1s = r.nodes[0].t_is
+        g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
+        t1s = r.nodes[0].p_out
         np.testing.assert_allclose(
-            sys.full_matrix, t1s @ r.nodes[0].n_gain @ t1s.T, atol=1e-12
+            t_s @ g_mat, t1s @ r.nodes[0].n_gain @ t1s.T, atol=1e-12
         )
 
     def test_gamma_zero_decouples(self, rng):
         plant, graph, r = synthesized(rng, alpha=0.0, n=3, n_nodes=2)
         r0 = dataclasses.replace(r, gamma=0.0)
-        sys = build_error_system(r0, spectral_data(graph))
         expected = scipy.linalg.block_diag(*(g.n_gain for g in r0.nodes))
-        np.testing.assert_allclose(sys.restricted_matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(restricted(r0, graph), expected, atol=1e-12)
 
     def test_invariance_identities(self):
         plant, graph, r = synthesized(alpha=0.5)
-        sys = build_error_system(r, spectral_data(graph))
-        assert np.linalg.norm(
-            sys.full_matrix @ sys.t_s - sys.t_s @ sys.restricted_matrix
-        ) <= 1e-9
-        assert np.linalg.norm(sys.t_p.T @ sys.full_matrix @ sys.t_s) <= 1e-9
-        np.testing.assert_allclose(
-            sys.t_s.T @ sys.t_s, np.eye(sys.t_s.shape[1]), atol=1e-12
-        )
+        g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
+        _, decomps = decompose_nodes(plant, 1e-9)
+        t_p = scipy.linalg.block_diag(*(d.t_p for d in decomps))
+        full, r_mat = t_s @ g_mat, restricted(r, graph)
+        assert np.linalg.norm(full @ t_s - t_s @ r_mat) <= 1e-9
+        assert np.linalg.norm(t_p.T @ full @ t_s) <= 1e-9
+        np.testing.assert_allclose(t_s.T @ t_s, np.eye(t_s.shape[1]), atol=1e-12)
 
     def test_spectrum_split(self, rng):
         for _ in range(6):
             plant, graph, r = synthesized(rng, alpha=0.5, n=int(rng.integers(2, 6)),
                                           n_nodes=int(rng.integers(1, 4)))
-            sys = build_error_system(r, spectral_data(graph))
-            full_eigs = np.sort_complex(np.linalg.eigvals(sys.full_matrix))
-            restr_eigs = np.linalg.eigvals(sys.restricted_matrix)
+            g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
+            full_eigs = np.sort_complex(np.linalg.eigvals(t_s @ g_mat))
+            restr_eigs = np.linalg.eigvals(restricted(r, graph))
             p_total = sum(g.p_dim for g in r.nodes)
             expected = np.sort_complex(
                 np.concatenate([restr_eigs, np.zeros(p_total, dtype=complex)])
@@ -84,22 +91,16 @@ class TestBuildErrorSystem:
             np.testing.assert_allclose(full_eigs, expected, atol=1e-8)
 
     def test_restricted_is_simulator_observer_block(self, rng):
-        """R is the block of the simulator's generator F acting on the observer
-        states: both come from one coupling term."""
-        for plant, graph in (standard_instance(),
-                             random_observable_instance(rng, n_nodes=5)):
-            r = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
-            sys = build_error_system(r, spectral_data(graph))
+        """The simulator integrates exactly the R that certify() checks."""
+        for plant, graph, r in reference_instances(rng):
             block = _generator(r, plant, graph)[0][plant.n :, plant.n :]
-            assert (np.linalg.norm(sys.restricted_matrix - block)
-                    <= 1e-12 * np.linalg.norm(block))
+            assert np.array_equal(restricted(r, graph), block)
 
 
 class TestCertifyRate:
     def test_synthesized_instance_passes(self):
         plant, graph, r = synthesized(alpha=1.0)
-        sys = build_error_system(r, spectral_data(graph))
-        res = certify_rate(sys.restricted_matrix, 1.0)
+        res = certify_rate(restricted(r, graph), 1.0)
         assert res["pass"]
         assert res["abscissa"] < -1.0
 
@@ -111,28 +112,26 @@ class TestCertifyRate:
         graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
         r = synthesize(plant, graph, SynthesisParameters(alpha=0.0))
         r0 = dataclasses.replace(r, gamma=0.0)
-        sys = build_error_system(r0, spectral_data(graph))
-        assert not certify_rate(sys.restricted_matrix, 0.0)["pass"]
+        assert not certify_rate(restricted(r0, graph), 0.0)["pass"]
 
 
 class TestLyapunovDecrease:
     def test_synthesized_instance_negative(self):
         plant, graph, r = synthesized(alpha=0.5)
-        sys = build_error_system(r, spectral_data(graph))
-        assert lyapunov_decrease_check(sys.restricted_matrix, r, 0.5) < 0
+        assert lyapunov_decrease_check(restricted(r, graph), r, 0.5) < 0
 
     def test_fails_beyond_achieved_rate(self):
         plant, graph, r = synthesized(alpha=0.5)
-        sys = build_error_system(r, spectral_data(graph))
-        alpha_too_big = -certify_rate(sys.restricted_matrix, 0.0)["abscissa"] * 4.0
-        assert lyapunov_decrease_check(sys.restricted_matrix, r, alpha_too_big) > 0
+        r_mat = restricted(r, graph)
+        alpha_too_big = -certify_rate(r_mat, 0.0)["abscissa"] * 4.0
+        assert lyapunov_decrease_check(r_mat, r, alpha_too_big) > 0
 
     def test_agrees_with_rate_certificate(self, rng):
         for _ in range(8):
             plant, graph, r = synthesized(rng, alpha=0.5)
-            sys = build_error_system(r, spectral_data(graph))
-            if certify_rate(sys.restricted_matrix, 0.5)["pass"]:
-                assert lyapunov_decrease_check(sys.restricted_matrix, r, 0.5) < 0
+            r_mat = restricted(r, graph)
+            if certify_rate(r_mat, 0.5)["pass"]:
+                assert lyapunov_decrease_check(r_mat, r, 0.5) < 0
 
     def test_matches_stacked_weight_sandwich(self, rng):
         """The reduced value equals the Nn-coordinate form T_s^T (P F + F^T P +
@@ -144,8 +143,7 @@ class TestLyapunovDecrease:
             for alpha in (0.0, 0.5, 1.0):
                 r = synthesize(plant, graph, SynthesisParameters(alpha=alpha))
                 spectral = spectral_data(graph)
-                sys = build_error_system(r, spectral)
-                got = lyapunov_decrease_check(sys.restricted_matrix, r, alpha)
+                got = lyapunov_decrease_check(restricted(r, graph), r, alpha)
                 ref = stacked_sandwich(r, spectral, alpha)
                 assert abs(got - ref) <= 1e-6 * abs(ref), (alpha, got, ref)
 
@@ -154,16 +152,16 @@ def stacked_sandwich(r, spectral, alpha):
     blocks = []
     for g in r.nodes:
         k = g.p_ie.shape[0]
-        p_i = np.eye(g.t_is.shape[0])
+        p_i = np.eye(g.p_out.shape[0])
         if k:
-            t_e = g.t_is[:, :k]
+            t_e = g.p_out[:, :k]
             p_i = p_i + t_e @ (g.p_ie - np.eye(k)) @ t_e.T
         blocks.append(p_i)
     p_w = scipy.linalg.block_diag(*blocks)
-    t_s = scipy.linalg.block_diag(*(g.t_is for g in r.nodes))
+    t_s = scipy.linalg.block_diag(*(g.p_out for g in r.nodes))
     n_blk = scipy.linalg.block_diag(*(g.n_gain for g in r.nodes))
     m_blk = scipy.linalg.block_diag(*(g.m_gain for g in r.nodes))
-    n = r.nodes[0].t_is.shape[0]
+    n = r.nodes[0].p_out.shape[0]
     coupling = np.kron(np.diag(r.r_vector) @ spectral.laplacian, np.eye(n))
     full = t_s @ n_blk @ t_s.T - r.gamma * t_s @ m_blk @ coupling
     reduced = t_s.T @ (p_w @ full + full.T @ p_w + 2.0 * alpha * p_w) @ t_s
@@ -177,17 +175,6 @@ def reference_instances(rng):
         random_observable_instance(rng) for _ in range(4)]
     return [(plant, graph, synthesize(plant, graph, SynthesisParameters(alpha=0.5)))
             for plant, graph in pairs]
-
-
-def dense_g(r, lap):
-    """G = blkdiag(N_i) T_s^T - gamma blkdiag(M_i) (diag(r) Lap (x) I_n) and
-    T_s, each assembled as one dense Nn-wide matrix."""
-    n = r.nodes[0].t_is.shape[0]
-    t_s = scipy.linalg.block_diag(*(g.t_is for g in r.nodes))
-    n_blk = scipy.linalg.block_diag(*(g.n_gain for g in r.nodes))
-    m_blk = scipy.linalg.block_diag(*(g.m_gain for g in r.nodes))
-    coupling = np.kron(np.diag(r.r_vector) @ lap, np.eye(n))
-    return n_blk @ t_s.T - r.gamma * m_blk @ coupling, t_s
 
 
 def dense_weight(r):
@@ -205,31 +192,46 @@ class TestBlockFormsAgainstDenseReferences:
             got = restricted_generator(r, spectral_data(graph).laplacian)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_invariance_is_projected_full_generator(self, rng, monkeypatch):
-        """stack_i (X_i^T T_is) R_i equals X^T F T_s, F = T_s G, for any
-        left factor X = blkdiag(X_i).  With the true complements T_ip both
-        sides are rounding noise, so a generic X_i stands in for them."""
-        def generic(t_is):
-            n, k = t_is.shape
+    def test_invariance_is_projected_full_generator(self, rng):
+        """stack_i (X_i^T P_i) R_i equals X^T F T_s, F = T_s G, for any
+        left factor X = blkdiag(X_i).  With the true bases T_ip both sides
+        are rounding noise, so a generic X_i stands in for them."""
+        def generic(p_out):
+            n, k = p_out.shape
             return np.cos(np.arange(n)[:, None] + 2.0 * np.arange(n - k)[None, :])
 
-        monkeypatch.setattr(error_system, "_orthogonal_complement", generic)
         for plant, graph, r in reference_instances(rng):
             lap = spectral_data(graph).laplacian
             g_mat, t_s = dense_g(r, lap)
-            x = scipy.linalg.block_diag(*(generic(g.t_is) for g in r.nodes))
+            xs = [generic(g.p_out) for g in r.nodes]
+            x = scipy.linalg.block_diag(*xs)
             ref = np.linalg.norm(x.T @ (t_s @ g_mat) @ t_s)
-            got = error_system._invariance(r, restricted_generator(r, lap))
+            got = error_system._invariance(r, restricted_generator(r, lap), xs)
             assert abs(got - ref) <= 1e-12 * ref
 
     def test_true_invariance_residual_is_rounding(self, rng):
         for plant, graph, r in reference_instances(rng):
-            spectral = spectral_data(graph)
-            sys = build_error_system(r, spectral)
-            ref = np.linalg.norm(sys.t_p.T @ sys.full_matrix @ sys.t_s)
-            got = error_system._invariance(r, sys.restricted_matrix)
-            scale = 1e-13 * np.linalg.norm(sys.restricted_matrix)
+            g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
+            _, decomps = decompose_nodes(plant, 1e-9)
+            t_p = scipy.linalg.block_diag(*(d.t_p for d in decomps))
+            ref = np.linalg.norm(t_p.T @ (t_s @ g_mat) @ t_s)
+            r_mat = restricted(r, graph)
+            got = error_system._invariance(r, r_mat, [d.t_p for d in decomps])
+            scale = 1e-13 * np.linalg.norm(r_mat)
             assert got <= scale and ref <= scale
+
+    def test_simulator_input_block_is_dense_coupling(self, rng):
+        """F[n:, :n] = blkdiag(L_i C_i) + [C_ij] est_x, with est_x the
+        stacked Q_j C_j that the estimate map applies to x."""
+        for plant, graph, r in reference_instances(rng):
+            lap = spectral_data(graph).laplacian
+            est_x = np.vstack([g.q_out @ plant.c_block(j)
+                               for j, g in enumerate(r.nodes)])
+            l_c = np.vstack([g.l_gain @ plant.c_block(i)
+                             for i, g in enumerate(r.nodes)])
+            ref = l_c + dense_coupling(r, lap) @ est_x
+            got = _generator(r, plant, graph)[0][plant.n :, : plant.n]
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_lyapunov_top_eigenvalue_is_full_eigvalsh_maximum(self, rng):
         for plant, graph, r in reference_instances(rng):
@@ -240,6 +242,16 @@ class TestBlockFormsAgainstDenseReferences:
                 ref = scipy.linalg.eigvalsh(0.5 * (reduced + reduced.T))[-1]
                 got = lyapunov_decrease_check(r_mat, r, alpha)
                 assert abs(got - ref) <= 1e-12 * np.linalg.norm(reduced, 2)
+
+
+class TestSuggestedTimestep:
+    def test_step_resolves_plant_and_error_spectra(self, rng):
+        """The simulator's generator has the spectrum of A and of R."""
+        for plant, graph, r in reference_instances(rng):
+            lap = spectral_data(graph).laplacian
+            radius = max(np.max(np.abs(np.linalg.eigvals(m)))
+                         for m in (plant.a, restricted_generator(r, lap)))
+            assert suggested_timestep(r, plant, lap) * radius <= 0.1
 
 
 # certify's traced peak may be at most this many restricted generators R of

@@ -10,7 +10,6 @@ from distobs import (
     SimulationConfig,
     SimulationTrace,
     SynthesisParameters,
-    build_error_system,
     check_invariance,
     equilibrium_initial_observer_states,
     estimate_rate,
@@ -20,22 +19,18 @@ from distobs import (
     synthesize,
 )
 
-from conftest import standard_instance
+from conftest import dense_g, standard_instance
 
 
 @pytest.fixture(scope="module")
 def standard_setup():
     plant, graph = standard_instance()
     realization = synthesize(plant, graph, SynthesisParameters(alpha=1.0))
-    spectral = spectral_data(graph)
-    err_sys = build_error_system(realization, spectral)
-    return plant, graph, realization, spectral, err_sys
+    return plant, graph, realization, spectral_data(graph)
 
 
-def run(plant, graph, realization, spectral, err_sys, t_final, dt=None, z0=None,
-        x0=None):
-    dt = dt or suggested_timestep(realization, plant, spectral.laplacian,
-                                  err_sys.full_matrix)
+def run(plant, graph, realization, spectral, t_final, dt=None, z0=None, x0=None):
+    dt = dt or suggested_timestep(realization, plant, spectral.laplacian)
     x0 = np.ones(plant.n) if x0 is None else x0
     cfg = SimulationConfig(t_final=t_final, dt=dt, x0=x0, z0=z0)
     return simulate(realization, plant, graph, cfg)
@@ -43,10 +38,10 @@ def run(plant, graph, realization, spectral, err_sys, t_final, dt=None, z0=None,
 
 class TestSimulate:
     def test_zero_initial_error_stays_zero(self, standard_setup):
-        plant, graph, r, spectral, err_sys = standard_setup
+        plant, graph, r, spectral = standard_setup
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         z0 = equilibrium_initial_observer_states(r, plant, x0)
-        trace = run(plant, graph, r, spectral, err_sys, t_final=2.0, z0=z0, x0=x0)
+        trace = run(plant, graph, r, spectral, t_final=2.0, z0=z0, x0=x0)
         worst = max(np.max(np.linalg.norm(e, axis=1)) for e in trace.errors)
         assert worst <= 1e-8 * max(1.0, np.linalg.norm(x0))
 
@@ -56,9 +51,7 @@ class TestSimulate:
         plant = Plant(a=a, c=c, node_rows=(1, 1))
         graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
         r = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
-        spectral = spectral_data(graph)
-        err_sys = build_error_system(r, spectral)
-        trace = run(plant, graph, r, spectral, err_sys, t_final=20.0)
+        trace = run(plant, graph, r, spectral_data(graph), t_final=20.0)
         assert np.max(np.abs(trace.x - trace.x[0])) <= 1e-12
         for e in trace.errors:
             assert np.linalg.norm(e[-1]) < 1e-4 * max(1.0, np.linalg.norm(e[0]))
@@ -68,33 +61,32 @@ class TestSimulate:
         graph = NetworkGraph(weights=np.zeros((1, 1)))
         r = synthesize(plant, graph)
         assert r.total_order == 0
-        spectral = spectral_data(graph)
-        err_sys = build_error_system(r, spectral)
-        trace = run(plant, graph, r, spectral, err_sys, t_final=1.0, dt=0.01)
+        trace = run(plant, graph, r, spectral_data(graph), t_final=1.0, dt=0.01)
         np.testing.assert_allclose(trace.xhat[0], trace.x, atol=1e-12)
 
     def test_matches_matrix_exponential(self, standard_setup):
-        plant, graph, r, spectral, err_sys = standard_setup
-        trace = run(plant, graph, r, spectral, err_sys, t_final=1.0, dt=1e-3)
+        plant, graph, r, spectral = standard_setup
+        trace = run(plant, graph, r, spectral, t_final=1.0, dt=1e-3)
         e0 = np.hstack([e[0] for e in trace.errors])
         e_final = np.hstack([e[-1] for e in trace.errors])
-        propagated = scipy.linalg.expm(err_sys.full_matrix * 1.0) @ e0
+        g_mat, t_s = dense_g(r, spectral.laplacian)
+        propagated = scipy.linalg.expm(t_s @ g_mat * 1.0) @ e0
         assert np.linalg.norm(e_final - propagated) <= 1e-6 * np.linalg.norm(
             propagated
         )
 
     def test_step_halving_consistency(self, standard_setup):
-        plant, graph, r, spectral, err_sys = standard_setup
-        dt = suggested_timestep(r, plant, spectral.laplacian, err_sys.full_matrix)
-        t1 = run(plant, graph, r, spectral, err_sys, t_final=2.0, dt=dt)
-        t2 = run(plant, graph, r, spectral, err_sys, t_final=2.0, dt=dt / 2)
+        plant, graph, r, spectral = standard_setup
+        dt = suggested_timestep(r, plant, spectral.laplacian)
+        t1 = run(plant, graph, r, spectral, t_final=2.0, dt=dt)
+        t2 = run(plant, graph, r, spectral, t_final=2.0, dt=dt / 2)
         e1 = np.hstack([e[-1] for e in t1.errors])
         e2 = np.hstack([e[-1] for e in t2.errors])
         assert np.linalg.norm(e1 - e2) <= 1e-4 * max(np.linalg.norm(e2), 1e-12)
 
     def test_omniscience_at_horizon(self, standard_setup):
-        plant, graph, r, spectral, err_sys = standard_setup
-        trace = run(plant, graph, r, spectral, err_sys, t_final=20.0)
+        plant, graph, r, spectral = standard_setup
+        trace = run(plant, graph, r, spectral, t_final=20.0)
         alpha_hat = estimate_rate(trace)
         horizon_needed = math.log(1e6) / alpha_hat
         assert trace.times[-1] >= horizon_needed
@@ -102,13 +94,13 @@ class TestSimulate:
             assert np.linalg.norm(e[-1]) <= 1e-6 * np.linalg.norm(e[0])
 
     def test_divergence_detected(self, standard_setup):
-        plant, graph, r, spectral, err_sys = standard_setup
+        plant, graph, r, spectral = standard_setup
         from distobs import SimulationDiverged
 
         with pytest.raises(SimulationDiverged):
             # dt far above the stability limit of the explicit scheme; enough
             # steps for the amplified state to overflow to non-finite values
-            run(plant, graph, r, spectral, err_sys, t_final=500.0, dt=5.0)
+            run(plant, graph, r, spectral, t_final=500.0, dt=5.0)
 
 
 def reference_rk4(realization, plant, graph, s0, dt, steps):
@@ -149,7 +141,7 @@ def reference_rk4(realization, plant, graph, s0, dt, steps):
 
 class TestPropagator:
     def test_matches_per_node_rk4(self, standard_setup):
-        plant, graph, r, _, _ = standard_setup
+        plant, graph, r, _ = standard_setup
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         z0 = [np.linspace(-1.0, 1.0, g.n_gain.shape[0]) for g in r.nodes]
         s0 = np.concatenate([x0] + z0)
@@ -164,7 +156,7 @@ class TestPropagator:
         assert np.all(np.linalg.norm(got - expected, axis=1) <= 1e-12 * scale)
 
     def test_truncated_final_step_with_stride(self, standard_setup):
-        plant, graph, r, _, _ = standard_setup
+        plant, graph, r, _ = standard_setup
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         t_final, dt = 0.2505, 1e-3
         trace = simulate(r, plant, graph, SimulationConfig(
@@ -203,27 +195,27 @@ class TestEstimateRate:
         assert estimate_rate(self._trace_from_error(t, err)) == math.inf
 
     def test_synthesized_rate_meets_target(self, standard_setup):
-        plant, graph, r, spectral, err_sys = standard_setup
-        trace = run(plant, graph, r, spectral, err_sys, t_final=10.0)
+        plant, graph, r, spectral = standard_setup
+        trace = run(plant, graph, r, spectral, t_final=10.0)
         assert estimate_rate(trace) >= 1.0 - 0.05
 
 
 class TestCheckInvariance:
     def test_simulated_instance(self, standard_setup):
-        plant, graph, r, spectral, err_sys = standard_setup
-        trace = run(plant, graph, r, spectral, err_sys, t_final=5.0)
+        plant, graph, r, spectral = standard_setup
+        trace = run(plant, graph, r, spectral, t_final=5.0)
         assert check_invariance(trace) <= 1e-6
 
     def test_corrupted_trace(self, standard_setup):
-        plant, graph, r, spectral, err_sys = standard_setup
+        plant, graph, r, spectral = standard_setup
         # run long enough for the true errors to decay so the injected unit
         # off-subspace component dominates and the relative residual is ~1
-        trace = run(plant, graph, r, spectral, err_sys, t_final=8.0)
+        trace = run(plant, graph, r, spectral, t_final=8.0)
         g = r.nodes[0]
-        t_ip = scipy.linalg.null_space(g.t_is.T)
+        t_ip = scipy.linalg.null_space(g.p_out.T)
         bad_err = trace.errors[0] + t_ip[:, 0]
         inv = trace.invariance_residuals.copy()
-        off = bad_err - (bad_err @ g.t_is) @ g.t_is.T
+        off = bad_err - (bad_err @ g.p_out) @ g.p_out.T
         inv[:, 0] = np.linalg.norm(off, axis=1)
         corrupted = SimulationTrace(
             times=trace.times, x=trace.x, z=trace.z,
@@ -234,8 +226,8 @@ class TestCheckInvariance:
         assert check_invariance(corrupted) > 0.5
 
     def test_zero_error_trace(self, standard_setup):
-        plant, graph, r, spectral, err_sys = standard_setup
+        plant, graph, r, spectral = standard_setup
         x0 = np.ones(plant.n)
         z0 = equilibrium_initial_observer_states(r, plant, x0)
-        trace = run(plant, graph, r, spectral, err_sys, t_final=1.0, z0=z0, x0=x0)
+        trace = run(plant, graph, r, spectral, t_final=1.0, z0=z0, x0=x0)
         assert check_invariance(trace) <= 1e-10

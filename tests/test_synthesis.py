@@ -10,7 +10,6 @@ from distobs import (
     SynthesisError,
     SynthesisParameters,
     assemble_gains,
-    build_error_system,
     compute_epsilon,
     decompose_nodes,
     full_rank_factorize,
