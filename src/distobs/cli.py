@@ -106,7 +106,10 @@ def cmd_synthesize(args) -> int:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+    v = np.array([float(part) for part in text.split(",") if part.strip() != ""])
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"non-finite entry in {text!r}")
+    return v
 
 
 def _dimensions_match(realization, plant) -> bool:
@@ -139,30 +142,36 @@ def cmd_simulate(args) -> int:
         _emit_error("graph", "graph is not strongly connected")
         return EXIT_INFEASIBLE
 
-    alpha = realization.alpha
-    t_final = args.tfinal if args.tfinal else 10.0 / max(alpha, 0.5)
-    if args.dt:
+    try:
+        x0 = _parse_vector(args.x0) if args.x0 else np.ones(n)
+        flat_z0 = _parse_vector(args.z0) if args.z0 else None
+    except ValueError as exc:
+        _emit_error("parse", f"initial state: {exc}")
+        return EXIT_IO
+    z0 = None
+    if flat_z0 is not None:
+        orders = [g.n_gain.shape[0] for g in realization.nodes]
+        if flat_z0.size != sum(orders):
+            _emit_error("dimensions", "--z0 length does not match total observer order")
+            return EXIT_IO
+        z0 = np.split(flat_z0, np.cumsum(orders)[:-1])
+
+    t_final = args.tfinal
+    if t_final is None:
+        t_final = 10.0 / max(realization.alpha, 0.5)
+    if args.dt is not None:
         dt = args.dt
     else:
         # short horizons: keep the default step strictly inside (0, t_final)
         dt = min(suggested_timestep(realization, plant, laplacian(graph)),
                  t_final / 10.0)
-    x0 = _parse_vector(args.x0) if args.x0 else np.ones(n)
-    z0 = None
-    if args.z0:
-        flat = _parse_vector(args.z0)
-        orders = [g.n_gain.shape[0] for g in realization.nodes]
-        if flat.size != sum(orders):
-            _emit_error("dimensions", "--z0 length does not match total observer order")
-            return EXIT_IO
-        z0, pos = [], 0
-        for k in orders:
-            z0.append(flat[pos : pos + k])
-            pos += k
-
     try:
         cfg = SimulationConfig(t_final=t_final, dt=dt, x0=x0, z0=z0,
                                record_stride=args.record_stride)
+    except ValueError as exc:
+        _emit_error("parse", str(exc))
+        return EXIT_IO
+    try:
         trace = simulate(realization, plant, graph, cfg)
     except ValueError as exc:
         _emit_error("dimensions", str(exc))
@@ -214,6 +223,9 @@ def cmd_verify(args) -> int:
         _emit_error("assumptions", str(exc))
         return EXIT_INFEASIBLE
 
+    # alpha is the problem's requirement, not part of the observer's dynamics
+    # (unlike r), so the design is judged at the problem's alpha
+    realization = dataclasses.replace(realization, alpha=params.alpha)
     g_weights = params.g_weights or tuple(1.0 for _ in range(plant.node_count))
     checks = certify(realization, plant, spectral, frfs, decomps, g_weights)
     for check in checks.values():

@@ -14,16 +14,24 @@ certify() works on R alone, so no Nn-sized matrix is formed: the rate is R's
 spectral abscissa, the Lyapunov certificate the top eigenvalue of
 W R + R^T W + 2 alpha W with W = blkdiag_i(P_ie, I), and the invariance
 residual T_p^T F T_s = blkdiag_i(T_ip^T P_i) R, with T_ip from the problem's
-own decomposition, so that it tests that each P_i spans im T_is.
+own decomposition, so that it tests that each P_i spans im T_is.  It keeps
+one dense matrix of order K = N n - sum p_i alive at a time, and hands it
+to LAPACK to overwrite.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .graph import GraphSpectralData
-from .linalg import FullRankFactorization, NodeDecomposition, spectral_abscissa
+from .linalg import (
+    FullRankFactorization,
+    NodeDecomposition,
+    _eigvalsh_in_place,
+    _spectral_abscissa_in_place,
+    _symmetrize_in_place,
+    spectral_abscissa,
+)
 from .synthesis import (
     ObserverRealization,
     Plant,
@@ -67,6 +75,22 @@ def _offsets(realization: ObserverRealization) -> np.ndarray:
     return np.cumsum([0] + [g.n_gain.shape[0] for g in realization.nodes])
 
 
+def _fill_generator(
+    realization: ObserverRealization, laplacian: np.ndarray, order: str
+) -> np.ndarray:
+    """restricted_generator, laid out in memory in the given order ("C" or "F")."""
+    nodes = realization.nodes
+    if laplacian.shape[0] != len(nodes):
+        raise ValueError("graph size does not match the realization")
+    off = _offsets(realization)
+    r_mat = np.zeros((off[-1], off[-1]), order=order)
+    for i, g in enumerate(nodes):
+        r_mat[off[i] : off[i + 1], off[i] : off[i + 1]] = g.n_gain
+    for i, j, c in _coupling(realization, laplacian):
+        r_mat[off[i] : off[i + 1], off[j] : off[j + 1]] += c @ nodes[j].p_out
+    return r_mat
+
+
 def restricted_generator(
     realization: ObserverRealization, laplacian: np.ndarray
 ) -> np.ndarray:
@@ -75,16 +99,7 @@ def restricted_generator(
     Block (i, j) is N_i [i = j] + C_ij P_j: the observer block of the
     simulator's generator, filled only where the Laplacian has a nonzero.
     """
-    nodes = realization.nodes
-    if laplacian.shape[0] != len(nodes):
-        raise ValueError("graph size does not match the realization")
-    off = _offsets(realization)
-    r_mat = np.zeros((off[-1], off[-1]))
-    for i, g in enumerate(nodes):
-        r_mat[off[i] : off[i + 1], off[i] : off[i + 1]] = g.n_gain
-    for i, j, c in _coupling(realization, laplacian):
-        r_mat[off[i] : off[i + 1], off[j] : off[j + 1]] += c @ nodes[j].p_out
-    return r_mat
+    return _fill_generator(realization, laplacian, "C")
 
 
 def certify_rate(r_mat: np.ndarray, alpha: float) -> dict:
@@ -99,24 +114,30 @@ def lyapunov_decrease_check(
     """Largest eigenvalue of W R + R^T W + 2 alpha W (must be < 0).
 
     R is the restricted generator and W = blkdiag_i(P_ie, I_{n - v_i}) the
-    weight of V(e) = e^T P e in the coordinates of im T_s.  W R is R with the
-    first v_i - p_i rows of each node block scaled by P_ie.
+    weight of V(e) = e^T P e in the coordinates of im T_s.
     """
-    if r_mat.size == 0:
+    m = np.array(r_mat, dtype=float, order="C")
+    return _lyapunov_in_place(m, realization, alpha)
+
+
+def _lyapunov_in_place(
+    m: np.ndarray, realization: ObserverRealization, alpha: float
+) -> float:
+    """lyapunov_decrease_check of R = m, given in C order and overwritten.
+
+    m becomes W (R + alpha I), which is R + alpha I with the first v_i - p_i
+    rows of each node block scaled by P_ie, then that plus its transpose,
+    W R + R^T W + 2 alpha W, which LAPACK overwrites in turn.
+    """
+    if m.size == 0:
         return -np.inf
-    # rows of W (R + alpha I), so that reduced = W R + R^T W + 2 alpha W
-    wr = r_mat.copy()
-    wr[np.diag_indices_from(wr)] += alpha
+    m[np.diag_indices_from(m)] += alpha
     for g, start in zip(realization.nodes, _offsets(realization)):
         stop = start + g.p_ie.shape[0]
-        wr[start:stop] = g.p_ie @ wr[start:stop]
-    reduced = wr + wr.T
-    del wr
-    top = reduced.shape[0] - 1
-    # reduced is exactly symmetric, so its transpose is the same matrix in
-    # Fortran order, which LAPACK overwrites without a copy
-    return float(scipy.linalg.eigvalsh(
-        reduced.T, overwrite_a=True, subset_by_index=[top, top])[0])
+        m[start:stop] = g.p_ie @ m[start:stop]
+    _symmetrize_in_place(m, 1.0)
+    top = m.shape[0] - 1
+    return float(_eigvalsh_in_place(m, subset_by_index=[top, top])[0])
 
 
 def _invariance(
@@ -151,17 +172,22 @@ def certify(
         [g.p_ie for g in nodes], [g.h_inj for g in nodes], decomps,
         realization.gamma, realization.epsilon, alpha, g_weights,
     )
-    r_mat = restricted_generator(realization, spectral.laplacian)
     values = {
         "cancellation": max(
             verify_cancellation(g, d, f) for g, d, f in zip(nodes, decomps, frfs)
         ),
         # np.max propagates a NaN eigenvalue, so that it fails the check
         "lmi": np.max(lmi_eigs),
-        "rate": certify_rate(r_mat, alpha)["abscissa"],
-        "invariance": _invariance(realization, r_mat, [d.t_p for d in decomps]),
-        "lyapunov": lyapunov_decrease_check(r_mat, realization, alpha),
     }
+    # One dense matrix of order K at a time: R in C order serves the
+    # invariance rows and then becomes the Lyapunov matrix; R is built again
+    # in Fortran order for eigvals, which overwrites it without a copy.
+    r_mat = _fill_generator(realization, spectral.laplacian, "C")
+    values["invariance"] = _invariance(realization, r_mat, [d.t_p for d in decomps])
+    values["lyapunov"] = _lyapunov_in_place(r_mat, realization, alpha)
+    del r_mat
+    values["rate"] = _spectral_abscissa_in_place(
+        _fill_generator(realization, spectral.laplacian, "F"))
     a_norm = float(np.linalg.norm(plant.a))
     checks = {name: _judge(name, values[name], a_norm, alpha) for name in CERTIFICATE_BOUNDS}
     checks["lmi"]["nodes"] = lmi_eigs

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.csgraph import connected_components
 
 
 class GraphStructureError(ValueError):
@@ -57,15 +56,25 @@ def laplacian(g: NetworkGraph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
+def _reaches_all(edges: np.ndarray) -> bool:
+    """True iff node 0 reaches every node, edge i -> j where edges[i, j]."""
+    seen = np.zeros(edges.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 def is_strongly_connected(g: NetworkGraph) -> bool:
-    """True iff every node reaches every other along positive-weight edges."""
-    n = g.node_count
-    if n == 1:
-        return True
-    # csgraph convention: entry (i, j) != 0 means edge i -> j.  Our weights
-    # store a_ji on the edge (i, j), so the flow digraph is weights.T.
-    ncomp, _ = connected_components(g.weights.T, directed=True, connection="strong")
-    return ncomp == 1
+    """True iff every node reaches every other along positive-weight edges.
+
+    That holds iff node 0 reaches every node and every node reaches node 0,
+    i.e. node 0 reaches every node along the edges and along the reversed ones.
+    """
+    edges = g.weights > 0
+    return _reaches_all(edges) and _reaches_all(edges.T)
 
 
 def perron_row_vector(lap: np.ndarray) -> np.ndarray:

@@ -198,27 +198,68 @@ def observability_decomposition(
 
 def spectral_abscissa(m: np.ndarray) -> float:
     """Largest real part over the eigenvalues of m (-inf for empty m)."""
-    m = np.asarray(m, dtype=float)
+    return _spectral_abscissa_in_place(np.array(m, dtype=float, order="F"))
+
+
+def _spectral_abscissa_in_place(m: np.ndarray) -> float:
+    """spectral_abscissa of m in Fortran order, which LAPACK overwrites."""
     if m.size == 0:
         return -np.inf
-    return float(np.max(scipy.linalg.eigvals(m).real))
+    return float(np.max(scipy.linalg.eigvals(m, overwrite_a=True).real))
+
+
+def _strip_pairs(m: np.ndarray, rows: int = 64):
+    """For each row strip [a, b) of the square m: m[a:b, a:], the matching
+    columns m[a:, a:b] transposed, and a work array of their shape.  The work
+    array is one buffer of `rows` rows, reused, so that it costs O(rows * k)."""
+    k = m.shape[0]
+    buf = np.empty((min(rows, k), k))
+    for a in range(0, k, rows):
+        b = min(a + rows, k)
+        yield m[a:b, a:], m[a:, a:b].T, buf[: b - a, : k - a]
+
+
+def _asymmetry(m: np.ndarray) -> float:
+    """max |m - m^T|, one strip at a time (a NaN entry propagates)."""
+    worst = [np.max(np.abs(np.subtract(row, col, out=w), out=w))
+             for row, col, w in _strip_pairs(m)]
+    return float(np.max(worst))
+
+
+def _symmetrize_in_place(m: np.ndarray, scale: float) -> None:
+    """m <- scale (m + m^T), one strip at a time: bit for bit the full-size
+    formula, since each pair of entries is summed once."""
+    for row, col, w in _strip_pairs(m):
+        np.add(row, col, out=w)
+        w *= scale
+        row[...] = w
+        col[...] = w
+
+
+def _eigvalsh_in_place(m: np.ndarray, **kwargs) -> np.ndarray:
+    """eigvalsh of the exactly symmetric m, which LAPACK overwrites."""
+    # m is exactly symmetric, so its transpose is the same matrix in Fortran
+    # order, which LAPACK takes without a copy
+    return scipy.linalg.eigvalsh(m.T, overwrite_a=True, **kwargs)
+
+
+def _min_symmetric_eigenvalue_in_place(m: np.ndarray, tol: float = 1e-10) -> float:
+    """min_symmetric_eigenvalue of a nonempty m, which it overwrites."""
+    asym = _asymmetry(m)
+    if asym > tol * max(1.0, m.max(), -m.min()):
+        raise ValueError(f"matrix is not symmetric (deviation {asym:.3e})")
+    # an exactly symmetric m is already 0.5 (m + m^T), bit for bit
+    if asym != 0:
+        _symmetrize_in_place(m, 0.5)
+    return float(_eigvalsh_in_place(m)[0])
 
 
 def min_symmetric_eigenvalue(m: np.ndarray, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a symmetric matrix; rejects asymmetric input."""
+    """Smallest eigenvalue of sym(m); rejects m further than tol from symmetric."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return np.inf
-    # one work array: the asymmetry m - m^T, then sym(m) for LAPACK
-    work = np.subtract(m, m.T)
-    asym = np.max(np.abs(work, out=work))
-    if asym > tol * max(1.0, m.max(), -m.min()):
-        raise ValueError(f"matrix is not symmetric (deviation {asym:.3e})")
-    np.add(m, m.T, out=work)
-    work *= 0.5
-    # work is exactly symmetric, so its transpose is the same matrix in
-    # Fortran order, which LAPACK overwrites without a copy
-    return float(scipy.linalg.eigvalsh(work.T, overwrite_a=True)[0])
+    return _min_symmetric_eigenvalue_in_place(m.copy(), tol)
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:

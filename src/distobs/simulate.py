@@ -36,8 +36,9 @@ class SimulationConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_final <= 0 or self.dt >= self.t_final:
-            raise ValueError("need 0 < dt < t_final")
+        # written so that a NaN or infinite dt or t_final fails too
+        if not 0 < self.dt < self.t_final < math.inf:
+            raise ValueError("need 0 < dt < t_final < inf")
         if self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))

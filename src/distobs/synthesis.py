@@ -18,8 +18,8 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     FullRankFactorization,
     NodeDecomposition,
+    _min_symmetric_eigenvalue_in_place,
     full_rank_factorize,
-    min_symmetric_eigenvalue,
     numerical_rank,
     observability_decomposition,
     observability_matrix,
@@ -164,7 +164,8 @@ def compute_epsilon(
         sym = 0.5 * (block(i, j) + block(j, i).T)
         m[i * n : (i + 1) * n, j * n : (j + 1) * n] = sym
         m[j * n : (j + 1) * n, i * n : (i + 1) * n] = sym.T
-    lam_min = min_symmetric_eigenvalue(m)
+    # m is built exactly symmetric and is this function's own: LAPACK overwrites it
+    lam_min = _min_symmetric_eigenvalue_in_place(m)
     if lam_min <= 0:
         raise SynthesisError(
             "epsilon",

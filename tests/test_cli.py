@@ -218,6 +218,28 @@ class TestSimulateCommand:
         assert main(args) == 0
         json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("flag", ["--x0", "--z0"])
+    @pytest.mark.parametrize("value", ["1,a,2,3", "1,nan,2,3"])
+    def test_non_numeric_initial_state_exit1(self, flag, value, standard_files,
+                                             capsys):
+        _, _, problem, gains = standard_files
+        capsys.readouterr()
+        assert main(["simulate", gains, problem, flag, value]) == 1
+        assert stderr_step(capsys) == "parse"
+
+    @pytest.mark.parametrize("flags", [
+        ["--dt", "0"], ["--tfinal", "0"], ["--tfinal", "0", "--dt", "1e-3"],
+        ["--dt=-1e-3"], ["--record-stride", "0"], ["--dt", "nan"],
+        ["--tfinal", "nan"], ["--tfinal", "inf"],
+    ])
+    def test_rejected_horizon_or_stride_exit1(self, flags, standard_files, capsys):
+        """A zero --dt or --tfinal is a value, not an absent flag: it reaches
+        SimulationConfig, which rejects it, as it rejects a NaN or infinite one."""
+        _, _, problem, gains = standard_files
+        capsys.readouterr()
+        assert main(["simulate", gains, problem, *flags]) == 1
+        assert stderr_step(capsys) == "parse"
+
     def test_corrupted_gains_exit1(self, standard_files, tmp_path, capsys):
         _, _, problem, gains = standard_files
         bad = tmp_path / "bad_gains.json"
@@ -331,6 +353,30 @@ class TestVerifyCommand:
         assert main(["verify", str(bad), problem, "--json"]) == 4
         report = json.loads(capsys.readouterr().out)
         assert not report["invariance"]["pass"]
+
+    def test_judged_at_the_problem_alpha(self, standard_files, tmp_path, capsys):
+        """The gains file's alpha does not move the rate bound: verify judges the
+        design at the problem's alpha, which it must meet."""
+        plant, graph, problem, gains = standard_files
+        doc = json.loads(open(gains).read())
+        doc["alpha"] = 0.0
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        reports = []
+        for path in (gains, str(edited)):
+            capsys.readouterr()
+            assert main(["verify", path, problem, "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["rate"]["bound"] == reports[1]["rate"]["bound"] == -0.5
+
+        demanding = write_problem(tmp_path, problem_dict(plant, graph, alpha=5.0),
+                                  "alpha5.json")
+        for path in (gains, str(edited)):
+            capsys.readouterr()
+            assert main(["verify", path, demanding, "--json"]) == 4
+            report = json.loads(capsys.readouterr().out)
+            assert report["rate"]["bound"] == -5.0
+            assert not report["rate"]["pass"]
 
     def test_mismatched_files_exit1(self, standard_files, tmp_path, capsys):
         _, _, _, gains = standard_files

@@ -11,6 +11,7 @@ from distobs import (
     SynthesisParameters,
     certify,
     certify_rate,
+    compute_epsilon,
     decompose_nodes,
     error_system,
     lyapunov_decrease_check,
@@ -148,6 +149,21 @@ class TestLyapunovDecrease:
                 assert abs(got - ref) <= 1e-6 * abs(ref), (alpha, got, ref)
 
 
+class TestCertifyAgreesWithPublicChecks:
+    def test_same_values_and_caller_array_kept(self, rng):
+        """certify's in-place rate and Lyapunov values equal certify_rate and
+        lyapunov_decrease_check bit for bit, and those leave R as it was."""
+        for plant, graph, r in reference_instances(rng):
+            spectral = spectral_data(graph)
+            frfs, decomps = decompose_nodes(plant, 1e-9)
+            cert = certify(r, plant, spectral, frfs, decomps, (1.0,) * plant.node_count)
+            r_mat = restricted(r, graph)
+            before = r_mat.copy()
+            assert cert["rate"]["value"] == certify_rate(r_mat, r.alpha)["abscissa"]
+            assert cert["lyapunov"]["value"] == lyapunov_decrease_check(r_mat, r, r.alpha)
+            assert np.array_equal(r_mat, before)
+
+
 def stacked_sandwich(r, spectral, alpha):
     blocks = []
     for g in r.nodes:
@@ -255,28 +271,49 @@ class TestSuggestedTimestep:
 
 
 # certify's traced peak may be at most this many restricted generators R of
-# order K (K^2 * 8 bytes each): R itself, the copy that eigvals factors, and
-# the two halves of W R + R^T W.  Forming Nn-sized dense temporaries (I_Nn,
-# G, T_s G, G T_s, W R) took about 8.
-CERTIFY_PEAK_GENERATORS = 5.0
+# order K (K^2 * 8 bytes each): R itself, which becomes the Lyapunov matrix in
+# place and is built again in Fortran order for eigvals, plus strip-sized work
+# arrays.  Holding R, W (R + alpha I) and W R + R^T W at once took about 3.1,
+# and forming Nn-sized dense temporaries (I_Nn, G, T_s G, G T_s, W R) about 8.
+CERTIFY_PEAK_GENERATORS = 1.75
+# compute_epsilon's traced peak, in lemma matrices of order N n: the matrix
+# itself, which LAPACK overwrites, plus strip-sized work arrays.  A full-size
+# symmetrized copy beside it took about 2.1.
+EPSILON_PEAK_LEMMA_MATRICES = 1.5
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCertifyMemory:
-    def test_peak_is_a_few_restricted_generators(self):
+    @pytest.fixture(scope="class")
+    def wide(self):
         rng = np.random.default_rng([6, 60])
         n, big_n = 6, 60
         plant = Plant(a=rng.standard_normal((n, n)) / np.sqrt(n),
                       c=rng.standard_normal((big_n, n)), node_rows=(1,) * big_n)
         graph = random_strongly_connected_graph(rng, big_n)
         r = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
-        spectral = spectral_data(graph)
         frfs, decomps = decompose_nodes(plant, 1e-9)
+        return plant, r, spectral_data(graph), frfs, decomps
+
+    def test_peak_is_a_few_restricted_generators(self, wide):
+        plant, r, spectral, frfs, decomps = wide
+        big_n = plant.node_count
         k = r.total_order
-        assert k == sum(n - g.p_dim for g in r.nodes) == 300
-        tracemalloc.start()
-        try:
-            certify(r, plant, spectral, frfs, decomps, (1.0,) * big_n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert k == sum(plant.n - g.p_dim for g in r.nodes) == 300
+        peak = traced_peak(certify, r, plant, spectral, frfs, decomps, (1.0,) * big_n)
         assert peak <= CERTIFY_PEAK_GENERATORS * k * k * 8, peak / (k * k * 8)
+
+    def test_epsilon_peak_is_one_lemma_matrix(self, wide):
+        plant, _, spectral, _, decomps = wide
+        nn = plant.n * plant.node_count
+        peak = traced_peak(compute_epsilon, decomps, spectral,
+                           (1.0,) * plant.node_count, 0.9)
+        assert peak <= EPSILON_PEAK_LEMMA_MATRICES * nn * nn * 8, peak / (nn * nn * 8)

@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distobs
 from distobs import (
     GraphStructureError,
     NetworkGraph,
@@ -158,3 +163,16 @@ class TestNetworkGraphValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             NetworkGraph(weights=np.array([[1.0, 1.0], [1.0, 0.0]]))
+
+
+def test_import_leaves_scipy_sparse_out():
+    """Strong connectivity is plain reachability: importing distobs does not
+    load scipy.sparse."""
+    src = str(Path(distobs.__file__).resolve().parents[1])
+    code = ("import sys, distobs; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -10,7 +10,7 @@ from distobs import (
     solve_lyapunov,
     spectral_abscissa,
 )
-from distobs.linalg import numerical_rank
+from distobs.linalg import _symmetrize_in_place, numerical_rank
 
 
 class TestFullRankFactorize:
@@ -200,3 +200,22 @@ class TestEigenUtilities:
         with pytest.raises(ValueError, match="symmetric"):
             min_symmetric_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
+    def test_min_symmetric_eigenvalue_matches_full_size_formula(self, k):
+        """Strip-wise checks and symmetrization give the eigenvalue of the
+        full-size 0.5 (m + m^T) bit for bit, and leave the input as it was."""
+        rng = np.random.default_rng([29, k])
+        base = rng.standard_normal((k, k))
+        for m in (base + base.T, base + base.T + 1e-13 * rng.standard_normal((k, k))):
+            before = m.copy()
+            ref = float(scipy.linalg.eigvalsh(0.5 * (m + m.T))[0])
+            assert min_symmetric_eigenvalue(m) == ref
+            assert np.array_equal(m, before)
+
+    @pytest.mark.parametrize("k", [1, 64, 130])
+    def test_in_place_symmetrization_is_the_full_size_formula(self, k):
+        m = np.random.default_rng([31, k]).standard_normal((k, k))
+        ref = m + m.T
+        _symmetrize_in_place(m, 1.0)
+        assert np.array_equal(m, ref)
