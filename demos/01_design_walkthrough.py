@@ -55,7 +55,7 @@ print(f"  coupling gain gamma = {realization.gamma:.6g}")
 
 cert = realization.certificate
 print("\ncertificates")
-print(f"  restricted error-system abscissa: "
+print(f"  rate bound from Lyapunov value : "
       f"{cert['rate']['value']:.4f}  (must be < -0.5)")
 print(f"  cancellation identity residual : "
       f"{cert['cancellation']['value']:.3e}")

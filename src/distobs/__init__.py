@@ -7,7 +7,6 @@ convergence rate), and deterministic simulation of the coupled dynamics.
 
 from .error_system import (
     certify,
-    certify_rate,
     lyapunov_decrease_check,
     restricted_generator,
 )

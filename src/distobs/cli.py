@@ -53,7 +53,7 @@ def _report_from_realization(realization) -> dict:
         "nodes": [{"p": g.p_dim, "v": g.v_dim} for g in realization.nodes],
         "epsilon": realization.epsilon,
         "gamma": realization.gamma,
-        "restricted_abscissa": cert["rate"]["value"],
+        "rate_bound": cert["rate"]["value"],
         "cancellation_residual": cert["cancellation"]["value"],
         "lmi_pass": cert["lmi"]["pass"],
         "alpha": realization.alpha,
@@ -99,7 +99,7 @@ def cmd_synthesize(args) -> int:
             print(f"node {i}: p = {nd['p']}, v = {nd['v']}")
         print(f"epsilon              : {report['epsilon']:.6g}")
         print(f"gamma                : {report['gamma']:.6g}")
-        print(f"restricted abscissa  : {report['restricted_abscissa']:.6g}")
+        print(f"rate bound           : {report['rate_bound']:.6g}")
         print(f"cancellation residual: {report['cancellation_residual']:.3e}")
         print(f"LMI feasibility      : {'pass' if report['lmi_pass'] else 'FAIL'}")
     return EXIT_OK
@@ -194,7 +194,7 @@ def cmd_simulate(args) -> int:
         except OSError as exc:
             _emit_error("write", str(exc))
             return EXIT_IO
-    print(json.dumps(summary, indent=1))
+    print(json.dumps(summary, indent=1, allow_nan=False))
 
     if e_norm[0] > 0 and e_norm[-1] > e_norm[0]:
         _emit_error("omniscience", "estimation error grew over the horizon")
@@ -206,7 +206,9 @@ def cmd_verify(args) -> int:
     try:
         problem = load_problem(args.problem)
         realization = load_realization(args.gains)
-    except (OSError, ProblemFormatError) as exc:
+        # a bad override is a ValueError, like ProblemFormatError: step parse
+        params = problem.parameters()
+    except (OSError, ValueError) as exc:
         _emit_error("parse", str(exc))
         return EXIT_IO
 
@@ -217,7 +219,6 @@ def cmd_verify(args) -> int:
 
     try:
         spectral = spectral_data(problem.graph)
-        params = problem.parameters()
         frfs, decomps = decompose_nodes(plant, params.rank_tol)
     except (ValueError, SynthesisError) as exc:
         _emit_error("assumptions", str(exc))

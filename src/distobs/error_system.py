@@ -10,27 +10,25 @@ There it is generated by the restricted matrix R = G T_s, with blocks
 N_i [i = j] + C_ij P_j: the observer block of the simulator's generator F,
 which restricted_generator() fills block by block for both.
 
-certify() works on R alone, so no Nn-sized matrix is formed: the rate is R's
-spectral abscissa, the Lyapunov certificate the top eigenvalue of
-W R + R^T W + 2 alpha W with W = blkdiag_i(P_ie, I), and the invariance
-residual T_p^T F T_s = blkdiag_i(T_ip^T P_i) R, with T_ip from the problem's
-own decomposition, so that it tests that each P_i spans im T_is.  It keeps
-one dense matrix of order K = N n - sum p_i alive at a time, and hands it
-to LAPACK to overwrite.
+certify() builds R once, of order K = N n - sum p_i, and forms no Nn-sized
+matrix.  The Lyapunov certificate is the top eigenvalue mu of W R + R^T W +
+2 alpha W, W = blkdiag_i(P_ie, I), which LAPACK computes by overwriting R;
+the rate is the bound on R's spectral abscissa that mu implies.  The
+invariance residual is T_p^T F T_s = blkdiag_i(T_ip^T P_i) R, with T_ip from
+the problem's own decomposition, so that it tests that each P_i spans im T_is.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .graph import GraphSpectralData
 from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
     _eigvalsh_in_place,
-    _spectral_abscissa_in_place,
     _symmetrize_in_place,
-    spectral_abscissa,
 )
 from .synthesis import (
     ObserverRealization,
@@ -75,22 +73,6 @@ def _offsets(realization: ObserverRealization) -> np.ndarray:
     return np.cumsum([0] + [g.n_gain.shape[0] for g in realization.nodes])
 
 
-def _fill_generator(
-    realization: ObserverRealization, laplacian: np.ndarray, order: str
-) -> np.ndarray:
-    """restricted_generator, laid out in memory in the given order ("C" or "F")."""
-    nodes = realization.nodes
-    if laplacian.shape[0] != len(nodes):
-        raise ValueError("graph size does not match the realization")
-    off = _offsets(realization)
-    r_mat = np.zeros((off[-1], off[-1]), order=order)
-    for i, g in enumerate(nodes):
-        r_mat[off[i] : off[i + 1], off[i] : off[i + 1]] = g.n_gain
-    for i, j, c in _coupling(realization, laplacian):
-        r_mat[off[i] : off[i + 1], off[j] : off[j + 1]] += c @ nodes[j].p_out
-    return r_mat
-
-
 def restricted_generator(
     realization: ObserverRealization, laplacian: np.ndarray
 ) -> np.ndarray:
@@ -99,13 +81,16 @@ def restricted_generator(
     Block (i, j) is N_i [i = j] + C_ij P_j: the observer block of the
     simulator's generator, filled only where the Laplacian has a nonzero.
     """
-    return _fill_generator(realization, laplacian, "C")
-
-
-def certify_rate(r_mat: np.ndarray, alpha: float) -> dict:
-    """Spectral abscissa of the restricted generator versus the target rate."""
-    absc = spectral_abscissa(r_mat)
-    return {"abscissa": absc, "pass": _judge("rate", absc, 0.0, alpha)["pass"]}
+    nodes = realization.nodes
+    if laplacian.shape[0] != len(nodes):
+        raise ValueError("graph size does not match the realization")
+    off = _offsets(realization)
+    r_mat = np.zeros((off[-1], off[-1]))
+    for i, g in enumerate(nodes):
+        r_mat[off[i] : off[i + 1], off[i] : off[i + 1]] = g.n_gain
+    for i, j, c in _coupling(realization, laplacian):
+        r_mat[off[i] : off[i + 1], off[j] : off[j + 1]] += c @ nodes[j].p_out
+    return r_mat
 
 
 def lyapunov_decrease_check(
@@ -134,10 +119,29 @@ def _lyapunov_in_place(
     m[np.diag_indices_from(m)] += alpha
     for g, start in zip(realization.nodes, _offsets(realization)):
         stop = start + g.p_ie.shape[0]
-        m[start:stop] = g.p_ie @ m[start:stop]
+        # the weight of e^T P_ie e, and P_ie bit for bit when it is symmetric
+        m[start:stop] = 0.5 * (g.p_ie + g.p_ie.T) @ m[start:stop]
     _symmetrize_in_place(m, 1.0)
     top = m.shape[0] - 1
     return float(_eigvalsh_in_place(m, subset_by_index=[top, top])[0])
+
+
+def _rate_bound(realization: ObserverRealization, mu: float) -> float:
+    """Upper bound on R's spectral abscissa implied by the Lyapunov value mu.
+
+    W R + R^T W + 2 alpha W <= mu I <= mu W / w when w >= lambda_max(W) and
+    mu < 0, or 0 < w <= lambda_min(W) and mu >= 0, so every eigenvalue of R
+    has real part at most -alpha + mu / (2 w).  For W = blkdiag_i(P_ie, I), w
+    is the max or min of 1 and the eigenvalues of the node-sized P_ie; +inf
+    when some P_ie is not positive definite.
+    """
+    w_eigs = np.concatenate([[1.0]] + [
+        scipy.linalg.eigvalsh(0.5 * (g.p_ie + g.p_ie.T))
+        for g in realization.nodes if g.p_ie.size])
+    if not w_eigs.min() > 0:
+        return np.inf
+    w = w_eigs.max() if mu < 0 else w_eigs.min()
+    return float(-realization.alpha + mu / (2.0 * w))
 
 
 def _invariance(
@@ -179,15 +183,11 @@ def certify(
         # np.max propagates a NaN eigenvalue, so that it fails the check
         "lmi": np.max(lmi_eigs),
     }
-    # One dense matrix of order K at a time: R in C order serves the
-    # invariance rows and then becomes the Lyapunov matrix; R is built again
-    # in Fortran order for eigvals, which overwrites it without a copy.
-    r_mat = _fill_generator(realization, spectral.laplacian, "C")
+    # R serves the invariance rows and then becomes the Lyapunov matrix
+    r_mat = restricted_generator(realization, spectral.laplacian)
     values["invariance"] = _invariance(realization, r_mat, [d.t_p for d in decomps])
     values["lyapunov"] = _lyapunov_in_place(r_mat, realization, alpha)
-    del r_mat
-    values["rate"] = _spectral_abscissa_in_place(
-        _fill_generator(realization, spectral.laplacian, "F"))
+    values["rate"] = _rate_bound(realization, values["lyapunov"])
     a_norm = float(np.linalg.norm(plant.a))
     checks = {name: _judge(name, values[name], a_norm, alpha) for name in CERTIFICATE_BOUNDS}
     checks["lmi"]["nodes"] = lmi_eigs

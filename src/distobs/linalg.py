@@ -198,14 +198,10 @@ def observability_decomposition(
 
 def spectral_abscissa(m: np.ndarray) -> float:
     """Largest real part over the eigenvalues of m (-inf for empty m)."""
-    return _spectral_abscissa_in_place(np.array(m, dtype=float, order="F"))
-
-
-def _spectral_abscissa_in_place(m: np.ndarray) -> float:
-    """spectral_abscissa of m in Fortran order, which LAPACK overwrites."""
+    m = np.asarray(m, dtype=float)
     if m.size == 0:
         return -np.inf
-    return float(np.max(scipy.linalg.eigvals(m, overwrite_a=True).real))
+    return float(np.max(scipy.linalg.eigvals(m).real))
 
 
 def _strip_pairs(m: np.ndarray, rows: int = 64):

@@ -193,7 +193,8 @@ def estimate_rate(trace: SimulationTrace, window: float = 0.5) -> float:
     """Decay-rate estimate from a log-linear fit on the tail of ||e(t)||.
 
     Returns +inf when the stacked error is already below the numerical floor
-    across the fitting window (converged beyond measurement).
+    across the fitting window (converged beyond measurement), and NaN when
+    the window holds too few recorded samples to fit.
     """
     if not (0 < window <= 1):
         raise ValueError("window must lie in (0, 1]")
@@ -206,7 +207,7 @@ def estimate_rate(trace: SimulationTrace, window: float = 0.5) -> float:
     take = max(int(round(window * usable.size)), 2)
     idx = usable[-take:]
     if idx.size < 10:
-        return math.inf
+        return math.nan
     slope = np.polyfit(trace.times[idx], np.log(e_norm[idx]), 1)[0]
     return float(-slope)
 
@@ -222,7 +223,8 @@ def check_invariance(trace: SimulationTrace) -> float:
 
 def trace_summary(trace: SimulationTrace, alpha_hat: float, max_inv: float) -> dict:
     return {
-        "alpha_hat": alpha_hat,
+        # strict JSON has no inf or NaN; a non-finite estimate reads null
+        "alpha_hat": alpha_hat if math.isfinite(alpha_hat) else None,
         "max_invariance_residual": max_inv,
         "final_error_norms": [
             float(np.linalg.norm(e[-1])) for e in trace.errors

@@ -224,7 +224,7 @@ def place_injection(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarr
     """Output injection H with spectral abscissa of a22 - H ea12 below -alpha.
 
     Stabilizes the shifted dual pair through a Riccati solve with target
-    margin alpha + 0.5, deepening the shift on failure (at most 5 retries).
+    margin alpha + 0.5, deepening the shift on failure (5 attempts in all).
     """
     k = a22.shape[0]
     if k == 0:

@@ -95,7 +95,7 @@ class TestSynthesizeCommand:
         # 3 single-output nodes on a 4-state plant: 3*4 - 3 = 9
         assert report["total_order"] == 9
         assert report["lmi_pass"] is True
-        assert report["restricted_abscissa"] < -0.5
+        assert report["rate_bound"] < -0.5
 
     def test_roundtrip_bit_exact(self, standard_files, tmp_path):
         plant, graph, problem, gains = standard_files
@@ -160,11 +160,15 @@ class TestSynthesizeCommand:
         missing = str(tmp_path / "nope.json")
         assert main(["synthesize", missing, str(tmp_path / "g.json")]) == 1
 
-    def test_invalid_override_exit1(self, tmp_path, capsys):
-        plant, graph = standard_instance()
+    @pytest.mark.parametrize("command", ["synthesize", "verify"])
+    def test_invalid_override_exit1(self, command, standard_files, tmp_path, capsys):
+        plant, graph, _, gains = standard_files
         doc = problem_dict(plant, graph, overrides={"epsilon_fraction": 2.0})
         problem = write_problem(tmp_path, doc)
-        assert main(["synthesize", problem, str(tmp_path / "g.json")]) == 1
+        files = {"synthesize": [problem, str(tmp_path / "g.json")],
+                 "verify": [gains, problem]}[command]
+        capsys.readouterr()
+        assert main([command, *files]) == 1
         assert stderr_step(capsys) == "parse"
 
     def test_invalid_flag_value_exit1(self, standard_files, tmp_path, capsys):
@@ -191,6 +195,19 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert main(["simulate", gains, problem, "--tfinal", "0.001"]) == 0
         summary = json.loads(capsys.readouterr().out)
+        assert summary["low_confidence"]
+
+    def test_stride_beyond_horizon_prints_strict_json(self, standard_files, capsys):
+        """Too few recorded rows for a rate fit: alpha_hat is null, not NaN or Infinity."""
+        _, _, problem, gains = standard_files
+        capsys.readouterr()
+        assert main(["simulate", gains, problem, "--record-stride", "100000"]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert summary["alpha_hat"] is None
         assert summary["low_confidence"]
 
     def test_trace_csv_deterministic(self, standard_files, tmp_path, capsys):
@@ -335,6 +352,7 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["lmi"]["nodes"][1] == np.inf
+        assert report["rate"]["value"] == np.inf
         assert json.loads(captured.err.strip().splitlines()[-1]
                           )["error"]["step"] == "lmi"
 

@@ -10,12 +10,12 @@ from distobs import (
     Plant,
     SynthesisParameters,
     certify,
-    certify_rate,
     compute_epsilon,
     decompose_nodes,
     error_system,
     lyapunov_decrease_check,
     restricted_generator,
+    spectral_abscissa,
     spectral_data,
     suggested_timestep,
     synthesize,
@@ -99,11 +99,11 @@ class TestBuildErrorSystem:
 
 
 class TestCertifyRate:
+    """The exact spectral abscissa of R, the dense reference for the rate."""
+
     def test_synthesized_instance_passes(self):
         plant, graph, r = synthesized(alpha=1.0)
-        res = certify_rate(restricted(r, graph), 1.0)
-        assert res["pass"]
-        assert res["abscissa"] < -1.0
+        assert spectral_abscissa(restricted(r, graph)) < -1.0
 
     def test_decoupled_unstable_block_fails(self):
         # node 2 cannot observe the unstable mode; without coupling it stays
@@ -113,7 +113,7 @@ class TestCertifyRate:
         graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
         r = synthesize(plant, graph, SynthesisParameters(alpha=0.0))
         r0 = dataclasses.replace(r, gamma=0.0)
-        assert not certify_rate(restricted(r0, graph), 0.0)["pass"]
+        assert not spectral_abscissa(restricted(r0, graph)) < 0.0
 
 
 class TestLyapunovDecrease:
@@ -124,14 +124,14 @@ class TestLyapunovDecrease:
     def test_fails_beyond_achieved_rate(self):
         plant, graph, r = synthesized(alpha=0.5)
         r_mat = restricted(r, graph)
-        alpha_too_big = -certify_rate(r_mat, 0.0)["abscissa"] * 4.0
+        alpha_too_big = -spectral_abscissa(r_mat) * 4.0
         assert lyapunov_decrease_check(r_mat, r, alpha_too_big) > 0
 
     def test_agrees_with_rate_certificate(self, rng):
         for _ in range(8):
             plant, graph, r = synthesized(rng, alpha=0.5)
             r_mat = restricted(r, graph)
-            if certify_rate(r_mat, 0.5)["pass"]:
+            if spectral_abscissa(r_mat) < -0.5:
                 assert lyapunov_decrease_check(r_mat, r, 0.5) < 0
 
     def test_matches_stacked_weight_sandwich(self, rng):
@@ -151,17 +151,72 @@ class TestLyapunovDecrease:
 
 class TestCertifyAgreesWithPublicChecks:
     def test_same_values_and_caller_array_kept(self, rng):
-        """certify's in-place rate and Lyapunov values equal certify_rate and
-        lyapunov_decrease_check bit for bit, and those leave R as it was."""
+        """certify's in-place Lyapunov value equals lyapunov_decrease_check
+        bit for bit, its rate bounds spectral_abscissa, and those two leave R
+        as it was."""
         for plant, graph, r in reference_instances(rng):
             spectral = spectral_data(graph)
             frfs, decomps = decompose_nodes(plant, 1e-9)
             cert = certify(r, plant, spectral, frfs, decomps, (1.0,) * plant.node_count)
             r_mat = restricted(r, graph)
             before = r_mat.copy()
-            assert cert["rate"]["value"] == certify_rate(r_mat, r.alpha)["abscissa"]
+            assert bounds_abscissa(cert["rate"]["value"], r_mat, r.alpha)
             assert cert["lyapunov"]["value"] == lyapunov_decrease_check(r_mat, r, r.alpha)
             assert np.array_equal(r_mat, before)
+
+
+def bounds_abscissa(rate, r_mat, alpha):
+    """rate >= spectral_abscissa(R) up to rounding: the bound is computed
+    with alpha folded into the Lyapunov value, and is exact in exact
+    arithmetic when, say, R is 1 x 1."""
+    slack = 1e-12 * (abs(alpha) + np.linalg.norm(r_mat, 2))
+    return spectral_abscissa(r_mat) <= rate + slack
+
+
+def certified_at(plant, graph, r, alpha):
+    """certify's report on the design r, judged at alpha."""
+    frfs, decomps = decompose_nodes(plant, 1e-9)
+    return certify(dataclasses.replace(r, alpha=alpha), plant, spectral_data(graph),
+                   frfs, decomps, (1.0,) * plant.node_count)
+
+
+class TestRateBound:
+    """certify's rate is the bound on R's spectral abscissa that its Lyapunov
+    value implies: never below the exact abscissa, and passing exactly when
+    lyapunov passes."""
+
+    def test_bounds_the_exact_abscissa(self, rng):
+        for plant, graph, r in reference_instances(rng):
+            r_mat = restricted(r, graph)
+            absc = spectral_abscissa(r_mat)
+            # no weight certifies a rate beyond the abscissa, so at -4 absc
+            # lyapunov fails
+            for alpha, lyapunov_passes in ((r.alpha, True), (-4.0 * absc, False)):
+                cert = certified_at(plant, graph, r, alpha)
+                assert cert["lyapunov"]["pass"] == lyapunov_passes
+                assert bounds_abscissa(cert["rate"]["value"], r_mat, alpha)
+
+    def test_passes_exactly_when_lyapunov_passes(self, rng):
+        seen = set()
+        for plant, graph, r in reference_instances(rng):
+            absc = spectral_abscissa(restricted(r, graph))
+            for alpha in (r.alpha, -0.9 * absc, -0.99 * absc, -4.0 * absc):
+                cert = certified_at(plant, graph, r, alpha)
+                # a finite lmi value, as when lmi passes, means every P_ie is
+                # positive definite, which is all the equivalence needs
+                if cert["lmi"]["value"] < np.inf:
+                    assert cert["rate"]["pass"] == cert["lyapunov"]["pass"]
+                    seen.add(cert["lyapunov"]["pass"])
+        assert seen == {True, False}
+
+    def test_empty_generator_reads_minus_inf(self):
+        plant = Plant(a=np.array([[0.0, 1.0], [-1.0, 0.0]]), c=np.eye(2),
+                      node_rows=(2,))
+        graph = NetworkGraph(weights=np.zeros((1, 1)))
+        r = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
+        assert r.total_order == 0
+        assert r.certificate["rate"]["value"] == -np.inf
+        assert r.certificate["rate"]["pass"]
 
 
 def stacked_sandwich(r, spectral, alpha):
@@ -272,9 +327,9 @@ class TestSuggestedTimestep:
 
 # certify's traced peak may be at most this many restricted generators R of
 # order K (K^2 * 8 bytes each): R itself, which becomes the Lyapunov matrix in
-# place and is built again in Fortran order for eigvals, plus strip-sized work
-# arrays.  Holding R, W (R + alpha I) and W R + R^T W at once took about 3.1,
-# and forming Nn-sized dense temporaries (I_Nn, G, T_s G, G T_s, W R) about 8.
+# place, plus strip-sized work arrays.  Holding R, W (R + alpha I) and
+# W R + R^T W at once took about 3.1, and forming Nn-sized dense temporaries
+# (I_Nn, G, T_s G, G T_s, W R) about 8.
 CERTIFY_PEAK_GENERATORS = 1.75
 # compute_epsilon's traced peak, in lemma matrices of order N n: the matrix
 # itself, which LAPACK overwrites, plus strip-sized work arrays.  A full-size

@@ -194,6 +194,11 @@ class TestEstimateRate:
         err = np.full((50, 1), 1e-15)
         assert estimate_rate(self._trace_from_error(t, err)) == math.inf
 
+    def test_too_few_samples_returns_nan(self):
+        t = np.linspace(0, 1, 6)
+        err = np.exp(-t)[:, None]
+        assert math.isnan(estimate_rate(self._trace_from_error(t, err)))
+
     def test_synthesized_rate_meets_target(self, standard_setup):
         plant, graph, r, spectral = standard_setup
         trace = run(plant, graph, r, spectral, t_final=10.0)
