@@ -25,30 +25,31 @@ problem = {
     "alpha": 0.5,
 }
 
-workdir = Path(tempfile.mkdtemp(prefix="distobs_demo_"))
-problem_path = workdir / "problem.json"
-gains_path = workdir / "gains.json"
-trace_path = workdir / "trace.csv"
-problem_path.write_text(json.dumps(problem, indent=1))
+with tempfile.TemporaryDirectory(prefix="distobs_demo_") as tmp:
+    workdir = Path(tmp)
+    problem_path = workdir / "problem.json"
+    gains_path = workdir / "gains.json"
+    trace_path = workdir / "trace.csv"
+    problem_path.write_text(json.dumps(problem, indent=1))
 
-print(f"files in {workdir}\n")
+    print(f"files in {workdir}\n")
 
-print("== distobs synthesize problem.json gains.json ==")
-code = main(["synthesize", str(problem_path), str(gains_path)])
-print(f"exit code {code}\n")
+    print("== distobs synthesize problem.json gains.json ==")
+    code = main(["synthesize", str(problem_path), str(gains_path)])
+    print(f"exit code {code}\n")
 
-print("== distobs simulate gains.json problem.json --tfinal 20 ==")
-code = main(["simulate", str(gains_path), str(problem_path),
-             "--tfinal", "20", "--trace-out", str(trace_path)])
-print(f"exit code {code}\n")
+    print("== distobs simulate gains.json problem.json --tfinal 20 ==")
+    code = main(["simulate", str(gains_path), str(problem_path),
+                 "--tfinal", "20", "--trace-out", str(trace_path)])
+    print(f"exit code {code}\n")
 
-print("== distobs verify gains.json problem.json ==")
-code = main(["verify", str(gains_path), str(problem_path)])
-print(f"exit code {code}\n")
+    print("== distobs verify gains.json problem.json ==")
+    code = main(["verify", str(gains_path), str(problem_path)])
+    print(f"exit code {code}\n")
 
-gains = json.loads(gains_path.read_text())
-print("gains file keys:", sorted(gains))
-print("per-node matrices:", sorted(gains["nodes"][0]))
-with open(trace_path) as fh:
-    header = fh.readline().strip()
-print("trace CSV columns:", header)
+    gains = json.loads(gains_path.read_text())
+    print("gains file keys:", sorted(gains))
+    print("per-node matrices:", sorted(gains["nodes"][0]))
+    with open(trace_path) as fh:
+        header = fh.readline().strip()
+    print("trace CSV columns:", header)

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -41,8 +42,24 @@ EXIT_DIVERGED = 3
 EXIT_CERTIFICATE = 4
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float in it replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
+def _strict_json(obj, **kwargs) -> str:
+    """Strict JSON for the reports: a non-finite value prints as null."""
+    return json.dumps(_finite_or_null(obj), allow_nan=False, **kwargs)
+
+
 def _emit_error(step: str, message: str, **extra) -> None:
-    print(json.dumps({"error": {"step": step, "message": message, **extra}}),
+    print(_strict_json({"error": {"step": step, "message": message, **extra}}),
           file=sys.stderr)
 
 
@@ -92,7 +109,7 @@ def cmd_synthesize(args) -> int:
 
     report = _report_from_realization(realization)
     if args.json:
-        print(json.dumps(report, indent=1))
+        print(_strict_json(report, indent=1))
     else:
         print(f"total observer order : {report['total_order']}")
         for i, nd in enumerate(report["nodes"], start=1):
@@ -194,7 +211,7 @@ def cmd_simulate(args) -> int:
         except OSError as exc:
             _emit_error("write", str(exc))
             return EXIT_IO
-    print(json.dumps(summary, indent=1, allow_nan=False))
+    print(_strict_json(summary, indent=1))
 
     if e_norm[0] > 0 and e_norm[-1] > e_norm[0]:
         _emit_error("omniscience", "estimation error grew over the horizon")
@@ -233,7 +250,7 @@ def cmd_verify(args) -> int:
         check["detail"] = f"value {check['value']:.6g} vs bound {check['bound']:.6g}"
 
     if args.json:
-        print(json.dumps(checks, indent=1))
+        print(_strict_json(checks, indent=1))
     else:
         for name, check in checks.items():
             print(f"{name:<14}{'pass' if check['pass'] else 'FAIL':<6}{check['detail']}")

@@ -1,12 +1,14 @@
 """Dense linear-algebra kernels: full-rank factorization, observability
-decomposition, Lyapunov solves and eigenvalue utilities."""
+decomposition, Lyapunov and Riccati solves and eigenvalue utilities."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -271,3 +273,112 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValueError("unstable coefficient matrix")
     p = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
     return 0.5 * (p + p.T)
+
+
+def _lwork(routine, *args) -> int:
+    """Optimal workspace size reported by a LAPACK workspace query."""
+    return int(routine(*args, lwork=-1)[-2][0])
+
+
+def _no_selection(*_):
+    """gges callback for an unsorted QZ (never called with sort_t=0)."""
+
+
+def solve_care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stabilizing solution X of a^T X + X a - X b b^T X + I = 0.
+
+    The LAPACK calls of scipy.linalg.solve_continuous_are(a, b, I, I), made
+    in the same order on the same arrays, so that X is scipy's bit for bit:
+    symplectic balancing of the extended pencil, QR deflation to order 2m,
+    ordered QZ with the left-half-plane eigenvalues first, and an LU
+    back-substitution.  Raises LinAlgError where scipy does: on an
+    ill-conditioned U11 and on a pencil with eigenvalues too close to the
+    imaginary axis.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("array must not contain infs or NaNs")
+    m, n = b.shape
+    eye = np.eye(m)
+
+    # extended pencil [[a, 0, b], [-I, -a^T, 0], [0, b^T, I]] - s blkdiag(I, I, 0)
+    h = np.zeros((2 * m + n, 2 * m + n))
+    h[:m, :m] = a
+    h[:m, 2 * m :] = b
+    h[m : 2 * m, :m] = -eye
+    h[m : 2 * m, m : 2 * m] = -a.T
+    h[2 * m :, m : 2 * m] = b.T
+    h[2 * m :, 2 * m :] = np.eye(n)
+
+    # balance |H| + |J| with its diagonal zeroed (J is diagonal, so only |H|
+    # is left), then make the scaling symplectic
+    off = np.abs(h)
+    np.fill_diagonal(off, 0.0)
+    sca = lapack.dgebal(off, scale=1, permute=0, overwrite_a=1)[3]
+    # gebal scales by powers of 2, so scipy's allclose(sca, 1) is sca == 1
+    if np.any(sca != 1.0):
+        sca = np.log2(sca)
+        s = np.round((sca[m : 2 * m] - sca[:m]) / 2)
+        sca = 2 ** np.concatenate((s, -s, sca[2 * m :]))
+        h *= sca[:, None] * np.reciprocal(sca)
+
+    # deflate to the 2m x 2m pencil (hd, jd) with the full Q of H[:, 2m:]
+    cols = h[:, -n:]
+    qr, tau = lapack.dgeqrf(cols, lwork=_lwork(lapack.dgeqrf, cols))[:2]
+    q = np.empty((2 * m + n, 2 * m + n))
+    q[:, :n] = qr
+    q = lapack.dorgqr(q, tau, lwork=_lwork(lapack.dorgqr, q, tau), overwrite_a=1)[0]
+    hd = q[:, n:].T.dot(h[:, : 2 * m])
+    jd = q[: 2 * m, n:].T.dot(np.eye(2 * m))
+
+    # real QZ, then move the left-half-plane eigenvalues first
+    aa, bb, _, alphar, alphai, beta, qq, zz, _, info = lapack.dgges(
+        _no_selection, hd, jd, lwork=_lwork(lapack.dgges, _no_selection, hd, jd),
+        overwrite_a=1, overwrite_b=1, sort_t=0)
+    if info > 2 * m:
+        raise np.linalg.LinAlgError("Something other than QZ iteration failed")
+    if info > 0:
+        warnings.warn("The QZ iteration failed. (a,b) are not in Schur form, "
+                      "but ALPHAR(j), ALPHAI(j), and BETA(j) should be correct "
+                      f"for J={info - 1},...,N", scipy.linalg.LinAlgWarning,
+                      stacklevel=2)
+    alpha = alphar + alphai * 1.0j
+    select = np.zeros(2 * m, dtype=bool)
+    finite = beta != 0
+    select[finite] = np.real(alpha[finite] / beta[finite]) < 0.0
+    # dtgsen returns (a, b, alphar, alphai, beta, q, z, m, pl, pr, dif, info)
+    reordered = lapack.dtgsen(select, aa, bb, qq, zz, ijob=0, lwork=8 * m + 16,
+                              liwork=1)
+    u, info = reordered[6], reordered[-1]
+    if info == 1:
+        raise ValueError("Reordering of (A, B) failed because the transformed"
+                         " matrix pair (A, B) would be too far from "
+                         "generalized Schur form; the problem is very "
+                         "ill-conditioned. (A, B) may have been partially "
+                         "reordered.")
+    u00 = u[:m, :m]
+    u10 = u[m:, :m]
+
+    # X = U10 U00^-1 through the LU factors of U00 = P L U
+    lu, piv = lapack.dgetrf(u00)[:2]
+    uu = np.triu(lu)
+    if 1 / np.linalg.cond(uu) < np.spacing(1.0):
+        raise np.linalg.LinAlgError("Failed to find a finite solution.")
+    ul = np.tril(lu, -1) + eye
+    perm = np.arange(m)
+    for i, p in enumerate(piv):
+        perm[[i, p]] = perm[[p, i]]
+    y = lapack.dtrtrs(uu.T, u10.T, lower=1)[0]
+    z = lapack.dtrtrs(ul.T, y, unitdiag=1)[0]
+    # the row interchanges as a product with P^T: signed zeros as scipy has them
+    x = z.T.dot(eye[:, perm].T)
+    x *= sca[:m, None] * sca[:m]
+
+    # U00^T U10 is symmetric exactly when the stable subspace is Lagrangian
+    u_sym = u00.T.dot(u10)
+    threshold = max(np.spacing(1000.0), 0.1 * np.linalg.norm(u_sym, 1))
+    if np.linalg.norm(u_sym - u_sym.T, 1) > threshold:
+        raise np.linalg.LinAlgError("The associated Hamiltonian pencil has "
+                                    "eigenvalues too close to the imaginary axis")
+    return (x + x.T) / 2

@@ -173,9 +173,10 @@ def realization_from_dict(doc: dict) -> ObserverRealization:
 
 
 def save_realization(realization: ObserverRealization, path) -> None:
+    # one write: json.dump would stream the document in many small writes
+    text = json.dumps(realization_to_dict(realization), indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(realization_to_dict(realization), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_realization(path) -> ObserverRealization:

@@ -223,8 +223,7 @@ def check_invariance(trace: SimulationTrace) -> float:
 
 def trace_summary(trace: SimulationTrace, alpha_hat: float, max_inv: float) -> dict:
     return {
-        # strict JSON has no inf or NaN; a non-finite estimate reads null
-        "alpha_hat": alpha_hat if math.isfinite(alpha_hat) else None,
+        "alpha_hat": alpha_hat,
         "max_invariance_residual": max_inv,
         "final_error_norms": [
             float(np.linalg.norm(e[-1])) for e in trace.errors

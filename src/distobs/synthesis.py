@@ -23,12 +23,15 @@ from .linalg import (
     numerical_rank,
     observability_decomposition,
     observability_matrix,
+    solve_care,
     solve_lyapunov,
     spectral_abscissa,
 )
 
 # smallest bisection bracket for the coupling-gain scalar test
 BETA_FLOOR = 1e-6
+# margins beyond alpha that place_injection's Riccati solves aim at, in order
+INJECTION_SHIFTS = (0.5, 1.0, 2.0, 3.0, 4.0)
 
 
 class SynthesisError(RuntimeError):
@@ -143,10 +146,30 @@ def compute_epsilon(
     G stacks per-node diag(g_i I_v, 0).  The returned epsilon is
     epsilon_fraction times the smallest eigenvalue, so the strict inequality
     holds with margin at the returned value.
+
+    When every node has v = n, T = blkdiag(T_i) is orthogonal and
+    G = diag(g) (x) I_n, so the lemma matrix is similar to
+    (mirror + diag g) (x) I_n and the N x N factor gives the eigenvalue.
+    Otherwise the Nn x Nn lemma matrix is formed.
     """
+    mirror = spectral.mirror
+    if all(d.v_dim == d.n_dim for d in decomps):
+        lam_min = _min_symmetric_eigenvalue_in_place(mirror + np.diag(g_weights))
+    else:
+        lam_min = _lemma_min_eigenvalue(decomps, mirror, g_weights)
+    if lam_min <= 0:
+        raise SynthesisError(
+            "epsilon",
+            "joint observability violated or graph not strongly connected "
+            f"(lambda_min = {lam_min:.3e})",
+        )
+    return float(epsilon_fraction * lam_min)
+
+
+def _lemma_min_eigenvalue(decomps, mirror, g_weights) -> float:
+    """Smallest eigenvalue of the Nn x Nn lemma matrix T^T (mirror (x) I_n) T + G."""
     n = decomps[0].n_dim
     big_n = len(decomps)
-    mirror = spectral.mirror
 
     def block(i, j):
         blk = mirror[i, j] * (decomps[i].t_orth.T @ decomps[j].t_orth)
@@ -165,14 +188,7 @@ def compute_epsilon(
         m[i * n : (i + 1) * n, j * n : (j + 1) * n] = sym
         m[j * n : (j + 1) * n, i * n : (i + 1) * n] = sym.T
     # m is built exactly symmetric and is this function's own: LAPACK overwrites it
-    lam_min = _min_symmetric_eigenvalue_in_place(m)
-    if lam_min <= 0:
-        raise SynthesisError(
-            "epsilon",
-            "joint observability violated or graph not strongly connected "
-            f"(lambda_min = {lam_min:.3e})",
-        )
-    return float(epsilon_fraction * lam_min)
+    return _min_symmetric_eigenvalue_in_place(m)
 
 
 def _beta_feasible(beta: float, sym_u: np.ndarray, a32_gram: np.ndarray) -> bool:
@@ -224,7 +240,9 @@ def place_injection(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarr
     """Output injection H with spectral abscissa of a22 - H ea12 below -alpha.
 
     Stabilizes the shifted dual pair through a Riccati solve with target
-    margin alpha + 0.5, deepening the shift on failure (5 attempts in all).
+    margin alpha + 0.5.  While the closed loop misses the target abscissa the
+    shift deepens along INJECTION_SHIFTS (5 attempts in all); a Riccati solve
+    that raises ends the ladder at once.
     """
     k = a22.shape[0]
     if k == 0:
@@ -233,12 +251,8 @@ def place_injection(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarr
         raise ValueError("injection pair is not observable (decomposition bug)")
     a_dual = a22.T
     b_dual = ea12.T
-    p = ea12.shape[0]
-    for extra in (0.5, 1.0, 2.0, 3.0, 4.0):
-        shift = alpha + extra
-        x = scipy.linalg.solve_continuous_are(
-            a_dual + shift * np.eye(k), b_dual, np.eye(k), np.eye(p)
-        )
+    for extra in INJECTION_SHIFTS:
+        x = solve_care(a_dual + (alpha + extra) * np.eye(k), b_dual)
         h = (b_dual.T @ x).T
         if spectral_abscissa(a22 - h @ ea12) < -alpha:
             return h

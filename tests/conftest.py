@@ -101,6 +101,19 @@ def mixed_structure_instance():
     return Plant(a=a, c=c, node_rows=(1, 3, 1)), NetworkGraph(weights=w)
 
 
+def one_partial_node_instance(rng, n: int, n_nodes: int):
+    """Single-row outputs over a random strongly connected graph, where node 1
+    sees only the first n // 2 states of a block lower triangular A, so that
+    its v = n // 2 < n; generically every other node has v = n."""
+    half = n // 2
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    a[:half, half:] = 0.0
+    c = rng.standard_normal((n_nodes, n))
+    c[0, half:] = 0.0
+    plant = Plant(a=a, c=c, node_rows=(1,) * n_nodes)
+    return plant, random_strongly_connected_graph(rng, n_nodes)
+
+
 def dense_coupling(r, lap):
     """The coupling blocks C_ij as one dense matrix,
     -gamma blkdiag(M_i) (diag(r) Lap (x) I_n)."""

@@ -85,6 +85,14 @@ def stderr_step(capsys):
     return json.loads(err[-1])["error"]["step"]
 
 
+def strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestSynthesizeCommand:
     def test_reports_order_and_writes_gains(self, standard_files, capsys):
         plant, graph, problem, _ = standard_files
@@ -96,6 +104,21 @@ class TestSynthesizeCommand:
         assert report["total_order"] == 9
         assert report["lmi_pass"] is True
         assert report["rate_bound"] < -0.5
+
+    def test_fully_measured_node_prints_strict_json(self, tmp_path, capsys):
+        """C = I on one node: the empty observer's rate bound is -inf, which
+        the synthesize and verify reports print as null."""
+        plant = Plant(a=np.array([[0.0, 1.0], [-1.0, 0.0]]), c=np.eye(2),
+                      node_rows=(2,))
+        graph = NetworkGraph(weights=np.zeros((1, 1)))
+        problem = write_problem(tmp_path, problem_dict(plant, graph))
+        gains = str(tmp_path / "gains.json")
+        assert main(["synthesize", problem, gains, "--json"]) == 0
+        report = strict_loads(capsys.readouterr().out)
+        assert report["total_order"] == 0 and report["rate_bound"] is None
+        assert main(["verify", gains, problem, "--json"]) == 0
+        checks = strict_loads(capsys.readouterr().out)
+        assert checks["rate"]["value"] is None and checks["rate"]["pass"]
 
     def test_roundtrip_bit_exact(self, standard_files, tmp_path):
         plant, graph, problem, gains = standard_files
@@ -202,11 +225,7 @@ class TestSimulateCommand:
         _, _, problem, gains = standard_files
         capsys.readouterr()
         assert main(["simulate", gains, problem, "--record-stride", "100000"]) == 0
-
-        def reject(name):
-            raise ValueError(f"{name} is not strict JSON")
-
-        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        summary = strict_loads(capsys.readouterr().out)
         assert summary["alpha_hat"] is None
         assert summary["low_confidence"]
 
@@ -350,11 +369,13 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", str(bad), problem, "--json"]) == 4
         captured = capsys.readouterr()
-        report = json.loads(captured.out)
-        assert report["lmi"]["nodes"][1] == np.inf
-        assert report["rate"]["value"] == np.inf
-        assert json.loads(captured.err.strip().splitlines()[-1]
-                          )["error"]["step"] == "lmi"
+        # the infinite values print as null, on stdout and on stderr
+        report = strict_loads(captured.out)
+        assert report["lmi"]["nodes"][1] is None
+        assert report["lmi"]["value"] is None
+        assert report["rate"]["value"] is None
+        error = strict_loads(captured.err.strip().splitlines()[-1])["error"]
+        assert error["step"] == "lmi" and error["value"] is None
 
     def test_foreign_observer_subspace_fails_invariance(self, standard_files,
                                                         tmp_path, capsys):

@@ -26,6 +26,7 @@ from conftest import (
     dense_coupling,
     dense_g,
     mixed_structure_instance,
+    one_partial_node_instance,
     random_observable_instance,
     random_strongly_connected_graph,
     standard_instance,
@@ -331,10 +332,14 @@ class TestSuggestedTimestep:
 # W R + R^T W at once took about 3.1, and forming Nn-sized dense temporaries
 # (I_Nn, G, T_s G, G T_s, W R) about 8.
 CERTIFY_PEAK_GENERATORS = 1.75
-# compute_epsilon's traced peak, in lemma matrices of order N n: the matrix
-# itself, which LAPACK overwrites, plus strip-sized work arrays.  A full-size
-# symmetrized copy beside it took about 2.1.
+# compute_epsilon's traced peak when some node has v < n, in lemma matrices of
+# order N n: the matrix itself, which LAPACK overwrites, plus strip-sized work
+# arrays.  A full-size symmetrized copy beside it took about 2.1.
 EPSILON_PEAK_LEMMA_MATRICES = 1.5
+# compute_epsilon's traced peak when every node has v = n, in N x N matrices:
+# mirror + diag(g) and its terms.  Forming the N n lemma matrix took n^2 = 36
+# times more at n = 6.
+EPSILON_PEAK_NODE_MATRICES = 4
 
 
 def traced_peak(fn, *args):
@@ -366,9 +371,20 @@ class TestCertifyMemory:
         peak = traced_peak(certify, r, plant, spectral, frfs, decomps, (1.0,) * big_n)
         assert peak <= CERTIFY_PEAK_GENERATORS * k * k * 8, peak / (k * k * 8)
 
-    def test_epsilon_peak_is_one_lemma_matrix(self, wide):
+    def test_epsilon_peak_is_a_few_node_matrices(self, wide):
         plant, _, spectral, _, decomps = wide
+        big_n = plant.node_count
+        assert all(d.v_dim == plant.n for d in decomps)
+        peak = traced_peak(compute_epsilon, decomps, spectral, (1.0,) * big_n, 0.9)
+        assert peak <= EPSILON_PEAK_NODE_MATRICES * big_n * big_n * 8, (
+            peak / (big_n * big_n * 8))
+
+    def test_epsilon_peak_is_one_lemma_matrix(self):
+        """With one node at v < n, the N n lemma matrix is formed, once."""
+        plant, graph = one_partial_node_instance(np.random.default_rng([6, 61]), 6, 60)
+        _, decomps = decompose_nodes(plant, 1e-9)
+        assert sorted(d.v_dim for d in decomps)[:2] == [3, 6]
         nn = plant.n * plant.node_count
-        peak = traced_peak(compute_epsilon, decomps, spectral,
+        peak = traced_peak(compute_epsilon, decomps, spectral_data(graph),
                            (1.0,) * plant.node_count, 0.9)
         assert peak <= EPSILON_PEAK_LEMMA_MATRICES * nn * nn * 8, peak / (nn * nn * 8)

@@ -10,7 +10,14 @@ from distobs import (
     solve_lyapunov,
     spectral_abscissa,
 )
-from distobs.linalg import _symmetrize_in_place, numerical_rank
+from distobs.linalg import _symmetrize_in_place, numerical_rank, solve_care
+from distobs.synthesis import INJECTION_SHIFTS, decompose_nodes
+
+from conftest import (
+    mixed_structure_instance,
+    random_observable_instance,
+    standard_instance,
+)
 
 
 class TestFullRankFactorize:
@@ -161,6 +168,43 @@ class TestSolveLyapunov:
     def test_unstable_rejected(self):
         with pytest.raises(ValueError, match="unstable"):
             solve_lyapunov(np.array([[0.1]]), np.eye(1))
+
+
+class TestSolveCare:
+    ALPHA = 0.5
+
+    def injection_pairs(self):
+        """(a22^T, (E a12)^T) of every node with v > p on the conftest instances."""
+        rng = np.random.default_rng(41)
+        pairs = [standard_instance(), mixed_structure_instance()] + [
+            random_observable_instance(rng) for _ in range(8)]
+        for plant, _ in pairs:
+            for dec in decompose_nodes(plant, 1e-9)[1]:
+                if dec.v_dim > dec.p_dim:
+                    yield dec.a22.T, (dec.e_mat @ dec.a12).T
+
+    def test_is_scipy_bit_for_bit_at_every_shift(self):
+        count = 0
+        for a_dual, b_dual in self.injection_pairs():
+            k, p = b_dual.shape
+            for extra in INJECTION_SHIFTS:
+                a = a_dual + (self.ALPHA + extra) * np.eye(k)
+                ref = scipy.linalg.solve_continuous_are(a, b_dual, np.eye(k), np.eye(p))
+                assert np.array_equal(solve_care(a, b_dual), ref)
+                count += 1
+        assert count >= 50
+
+    @pytest.mark.parametrize("a, b, match", [
+        ([[0.0]], [[0.0]], "finite solution"),  # U11 singular
+        ([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [0.0]], "imaginary axis"),
+    ])
+    def test_raises_where_scipy_raises(self, a, b, match):
+        a, b = np.array(a), np.array(b)
+        eye_k, eye_p = np.eye(b.shape[0]), np.eye(b.shape[1])
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            scipy.linalg.solve_continuous_are(a, b, eye_k, eye_p)
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            solve_care(a, b)
 
 
 class TestEigenUtilities:

@@ -28,6 +28,7 @@ from distobs.synthesis import BETA_FLOOR, _min_beta_for_node
 
 from conftest import (
     mixed_structure_instance,
+    one_partial_node_instance,
     random_observable_instance,
     random_strongly_connected_graph,
     standard_instance,
@@ -94,22 +95,33 @@ class TestComputeEpsilon:
             assert min_symmetric_eigenvalue(m - eps * np.eye(m.shape[0])) > 0
 
     def test_equals_dense_loop(self, rng):
-        """Assembling only the mirror's nonzero blocks gives the epsilon of the
-        N^2 dense loop and full-size symmetrization, bit for bit."""
+        """Where some node has v < n, assembling only the mirror's nonzero
+        blocks gives the epsilon of the N^2 dense loop and full-size
+        symmetrization, bit for bit.  Where every node has v = n, the N x N
+        factor gives it to rounding."""
         big_n = 25
         wide = Plant(a=rng.standard_normal((5, 5)),
                      c=rng.standard_normal((big_n, 5)), node_rows=(1,) * big_n)
         pairs = [standard_instance(), mixed_structure_instance(),
                  (wide, random_strongly_connected_graph(rng, big_n))] + [
-            random_observable_instance(rng) for _ in range(8)]
+            random_observable_instance(rng) for _ in range(8)] + [
+            one_partial_node_instance(np.random.default_rng(43), 5, big_n)]
+        routes = set()
         for plant, graph in pairs:
             sd = spectral_data(graph)
             _, decomps = decompose_nodes(plant, 1e-9)
+            dense = any(d.v_dim < d.n_dim for d in decomps)
+            routes.add(dense)
             for g in ([1.0] * plant.node_count,
                       list(rng.uniform(0.01, 2.0, plant.node_count))):
                 m = lemma_matrix(decomps, sd, g)
                 ref = float(0.9 * scipy.linalg.eigvalsh(0.5 * (m + m.T))[0])
-                assert compute_epsilon(decomps, sd, g, 0.9) == ref
+                eps = compute_epsilon(decomps, sd, g, 0.9)
+                if dense:
+                    assert eps == ref
+                else:
+                    assert eps == pytest.approx(ref, rel=1e-13, abs=0)
+        assert routes == {True, False}
 
     def test_rejects_joint_unobservability(self):
         # N=1, v < n: the lemma matrix has an exact zero eigenvalue
