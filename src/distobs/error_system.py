@@ -21,12 +21,12 @@ the problem's own decomposition, so that it tests that each P_i spans im T_is.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .graph import GraphSpectralData
 from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
+    _eigvalsh,
     _eigvalsh_in_place,
     _symmetrize_in_place,
 )
@@ -122,8 +122,8 @@ def _lyapunov_in_place(
         # the weight of e^T P_ie e, and P_ie bit for bit when it is symmetric
         m[start:stop] = 0.5 * (g.p_ie + g.p_ie.T) @ m[start:stop]
     _symmetrize_in_place(m, 1.0)
-    top = m.shape[0] - 1
-    return float(_eigvalsh_in_place(m, subset_by_index=[top, top])[0])
+    top = m.shape[0]  # 1-based: the largest eigenvalue only
+    return float(_eigvalsh_in_place(m, range="I", il=top, iu=top)[0])
 
 
 def _rate_bound(realization: ObserverRealization, mu: float) -> float:
@@ -136,7 +136,7 @@ def _rate_bound(realization: ObserverRealization, mu: float) -> float:
     when some P_ie is not positive definite.
     """
     w_eigs = np.concatenate([[1.0]] + [
-        scipy.linalg.eigvalsh(0.5 * (g.p_ie + g.p_ie.T))
+        _eigvalsh(0.5 * (g.p_ie + g.p_ie.T))
         for g in realization.nodes if g.p_ie.size])
     if not w_eigs.min() > 0:
         return np.inf

@@ -1,14 +1,22 @@
 """Dense linear-algebra kernels: full-rank factorization, observability
-decomposition, Lyapunov and Riccati solves and eigenvalue utilities."""
+decomposition, Lyapunov and Riccati solves and eigenvalue utilities.
+
+The SVD, eigenvalue, Lyapunov and Riccati kernels make the LAPACK calls of
+their scipy.linalg counterparts directly, through scipy.linalg.lapack, with
+scipy's arguments and workspace sizes, so that every result is scipy's bit
+for bit (and in scipy's memory layout) without the per-call cost of scipy's
+wrappers on node-sized matrices.  Like scipy, each rejects a non-finite input
+with ValueError.
+"""
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import LinAlgWarning, lapack
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -78,12 +86,49 @@ class NodeDecomposition:
         return out
 
 
+def _finite(*arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays as float arrays; ValueError, as scipy raises it, on a
+    non-finite entry."""
+    out = [np.asarray(a, dtype=float) for a in arrays]
+    if not all(np.isfinite(a).all() for a in out):
+        raise ValueError("array must not contain infs or NaNs")
+    return out
+
+
+@functools.cache
+def _workspace(query: str, *args, **kwargs) -> tuple[int, ...]:
+    """Workspace sizes from a scipy.linalg.lapack `*_lwork` query, rounded as
+    scipy rounds them; they depend on the shapes only, so they are cached."""
+    *sizes, info = getattr(lapack, query)(*args, **kwargs)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    return tuple(int(size) for size in sizes)
+
+
+def _svd(a: np.ndarray, full_matrices: bool, compute_uv: bool = True):
+    """scipy.linalg.svd(a, full_matrices, compute_uv) of a nonempty a, as
+    (u, s, vt) in scipy's Fortran memory layout: scipy's dgesdd call."""
+    (a,) = _finite(a)
+    uv, full = int(compute_uv), int(full_matrices)
+    (lwork,) = _workspace("dgesdd_lwork", *a.shape, compute_uv=uv, full_matrices=full)
+    u, s, vt, info = lapack.dgesdd(a, compute_uv=uv, full_matrices=full, lwork=lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return u, s, vt
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Count of the descending singular values s above tol times the largest."""
+    return int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+
+
 def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of singular values above tol relative to the largest one."""
-    s = scipy.linalg.svdvals(m)
-    if s.size == 0 or s[0] == 0:
+    m = np.asarray(m, dtype=float)
+    if m.size == 0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    # scipy.linalg.svdvals(m): singular values only
+    return _rank(_svd(m, True, compute_uv=False)[1], tol)
 
 
 def observability_matrix(f: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -121,7 +166,7 @@ def full_rank_factorize(
         raise ValueError("node has no effective output (zero output matrix)")
     if p == m:
         return FullRankFactorization(d_factor=np.eye(m), f_factor=c_i.copy(), rank=p)
-    u, s, vt = scipy.linalg.svd(c_i, full_matrices=False)
+    u, s, vt = _svd(c_i, False)
     d = u[:, :p] * s[:p]
     f = vt[:p, :]
     # normalize signs through the shared inner dimension for reproducibility
@@ -146,24 +191,25 @@ def observability_decomposition(
     f_i = np.atleast_2d(np.asarray(f_i, dtype=float))
     n = a.shape[0]
     p = f_i.shape[0]
-    if numerical_rank(f_i, tol) != p:
+    if f_i.size == 0:
+        raise ValueError("virtual output matrix is empty")
+    # one thin SVD of F^T tests the full row rank, at tol and at the
+    # eps * max(n, p) of scipy.linalg.orth, and gives the basis of im F^T
+    u_f, s_f, _ = _svd(f_i.T, False)
+    if _rank(s_f, max(tol, np.finfo(float).eps * max(n, p))) != p:
         raise ValueError("virtual output matrix is not full row rank")
+    t_p = u_f[:, :p]
 
     obs = observability_matrix(f_i, a)
-    u_o, s_o, vt_o = scipy.linalg.svd(obs)
-    v = int(np.count_nonzero(s_o > tol * s_o[0])) if s_o.size else 0
+    _, s_o, vt_o = _svd(obs, True)
+    v = _rank(s_o, tol)
     t_u = vt_o[v:, :].T  # orthonormal basis of ker O
-
-    # basis of im F^T
-    t_p = scipy.linalg.orth(f_i.T)
-    if t_p.shape[1] != p:
-        raise ValueError("virtual output matrix is not full row rank")
 
     # completion inside the observable subspace: project row space of O off t_p
     t_obs_full = vt_o[:v, :].T
     proj = t_obs_full - t_p @ (t_p.T @ t_obs_full)
     if v > p:
-        u_e, s_e, _ = scipy.linalg.svd(proj, full_matrices=False)
+        u_e, _, _ = _svd(proj, False)
         t_e = u_e[:, : v - p]
     else:
         t_e = np.zeros((n, 0))
@@ -199,11 +245,21 @@ def observability_decomposition(
 
 
 def spectral_abscissa(m: np.ndarray) -> float:
-    """Largest real part over the eigenvalues of m (-inf for empty m)."""
-    m = np.asarray(m, dtype=float)
+    """Largest real part over the eigenvalues of m (-inf for empty m).
+
+    The real parts are those of scipy.linalg.eigvals(m): its dgeev call,
+    without eigenvectors.
+    """
+    (m,) = _finite(m)
     if m.size == 0:
         return -np.inf
-    return float(np.max(scipy.linalg.eigvals(m).real))
+    (lwork,) = _workspace("dgeev_lwork", m.shape[0], compute_vl=0, compute_vr=0)
+    wr, _, _, _, info = lapack.dgeev(m, compute_vl=0, compute_vr=0, lwork=lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            "eig algorithm (geev) did not converge (only eigenvalues with order "
+            f">= {info} have converged)")
+    return float(np.max(wr))
 
 
 def _strip_pairs(m: np.ndarray, rows: int = 64):
@@ -234,11 +290,25 @@ def _symmetrize_in_place(m: np.ndarray, scale: float) -> None:
         col[...] = w
 
 
-def _eigvalsh_in_place(m: np.ndarray, **kwargs) -> np.ndarray:
-    """eigvalsh of the exactly symmetric m, which LAPACK overwrites."""
+def _eigvalsh(m: np.ndarray, overwrite_a: bool = False, **subset) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric nonempty m from its lower
+    triangle: scipy.linalg.eigvalsh's dsyevr call.  `subset` is dsyevr's
+    range="I", il=, iu= (1-based) for scipy's subset_by_index."""
+    (m,) = _finite(m)
+    lwork, liwork = _workspace("dsyevr_lwork", m.shape[0], lower=1)
+    w, _, count, _, info = lapack.dsyevr(m, compute_v=0, lower=1, lwork=lwork,
+                                         liwork=liwork, overwrite_a=overwrite_a,
+                                         **subset)
+    if info != 0:
+        raise np.linalg.LinAlgError("Internal Error.")
+    return w[:count]
+
+
+def _eigvalsh_in_place(m: np.ndarray, **subset) -> np.ndarray:
+    """_eigvalsh of the exactly symmetric m, which LAPACK overwrites."""
     # m is exactly symmetric, so its transpose is the same matrix in Fortran
     # order, which LAPACK takes without a copy
-    return scipy.linalg.eigvalsh(m.T, overwrite_a=True, **kwargs)
+    return _eigvalsh(m.T, overwrite_a=True, **subset)
 
 
 def _min_symmetric_eigenvalue_in_place(m: np.ndarray, tol: float = 1e-10) -> float:
@@ -261,18 +331,37 @@ def min_symmetric_eigenvalue(m: np.ndarray, tol: float = 1e-10) -> float:
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve A^T P + P A + Q = 0 for Hurwitz A and symmetric Q.
+    """Solve A^T P + P A + Q = 0 for Hurwitz A and symmetric Q; returns the
+    symmetric part of the solution.
 
-    Uses the real-Schur direct method of the host linear-algebra layer.
+    The LAPACK calls of scipy.linalg.solve_continuous_lyapunov(A^T, -Q), in
+    scipy's order, so that P is scipy's bit for bit: the real Schur form
+    A^T = U S U^T (dgees), then S Y + Y S^T = U^T (-Q) U (dtrsyl) and
+    P = U Y U^T.  Raises ValueError on an A that is not Hurwitz.
     """
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
+    a, q = _finite(a, q)
     if a.size == 0:
         return np.zeros((0, 0))
     if spectral_abscissa(a) >= 0:
         raise ValueError("unstable coefficient matrix")
-    p = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+    s, _, _, _, u, _, info = lapack.dgees(_no_selection, a.T,
+                                          lwork=_gees_lwork(a.shape[0]))
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    y, scale, info = lapack.dtrsyl(s, s, u.T.dot((-q).dot(u)), tranb="T")
+    if info == 1:
+        warnings.warn('Input "a" has an eigenvalue pair whose sum is very close '
+                      "to or exactly zero. The solution is obtained via "
+                      "perturbing the coefficients.", RuntimeWarning, stacklevel=2)
+    y *= scale
+    p = u.dot(y).dot(u.T)
     return 0.5 * (p + p.T)
+
+
+@functools.cache
+def _gees_lwork(n: int) -> int:
+    """dgees' workspace for order n, from the query that scipy.linalg.schur makes."""
+    return _lwork(lapack.dgees, _no_selection, np.zeros((n, n)))
 
 
 def _lwork(routine, *args) -> int:
@@ -295,10 +384,7 @@ def solve_care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ill-conditioned U11 and on a pencil with eigenvalues too close to the
     imaginary axis.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("array must not contain infs or NaNs")
+    a, b = _finite(a, b)
     m, n = b.shape
     eye = np.eye(m)
 
@@ -341,7 +427,7 @@ def solve_care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info > 0:
         warnings.warn("The QZ iteration failed. (a,b) are not in Schur form, "
                       "but ALPHAR(j), ALPHAI(j), and BETA(j) should be correct "
-                      f"for J={info - 1},...,N", scipy.linalg.LinAlgWarning,
+                      f"for J={info - 1},...,N", LinAlgWarning,
                       stacklevel=2)
     alpha = alphar + alphai * 1.0j
     select = np.zeros(2 * m, dtype=bool)

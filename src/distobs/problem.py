@@ -13,7 +13,9 @@ followed by a read reproduces every matrix bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -132,39 +134,54 @@ def _as_matrix(data, rows: int, cols: int) -> np.ndarray:
     return arr.reshape(rows, cols)
 
 
+# gains-file matrices of a node, in the order the file lists them
+GAIN_MATRICES = ("N", "L", "M", "P", "Q", "K", "H", "Pie")
+
+
+def _require_finite(name: str, value):
+    """value, a float or a float array, if every entry of it is finite."""
+    if not np.isfinite(value).all():
+        raise ProblemFormatError(f"{name} has a non-finite entry")
+    return value
+
+
 def realization_from_dict(doc: dict) -> ObserverRealization:
     """Gains-file document to realization.  An older file may also carry P
-    as "Tis"; that key is ignored."""
+    as "Tis"; that key is ignored.  Every gain matrix, gamma, epsilon and r
+    must be finite; the certificate values may be infinite."""
     try:
         nodes = []
-        for nd in doc["nodes"]:
-            p_out = np.asarray(nd["P"], dtype=float)
+        for i, nd in enumerate(doc["nodes"], start=1):
+            mats = {key: np.asarray(nd[key], dtype=float) for key in GAIN_MATRICES}
+            # one check over the node's entries; the loop only names the matrix
+            if not np.isfinite(np.concatenate([m.ravel() for m in mats.values()])).all():
+                for key, m in mats.items():
+                    _require_finite(f"node {i}: {key}", m)
+            p_out, q, pie_raw = mats["P"], mats["Q"], mats["Pie"]
             n, order = p_out.shape
             p = n - order
-            q = np.asarray(nd["Q"], dtype=float)
             m_i = q.shape[1]
-            pie_raw = np.asarray(nd["Pie"], dtype=float)
             k_e = pie_raw.shape[0] if pie_raw.size else 0  # = v - p
             v = p + k_e
             nodes.append(
                 NodeGains(
-                    n_gain=_as_matrix(nd["N"], order, order),
-                    l_gain=_as_matrix(nd["L"], order, m_i),
-                    m_gain=_as_matrix(nd["M"], order, n),
+                    n_gain=_as_matrix(mats["N"], order, order),
+                    l_gain=_as_matrix(mats["L"], order, m_i),
+                    m_gain=_as_matrix(mats["M"], order, n),
                     p_out=p_out,
                     q_out=q,
-                    k_mat=_as_matrix(nd["K"], n, m_i),
-                    h_inj=_as_matrix(nd["H"], v - p, p),
-                    p_ie=_as_matrix(nd["Pie"], k_e, k_e),
+                    k_mat=_as_matrix(mats["K"], n, m_i),
+                    h_inj=_as_matrix(mats["H"], v - p, p),
+                    p_ie=_as_matrix(pie_raw, k_e, k_e),
                     p_dim=p,
                     v_dim=v,
                 )
             )
         return ObserverRealization(
             nodes=tuple(nodes),
-            gamma=float(doc["gamma"]),
-            epsilon=float(doc["epsilon"]),
-            r_vector=np.asarray(doc["r"], dtype=float),
+            gamma=_require_finite("gamma", float(doc["gamma"])),
+            epsilon=_require_finite("epsilon", float(doc["epsilon"])),
+            r_vector=_require_finite("r", np.asarray(doc["r"], dtype=float)),
             alpha=float(doc.get("alpha", 0.0)),
             certificate=doc.get("certificate", {}) or {},
         )
@@ -172,9 +189,53 @@ def realization_from_dict(doc: dict) -> ObserverRealization:
         raise ProblemFormatError(f"malformed gains file: {exc}") from exc
 
 
+def _float_text(x: float) -> str:
+    """A float as json spells it: repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _json_text(obj, indent: str) -> str:
+    """json.dumps(obj, indent=1) byte for byte, for a document of string-keyed
+    dicts, lists, tuples, strings, numbers, booleans and None.  `indent` is
+    the newline and indentation of obj's own level.  A list of floats is one
+    join: json's pure-Python encoder, which indent selects, is much slower."""
+    if isinstance(obj, (dict, list, tuple)) and not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = indent + " "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        return "{" + inner + sep.join(
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in obj.items()) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        try:
+            # float.__repr__ raises TypeError on any item that is not a float
+            text = sep.join(map(float.__repr__, obj))
+        except TypeError:
+            text = sep.join(_json_text(x, inner) for x in obj)
+        else:
+            # repr spells the non-finite floats nan, inf and -inf, and only
+            # those contain an "n"
+            if "n" in text:
+                text = sep.join(map(_float_text, obj))
+        return "[" + inner + text + indent + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def save_realization(realization: ObserverRealization, path) -> None:
-    # one write: json.dump would stream the document in many small writes
-    text = json.dumps(realization_to_dict(realization), indent=1) + "\n"
+    """Write json.dumps(realization_to_dict(realization), indent=1) and a
+    newline, in one write."""
+    text = _json_text(realization_to_dict(realization), "\n") + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

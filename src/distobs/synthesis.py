@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .graph import GraphSpectralData, GraphStructureError, NetworkGraph, spectral_data
 from .linalg import (
     DEFAULT_RANK_TOL,
     FullRankFactorization,
     NodeDecomposition,
+    _eigvalsh,
     _min_symmetric_eigenvalue_in_place,
     full_rank_factorize,
     numerical_rank,
@@ -193,7 +193,7 @@ def _lemma_min_eigenvalue(decomps, mirror, g_weights) -> float:
 
 def _beta_feasible(beta: float, sym_u: np.ndarray, a32_gram: np.ndarray) -> bool:
     m = sym_u + a32_gram / beta
-    return float(scipy.linalg.eigvalsh(0.5 * (m + m.T))[-1]) < beta
+    return float(_eigvalsh(0.5 * (m + m.T))[-1]) < beta
 
 
 def _min_beta_for_node(decomp: NodeDecomposition) -> float:
@@ -285,17 +285,19 @@ def assemble_gains(
     formulas reduce to N = A_u, L = A_31 E^-1 D^+, M = T_s^T.
     """
     n, v, p = decomp.n_dim, decomp.v_dim, decomp.p_dim
+    k = v - p
     e_inv = np.linalg.inv(decomp.e_mat)
     d_dag = np.linalg.pinv(frf.d_factor)
     t_is = decomp.t_s
 
-    n_gain = np.block(
-        [
-            [decomp.a22 - h @ decomp.e_mat @ decomp.a12,
-             np.zeros((v - p, n - v))],
-            [decomp.a32, decomp.a_u],
-        ]
-    )
+    # N = [[a22 - H E a12, 0], [a32, a_u]] and blkdiag(P_ie^-1, I), block by block
+    n_gain = np.zeros((n - p, n - p))
+    n_gain[:k, :k] = decomp.a22 - h @ decomp.e_mat @ decomp.a12
+    n_gain[k:, :k] = decomp.a32
+    n_gain[k:, k:] = decomp.a_u
+    weight_inv = np.zeros((n - p, n - p))
+    weight_inv[:k, :k] = np.linalg.inv(pie)
+    weight_inv[k:, k:] = np.eye(n - v)
     k_mat = np.vstack([e_inv, h, np.zeros((n - v, p))]) @ d_dag
     l_gain = (
         np.vstack([decomp.a21 - h @ decomp.e_mat @ decomp.a11, decomp.a31])
@@ -303,7 +305,7 @@ def assemble_gains(
         @ d_dag
         + n_gain @ k_mat[p:, :]
     )
-    m_gain = scipy.linalg.block_diag(np.linalg.inv(pie), np.eye(n - v)) @ t_is.T
+    m_gain = weight_inv @ t_is.T
 
     return NodeGains(
         n_gain=n_gain,
@@ -360,7 +362,7 @@ def verify_lmi_th1(
         if n - p == 0:
             worst.append(-np.inf)
             continue
-        if pie.size and scipy.linalg.eigvalsh(0.5 * (pie + pie.T))[0] <= 0:
+        if pie.size and _eigvalsh(0.5 * (pie + pie.T))[0] <= 0:
             worst.append(np.inf)
             continue
         w = pie @ h
@@ -373,14 +375,15 @@ def verify_lmi_th1(
             + 2.0 * alpha * pie
         )
         a_u = decomp.a_u
-        blk = np.block(
-            [
-                [phi + gamma * g_i * np.eye(v - p), decomp.a32.T],
-                [decomp.a32, a_u.T + a_u + 2.0 * alpha * np.eye(n - v)],
-            ]
-        ) - gamma * epsilon * np.eye(n - p)
+        k = v - p
+        blk = np.empty((n - p, n - p))
+        blk[:k, :k] = phi + gamma * g_i * np.eye(k)
+        blk[:k, k:] = decomp.a32.T
+        blk[k:, :k] = decomp.a32
+        blk[k:, k:] = a_u.T + a_u + 2.0 * alpha * np.eye(n - v)
+        blk -= gamma * epsilon * np.eye(n - p)
         blk = 0.5 * (blk + blk.T)
-        worst.append(float(scipy.linalg.eigvalsh(blk)[-1]))
+        worst.append(float(_eigvalsh(blk)[-1]))
     return all(w < 0 for w in worst), worst
 
 

@@ -17,6 +17,7 @@ from distobs import (
 )
 from distobs.cli import main
 from distobs.linalg import numerical_rank
+from distobs.problem import realization_to_dict
 from distobs.synthesis import assemble_gains
 
 from conftest import random_strongly_connected_graph, standard_instance
@@ -421,6 +422,67 @@ class TestVerifyCommand:
         _, _, _, gains = standard_files
         _, _, other_problem = jordan_problem(tmp_path)
         assert main(["verify", gains, other_problem]) == 1
+
+
+@pytest.mark.parametrize("command, key", [
+    ("verify", "Pie"), ("simulate", "N"), ("verify", "H"), ("simulate", "gamma")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_gains_exit1_at_parse(command, key, bad, standard_files, tmp_path,
+                                         capsys):
+    """A non-finite gain is a parse error naming the node and the matrix, not
+    a traceback from the numerics."""
+    _, _, problem, gains = standard_files
+    doc = json.loads(open(gains).read())
+    if key == "gamma":
+        doc["gamma"] = bad
+    else:
+        doc["nodes"][1][key][0][0] = bad
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(bad_file), problem]) == 1
+    error = strict_loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["step"] == "parse"
+    name = "gamma" if key == "gamma" else f"node 2: {key}"
+    assert f"{name} has a non-finite entry" in error["message"]
+
+
+class TestGainsFileText:
+    """save_realization writes json.dumps(realization_to_dict(...), indent=1)
+    and a newline, byte for byte."""
+
+    @staticmethod
+    def assert_json_dumps_text(realization, path):
+        save_realization(realization, path)
+        text = json.dumps(realization_to_dict(realization), indent=1) + "\n"
+        assert path.read_text() == text
+        return text
+
+    def test_synthesized_realization(self, standard_files, tmp_path):
+        realization = load_realization(standard_files[3])
+        self.assert_json_dumps_text(realization, tmp_path / "gains.json")
+
+    def test_fully_measured_node(self, tmp_path):
+        """C = I: the node's N, L, M, H and Pie are empty, and the rate bound
+        is -inf."""
+        plant = Plant(a=np.array([[0.0, 1.0], [-1.0, 0.0]]), c=np.eye(2),
+                      node_rows=(2,))
+        realization = synthesize(plant, NetworkGraph(weights=np.zeros((1, 1))))
+        assert realization.nodes[0].p_ie.size == 0
+        text = self.assert_json_dumps_text(realization, tmp_path / "gains.json")
+        assert '"Pie": []' in text and "-Infinity" in text
+
+    def test_non_finite_certificate_values(self, standard_files, tmp_path):
+        realization = load_realization(standard_files[3])
+        certificate = {
+            "lmi": {"value": float("inf"), "bound": 0.0, "pass": False,
+                    "nodes": [float("-inf"), float("nan"), -1.5]},
+            "rate": {"value": float("nan"), "bound": -0.5, "pass": False},
+            "note": "\u00e9\"", "empty": {}, "mixed": [1, True, None, [[]]],
+        }
+        realization = dataclasses.replace(realization, certificate=certificate)
+        text = self.assert_json_dumps_text(realization, tmp_path / "gains.json")
+        assert all(word in text for word in ("Infinity", "-Infinity", "NaN"))
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])

@@ -10,11 +10,18 @@ from distobs import (
     solve_lyapunov,
     spectral_abscissa,
 )
-from distobs.linalg import _symmetrize_in_place, numerical_rank, solve_care
+from distobs.linalg import (
+    _eigvalsh,
+    _svd,
+    _symmetrize_in_place,
+    numerical_rank,
+    solve_care,
+)
 from distobs.synthesis import INJECTION_SHIFTS, decompose_nodes
 
 from conftest import (
     mixed_structure_instance,
+    one_partial_node_instance,
     random_observable_instance,
     standard_instance,
 )
@@ -263,3 +270,97 @@ class TestEigenUtilities:
         ref = m + m.T
         _symmetrize_in_place(m, 1.0)
         assert np.array_equal(m, ref)
+
+
+def conftest_plants():
+    """The plants of the conftest instances: every node structure, n = 2 to 8."""
+    rng = np.random.default_rng(43)
+    instances = [standard_instance(), mixed_structure_instance()]
+    instances += [random_observable_instance(rng) for _ in range(8)]
+    instances += [one_partial_node_instance(rng, n, 4) for n in (5, 8)]
+    return [plant for plant, _ in instances]
+
+
+def bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+class TestDirectKernels:
+    """The LAPACK-direct kernels return scipy.linalg's results bit for bit."""
+
+    def svd_inputs(self):
+        """C_i, F_i^T and O_i = col(F_i, F_i A, ...) of every node, and A."""
+        for plant in conftest_plants():
+            yield plant.a
+            frfs, _ = decompose_nodes(plant, 1e-9)
+            for i, frf in enumerate(frfs):
+                yield plant.c_block(i)
+                yield frf.f_factor.T
+                yield observability_matrix(frf.f_factor, plant.a)
+
+    def node_matrices(self):
+        """A and each node's a22, a_u and T^T A T blocks, square and nonempty."""
+        for plant in conftest_plants():
+            yield plant.a
+            for dec in decompose_nodes(plant, 1e-9)[1]:
+                for m in (dec.a22, dec.a_u, dec.a_transformed):
+                    if m.size:
+                        yield m
+
+    @pytest.mark.parametrize("full_matrices", [True, False])
+    def test_svd_is_scipy_bit_for_bit(self, full_matrices):
+        count = 0
+        for a in self.svd_inputs():
+            ref = scipy.linalg.svd(a, full_matrices=full_matrices)
+            out = _svd(a, full_matrices)
+            for got, want in zip(out, ref):
+                assert got.shape == want.shape and bits(got) == bits(want)
+            # scipy's memory layout, which the products downstream round by
+            assert out[0].flags.f_contiguous and out[2].flags.f_contiguous
+            assert bits(_svd(a, full_matrices, compute_uv=False)[1]) == bits(
+                scipy.linalg.svdvals(a))
+            count += 1
+        assert count >= 100
+
+    def test_spectral_abscissa_is_scipy_bit_for_bit(self):
+        for m in self.node_matrices():
+            ref = float(np.max(scipy.linalg.eigvals(m).real))
+            assert bits(spectral_abscissa(m)) == bits(ref)
+
+    def test_eigvalsh_is_scipy_bit_for_bit(self):
+        for m in self.node_matrices():
+            sym = 0.5 * (m + m.T)
+            assert bits(_eigvalsh(sym)) == bits(scipy.linalg.eigvalsh(sym))
+            k = sym.shape[0]
+            assert bits(_eigvalsh(sym, range="I", il=k, iu=k)) == bits(
+                scipy.linalg.eigvalsh(sym, subset_by_index=[k - 1, k - 1]))
+
+    def test_solve_lyapunov_is_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        count = 0
+        for m in self.node_matrices():
+            k = m.shape[0]
+            a = m - (spectral_abscissa(m) + 0.5) * np.eye(k)
+            b = rng.standard_normal((k, k))
+            for q in (np.eye(k), b @ b.T + np.eye(k)):
+                p = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+                assert bits(solve_lyapunov(a, q)) == bits(0.5 * (p + p.T))
+                count += 1
+        assert count >= 100
+
+    @pytest.mark.parametrize("kernel", [
+        lambda m: _svd(m, True),
+        lambda m: _svd(m, False),
+        numerical_rank,
+        spectral_abscissa,
+        _eigvalsh,
+        lambda m: solve_lyapunov(m, np.eye(2)),
+        lambda m: solve_lyapunov(-np.eye(2), m),
+        lambda m: solve_care(m, np.ones((2, 1))),
+    ])
+    def test_non_finite_input_raises(self, kernel):
+        for bad in (np.nan, np.inf):
+            m = -np.eye(2)
+            m[1, 0] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                kernel(m)

@@ -418,3 +418,33 @@ class TestSynthesize:
             )
         assert r.certificate["lmi"]["pass"]
         assert r.certificate["rate"]["value"] < -0.5
+
+
+# scipy.linalg wrappers whose per-call checks cost more than their LAPACK work
+# on node-sized matrices; the kernels in distobs.linalg call LAPACK directly
+SCIPY_WRAPPERS = ("svd", "svdvals", "orth", "eigvals", "eigvalsh",
+                  "solve_continuous_lyapunov", "block_diag")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_per_node_scipy_wrapper_calls(seed, monkeypatch):
+    """The calls of SCIPY_WRAPPERS that synthesize (with its certify) makes do
+    not grow from N = 3 to N = 12: none of them runs once per node."""
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in SCIPY_WRAPPERS:
+        monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    counts = []
+    for n_nodes in (3, 12):
+        calls = dict.fromkeys(SCIPY_WRAPPERS, 0)
+        # node 1 has v < n, so that the unobservable-block bisection runs too
+        plant, graph = one_partial_node_instance(
+            np.random.default_rng([seed, n_nodes]), 4, n_nodes)
+        realization = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
+        assert realization.nodes[0].v_dim < plant.n
+        counts.append(calls)
+    assert counts[1] == counts[0]
