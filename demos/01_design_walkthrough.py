@@ -11,7 +11,6 @@ import numpy as np
 from distobs import (
     NetworkGraph,
     Plant,
-    SynthesisParameters,
     full_rank_factorize,
     observability_decomposition,
     spectral_data,
@@ -45,7 +44,7 @@ for i in range(3):
           f"observable subspace dim v_i = {dec.v_dim}, "
           f"local observer order = {n - frf.rank}")
 
-realization = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
+realization = synthesize(plant, graph, alpha=0.5)
 
 print("\nsynthesis result (target decay rate alpha = 0.5)")
 print(f"  total observer order: {realization.total_order} "

@@ -11,7 +11,6 @@ from distobs import (
     NetworkGraph,
     Plant,
     SimulationConfig,
-    SynthesisParameters,
     check_invariance,
     estimate_rate,
     laplacian,
@@ -30,7 +29,7 @@ w[1, 0] = w[2, 1] = w[0, 2] = 1.0
 graph = NetworkGraph(weights=w)
 
 alpha = 1.0
-realization = synthesize(plant, graph, SynthesisParameters(alpha=alpha))
+realization = synthesize(plant, graph, alpha=alpha)
 
 dt = suggested_timestep(realization, plant, laplacian(graph))
 t_final = 10.0

@@ -56,7 +56,6 @@ from .synthesis import (
     ObserverRealization,
     Plant,
     SynthesisError,
-    SynthesisParameters,
     assemble_gains,
     compute_epsilon,
     decompose_nodes,

@@ -84,19 +84,8 @@ def cmd_synthesize(args) -> int:
         _emit_error("parse", str(exc))
         return EXIT_IO
 
-    overrides = {
-        name: getattr(args, name)
-        for name in ("rank_tol", "epsilon_fraction", "gamma_safety")
-        if getattr(args, name) is not None
-    }
     try:
-        params = dataclasses.replace(problem.parameters(), **overrides)
-    except ValueError as exc:
-        _emit_error("parse", str(exc))
-        return EXIT_IO
-
-    try:
-        realization = synthesize(problem.plant, problem.graph, params)
+        realization = synthesize(problem.plant, problem.graph, problem.alpha)
     except SynthesisError as exc:
         _emit_error(exc.step, exc.message)
         return EXIT_INFEASIBLE
@@ -223,8 +212,6 @@ def cmd_verify(args) -> int:
     try:
         problem = load_problem(args.problem)
         realization = load_realization(args.gains)
-        # a bad override is a ValueError, like ProblemFormatError: step parse
-        params = problem.parameters()
     except (OSError, ValueError) as exc:
         _emit_error("parse", str(exc))
         return EXIT_IO
@@ -236,16 +223,15 @@ def cmd_verify(args) -> int:
 
     try:
         spectral = spectral_data(problem.graph)
-        frfs, decomps = decompose_nodes(plant, params.rank_tol)
+        frfs, decomps = decompose_nodes(plant)
     except (ValueError, SynthesisError) as exc:
         _emit_error("assumptions", str(exc))
         return EXIT_INFEASIBLE
 
     # alpha is the problem's requirement, not part of the observer's dynamics
     # (unlike r), so the design is judged at the problem's alpha
-    realization = dataclasses.replace(realization, alpha=params.alpha)
-    g_weights = params.g_weights or tuple(1.0 for _ in range(plant.node_count))
-    checks = certify(realization, plant, spectral, frfs, decomps, g_weights)
+    realization = dataclasses.replace(realization, alpha=problem.alpha)
+    checks = certify(realization, plant, spectral, frfs, decomps)
     for check in checks.values():
         check["detail"] = f"value {check['value']:.6g} vs bound {check['bound']:.6g}"
 
@@ -272,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser("synthesize", help="design an observer from a problem file")
     p_syn.add_argument("input")
     p_syn.add_argument("output")
-    p_syn.add_argument("--rank-tol", type=float, default=None)
-    p_syn.add_argument("--epsilon-fraction", type=float, default=None)
-    p_syn.add_argument("--gamma-safety", type=float, default=None)
     p_syn.add_argument("--json", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="integrate plant and observers")

@@ -33,6 +33,7 @@ from .linalg import (
 from .synthesis import (
     ObserverRealization,
     Plant,
+    _lemma_weights,
     verify_cancellation,
     verify_lmi_th1,
 )
@@ -163,7 +164,6 @@ def certify(
     spectral: GraphSpectralData,
     frfs: list[FullRankFactorization],
     decomps: list[NodeDecomposition],
-    g_weights,
 ) -> dict:
     """Check a design against every certificate in CERTIFICATE_BOUNDS.
 
@@ -174,7 +174,7 @@ def certify(
     nodes = realization.nodes
     _, lmi_eigs = verify_lmi_th1(
         [g.p_ie for g in nodes], [g.h_inj for g in nodes], decomps,
-        realization.gamma, realization.epsilon, alpha, g_weights,
+        realization.gamma, realization.epsilon, alpha, _lemma_weights(len(nodes)),
     )
     values = {
         "cancellation": max(

@@ -337,17 +337,18 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     The LAPACK calls of scipy.linalg.solve_continuous_lyapunov(A^T, -Q), in
     scipy's order, so that P is scipy's bit for bit: the real Schur form
     A^T = U S U^T (dgees), then S Y + Y S^T = U^T (-Q) U (dtrsyl) and
-    P = U Y U^T.  Raises ValueError on an A that is not Hurwitz.
+    P = U Y U^T.  Raises ValueError on an A that is not Hurwitz, judged by
+    the eigenvalues that dgees returns with the Schur form.
     """
     a, q = _finite(a, q)
     if a.size == 0:
         return np.zeros((0, 0))
-    if spectral_abscissa(a) >= 0:
-        raise ValueError("unstable coefficient matrix")
-    s, _, _, _, u, _, info = lapack.dgees(_no_selection, a.T,
-                                          lwork=_gees_lwork(a.shape[0]))
+    s, _, wr, _, u, _, info = lapack.dgees(_no_selection, a.T,
+                                           lwork=_gees_lwork(a.shape[0]))
     if info > 0:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    if np.max(wr) >= 0:
+        raise ValueError("unstable coefficient matrix")
     y, scale, info = lapack.dtrsyl(s, s, u.T.dot((-q).dot(u)), tranb="T")
     if info == 1:
         warnings.warn('Input "a" has an eigenvalue pair whose sum is very close '

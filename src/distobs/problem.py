@@ -3,7 +3,11 @@
 Problem JSON schema:
     {"A": [[...]], "C": [[...]], "node_outputs": [m_1, ..., m_N],
      "graph": {"N": int, "edges": [{"from": i, "to": j, "weight": w}, ...]},
-     "alpha": float, "overrides": {...}}
+     "alpha": float}
+
+alpha, the required decay rate, is finite and nonnegative (0 when absent).
+The design has no other settings: a file with the "overrides" key of older
+versions is rejected rather than designed differently from what it asks for.
 
 An edge {"from": i, "to": j} (1-based) means information flows i -> j and
 sets the adjacency weight a_ji.  Floats are serialized via repr, so a write
@@ -21,7 +25,7 @@ import numpy as np
 
 from .graph import NetworkGraph
 from .simulate import SimulationTrace
-from .synthesis import NodeGains, ObserverRealization, Plant, SynthesisParameters
+from .synthesis import NodeGains, ObserverRealization, Plant, _checked_alpha
 
 
 class ProblemFormatError(ValueError):
@@ -33,20 +37,6 @@ class ProblemFile:
     plant: Plant
     graph: NetworkGraph
     alpha: float
-    overrides: dict
-
-    def parameters(self) -> SynthesisParameters:
-        ov = self.overrides
-        kwargs = {"alpha": self.alpha}
-        if "g_weights" in ov:
-            kwargs["g_weights"] = tuple(float(g) for g in ov["g_weights"])
-        if "epsilon_fraction" in ov:
-            kwargs["epsilon_fraction"] = float(ov["epsilon_fraction"])
-        if "gamma_safety" in ov:
-            kwargs["gamma_safety"] = float(ov["gamma_safety"])
-        if "rank_tol" in ov:
-            kwargs["rank_tol"] = float(ov["rank_tol"])
-        return SynthesisParameters(**kwargs)
 
 
 def graph_from_fragment(fragment: dict) -> NetworkGraph:
@@ -87,17 +77,19 @@ def problem_from_dict(doc: dict) -> ProblemFile:
         c = np.atleast_2d(np.asarray(doc["C"], dtype=float))
         node_outputs = [int(m) for m in doc["node_outputs"]]
         graph = graph_from_fragment(doc["graph"])
-        alpha = float(doc.get("alpha", 0.0))
+        alpha = _checked_alpha(float(doc.get("alpha", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"malformed problem file: {exc}") from exc
+    if "overrides" in doc:
+        raise ProblemFormatError("the 'overrides' key is no longer read: "
+                                 "the design's only setting is alpha")
     if graph.node_count != len(node_outputs):
         raise ProblemFormatError("graph node count does not match node_outputs")
     try:
         plant = Plant(a=a, c=c, node_rows=tuple(node_outputs))
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from exc
-    overrides = doc.get("overrides", {}) or {}
-    return ProblemFile(plant=plant, graph=graph, alpha=alpha, overrides=overrides)
+    return ProblemFile(plant=plant, graph=graph, alpha=alpha)
 
 
 def _mat(m: np.ndarray) -> list:

@@ -8,13 +8,13 @@ with z_i of dimension n - p_i, so the total observer order is N*n - sum p_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graph import GraphSpectralData, GraphStructureError, NetworkGraph, spectral_data
 from .linalg import (
-    DEFAULT_RANK_TOL,
     FullRankFactorization,
     NodeDecomposition,
     _eigvalsh,
@@ -30,8 +30,12 @@ from .linalg import (
 
 # smallest bisection bracket for the coupling-gain scalar test
 BETA_FLOOR = 1e-6
-# margins beyond alpha that place_injection's Riccati solves aim at, in order
-INJECTION_SHIFTS = (0.5, 1.0, 2.0, 3.0, 4.0)
+# epsilon as a fraction of the lemma matrix's smallest eigenvalue
+EPSILON_FRACTION = 0.9
+# inflation of the near-minimal coupling gain
+GAMMA_SAFETY = 1.25
+# margin beyond alpha that place_injection's Riccati solve aims at
+INJECTION_MARGIN = 0.5
 
 
 class SynthesisError(RuntimeError):
@@ -80,27 +84,6 @@ class Plant:
     def c_block(self, i: int) -> np.ndarray:
         start = sum(self.node_rows[:i])
         return self.c[start : start + self.node_rows[i], :]
-
-
-@dataclass(frozen=True)
-class SynthesisParameters:
-    """Tuning knobs of the constructive design."""
-
-    alpha: float = 0.0
-    g_weights: tuple[float, ...] | None = None
-    epsilon_fraction: float = 0.9
-    gamma_safety: float = 1.25
-    rank_tol: float = DEFAULT_RANK_TOL
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if not (0 < self.epsilon_fraction < 1):
-            raise ValueError("epsilon_fraction must lie in (0, 1)")
-        if self.gamma_safety <= 1:
-            raise ValueError("gamma_safety must exceed 1")
-        if self.g_weights is not None and any(g <= 0 for g in self.g_weights):
-            raise ValueError("g weights must be positive")
 
 
 @dataclass(frozen=True)
@@ -239,24 +222,25 @@ def select_gamma(
 def place_injection(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarray:
     """Output injection H with spectral abscissa of a22 - H ea12 below -alpha.
 
-    Stabilizes the shifted dual pair through a Riccati solve with target
-    margin alpha + 0.5.  While the closed loop misses the target abscissa the
-    shift deepens along INJECTION_SHIFTS (5 attempts in all); a Riccati solve
-    that raises ends the ladder at once.
+    One Riccati solve stabilizes the dual pair shifted by alpha +
+    INJECTION_MARGIN.  In exact arithmetic its stabilizing solution puts the
+    closed loop's abscissa below -alpha - INJECTION_MARGIN; ValueError when
+    the computed H misses -alpha, naming the abscissa it reached, and on a
+    Riccati solve that fails.
     """
     k = a22.shape[0]
     if k == 0:
         return np.zeros((0, ea12.shape[0]))
     if numerical_rank(observability_matrix(ea12, a22)) != k:
         raise ValueError("injection pair is not observable (decomposition bug)")
-    a_dual = a22.T
     b_dual = ea12.T
-    for extra in INJECTION_SHIFTS:
-        x = solve_care(a_dual + (alpha + extra) * np.eye(k), b_dual)
-        h = (b_dual.T @ x).T
-        if spectral_abscissa(a22 - h @ ea12) < -alpha:
-            return h
-    raise ValueError("injection placement failed to reach the target abscissa")
+    x = solve_care(a22.T + (alpha + INJECTION_MARGIN) * np.eye(k), b_dual)
+    h = (b_dual.T @ x).T
+    reached = spectral_abscissa(a22 - h @ ea12)
+    if not reached < -alpha:
+        raise ValueError(f"injection placement reached abscissa {reached:.3g}, "
+                         f"target below {-alpha:.3g}")
+    return h
 
 
 def solve_pie(
@@ -388,7 +372,7 @@ def verify_lmi_th1(
 
 
 def decompose_nodes(
-    plant: Plant, rank_tol: float
+    plant: Plant,
 ) -> tuple[list[FullRankFactorization], list[NodeDecomposition]]:
     """Factorize every C_i = D_i F_i and decompose (F_i, A) by observability.
 
@@ -398,11 +382,11 @@ def decompose_nodes(
     frfs, decomps = [], []
     for i in range(plant.node_count):
         try:
-            frf = full_rank_factorize(plant.c_block(i), rank_tol)
+            frf = full_rank_factorize(plant.c_block(i))
         except ValueError as exc:
             raise SynthesisError("factorization", f"node {i + 1}: {exc}") from exc
         try:
-            decomp = observability_decomposition(plant.a, frf.f_factor, rank_tol)
+            decomp = observability_decomposition(plant.a, frf.f_factor)
         except ValueError as exc:
             raise SynthesisError("decomposition", f"node {i + 1}: {exc}") from exc
         frfs.append(frf)
@@ -410,45 +394,56 @@ def decompose_nodes(
     return frfs, decomps
 
 
-def synthesize(
-    plant: Plant,
-    graph: NetworkGraph,
-    params: SynthesisParameters | None = None,
-) -> ObserverRealization:
-    """Run the full constructive design and certify the result.
+def _lemma_weights(node_count: int) -> np.ndarray:
+    """The lemma weights g_i of the design, one per node; certify() judges
+    with the same."""
+    return np.ones(node_count)
 
-    Raises SynthesisError (with a step tag) when the standing assumptions
-    fail: graph not strongly connected, (C, A) not observable, or a node
-    with zero output matrix.
+
+def _checked_alpha(alpha: float) -> float:
+    """alpha, the required decay rate, if it is finite and nonnegative."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and nonnegative, not {alpha!r}")
+    return alpha
+
+
+def synthesize(
+    plant: Plant, graph: NetworkGraph, alpha: float = 0.0
+) -> ObserverRealization:
+    """Run the full constructive design for the rate alpha and certify the result.
+
+    The design's constants are EPSILON_FRACTION, GAMMA_SAFETY,
+    INJECTION_MARGIN, unit lemma weights g_i and linalg.DEFAULT_RANK_TOL.
+    Raises ValueError on an alpha that is negative or not finite, and
+    SynthesisError (with a step tag) when the standing assumptions fail:
+    graph not strongly connected, (C, A) not observable, or a node with zero
+    output matrix.
     """
     from .error_system import certify
 
-    params = params or SynthesisParameters()
+    alpha = _checked_alpha(alpha)
     big_n = plant.node_count
     if graph.node_count != big_n:
         raise SynthesisError("input", "graph node count does not match output partition")
-    g_weights = params.g_weights or tuple(1.0 for _ in range(big_n))
-    if len(g_weights) != big_n:
-        raise SynthesisError("input", "g_weights length does not match node count")
 
     try:
         spectral = spectral_data(graph)
     except GraphStructureError as exc:
         raise SynthesisError("graph", str(exc)) from exc
 
-    if numerical_rank(observability_matrix(plant.c, plant.a), params.rank_tol) != plant.n:
+    if numerical_rank(observability_matrix(plant.c, plant.a)) != plant.n:
         raise SynthesisError("observability", "(C, A) is not observable")
 
-    frfs, decomps = decompose_nodes(plant, params.rank_tol)
-    epsilon = compute_epsilon(decomps, spectral, g_weights, params.epsilon_fraction)
-    gamma = select_gamma(decomps, epsilon, params.alpha, params.gamma_safety)
+    frfs, decomps = decompose_nodes(plant)
+    epsilon = compute_epsilon(decomps, spectral, _lemma_weights(big_n), EPSILON_FRACTION)
+    gamma = select_gamma(decomps, epsilon, alpha, GAMMA_SAFETY)
 
     nodes = []
     for i, (frf, decomp) in enumerate(zip(frfs, decomps)):
         try:
             ea12 = decomp.e_mat @ decomp.a12
-            h = place_injection(decomp.a22, ea12, params.alpha)
-            pie = solve_pie(decomp.a22, ea12, h, gamma, params.alpha)
+            h = place_injection(decomp.a22, ea12, alpha)
+            pie = solve_pie(decomp.a22, ea12, h, gamma, alpha)
             nodes.append(assemble_gains(decomp, frf, h, pie))
         except ValueError as exc:
             raise SynthesisError("gains", f"node {i + 1}: {exc}") from exc
@@ -458,7 +453,7 @@ def synthesize(
         gamma=gamma,
         epsilon=epsilon,
         r_vector=spectral.perron_row.copy(),
-        alpha=params.alpha,
+        alpha=alpha,
     )
-    certificate = certify(realization, plant, spectral, frfs, decomps, g_weights)
+    certificate = certify(realization, plant, spectral, frfs, decomps)
     return replace(realization, certificate=certificate)

@@ -19,7 +19,6 @@ from distobs import (
     Plant,
     SimulationConfig,
     SynthesisError,
-    SynthesisParameters,
     check_invariance,
     decompose_nodes,
     estimate_rate,
@@ -75,7 +74,7 @@ def pool_runs(alpha: float):
     key = ("runs", alpha)
     if key not in _cache:
         _cache[key] = [
-            synthesize(p, g, SynthesisParameters(alpha=alpha))
+            synthesize(p, g, alpha=alpha)
             for p, g in instance_pool()
         ]
     return _cache[key]
@@ -85,7 +84,7 @@ def standard_run(alpha: float = 0.5):
     key = ("standard", alpha)
     if key not in _cache:
         plant, graph = standard_instance()
-        r = synthesize(plant, graph, SynthesisParameters(alpha=alpha))
+        r = synthesize(plant, graph, alpha=alpha)
         _cache[key] = (plant, graph, r, spectral_data(graph))
     return _cache[key]
 
@@ -146,7 +145,7 @@ def test_criterion_3_cancellation_identity():
 def test_criterion_4_invariance():
     plant, graph, r, spectral = standard_run(0.5)
     g_mat, t_s = dense_g(r, spectral.laplacian)
-    _, decomps = decompose_nodes(plant, 1e-9)
+    _, decomps = decompose_nodes(plant)
     t_p = scipy.linalg.block_diag(*(d.t_p for d in decomps))
     algebra = float(np.linalg.norm(t_p.T @ (t_s @ g_mat) @ t_s))
     trace = run_simulation(plant, graph, r, spectral,
@@ -182,7 +181,7 @@ def test_criterion_6_classical_reduction():
     plant = Plant(a=a, c=c, node_rows=(1,))
     graph = NetworkGraph(weights=np.zeros((1, 1)))
     alpha = 1.0
-    r = synthesize(plant, graph, SynthesisParameters(alpha=alpha))
+    r = synthesize(plant, graph, alpha=alpha)
     order_ok = r.total_order == plant.n - 1
     eig_ok = spectral_abscissa(r.nodes[0].n_gain) < -alpha
     trace = run_simulation(plant, graph, r, spectral_data(graph),
@@ -275,12 +274,12 @@ def test_criterion_9_special_cases():
                        np.eye(plant_fr.node_rows[i]))
         for i in range(2)
     )
-    r_fr = synthesize(plant_fr, pair, SynthesisParameters(alpha=0.5))
+    r_fr = synthesize(plant_fr, pair, alpha=0.5)
     order_ok = r_fr.total_order == 2 * 4 - 3
 
     # every node with v = p: void middle block, reduced gain formulas
     plant_sp = Plant(a=np.diag([-1.0, -2.0]), c=np.eye(2), node_rows=(1, 1))
-    r_sp = synthesize(plant_sp, pair, SynthesisParameters(alpha=0.5))
+    r_sp = synthesize(plant_sp, pair, alpha=0.5)
     route_ok = all(g.h_inj.size == 0 and g.v_dim == g.p_dim for g in r_sp.nodes)
     certs_ok = all(
         r.certificate["lmi"]["pass"] and r.certificate["rate"]["pass"]

@@ -7,7 +7,6 @@ import pytest
 from distobs import (
     NetworkGraph,
     Plant,
-    SynthesisParameters,
     full_rank_factorize,
     load_realization,
     observability_decomposition,
@@ -184,10 +183,17 @@ class TestSynthesizeCommand:
         missing = str(tmp_path / "nope.json")
         assert main(["synthesize", missing, str(tmp_path / "g.json")]) == 1
 
-    @pytest.mark.parametrize("command", ["synthesize", "verify"])
-    def test_invalid_override_exit1(self, command, standard_files, tmp_path, capsys):
+    @pytest.mark.parametrize("command, override", [
+        pytest.param("synthesize", {"epsilon_fraction": 2.0}, id="synthesize"),
+        pytest.param("verify", {"epsilon_fraction": 2.0}, id="verify"),
+        # a well-formed override is not designed at the defaults instead
+        pytest.param("synthesize", {"gamma_safety": 2.0}, id="synthesize-well-formed"),
+        pytest.param("verify", {"gamma_safety": 2.0}, id="verify-well-formed"),
+    ])
+    def test_invalid_override_exit1(self, command, override, standard_files, tmp_path,
+                                    capsys):
         plant, graph, _, gains = standard_files
-        doc = problem_dict(plant, graph, overrides={"epsilon_fraction": 2.0})
+        doc = problem_dict(plant, graph, overrides=override)
         problem = write_problem(tmp_path, doc)
         files = {"synthesize": [problem, str(tmp_path / "g.json")],
                  "verify": [gains, problem]}[command]
@@ -195,11 +201,17 @@ class TestSynthesizeCommand:
         assert main([command, *files]) == 1
         assert stderr_step(capsys) == "parse"
 
-    def test_invalid_flag_value_exit1(self, standard_files, tmp_path, capsys):
-        _, _, problem, _ = standard_files
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])
+    def test_non_finite_alpha_exit1(self, command, alpha, standard_files, tmp_path,
+                                    capsys):
+        plant, graph, _, gains = standard_files
+        problem = write_problem(tmp_path, problem_dict(plant, graph, alpha=alpha))
+        files = {"synthesize": [problem, str(tmp_path / "g.json")],
+                 "verify": [gains, problem],
+                 "simulate": [gains, problem, "--tfinal", "0.01"]}[command]
         capsys.readouterr()
-        args = ["synthesize", problem, str(tmp_path / "g.json"), "--gamma-safety", "0.5"]
-        assert main(args) == 1
+        assert main([command, *files]) == 1
         assert stderr_step(capsys) == "parse"
 
 
@@ -531,7 +543,7 @@ class TestSynthesizeAndVerifyAgree:
     ])
     def test_same_checks(self, instance, failing, tmp_path, capsys):
         plant, graph = instance()
-        cert = synthesize(plant, graph, SynthesisParameters(alpha=0.5)).certificate
+        cert = synthesize(plant, graph, alpha=0.5).certificate
         problem = write_problem(tmp_path, problem_dict(plant, graph, alpha=0.5))
         gains = str(tmp_path / "gains.json")
         assert main(["synthesize", problem, gains]) == 0

@@ -8,7 +8,6 @@ import scipy.linalg
 from distobs import (
     NetworkGraph,
     Plant,
-    SynthesisParameters,
     certify,
     compute_epsilon,
     decompose_nodes,
@@ -38,7 +37,7 @@ def synthesized(rng=None, alpha=0.5, **kwargs):
         plant, graph = standard_instance()
     else:
         plant, graph = random_observable_instance(rng, **kwargs)
-    r = synthesize(plant, graph, SynthesisParameters(alpha=alpha))
+    r = synthesize(plant, graph, alpha=alpha)
     return plant, graph, r
 
 
@@ -54,7 +53,7 @@ class TestBuildErrorSystem:
         plant = Plant(a=np.array([[0.0, 1.0], [0.0, 0.0]]),
                       c=np.array([[1.0, 0.0]]), node_rows=(1,))
         graph = NetworkGraph(weights=np.zeros((1, 1)))
-        r = synthesize(plant, graph, SynthesisParameters(alpha=1.0))
+        r = synthesize(plant, graph, alpha=1.0)
         np.testing.assert_allclose(restricted(r, graph), r.nodes[0].n_gain,
                                    atol=1e-12)
         g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
@@ -72,7 +71,7 @@ class TestBuildErrorSystem:
     def test_invariance_identities(self):
         plant, graph, r = synthesized(alpha=0.5)
         g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
-        _, decomps = decompose_nodes(plant, 1e-9)
+        _, decomps = decompose_nodes(plant)
         t_p = scipy.linalg.block_diag(*(d.t_p for d in decomps))
         full, r_mat = t_s @ g_mat, restricted(r, graph)
         assert np.linalg.norm(full @ t_s - t_s @ r_mat) <= 1e-9
@@ -112,7 +111,7 @@ class TestCertifyRate:
         c = np.array([[1.0, 0.0], [0.0, 1.0]])
         plant = Plant(a=a, c=c, node_rows=(1, 1))
         graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        r = synthesize(plant, graph, SynthesisParameters(alpha=0.0))
+        r = synthesize(plant, graph, alpha=0.0)
         r0 = dataclasses.replace(r, gamma=0.0)
         assert not spectral_abscissa(restricted(r0, graph)) < 0.0
 
@@ -143,7 +142,7 @@ class TestLyapunovDecrease:
             random_observable_instance(rng) for _ in range(6)]
         for plant, graph in instances:
             for alpha in (0.0, 0.5, 1.0):
-                r = synthesize(plant, graph, SynthesisParameters(alpha=alpha))
+                r = synthesize(plant, graph, alpha=alpha)
                 spectral = spectral_data(graph)
                 got = lyapunov_decrease_check(restricted(r, graph), r, alpha)
                 ref = stacked_sandwich(r, spectral, alpha)
@@ -157,8 +156,8 @@ class TestCertifyAgreesWithPublicChecks:
         as it was."""
         for plant, graph, r in reference_instances(rng):
             spectral = spectral_data(graph)
-            frfs, decomps = decompose_nodes(plant, 1e-9)
-            cert = certify(r, plant, spectral, frfs, decomps, (1.0,) * plant.node_count)
+            frfs, decomps = decompose_nodes(plant)
+            cert = certify(r, plant, spectral, frfs, decomps)
             r_mat = restricted(r, graph)
             before = r_mat.copy()
             assert bounds_abscissa(cert["rate"]["value"], r_mat, r.alpha)
@@ -176,9 +175,9 @@ def bounds_abscissa(rate, r_mat, alpha):
 
 def certified_at(plant, graph, r, alpha):
     """certify's report on the design r, judged at alpha."""
-    frfs, decomps = decompose_nodes(plant, 1e-9)
+    frfs, decomps = decompose_nodes(plant)
     return certify(dataclasses.replace(r, alpha=alpha), plant, spectral_data(graph),
-                   frfs, decomps, (1.0,) * plant.node_count)
+                   frfs, decomps)
 
 
 class TestRateBound:
@@ -214,7 +213,7 @@ class TestRateBound:
         plant = Plant(a=np.array([[0.0, 1.0], [-1.0, 0.0]]), c=np.eye(2),
                       node_rows=(2,))
         graph = NetworkGraph(weights=np.zeros((1, 1)))
-        r = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
+        r = synthesize(plant, graph, alpha=0.5)
         assert r.total_order == 0
         assert r.certificate["rate"]["value"] == -np.inf
         assert r.certificate["rate"]["pass"]
@@ -245,7 +244,7 @@ def reference_instances(rng):
     one (a node with p = n and nodes with n - v > 0), synthesized."""
     pairs = [standard_instance(), mixed_structure_instance()] + [
         random_observable_instance(rng) for _ in range(4)]
-    return [(plant, graph, synthesize(plant, graph, SynthesisParameters(alpha=0.5)))
+    return [(plant, graph, synthesize(plant, graph, alpha=0.5))
             for plant, graph in pairs]
 
 
@@ -284,7 +283,7 @@ class TestBlockFormsAgainstDenseReferences:
     def test_true_invariance_residual_is_rounding(self, rng):
         for plant, graph, r in reference_instances(rng):
             g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
-            _, decomps = decompose_nodes(plant, 1e-9)
+            _, decomps = decompose_nodes(plant)
             t_p = scipy.linalg.block_diag(*(d.t_p for d in decomps))
             ref = np.linalg.norm(t_p.T @ (t_s @ g_mat) @ t_s)
             r_mat = restricted(r, graph)
@@ -359,16 +358,15 @@ class TestCertifyMemory:
         plant = Plant(a=rng.standard_normal((n, n)) / np.sqrt(n),
                       c=rng.standard_normal((big_n, n)), node_rows=(1,) * big_n)
         graph = random_strongly_connected_graph(rng, big_n)
-        r = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
-        frfs, decomps = decompose_nodes(plant, 1e-9)
+        r = synthesize(plant, graph, alpha=0.5)
+        frfs, decomps = decompose_nodes(plant)
         return plant, r, spectral_data(graph), frfs, decomps
 
     def test_peak_is_a_few_restricted_generators(self, wide):
         plant, r, spectral, frfs, decomps = wide
-        big_n = plant.node_count
         k = r.total_order
         assert k == sum(plant.n - g.p_dim for g in r.nodes) == 300
-        peak = traced_peak(certify, r, plant, spectral, frfs, decomps, (1.0,) * big_n)
+        peak = traced_peak(certify, r, plant, spectral, frfs, decomps)
         assert peak <= CERTIFY_PEAK_GENERATORS * k * k * 8, peak / (k * k * 8)
 
     def test_epsilon_peak_is_a_few_node_matrices(self, wide):
@@ -382,7 +380,7 @@ class TestCertifyMemory:
     def test_epsilon_peak_is_one_lemma_matrix(self):
         """With one node at v < n, the N n lemma matrix is formed, once."""
         plant, graph = one_partial_node_instance(np.random.default_rng([6, 61]), 6, 60)
-        _, decomps = decompose_nodes(plant, 1e-9)
+        _, decomps = decompose_nodes(plant)
         assert sorted(d.v_dim for d in decomps)[:2] == [3, 6]
         nn = plant.n * plant.node_count
         peak = traced_peak(compute_epsilon, decomps, spectral_data(graph),

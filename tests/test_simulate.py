@@ -9,7 +9,6 @@ from distobs import (
     Plant,
     SimulationConfig,
     SimulationTrace,
-    SynthesisParameters,
     check_invariance,
     equilibrium_initial_observer_states,
     estimate_rate,
@@ -25,7 +24,7 @@ from conftest import dense_g, standard_instance
 @pytest.fixture(scope="module")
 def standard_setup():
     plant, graph = standard_instance()
-    realization = synthesize(plant, graph, SynthesisParameters(alpha=1.0))
+    realization = synthesize(plant, graph, alpha=1.0)
     return plant, graph, realization, spectral_data(graph)
 
 
@@ -50,7 +49,7 @@ class TestSimulate:
         c = np.eye(2)
         plant = Plant(a=a, c=c, node_rows=(1, 1))
         graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        r = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
+        r = synthesize(plant, graph, alpha=0.5)
         trace = run(plant, graph, r, spectral_data(graph), t_final=20.0)
         assert np.max(np.abs(trace.x - trace.x[0])) <= 1e-12
         for e in trace.errors:

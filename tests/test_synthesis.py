@@ -8,7 +8,6 @@ from distobs import (
     NetworkGraph,
     Plant,
     SynthesisError,
-    SynthesisParameters,
     assemble_gains,
     compute_epsilon,
     decompose_nodes,
@@ -24,6 +23,7 @@ from distobs import (
     verify_cancellation,
     verify_lmi_th1,
 )
+from distobs import synthesis
 from distobs.synthesis import BETA_FLOOR, _min_beta_for_node
 
 from conftest import (
@@ -109,7 +109,7 @@ class TestComputeEpsilon:
         routes = set()
         for plant, graph in pairs:
             sd = spectral_data(graph)
-            _, decomps = decompose_nodes(plant, 1e-9)
+            _, decomps = decompose_nodes(plant)
             dense = any(d.v_dim < d.n_dim for d in decomps)
             routes.add(dense)
             for g in ([1.0] * plant.node_count,
@@ -213,6 +213,12 @@ class TestPlaceInjection:
         with pytest.raises(ValueError, match="not observable"):
             place_injection(np.diag([1.0, 2.0]), np.array([[1.0, 0.0]]), alpha=0.0)
 
+    def test_missed_target_names_abscissa_and_target(self, monkeypatch):
+        """X = 0 leaves H = 0, so the closed loop keeps a22's abscissa -0.31."""
+        monkeypatch.setattr(synthesis, "solve_care", lambda a, b: np.zeros_like(a))
+        with pytest.raises(ValueError, match=r"reached abscissa -0\.31, target below -0\.5$"):
+            place_injection(np.array([[-0.31]]), np.array([[1.0]]), alpha=0.5)
+
 
 class TestSolvePie:
     def test_scalar_gamma_four(self):
@@ -310,7 +316,7 @@ class TestVerifyLmi:
     def test_pipeline_candidate_passes(self, rng):
         for _ in range(5):
             plant, graph = random_observable_instance(rng)
-            r = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
+            r = synthesize(plant, graph, alpha=0.5)
             assert r.certificate["lmi"]["pass"]
 
     def test_gamma_zero_with_unstable_block_fails(self):
@@ -325,7 +331,7 @@ class TestVerifyLmi:
 
     def test_alpha_escalation_reports_violation(self, rng):
         plant, graph = random_observable_instance(rng, n=4, n_nodes=2)
-        r = synthesize(plant, graph, SynthesisParameters(alpha=0.0))
+        r = synthesize(plant, graph, alpha=0.0)
         frfs = [full_rank_factorize(plant.c_block(i)) for i in range(2)]
         decomps = [
             observability_decomposition(plant.a, f.f_factor) for f in frfs
@@ -346,7 +352,7 @@ class TestSynthesize:
     def test_classical_single_observer(self):
         plant = Plant(a=np.array([[0.0, 1.0], [0.0, 0.0]]),
                       c=np.array([[1.0, 0.0]]), node_rows=(1,))
-        r = synthesize(plant, single_node_graph(), SynthesisParameters(alpha=1.0))
+        r = synthesize(plant, single_node_graph(), alpha=1.0)
         assert r.total_order == 1  # n - p
         assert r.certificate["rate"]["value"] < -1.0
 
@@ -354,7 +360,7 @@ class TestSynthesize:
         plant, _ = random_observable_instance(rng, n=4, n_nodes=3)
         w = np.zeros((3, 3))
         w[1, 0] = w[2, 1] = w[0, 2] = 1.0
-        r = synthesize(plant, NetworkGraph(weights=w), SynthesisParameters(alpha=0.5))
+        r = synthesize(plant, NetworkGraph(weights=w), alpha=0.5)
         assert r.total_order == 3 * 4 - sum(g.p_dim for g in r.nodes)
         assert r.certificate["rate"]["value"] < -0.5
 
@@ -372,6 +378,12 @@ class TestSynthesize:
             synthesize(plant, NetworkGraph(weights=w))
         assert exc.value.step == "graph"
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
+    def test_rejects_alpha_not_finite_and_nonnegative(self, alpha):
+        plant, graph = standard_instance()
+        with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+            synthesize(plant, graph, alpha=alpha)
+
     def test_rejects_zero_output_node(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         c = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -384,7 +396,7 @@ class TestSynthesize:
         for _ in range(25):
             plant, graph = random_observable_instance(rng)
             for alpha in (0.0, 0.5, 1.0):
-                r = synthesize(plant, graph, SynthesisParameters(alpha=alpha))
+                r = synthesize(plant, graph, alpha=alpha)
                 cert = r.certificate
                 n, big_n = plant.n, plant.node_count
                 assert r.total_order == big_n * n - sum(g.p_dim for g in r.nodes)
@@ -401,7 +413,7 @@ class TestSynthesize:
         plant = Plant(a=a, c=c, node_rows=(1, 1, 1))
         w = np.zeros((3, 3))
         w[1, 0] = w[2, 1] = w[0, 2] = 1.0
-        r = synthesize(plant, NetworkGraph(weights=w), SynthesisParameters(alpha=0.5))
+        r = synthesize(plant, NetworkGraph(weights=w), alpha=0.5)
         frfs = [full_rank_factorize(plant.c_block(i)) for i in range(3)]
         decomps = [observability_decomposition(a, f.f_factor) for f in frfs]
         for g, dec, frf in zip(r.nodes, decomps, frfs):
@@ -444,7 +456,7 @@ def test_no_per_node_scipy_wrapper_calls(seed, monkeypatch):
         # node 1 has v < n, so that the unobservable-block bisection runs too
         plant, graph = one_partial_node_instance(
             np.random.default_rng([seed, n_nodes]), 4, n_nodes)
-        realization = synthesize(plant, graph, SynthesisParameters(alpha=0.5))
+        realization = synthesize(plant, graph, alpha=0.5)
         assert realization.nodes[0].v_dim < plant.n
         counts.append(calls)
     assert counts[1] == counts[0]
