@@ -18,7 +18,6 @@ import numpy as np
 from .error_system import certify
 from .graph import is_strongly_connected, laplacian, spectral_data
 from .problem import (
-    ProblemFormatError,
     load_problem,
     load_realization,
     save_realization,
@@ -80,7 +79,7 @@ def _report_from_realization(realization) -> dict:
 def cmd_synthesize(args) -> int:
     try:
         problem = load_problem(args.input)
-    except (OSError, ProblemFormatError) as exc:
+    except (OSError, ValueError) as exc:
         _emit_error("parse", str(exc))
         return EXIT_IO
 
@@ -134,7 +133,7 @@ def cmd_simulate(args) -> int:
     try:
         problem = load_problem(args.problem)
         realization = load_realization(args.gains)
-    except (OSError, ProblemFormatError) as exc:
+    except (OSError, ValueError) as exc:
         _emit_error("parse", str(exc))
         return EXIT_IO
 

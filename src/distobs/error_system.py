@@ -26,14 +26,16 @@ from .graph import GraphSpectralData
 from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
-    _eigvalsh,
     _eigvalsh_in_place,
+    _node_groups,
+    _stack,
     _symmetrize_in_place,
 )
 from .synthesis import (
     ObserverRealization,
     Plant,
     _lemma_weights,
+    _pie_spectra,
     verify_cancellation,
     verify_lmi_th1,
 )
@@ -74,24 +76,51 @@ def _offsets(realization: ObserverRealization) -> np.ndarray:
     return np.cumsum([0] + [g.n_gain.shape[0] for g in realization.nodes])
 
 
+def _blocks(starts_i, rows: int, starts_j, cols: int):
+    """Index arrays of the blocks [s_i, s_i + rows) x [s_j, s_j + cols) of a
+    matrix, one (rows, cols) block per pair of starts."""
+    return (np.asarray(starts_i)[:, None, None] + np.arange(rows)[:, None],
+            np.asarray(starts_j)[:, None, None] + np.arange(cols))
+
+
 def restricted_generator(
     realization: ObserverRealization, laplacian: np.ndarray
 ) -> np.ndarray:
     """The restricted error generator R, of order N n - sum p_i.
 
     Block (i, j) is N_i [i = j] + C_ij P_j: the observer block of the
-    simulator's generator, filled only where the Laplacian has a nonzero.
+    simulator's generator, filled only where the Laplacian has a nonzero,
+    with one stacked product and one block fill per shape of blocks.
     """
     nodes = realization.nodes
     if laplacian.shape[0] != len(nodes):
         raise ValueError("graph size does not match the realization")
     off = _offsets(realization)
+    orders = np.diff(off)
     r_mat = np.zeros((off[-1], off[-1]))
-    for i, g in enumerate(nodes):
-        r_mat[off[i] : off[i + 1], off[i] : off[i + 1]] = g.n_gain
-    for i, j, c in _coupling(realization, laplacian):
-        r_mat[off[i] : off[i + 1], off[j] : off[j + 1]] += c @ nodes[j].p_out
+    for group in _node_groups(orders.tolist()):
+        o = orders[group[0]]
+        r_mat[_blocks(off[group], o, off[group], o)] = _stack(
+            [nodes[i].n_gain for i in group])
+    # the coupling blocks C_ij P_j of error_system._coupling, added to them
+    rows, cols = np.nonzero(laplacian)
+    scales = -realization.gamma * realization.r_vector[rows] * laplacian[rows, cols]
+    for group in _node_groups(list(zip(orders[rows].tolist(), orders[cols].tolist()))):
+        i, j = rows[group], cols[group]
+        c = scales[group][:, None, None] * _stack([nodes[x].m_gain for x in i])
+        r_mat[_blocks(off[i], orders[i[0]], off[j], orders[j[0]])] += (
+            c @ _stack([nodes[x].p_out for x in j]))
     return r_mat
+
+
+def _runs(keys) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal consecutive keys."""
+    out, start = [], 0
+    for at in range(1, len(keys) + 1):
+        if at == len(keys) or keys[at] != keys[start]:
+            out.append((start, at))
+            start = at
+    return out
 
 
 def lyapunov_decrease_check(
@@ -106,6 +135,10 @@ def lyapunov_decrease_check(
     return _lyapunov_in_place(m, realization, alpha)
 
 
+# rows of R that one stacked P_ie product scales at a time
+SCALED_ROWS = 64
+
+
 def _lyapunov_in_place(
     m: np.ndarray, realization: ObserverRealization, alpha: float
 ) -> float:
@@ -113,32 +146,40 @@ def _lyapunov_in_place(
 
     m becomes W (R + alpha I), which is R + alpha I with the first v_i - p_i
     rows of each node block scaled by P_ie, then that plus its transpose,
-    W R + R^T W + 2 alpha W, which LAPACK overwrites in turn.
+    W R + R^T W + 2 alpha W, which LAPACK overwrites in turn.  The node
+    blocks are scaled a run of equally shaped nodes at a time, in stacks of
+    at most SCALED_ROWS rows.
     """
     if m.size == 0:
         return -np.inf
     m[np.diag_indices_from(m)] += alpha
-    for g, start in zip(realization.nodes, _offsets(realization)):
-        stop = start + g.p_ie.shape[0]
-        # the weight of e^T P_ie e, and P_ie bit for bit when it is symmetric
-        m[start:stop] = 0.5 * (g.p_ie + g.p_ie.T) @ m[start:stop]
+    nodes = realization.nodes
+    off = _offsets(realization)
+    shapes = [(g.p_ie.shape[0], g.n_gain.shape[0]) for g in nodes]
+    for start, stop in _runs(shapes):
+        k, order = shapes[start]
+        step = max(1, SCALED_ROWS // max(k, 1))
+        for a in range(start, stop if k else start, step):
+            b = min(a + step, stop)
+            rows = m[off[a] : off[b]].reshape(b - a, order, m.shape[1])[:, :k]
+            pie = _stack([g.p_ie for g in nodes[a:b]])
+            # the weight of e^T P_ie e, and P_ie bit for bit when it is symmetric
+            rows[...] = 0.5 * (pie + pie.transpose(0, 2, 1)) @ rows
     _symmetrize_in_place(m, 1.0)
     top = m.shape[0]  # 1-based: the largest eigenvalue only
     return float(_eigvalsh_in_place(m, range="I", il=top, iu=top)[0])
 
 
-def _rate_bound(realization: ObserverRealization, mu: float) -> float:
+def _rate_bound(realization: ObserverRealization, mu: float, spectra) -> float:
     """Upper bound on R's spectral abscissa implied by the Lyapunov value mu.
 
     W R + R^T W + 2 alpha W <= mu I <= mu W / w when w >= lambda_max(W) and
     mu < 0, or 0 < w <= lambda_min(W) and mu >= 0, so every eigenvalue of R
     has real part at most -alpha + mu / (2 w).  For W = blkdiag_i(P_ie, I), w
-    is the max or min of 1 and the eigenvalues of the node-sized P_ie; +inf
-    when some P_ie is not positive definite.
+    is the max or min of 1 and the eigenvalues of the node-sized P_ie, which
+    `spectra` lists per node; +inf when some P_ie is not positive definite.
     """
-    w_eigs = np.concatenate([[1.0]] + [
-        _eigvalsh(0.5 * (g.p_ie + g.p_ie.T))
-        for g in realization.nodes if g.p_ie.size])
+    w_eigs = np.concatenate([[1.0]] + [eigs for eigs in spectra if eigs.size])
     if not w_eigs.min() > 0:
         return np.inf
     w = w_eigs.max() if mu < 0 else w_eigs.min()
@@ -150,12 +191,19 @@ def _invariance(
 ) -> float:
     """||T_p^T F T_s|| = ||stack_i (T_ip^T P_i) R_i||, with R_i the rows of
     node i in R: F = T_s G and R = G T_s with T_s = blkdiag(P_i), and T_ip the
-    basis of im F_i^T that t_ps lists per node."""
+    basis of im F_i^T that t_ps lists per node.  One stacked product per run
+    of equally shaped nodes."""
+    nodes = realization.nodes
     off = _offsets(realization)
-    return float(np.linalg.norm(np.vstack([
-        (t_p.T @ g.p_out) @ r_mat[start:stop]
-        for g, t_p, start, stop in zip(realization.nodes, t_ps, off, off[1:])
-    ])))
+    shapes = [(t_p.shape[1], g.n_gain.shape[0]) for t_p, g in zip(t_ps, nodes)]
+    p_off = np.cumsum([0] + [p for p, _ in shapes])
+    out = np.empty((p_off[-1], r_mat.shape[1]))
+    for a, b in _runs(shapes):
+        p, order = shapes[a]
+        left = _stack(t_ps[a:b]).transpose(0, 2, 1) @ _stack([g.p_out for g in nodes[a:b]])
+        rows = r_mat[off[a] : off[b]].reshape(b - a, order, r_mat.shape[1])
+        out[p_off[a] : p_off[b]] = (left @ rows).reshape(p_off[b] - p_off[a], -1)
+    return float(np.linalg.norm(out))
 
 
 def certify(
@@ -172,14 +220,16 @@ def certify(
     """
     alpha = realization.alpha
     nodes = realization.nodes
+    # the eigenvalues of each sym(P_ie), for the lmi and the rate alike
+    spectra = _pie_spectra([g.p_ie for g in nodes])
     _, lmi_eigs = verify_lmi_th1(
         [g.p_ie for g in nodes], [g.h_inj for g in nodes], decomps,
         realization.gamma, realization.epsilon, alpha, _lemma_weights(len(nodes)),
+        spectra,
     )
     values = {
-        "cancellation": max(
-            verify_cancellation(g, d, f) for g, d, f in zip(nodes, decomps, frfs)
-        ),
+        # Python's max over the nodes in order, as a NaN residual needs it
+        "cancellation": max(verify_cancellation(list(nodes), decomps, frfs).tolist()),
         # np.max propagates a NaN eigenvalue, so that it fails the check
         "lmi": np.max(lmi_eigs),
     }
@@ -187,7 +237,7 @@ def certify(
     r_mat = restricted_generator(realization, spectral.laplacian)
     values["invariance"] = _invariance(realization, r_mat, [d.t_p for d in decomps])
     values["lyapunov"] = _lyapunov_in_place(r_mat, realization, alpha)
-    values["rate"] = _rate_bound(realization, values["lyapunov"])
+    values["rate"] = _rate_bound(realization, values["lyapunov"], spectra)
     a_norm = float(np.linalg.norm(plant.a))
     checks = {name: _judge(name, values[name], a_norm, alpha) for name in CERTIFICATE_BOUNDS}
     checks["lmi"]["nodes"] = lmi_eigs

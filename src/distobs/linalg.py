@@ -7,6 +7,20 @@ scipy's arguments and workspace sizes, so that every result is scipy's bit
 for bit (and in scipy's memory layout) without the per-call cost of scipy's
 wrappers on node-sized matrices.  Like scipy, each rejects a non-finite input
 with ValueError.
+
+The node-sized kernels (numerical_rank, observability_matrix,
+full_rank_factorize, observability_decomposition, spectral_abscissa,
+solve_lyapunov and solve_care) take one node's matrices or a stack of equally
+shaped ones, node first.  A stack is worked on as one array: every product,
+sign fix, check and block fill is one numpy call over all its nodes, and only
+the LAPACK calls (dgesdd, dgebal, dgeqrf, dorgqr, dgges, dtgsen, dgetrf,
+dtrtrs, dgeev, dgees, dtrsyl), which have no batched form, run node by node.
+One node's call is the stacked code on a stack of one.  A stacked product
+rounds each node's slice as the same product of that node's 2-D matrices
+does, as long as the slice keeps their row- or column-major memory order,
+which _stack preserves; so every stacked result is the node-by-node one bit
+for bit.  A node of a stack that fails raises StackError, which names the
+node and carries the ValueError that the node's own call raises.
 """
 
 from __future__ import annotations
@@ -74,16 +88,87 @@ class NodeDecomposition:
     @property
     def a_transformed(self) -> np.ndarray:
         """Assemble T^T A T from the stored blocks (structural zeros exact)."""
-        n, v, p = self.n_dim, self.v_dim, self.p_dim
-        out = np.zeros((n, n))
-        out[:p, :p] = self.a11
-        out[:p, p:v] = self.a12
-        out[p:v, :p] = self.a21
-        out[p:v, p:v] = self.a22
-        out[v:, :p] = self.a31
-        out[v:, p:v] = self.a32
-        out[v:, v:] = self.a_u
-        return out
+        return _transformed([self])[0]
+
+
+def _transformed(decomps) -> np.ndarray:
+    """The stack of T^T A T of equally shaped decompositions, from their
+    stored blocks (structural zeros exact)."""
+    d = decomps[0]
+    n, v, p = d.n_dim, d.v_dim, d.p_dim
+    out = np.zeros((len(decomps), n, n))
+    for name, rows, cols in (("a11", slice(p), slice(p)), ("a12", slice(p), slice(p, v)),
+                             ("a21", slice(p, v), slice(p)),
+                             ("a22", slice(p, v), slice(p, v)),
+                             ("a31", slice(v, n), slice(p)),
+                             ("a32", slice(v, n), slice(p, v)),
+                             ("a_u", slice(v, n), slice(v, n))):
+        out[:, rows, cols] = _stack([getattr(x, name) for x in decomps])
+    return out
+
+
+class StackError(Exception):
+    """Node `index` of a stacked call failed; `error` is the ValueError that
+    the call on that node alone raises."""
+
+    def __init__(self, index: int, error: ValueError):
+        super().__init__(index, error)
+        self.index = index
+        self.error = error
+
+
+def _one(stacked_call):
+    """The only node of stacked_call(), a call on a stack of one; that node's
+    own ValueError when it fails."""
+    try:
+        return stacked_call()[0]
+    except StackError as exc:
+        raise exc.error from None
+
+
+def _fail_first(bad, error, index=None) -> None:
+    """StackError for the first node where the vector `bad` holds, with the
+    exception error(position); `index` maps positions to stack nodes."""
+    if np.any(bad):
+        at = int(np.argmax(bad))
+        raise StackError(at if index is None else int(index[at]), error(at))
+
+
+def _each(fn, *stacks, index=None) -> list:
+    """[fn(*slices)] over the nodes of the stacks, in order: the per-node
+    loop of a LAPACK call.  A node's ValueError becomes its StackError;
+    `index` maps positions to stack nodes."""
+    out = []
+    for at, args in enumerate(zip(*stacks)):
+        try:
+            out.append(fn(*args))
+        except ValueError as exc:
+            raise StackError(at if index is None else int(index[at]), exc) from exc
+    return out
+
+
+def _stack(arrays) -> np.ndarray:
+    """The equally shaped 2-D arrays as one (G, r, c) stack whose slices have
+    the strides of arrays[0], row- or column-major with its leading
+    dimension: numpy and BLAS pick their product kernels, and so the
+    rounding, by these strides."""
+    first = arrays[0]
+    (rows, cols), (row_step, col_step), item = first.shape, first.strides, first.itemsize
+    if first.size and col_step == item and row_step % item == 0 and row_step >= cols * item:
+        out = np.empty((len(arrays), rows, row_step // item))[:, :, :cols]
+    elif first.size and row_step == item and col_step % item == 0 and col_step >= rows * item:
+        out = np.empty((len(arrays), cols, col_step // item)).transpose(0, 2, 1)[:, :rows]
+    else:
+        out = np.empty((len(arrays), rows, cols))
+    return np.stack(arrays, out=out)
+
+
+def _node_groups(keys) -> list[list[int]]:
+    """Positions of equal keys, one list per key, in order of first appearance."""
+    out: dict = {}
+    for at, key in enumerate(keys):
+        out.setdefault(key, []).append(at)
+    return list(out.values())
 
 
 def _finite(*arrays: np.ndarray) -> list[np.ndarray]:
@@ -92,6 +177,17 @@ def _finite(*arrays: np.ndarray) -> list[np.ndarray]:
     out = [np.asarray(a, dtype=float) for a in arrays]
     if not all(np.isfinite(a).all() for a in out):
         raise ValueError("array must not contain infs or NaNs")
+    return out
+
+
+def _finite_nodes(*stacks: np.ndarray) -> list[np.ndarray]:
+    """_finite of stacks: a StackError, with scipy's ValueError, for the
+    first node that has a non-finite entry in any of them."""
+    out = [np.asarray(s, dtype=float) for s in stacks]
+    bad = np.zeros(len(out[0]), dtype=bool)
+    for s in out:
+        bad |= ~np.isfinite(s).all(axis=tuple(range(1, s.ndim)))
+    _fail_first(bad, lambda _: ValueError("array must not contain infs or NaNs"))
     return out
 
 
@@ -105,10 +201,9 @@ def _workspace(query: str, *args, **kwargs) -> tuple[int, ...]:
     return tuple(int(size) for size in sizes)
 
 
-def _svd(a: np.ndarray, full_matrices: bool, compute_uv: bool = True):
-    """scipy.linalg.svd(a, full_matrices, compute_uv) of a nonempty a, as
-    (u, s, vt) in scipy's Fortran memory layout: scipy's dgesdd call."""
-    (a,) = _finite(a)
+def _gesdd(a: np.ndarray, full_matrices: bool, compute_uv: bool = True):
+    """scipy.linalg.svd(a, full_matrices, compute_uv) of a finite nonempty a,
+    as (u, s, vt) in scipy's Fortran memory layout: scipy's dgesdd call."""
     uv, full = int(compute_uv), int(full_matrices)
     (lwork,) = _workspace("dgesdd_lwork", *a.shape, compute_uv=uv, full_matrices=full)
     u, s, vt, info = lapack.dgesdd(a, compute_uv=uv, full_matrices=full, lwork=lwork)
@@ -117,149 +212,217 @@ def _svd(a: np.ndarray, full_matrices: bool, compute_uv: bool = True):
     return u, s, vt
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
-    """Count of the descending singular values s above tol times the largest."""
-    return int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+def _svd(a: np.ndarray, full_matrices: bool, compute_uv: bool = True):
+    """scipy.linalg.svd(a, full_matrices, compute_uv) of a nonempty a."""
+    (a,) = _finite(a)
+    return _gesdd(a, full_matrices, compute_uv)
 
 
-def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count of singular values above tol relative to the largest one."""
+def _svd_nodes(stack: np.ndarray, full_matrices: bool, index=None):
+    """_svd of each node of a finite stack: (u, s, vt) stacked, u and vt with
+    scipy's Fortran-ordered slices."""
+    u, s, vt = zip(*_each(lambda a: _gesdd(a, full_matrices), stack, index=index))
+    return _stack(u), np.array(s), _stack(vt)
+
+
+def _ranks(s: np.ndarray, tol: float) -> np.ndarray:
+    """Count, per row of descending singular values s, of those above tol
+    times the largest."""
+    if s.shape[1] == 0:
+        return np.zeros(len(s), dtype=int)
+    return np.count_nonzero(s > tol * s[:, :1], axis=1)
+
+
+def _node_ranks(stack: np.ndarray, tol: float) -> np.ndarray:
+    (stack,) = _finite_nodes(stack)
+    if stack[0].size == 0:
+        return np.zeros(len(stack), dtype=int)
+    # scipy.linalg.svdvals of each node: singular values only
+    s = _each(lambda a: _gesdd(a, True, compute_uv=False)[1], stack)
+    return _ranks(np.array(s), tol)
+
+
+def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL):
+    """Count of singular values above tol relative to the largest one; of
+    each node, as an int array, for a stack."""
     m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return 0
-    # scipy.linalg.svdvals(m): singular values only
-    return _rank(_svd(m, True, compute_uv=False)[1], tol)
+    if m.ndim == 3:
+        return _node_ranks(m, tol)
+    return int(_one(lambda: _node_ranks(m[None], tol)))
 
 
 def observability_matrix(f: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Stacked matrix col(F, FA, ..., FA^(n-1))."""
-    n = a.shape[0]
-    blocks = [np.atleast_2d(f)]
-    for _ in range(n - 1):
+    """Stacked matrix col(F, FA, ..., FA^(n-1)), of each node for stacks."""
+    f, a = np.asarray(f, dtype=float), np.asarray(a, dtype=float)
+    blocks = [f if f.ndim == 3 else np.atleast_2d(f)]
+    for _ in range(a.shape[-1] - 1):
         blocks.append(blocks[-1] @ a)
-    return np.vstack(blocks)
+    return np.concatenate(blocks, axis=-2)
 
 
-def _fix_column_signs(t: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _leading_negative(x: np.ndarray, axis: int, tol: float = 1e-12) -> np.ndarray:
+    """Whether the first entry above tol in magnitude along `axis` is
+    negative (False where there is none), with `axis` kept."""
+    big = np.abs(x) > tol
+    first = np.expand_dims(big.argmax(axis=axis), axis)
+    return (np.take_along_axis(x, first, axis=axis) < 0) & big.any(axis=axis, keepdims=True)
+
+
+def _fix_column_signs(t: np.ndarray) -> np.ndarray:
     """Make the first nonzero entry of each column positive (reproducibility)."""
-    t = t.copy()
-    for j in range(t.shape[1]):
-        col = t[:, j]
-        nz = np.nonzero(np.abs(col) > tol)[0]
-        if nz.size and col[nz[0]] < 0:
-            t[:, j] = -col
-    return t
+    return np.where(_leading_negative(t, axis=1), -t, t)
 
 
-def full_rank_factorize(
-    c_i: np.ndarray, tol: float = DEFAULT_RANK_TOL
-) -> FullRankFactorization:
-    """Factor C = D F with D full column rank and F full row rank.
+def _factorize(c: np.ndarray, tol: float) -> list[FullRankFactorization]:
+    count, m, _ = c.shape
+    ranks = _node_ranks(c, tol)
+    _fail_first(ranks == 0, lambda _: ValueError(
+        "node has no effective output (zero output matrix)"))
+    out = [None] * count
+    full = np.flatnonzero(ranks == m)
+    if full.size:
+        d, f = np.repeat(np.eye(m)[None], full.size, axis=0), c[full]
+        for j, node in enumerate(full):
+            out[node] = FullRankFactorization(d_factor=d[j], f_factor=f[j], rank=m)
+    for p in np.unique(ranks[ranks < m]).tolist():
+        part = np.flatnonzero(ranks == p)
+        u, s, vt = _svd_nodes(c[part], False, index=part)
+        d = _fortran_slices(u[:, :, :p] * s[:, None, :p])
+        f = vt[:, :p, :]
+        # normalize signs through the shared inner dimension for reproducibility
+        flip = _leading_negative(f, axis=2)
+        np.negative(f, out=f, where=flip)
+        np.negative(d, out=d, where=flip.transpose(0, 2, 1))
+        for j, node in enumerate(part):
+            out[node] = FullRankFactorization(d_factor=d[j], f_factor=f[j], rank=p)
+    return out
+
+
+def _fortran_slices(x: np.ndarray) -> np.ndarray:
+    """x with column-major contiguous slices."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def full_rank_factorize(c_i: np.ndarray, tol: float = DEFAULT_RANK_TOL):
+    """Factor C = D F with D full column rank and F full row rank; a list of
+    factorizations for a stack of equally shaped C_i.
 
     When C already has full row rank the factorization is skipped and D = I,
     F = C.  A zero matrix is rejected: such a node has no effective output.
     """
-    c_i = np.atleast_2d(np.asarray(c_i, dtype=float))
-    m = c_i.shape[0]
-    p = numerical_rank(c_i, tol)
-    if p == 0:
-        raise ValueError("node has no effective output (zero output matrix)")
-    if p == m:
-        return FullRankFactorization(d_factor=np.eye(m), f_factor=c_i.copy(), rank=p)
-    u, s, vt = _svd(c_i, False)
-    d = u[:, :p] * s[:p]
-    f = vt[:p, :]
-    # normalize signs through the shared inner dimension for reproducibility
-    for k in range(p):
-        nz = np.nonzero(np.abs(f[k]) > 1e-12)[0]
-        if nz.size and f[k, nz[0]] < 0:
-            f[k] = -f[k]
-            d[:, k] = -d[:, k]
-    return FullRankFactorization(d_factor=d, f_factor=f, rank=p)
+    c_i = np.asarray(c_i, dtype=float)
+    if c_i.ndim == 3:
+        return _factorize(c_i, tol)
+    return _one(lambda: _factorize(np.atleast_2d(c_i)[None], tol))
+
+
+def _decompose(a: np.ndarray, f: np.ndarray, tol: float) -> list[NodeDecomposition]:
+    count, p, _ = f.shape
+    n = a.shape[0]
+    if f.size == 0:
+        raise StackError(0, ValueError("virtual output matrix is empty"))
+    # one thin SVD of F^T tests the full row rank, at tol and at the
+    # eps * max(n, p) of scipy.linalg.orth, and gives the basis of im F^T
+    (f,) = _finite_nodes(f)
+    u_f, s_f, _ = _svd_nodes(f.transpose(0, 2, 1), False)
+    full_rank = _ranks(s_f, max(tol, np.finfo(float).eps * max(n, p))) == p
+    _fail_first(~full_rank, lambda _: ValueError("virtual output matrix is not full row rank"))
+    t_p = u_f[:, :, :p]
+
+    (obs,) = _finite_nodes(observability_matrix(f, a))
+    _, s_o, vt_o = _svd_nodes(obs, True)
+    v_dims = _ranks(s_o, tol)
+    zero_tol = 1e-10 * max(1.0, np.linalg.norm(a))
+
+    out = [None] * count
+    for v in np.unique(v_dims).tolist():
+        part = np.flatnonzero(v_dims == v)
+        if part.size == count:
+            tp, vt, fp = t_p, vt_o, f
+        else:
+            tp, vt, fp = (_stack([x[j] for j in part]) for x in (t_p, vt_o, f))
+        t_u = vt[:, v:, :].transpose(0, 2, 1)  # orthonormal basis of ker O
+        # completion inside the observable subspace: project row space of O off t_p
+        t_obs_full = vt[:, :v, :].transpose(0, 2, 1)
+        proj = t_obs_full - tp @ (tp.transpose(0, 2, 1) @ t_obs_full)
+        if v > p:
+            t_e = _svd_nodes(proj, False, index=part)[0][:, :, : v - p]
+        else:
+            t_e = np.zeros((part.size, n, 0))
+        t = np.concatenate([_fix_column_signs(tp), _fix_column_signs(t_e),
+                            _fix_column_signs(t_u)], axis=2)
+
+        at = t.transpose(0, 2, 1) @ a @ t
+        if v < n:
+            leak = np.abs(at[:, :v, v:]).max(axis=(1, 2))
+            _fail_first(leak > zero_tol, lambda j: ValueError(
+                f"observability decomposition failed: structural block leak {leak[j]:.3e}"),
+                index=part)
+            at[:, :v, v:] = 0.0
+
+        e_mat = fp @ t[:, :, :p]
+        for j, node in enumerate(part):
+            out[node] = NodeDecomposition(
+                t_orth=t[j],
+                a11=at[j, :p, :p],
+                a12=at[j, :p, p:v],
+                a21=at[j, p:v, :p],
+                a22=at[j, p:v, p:v],
+                a31=at[j, v:, :p],
+                a32=at[j, v:, p:v],
+                a_u=at[j, v:, v:],
+                e_mat=e_mat[j],
+                v_dim=v,
+                p_dim=p,
+            )
+    return out
 
 
 def observability_decomposition(
     a: np.ndarray, f_i: np.ndarray, tol: float = DEFAULT_RANK_TOL
-) -> NodeDecomposition:
-    """Orthogonal staircase decomposition of (F, A) exposing im F^T first.
+):
+    """Orthogonal staircase decomposition of (F, A) exposing im F^T first; a
+    list of decompositions for a stack of equally shaped F_i.
 
     Columns of T are built as [basis of im F^T | completion inside the
     observable subspace | basis of the unobservable subspace], each block
     orthonormal, signs fixed for determinism.
     """
-    a = np.asarray(a, dtype=float)
-    f_i = np.atleast_2d(np.asarray(f_i, dtype=float))
-    n = a.shape[0]
-    p = f_i.shape[0]
-    if f_i.size == 0:
-        raise ValueError("virtual output matrix is empty")
-    # one thin SVD of F^T tests the full row rank, at tol and at the
-    # eps * max(n, p) of scipy.linalg.orth, and gives the basis of im F^T
-    u_f, s_f, _ = _svd(f_i.T, False)
-    if _rank(s_f, max(tol, np.finfo(float).eps * max(n, p))) != p:
-        raise ValueError("virtual output matrix is not full row rank")
-    t_p = u_f[:, :p]
-
-    obs = observability_matrix(f_i, a)
-    _, s_o, vt_o = _svd(obs, True)
-    v = _rank(s_o, tol)
-    t_u = vt_o[v:, :].T  # orthonormal basis of ker O
-
-    # completion inside the observable subspace: project row space of O off t_p
-    t_obs_full = vt_o[:v, :].T
-    proj = t_obs_full - t_p @ (t_p.T @ t_obs_full)
-    if v > p:
-        u_e, _, _ = _svd(proj, False)
-        t_e = u_e[:, : v - p]
-    else:
-        t_e = np.zeros((n, 0))
-
-    t = np.hstack([_fix_column_signs(t_p), _fix_column_signs(t_e),
-                   _fix_column_signs(t_u)])
-
-    a_norm = np.linalg.norm(a)
-    at = t.T @ a @ t
-    zero_tol = 1e-10 * max(1.0, a_norm)
-    if v < n:
-        leak = np.max(np.abs(at[:v, v:]))
-        if leak > zero_tol:
-            raise ValueError(
-                f"observability decomposition failed: structural block leak {leak:.3e}"
-            )
-        at[:v, v:] = 0.0
-
-    e_mat = f_i @ t[:, :p]
-    return NodeDecomposition(
-        t_orth=t,
-        a11=at[:p, :p],
-        a12=at[:p, p:v],
-        a21=at[p:v, :p],
-        a22=at[p:v, p:v],
-        a31=at[v:, :p],
-        a32=at[v:, p:v],
-        a_u=at[v:, v:],
-        e_mat=e_mat,
-        v_dim=v,
-        p_dim=p,
-    )
+    a, f_i = np.asarray(a, dtype=float), np.asarray(f_i, dtype=float)
+    if f_i.ndim == 3:
+        return _decompose(a, f_i, tol)
+    return _one(lambda: _decompose(a, np.atleast_2d(f_i)[None], tol))
 
 
-def spectral_abscissa(m: np.ndarray) -> float:
-    """Largest real part over the eigenvalues of m (-inf for empty m).
+def _abscissae(m: np.ndarray) -> np.ndarray:
+    (m,) = _finite_nodes(m)
+    count, k, _ = m.shape
+    if k == 0:
+        return np.full(count, -np.inf)
+    (lwork,) = _workspace("dgeev_lwork", k, compute_vl=0, compute_vr=0)
+
+    def largest_real_part(x):
+        wr, _, _, _, info = lapack.dgeev(x, compute_vl=0, compute_vr=0, lwork=lwork)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                "eig algorithm (geev) did not converge (only eigenvalues with order "
+                f">= {info} have converged)")
+        return np.max(wr)
+
+    return np.array(_each(largest_real_part, m))
+
+
+def spectral_abscissa(m: np.ndarray):
+    """Largest real part over the eigenvalues of m (-inf for empty m); of
+    each node, as an array, for a stack.
 
     The real parts are those of scipy.linalg.eigvals(m): its dgeev call,
     without eigenvectors.
     """
-    (m,) = _finite(m)
-    if m.size == 0:
-        return -np.inf
-    (lwork,) = _workspace("dgeev_lwork", m.shape[0], compute_vl=0, compute_vr=0)
-    wr, _, _, _, info = lapack.dgeev(m, compute_vl=0, compute_vr=0, lwork=lwork)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            "eig algorithm (geev) did not converge (only eigenvalues with order "
-            f">= {info} have converged)")
-    return float(np.max(wr))
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 3:
+        return _abscissae(m)
+    return float(_one(lambda: _abscissae(m[None])))
 
 
 def _strip_pairs(m: np.ndarray, rows: int = 64):
@@ -330,9 +493,42 @@ def min_symmetric_eigenvalue(m: np.ndarray, tol: float = 1e-10) -> float:
     return _min_symmetric_eigenvalue_in_place(m.copy(), tol)
 
 
+def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    a, q = _finite_nodes(a, q)
+    count, k, _ = a.shape
+    if k == 0:
+        return np.zeros((count, 0, 0))
+    lwork = _gees_lwork(k)
+
+    def schur(x):
+        s, _, wr, _, u, _, info = lapack.dgees(_no_selection, x.T, lwork=lwork)
+        if info > 0:
+            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+        return s, np.max(wr), u
+
+    s, top, u = zip(*_each(schur, a))
+    _fail_first(np.array(top) >= 0, lambda _: ValueError("unstable coefficient matrix"))
+    u = _stack(u)
+    rhs = u.transpose(0, 2, 1) @ (-q @ u)
+    y, scales = [], []
+    for s_i, rhs_i in zip(s, rhs):
+        y_i, scale, info = lapack.dtrsyl(s_i, s_i, rhs_i, tranb="T")
+        if info == 1:
+            warnings.warn('Input "a" has an eigenvalue pair whose sum is very close '
+                          "to or exactly zero. The solution is obtained via "
+                          "perturbing the coefficients.", RuntimeWarning, stacklevel=3)
+        y.append(y_i)
+        scales.append(scale)
+    y = _stack(y)
+    y *= np.array(scales)[:, None, None]
+    p = u @ y @ u.transpose(0, 2, 1)
+    return 0.5 * (p + p.transpose(0, 2, 1))
+
+
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A^T P + P A + Q = 0 for Hurwitz A and symmetric Q; returns the
-    symmetric part of the solution.
+    symmetric part of the solution.  For a stack of A, Q is one matrix for
+    all nodes or a stack.
 
     The LAPACK calls of scipy.linalg.solve_continuous_lyapunov(A^T, -Q), in
     scipy's order, so that P is scipy's bit for bit: the real Schur form
@@ -340,29 +536,27 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     P = U Y U^T.  Raises ValueError on an A that is not Hurwitz, judged by
     the eigenvalues that dgees returns with the Schur form.
     """
-    a, q = _finite(a, q)
-    if a.size == 0:
-        return np.zeros((0, 0))
-    s, _, wr, _, u, _, info = lapack.dgees(_no_selection, a.T,
-                                           lwork=_gees_lwork(a.shape[0]))
-    if info > 0:
-        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    if np.max(wr) >= 0:
-        raise ValueError("unstable coefficient matrix")
-    y, scale, info = lapack.dtrsyl(s, s, u.T.dot((-q).dot(u)), tranb="T")
-    if info == 1:
-        warnings.warn('Input "a" has an eigenvalue pair whose sum is very close '
-                      "to or exactly zero. The solution is obtained via "
-                      "perturbing the coefficients.", RuntimeWarning, stacklevel=2)
-    y *= scale
-    p = u.dot(y).dot(u.T)
-    return 0.5 * (p + p.T)
+    a, q = np.asarray(a, dtype=float), np.asarray(q, dtype=float)
+    if a.ndim == 3:
+        return _lyapunov(a, np.broadcast_to(q, a.shape))
+    return _one(lambda: _lyapunov(a[None], q[None]))
 
 
 @functools.cache
 def _gees_lwork(n: int) -> int:
     """dgees' workspace for order n, from the query that scipy.linalg.schur makes."""
     return _lwork(lapack.dgees, _no_selection, np.zeros((n, n)))
+
+
+@functools.cache
+def _care_lworks(m: int, n: int) -> tuple[int, int, int]:
+    """The dgeqrf, dorgqr and dgges workspaces of a CARE of order m with n
+    inputs, from the queries that scipy.linalg.solve_continuous_are makes."""
+    size = 2 * m + n
+    square = np.zeros((2 * m, 2 * m))
+    return (_lwork(lapack.dgeqrf, np.zeros((size, n))),
+            _lwork(lapack.dorgqr, np.zeros((size, size)), np.zeros(n)),
+            _lwork(lapack.dgges, _no_selection, square, square))
 
 
 def _lwork(routine, *args) -> int:
@@ -374,8 +568,116 @@ def _no_selection(*_):
     """gges callback for an unsorted QZ (never called with sort_t=0)."""
 
 
+def _care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = _finite_nodes(a, b)
+    count, m, n = b.shape
+    size = 2 * m + n
+    eye = np.eye(m)
+    qr_lwork, orgqr_lwork, gges_lwork = _care_lworks(m, n)
+
+    # extended pencil [[a, 0, b], [-I, -a^T, 0], [0, b^T, I]] - s blkdiag(I, I, 0)
+    h = np.zeros((count, size, size))
+    h[:, :m, :m] = a
+    h[:, :m, 2 * m :] = b
+    h[:, m : 2 * m, :m] = -eye
+    h[:, m : 2 * m, m : 2 * m] = -a.transpose(0, 2, 1)
+    h[:, 2 * m :, m : 2 * m] = b.transpose(0, 2, 1)
+    h[:, 2 * m :, 2 * m :] = np.eye(n)
+
+    # balance |H| + |J| with its diagonal zeroed (J is diagonal, so only |H|
+    # is left), then make the scaling symplectic
+    off = np.abs(h)
+    off[:, np.arange(size), np.arange(size)] = 0.0
+    sca = np.array(_each(
+        lambda x: lapack.dgebal(x, scale=1, permute=0, overwrite_a=1)[3], off))
+    # gebal scales by powers of 2, so on a node whose scaling is all ones
+    # (scipy's allclose(sca, 1)) every step below is exact and changes nothing
+    sca = np.log2(sca)
+    s = np.round((sca[:, m : 2 * m] - sca[:, :m]) / 2)
+    sca = 2 ** np.concatenate((s, -s, sca[:, 2 * m :]), axis=1)
+    h *= sca[:, :, None] * np.reciprocal(sca)[:, None, :]
+
+    # deflate to the 2m x 2m pencil (hd, jd) with the full Q of H[:, 2m:]
+    def full_q(cols):
+        qr, tau = lapack.dgeqrf(cols, lwork=qr_lwork)[:2]
+        q = np.empty((size, size))
+        q[:, :n] = qr
+        return lapack.dorgqr(q, tau, lwork=orgqr_lwork, overwrite_a=1)[0]
+
+    q = _stack(_each(full_q, h[:, :, -n:]))
+    hd = q[:, :, n:].transpose(0, 2, 1) @ h[:, :, : 2 * m]
+    jd = q[:, : 2 * m, n:].transpose(0, 2, 1) @ np.eye(2 * m)
+
+    # real QZ, then move the left-half-plane eigenvalues first
+    def qz(hd_i, jd_i):
+        aa, bb, _, alphar, alphai, beta, qq, zz, _, info = lapack.dgges(
+            _no_selection, hd_i, jd_i, lwork=gges_lwork, overwrite_a=1,
+            overwrite_b=1, sort_t=0)
+        if info > 2 * m:
+            raise np.linalg.LinAlgError("Something other than QZ iteration failed")
+        if info > 0:
+            warnings.warn("The QZ iteration failed. (a,b) are not in Schur form, "
+                          "but ALPHAR(j), ALPHAI(j), and BETA(j) should be correct "
+                          f"for J={info - 1},...,N", LinAlgWarning,
+                          stacklevel=2)
+        return aa, bb, qq, zz, alphar + alphai * 1.0j, beta
+
+    aa, bb, qq, zz, alpha, beta = zip(*_each(qz, hd, jd))
+    alpha, beta = np.array(alpha), np.array(beta)
+    select = np.zeros((count, 2 * m), dtype=bool)
+    finite = beta != 0
+    select[finite] = np.real(alpha[finite] / beta[finite]) < 0.0
+
+    def reorder(select_i, aa_i, bb_i, qq_i, zz_i):
+        # dtgsen returns (a, b, alphar, alphai, beta, q, z, m, pl, pr, dif, info)
+        reordered = lapack.dtgsen(select_i, aa_i, bb_i, qq_i, zz_i, ijob=0,
+                                  lwork=8 * m + 16, liwork=1)
+        if reordered[-1] == 1:
+            raise ValueError("Reordering of (A, B) failed because the transformed"
+                             " matrix pair (A, B) would be too far from "
+                             "generalized Schur form; the problem is very "
+                             "ill-conditioned. (A, B) may have been partially "
+                             "reordered.")
+        return reordered[6]
+
+    u = _stack(_each(reorder, select, aa, bb, qq, zz))
+    u00 = u[:, :m, :m]
+    u10 = u[:, m:, :m]
+
+    # X = U10 U00^-1 through the LU factors of U00 = P L U
+    lu, piv = zip(*(lapack.dgetrf(x)[:2] for x in u00))
+    lu, piv = _stack(lu), np.array(piv)
+    uu = np.triu(lu)
+    _fail_first(1 / np.linalg.cond(uu) < np.spacing(1.0),
+                lambda _: np.linalg.LinAlgError("Failed to find a finite solution."))
+    ul = np.tril(lu, -1) + eye
+    perm = np.repeat(np.arange(m)[None], count, axis=0)
+    nodes = np.arange(count)
+    for i in range(m):
+        swap = perm[nodes, piv[:, i]]
+        perm[nodes, piv[:, i]] = perm[:, i].copy()
+        perm[:, i] = swap
+    z = _stack([lapack.dtrtrs(ul_i.T, lapack.dtrtrs(uu_i.T, u10_i.T, lower=1)[0],
+                              unitdiag=1)[0]
+                for uu_i, ul_i, u10_i in zip(uu, ul, u10)])
+    # the row interchanges as a product with P^T: signed zeros as scipy has them
+    p_t = np.ascontiguousarray(eye[:, perm].transpose(1, 0, 2)).transpose(0, 2, 1)
+    x = z.transpose(0, 2, 1) @ p_t
+    x *= sca[:, :m, None] * sca[:, None, :m]
+
+    # U00^T U10 is symmetric exactly when the stable subspace is Lagrangian
+    u_sym = u00.transpose(0, 2, 1) @ u10
+    threshold = np.fmax(np.spacing(1000.0), 0.1 * np.linalg.norm(u_sym, 1, axis=(1, 2)))
+    asym = np.linalg.norm(u_sym - u_sym.transpose(0, 2, 1), 1, axis=(1, 2))
+    _fail_first(asym > threshold, lambda _: np.linalg.LinAlgError(
+        "The associated Hamiltonian pencil has eigenvalues too close to the "
+        "imaginary axis"))
+    return (x + x.transpose(0, 2, 1)) / 2
+
+
 def solve_care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stabilizing solution X of a^T X + X a - X b b^T X + I = 0.
+    """Stabilizing solution X of a^T X + X a - X b b^T X + I = 0; of each node
+    for stacks of a and b.
 
     The LAPACK calls of scipy.linalg.solve_continuous_are(a, b, I, I), made
     in the same order on the same arrays, so that X is scipy's bit for bit:
@@ -385,87 +687,7 @@ def solve_care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ill-conditioned U11 and on a pencil with eigenvalues too close to the
     imaginary axis.
     """
-    a, b = _finite(a, b)
-    m, n = b.shape
-    eye = np.eye(m)
-
-    # extended pencil [[a, 0, b], [-I, -a^T, 0], [0, b^T, I]] - s blkdiag(I, I, 0)
-    h = np.zeros((2 * m + n, 2 * m + n))
-    h[:m, :m] = a
-    h[:m, 2 * m :] = b
-    h[m : 2 * m, :m] = -eye
-    h[m : 2 * m, m : 2 * m] = -a.T
-    h[2 * m :, m : 2 * m] = b.T
-    h[2 * m :, 2 * m :] = np.eye(n)
-
-    # balance |H| + |J| with its diagonal zeroed (J is diagonal, so only |H|
-    # is left), then make the scaling symplectic
-    off = np.abs(h)
-    np.fill_diagonal(off, 0.0)
-    sca = lapack.dgebal(off, scale=1, permute=0, overwrite_a=1)[3]
-    # gebal scales by powers of 2, so scipy's allclose(sca, 1) is sca == 1
-    if np.any(sca != 1.0):
-        sca = np.log2(sca)
-        s = np.round((sca[m : 2 * m] - sca[:m]) / 2)
-        sca = 2 ** np.concatenate((s, -s, sca[2 * m :]))
-        h *= sca[:, None] * np.reciprocal(sca)
-
-    # deflate to the 2m x 2m pencil (hd, jd) with the full Q of H[:, 2m:]
-    cols = h[:, -n:]
-    qr, tau = lapack.dgeqrf(cols, lwork=_lwork(lapack.dgeqrf, cols))[:2]
-    q = np.empty((2 * m + n, 2 * m + n))
-    q[:, :n] = qr
-    q = lapack.dorgqr(q, tau, lwork=_lwork(lapack.dorgqr, q, tau), overwrite_a=1)[0]
-    hd = q[:, n:].T.dot(h[:, : 2 * m])
-    jd = q[: 2 * m, n:].T.dot(np.eye(2 * m))
-
-    # real QZ, then move the left-half-plane eigenvalues first
-    aa, bb, _, alphar, alphai, beta, qq, zz, _, info = lapack.dgges(
-        _no_selection, hd, jd, lwork=_lwork(lapack.dgges, _no_selection, hd, jd),
-        overwrite_a=1, overwrite_b=1, sort_t=0)
-    if info > 2 * m:
-        raise np.linalg.LinAlgError("Something other than QZ iteration failed")
-    if info > 0:
-        warnings.warn("The QZ iteration failed. (a,b) are not in Schur form, "
-                      "but ALPHAR(j), ALPHAI(j), and BETA(j) should be correct "
-                      f"for J={info - 1},...,N", LinAlgWarning,
-                      stacklevel=2)
-    alpha = alphar + alphai * 1.0j
-    select = np.zeros(2 * m, dtype=bool)
-    finite = beta != 0
-    select[finite] = np.real(alpha[finite] / beta[finite]) < 0.0
-    # dtgsen returns (a, b, alphar, alphai, beta, q, z, m, pl, pr, dif, info)
-    reordered = lapack.dtgsen(select, aa, bb, qq, zz, ijob=0, lwork=8 * m + 16,
-                              liwork=1)
-    u, info = reordered[6], reordered[-1]
-    if info == 1:
-        raise ValueError("Reordering of (A, B) failed because the transformed"
-                         " matrix pair (A, B) would be too far from "
-                         "generalized Schur form; the problem is very "
-                         "ill-conditioned. (A, B) may have been partially "
-                         "reordered.")
-    u00 = u[:m, :m]
-    u10 = u[m:, :m]
-
-    # X = U10 U00^-1 through the LU factors of U00 = P L U
-    lu, piv = lapack.dgetrf(u00)[:2]
-    uu = np.triu(lu)
-    if 1 / np.linalg.cond(uu) < np.spacing(1.0):
-        raise np.linalg.LinAlgError("Failed to find a finite solution.")
-    ul = np.tril(lu, -1) + eye
-    perm = np.arange(m)
-    for i, p in enumerate(piv):
-        perm[[i, p]] = perm[[p, i]]
-    y = lapack.dtrtrs(uu.T, u10.T, lower=1)[0]
-    z = lapack.dtrtrs(ul.T, y, unitdiag=1)[0]
-    # the row interchanges as a product with P^T: signed zeros as scipy has them
-    x = z.T.dot(eye[:, perm].T)
-    x *= sca[:m, None] * sca[:m]
-
-    # U00^T U10 is symmetric exactly when the stable subspace is Lagrangian
-    u_sym = u00.T.dot(u10)
-    threshold = max(np.spacing(1000.0), 0.1 * np.linalg.norm(u_sym, 1))
-    if np.linalg.norm(u_sym - u_sym.T, 1) > threshold:
-        raise np.linalg.LinAlgError("The associated Hamiltonian pencil has "
-                                    "eigenvalues too close to the imaginary axis")
-    return (x + x.T) / 2
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim == 3:
+        return _care(a, b)
+    return _one(lambda: _care(a[None], b[None]))

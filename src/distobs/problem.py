@@ -140,7 +140,8 @@ def _require_finite(name: str, value):
 def realization_from_dict(doc: dict) -> ObserverRealization:
     """Gains-file document to realization.  An older file may also carry P
     as "Tis"; that key is ignored.  Every gain matrix, gamma, epsilon and r
-    must be finite; the certificate values may be infinite."""
+    must be finite, and alpha finite and nonnegative; the certificate values
+    may be infinite."""
     try:
         nodes = []
         for i, nd in enumerate(doc["nodes"], start=1):
@@ -174,7 +175,7 @@ def realization_from_dict(doc: dict) -> ObserverRealization:
             gamma=_require_finite("gamma", float(doc["gamma"])),
             epsilon=_require_finite("epsilon", float(doc["epsilon"])),
             r_vector=_require_finite("r", np.asarray(doc["r"], dtype=float)),
-            alpha=float(doc.get("alpha", 0.0)),
+            alpha=_checked_alpha(float(doc.get("alpha", 0.0))),
             certificate=doc.get("certificate", {}) or {},
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -17,8 +17,15 @@ from .graph import GraphSpectralData, GraphStructureError, NetworkGraph, spectra
 from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
+    StackError,
+    _each,
     _eigvalsh,
+    _fail_first,
     _min_symmetric_eigenvalue_in_place,
+    _node_groups,
+    _one,
+    _stack,
+    _transformed,
     full_rank_factorize,
     numerical_rank,
     observability_decomposition,
@@ -220,7 +227,8 @@ def select_gamma(
 
 
 def place_injection(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarray:
-    """Output injection H with spectral abscissa of a22 - H ea12 below -alpha.
+    """Output injection H with spectral abscissa of a22 - H ea12 below -alpha;
+    of each node for stacks of a22 and ea12.
 
     One Riccati solve stabilizes the dual pair shifted by alpha +
     INJECTION_MARGIN.  In exact arithmetic its stabilizing solution puts the
@@ -228,18 +236,26 @@ def place_injection(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarr
     the computed H misses -alpha, naming the abscissa it reached, and on a
     Riccati solve that fails.
     """
-    k = a22.shape[0]
+    a22, ea12 = np.asarray(a22, dtype=float), np.asarray(ea12, dtype=float)
+    if a22.ndim == 3:
+        return _place(a22, ea12, alpha)
+    return _one(lambda: _place(a22[None], ea12[None], alpha))
+
+
+def _place(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarray:
+    count, k, _ = a22.shape
     if k == 0:
-        return np.zeros((0, ea12.shape[0]))
-    if numerical_rank(observability_matrix(ea12, a22)) != k:
-        raise ValueError("injection pair is not observable (decomposition bug)")
-    b_dual = ea12.T
-    x = solve_care(a22.T + (alpha + INJECTION_MARGIN) * np.eye(k), b_dual)
-    h = (b_dual.T @ x).T
+        return np.zeros((count, 0, ea12.shape[1]))
+    observable = numerical_rank(observability_matrix(ea12, a22)) == k
+    _fail_first(~observable, lambda _: ValueError(
+        "injection pair is not observable (decomposition bug)"))
+    b_dual = ea12.transpose(0, 2, 1)
+    x = solve_care(a22.transpose(0, 2, 1) + (alpha + INJECTION_MARGIN) * np.eye(k), b_dual)
+    h = (b_dual.transpose(0, 2, 1) @ x).transpose(0, 2, 1)
     reached = spectral_abscissa(a22 - h @ ea12)
-    if not reached < -alpha:
-        raise ValueError(f"injection placement reached abscissa {reached:.3g}, "
-                         f"target below {-alpha:.3g}")
+    _fail_first(~(reached < -alpha), lambda j: ValueError(
+        f"injection placement reached abscissa {reached[j]:.3g}, "
+        f"target below {-alpha:.3g}"))
     return h
 
 
@@ -247,82 +263,138 @@ def solve_pie(
     a22: np.ndarray, ea12: np.ndarray, h: np.ndarray, gamma: float, alpha: float
 ) -> np.ndarray:
     """Positive definite solution of the shifted Lyapunov equation
-    (a22 - H ea12 + alpha I)^T P + P (...) + (gamma - 2 alpha) I = 0."""
-    k = a22.shape[0]
+    (a22 - H ea12 + alpha I)^T P + P (...) + (gamma - 2 alpha) I = 0; of each
+    node for stacks of a22, ea12 and H."""
+    a22, ea12, h = (np.asarray(x, dtype=float) for x in (a22, ea12, h))
+    if a22.ndim == 3:
+        return _pie(a22, ea12, h, gamma, alpha)
+    return _one(lambda: _pie(a22[None], ea12[None], h[None], gamma, alpha))
+
+
+def _pie(a22, ea12, h, gamma: float, alpha: float) -> np.ndarray:
+    count, k, _ = a22.shape
     if k == 0:
-        return np.zeros((0, 0))
+        return np.zeros((count, 0, 0))
     if gamma <= 2.0 * alpha:
-        raise ValueError("gamma too small for positive definite Lyapunov forcing")
+        raise StackError(0, ValueError(
+            "gamma too small for positive definite Lyapunov forcing"))
     closed = a22 - h @ ea12 + alpha * np.eye(k)
     return solve_lyapunov(closed, (gamma - 2.0 * alpha) * np.eye(k))
 
 
-def assemble_gains(
-    decomp: NodeDecomposition,
-    frf: FullRankFactorization,
-    h: np.ndarray,
-    pie: np.ndarray,
-) -> NodeGains:
-    """Evaluate the closed-form gain formulas for one node.
+def _fields(records, name: str) -> np.ndarray:
+    """The stack of one field of equally shaped per-node records."""
+    return _stack([getattr(r, name) for r in records])
+
+
+def _inverses(m: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of each node of a stack; the StackError of the first
+    singular one."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        _each(np.linalg.inv, m)
+        raise
+
+
+def assemble_gains(decomp, frf, h: np.ndarray, pie: np.ndarray):
+    """Evaluate the closed-form gain formulas for one node; for lists of
+    equally shaped decompositions and factorizations with stacks of H and
+    P_ie, a list of gains, views into one stack per gain.
 
     When v = p the middle block is void (H and P_ie are empty) and the
     formulas reduce to N = A_u, L = A_31 E^-1 D^+, M = T_s^T.
     """
-    n, v, p = decomp.n_dim, decomp.v_dim, decomp.p_dim
+    if isinstance(decomp, NodeDecomposition):
+        return _one(lambda: _assemble([decomp], [frf], np.asarray(h)[None],
+                                      np.asarray(pie)[None]))
+    return _assemble(decomp, frf, h, pie)
+
+
+def _assemble(decomps, frfs, h, pie) -> list[NodeGains]:
+    d0 = decomps[0]
+    n, v, p = d0.n_dim, d0.v_dim, d0.p_dim
     k = v - p
-    e_inv = np.linalg.inv(decomp.e_mat)
-    d_dag = np.linalg.pinv(frf.d_factor)
-    t_is = decomp.t_s
+    count = len(decomps)
+    e_mat, a11, a12, a21, a22, a31, a32, a_u, t_orth = (
+        _fields(decomps, name) for name in
+        ("e_mat", "a11", "a12", "a21", "a22", "a31", "a32", "a_u", "t_orth"))
+    e_inv = _inverses(e_mat)
+    d_dag = np.linalg.pinv(_fields(frfs, "d_factor"))
+    t_is = t_orth[:, :, p:]
 
     # N = [[a22 - H E a12, 0], [a32, a_u]] and blkdiag(P_ie^-1, I), block by block
-    n_gain = np.zeros((n - p, n - p))
-    n_gain[:k, :k] = decomp.a22 - h @ decomp.e_mat @ decomp.a12
-    n_gain[k:, :k] = decomp.a32
-    n_gain[k:, k:] = decomp.a_u
-    weight_inv = np.zeros((n - p, n - p))
-    weight_inv[:k, :k] = np.linalg.inv(pie)
-    weight_inv[k:, k:] = np.eye(n - v)
-    k_mat = np.vstack([e_inv, h, np.zeros((n - v, p))]) @ d_dag
+    n_gain = np.zeros((count, n - p, n - p))
+    n_gain[:, :k, :k] = a22 - h @ e_mat @ a12
+    n_gain[:, k:, :k] = a32
+    n_gain[:, k:, k:] = a_u
+    weight_inv = np.zeros((count, n - p, n - p))
+    weight_inv[:, :k, :k] = _inverses(pie)
+    weight_inv[:, k:, k:] = np.eye(n - v)
+    k_mat = np.concatenate([e_inv, h, np.zeros((count, n - v, p))], axis=1) @ d_dag
     l_gain = (
-        np.vstack([decomp.a21 - h @ decomp.e_mat @ decomp.a11, decomp.a31])
+        np.concatenate([a21 - h @ e_mat @ a11, a31], axis=1)
         @ e_inv
         @ d_dag
-        + n_gain @ k_mat[p:, :]
+        + n_gain @ k_mat[:, p:, :]
     )
-    m_gain = weight_inv @ t_is.T
+    m_gain = weight_inv @ t_is.transpose(0, 2, 1)
+    p_out = t_is.copy()
+    q_out = t_orth @ k_mat
 
-    return NodeGains(
-        n_gain=n_gain,
-        l_gain=l_gain,
-        m_gain=m_gain,
-        p_out=t_is.copy(),
-        q_out=decomp.t_orth @ k_mat,
-        k_mat=k_mat,
-        h_inj=h,
-        p_ie=pie,
-        p_dim=p,
-        v_dim=v,
-    )
+    return [
+        NodeGains(
+            n_gain=n_gain[j],
+            l_gain=l_gain[j],
+            m_gain=m_gain[j],
+            p_out=p_out[j],
+            q_out=q_out[j],
+            k_mat=k_mat[j],
+            h_inj=h[j],
+            p_ie=pie[j],
+            p_dim=p,
+            v_dim=v,
+        )
+        for j in range(count)
+    ]
 
 
-def verify_cancellation(
-    gains: NodeGains, decomp: NodeDecomposition, frf: FullRankFactorization
-) -> float:
-    """Frobenius norm of the state-dependence cancellation identity.
+def verify_cancellation(gains, decomp, frf):
+    """Frobenius norm of the state-dependence cancellation identity; for
+    lists of nodes, the norm of each, as an array.
 
     The identity (S L - S N S^T K) D F T + S N S^T + (K D F T - I) T^T A T
     must vanish for the assembled gains.
     """
-    n, p = decomp.n_dim, decomp.p_dim
+    if isinstance(decomp, NodeDecomposition):
+        return float(_cancellation([gains], [decomp], [frf])[0])
+    out = np.empty(len(decomp))
+    shapes = [(d.p_dim, d.v_dim, f.d_factor.shape[0]) for d, f in zip(decomp, frf)]
+    for group in _node_groups(shapes):
+        out[group] = _cancellation([gains[i] for i in group], [decomp[i] for i in group],
+                                   [frf[i] for i in group])
+    return out
+
+
+def _cancellation(gains, decomps, frfs) -> np.ndarray:
+    n, p = decomps[0].n_dim, decomps[0].p_dim
     s = np.vstack([np.zeros((p, n - p)), np.eye(n - p)])
-    dft = frf.d_factor @ frf.f_factor @ decomp.t_orth
-    at = decomp.a_transformed
-    lhs = (
-        (s @ gains.l_gain - s @ gains.n_gain @ s.T @ gains.k_mat) @ dft
-        + s @ gains.n_gain @ s.T
-        + (gains.k_mat @ dft - np.eye(n)) @ at
-    )
-    return float(np.linalg.norm(lhs))
+    dft = _fields(frfs, "d_factor") @ _fields(frfs, "f_factor") @ _fields(decomps, "t_orth")
+    at = _transformed(decomps)
+    l_gain, n_gain, k_mat = (_fields(gains, name) for name in ("l_gain", "n_gain", "k_mat"))
+    sns = s @ n_gain @ s.T
+    lhs = (s @ l_gain - sns @ k_mat) @ dft + sns + (k_mat @ dft - np.eye(n)) @ at
+    # np.linalg.norm of each node: the square root of one dot product
+    flat = lhs.reshape(len(lhs), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _pie_spectra(p_ies) -> list[np.ndarray]:
+    """Ascending eigenvalues of sym(P_ie) of each node, empty for an empty
+    P_ie: the positive-definiteness test of verify_lmi_th1 and the weight
+    bounds of the rate certificate."""
+    return [_eigvalsh(0.5 * (pie + pie.T)) if pie.size else np.zeros(0)
+            for pie in p_ies]
 
 
 def verify_lmi_th1(
@@ -333,65 +405,122 @@ def verify_lmi_th1(
     epsilon: float,
     alpha: float,
     g_weights,
+    spectra: list[np.ndarray] | None = None,
 ) -> tuple[bool, list[float]]:
     """Check each node's feasibility LMI at its design (P_ie, H).
 
     The LMI is taken at P_iu = I and W_i = P_ie H_i.  Returns (all negative
     definite, worst eigenvalue per node).  Empty node blocks (p = n) report
-    -inf, and a P_ie that is not positive definite reports +inf.
+    -inf, and a P_ie that is not positive definite reports +inf.  `spectra`
+    are the _pie_spectra of p_ies, when the caller has them.
     """
-    worst = []
-    for pie, h, decomp, g_i in zip(p_ies, h_injs, decomps, g_weights):
-        n, v, p = decomp.n_dim, decomp.v_dim, decomp.p_dim
-        if n - p == 0:
-            worst.append(-np.inf)
-            continue
-        if pie.size and _eigvalsh(0.5 * (pie + pie.T))[0] <= 0:
-            worst.append(np.inf)
-            continue
-        w = pie @ h
-        ea12 = decomp.e_mat @ decomp.a12
-        phi = (
-            pie @ decomp.a22
-            + decomp.a22.T @ pie
-            - w @ ea12
-            - ea12.T @ w.T
-            + 2.0 * alpha * pie
-        )
-        a_u = decomp.a_u
-        k = v - p
-        blk = np.empty((n - p, n - p))
-        blk[:k, :k] = phi + gamma * g_i * np.eye(k)
-        blk[:k, k:] = decomp.a32.T
-        blk[k:, :k] = decomp.a32
-        blk[k:, k:] = a_u.T + a_u + 2.0 * alpha * np.eye(n - v)
-        blk -= gamma * epsilon * np.eye(n - p)
-        blk = 0.5 * (blk + blk.T)
-        worst.append(float(_eigvalsh(blk)[-1]))
+    if spectra is None:
+        spectra = _pie_spectra(p_ies)
+    worst = [-np.inf if d.n_dim == d.p_dim else np.inf for d in decomps]
+    g_weights = np.asarray(g_weights, dtype=float)
+    candidates = [i for i, (d, eigs) in enumerate(zip(decomps, spectra))
+                  if d.n_dim > d.p_dim and not (eigs.size and eigs[0] <= 0)]
+    shapes = [(decomps[i].n_dim, decomps[i].v_dim, decomps[i].p_dim) for i in candidates]
+    for group in _node_groups(shapes):
+        nodes = [candidates[j] for j in group]
+        blk = _lmi_blocks([p_ies[i] for i in nodes], [h_injs[i] for i in nodes],
+                          [decomps[i] for i in nodes], gamma * g_weights[nodes],
+                          gamma, epsilon, alpha)
+        for i, b in zip(nodes, blk):
+            worst[i] = float(_eigvalsh(b)[-1])
     return all(w < 0 for w in worst), worst
+
+
+def _lmi_blocks(p_ies, h_injs, decomps, gamma_g, gamma, epsilon, alpha) -> np.ndarray:
+    """The symmetrized LMI matrices of equally shaped nodes, as one stack."""
+    d0 = decomps[0]
+    n, v, p = d0.n_dim, d0.v_dim, d0.p_dim
+    k = v - p
+    pie, h = _stack(p_ies), _stack(h_injs)
+    a22, a32, a_u = (_fields(decomps, name) for name in ("a22", "a32", "a_u"))
+    w = pie @ h
+    ea12 = _fields(decomps, "e_mat") @ _fields(decomps, "a12")
+    phi = (
+        pie @ a22
+        + a22.transpose(0, 2, 1) @ pie
+        - w @ ea12
+        - ea12.transpose(0, 2, 1) @ w.transpose(0, 2, 1)
+        + 2.0 * alpha * pie
+    )
+    blk = np.empty((len(decomps), n - p, n - p))
+    blk[:, :k, :k] = phi + gamma_g[:, None, None] * np.eye(k)
+    blk[:, :k, k:] = a32.transpose(0, 2, 1)
+    blk[:, k:, :k] = a32
+    blk[:, k:, k:] = a_u.transpose(0, 2, 1) + a_u + 2.0 * alpha * np.eye(n - v)
+    blk -= gamma * epsilon * np.eye(n - p)
+    return 0.5 * (blk + blk.transpose(0, 2, 1))
+
+
+def _stacked_stage(step: str, nodes, key, run, failure: list) -> dict:
+    """{node: result} of run(group), a stacked call, on each group of `nodes`
+    with equal key(node).
+
+    A StackError at position j of a group means that node group[j] fails at
+    `step`.  `failure` holds the lowest failing node so far as [node, step,
+    error]; the nodes after it are dropped and the ones before it run again,
+    so that it ends as the node that a node-by-node loop would name, with the
+    error that loop would raise.
+    """
+    results = {}
+    for group in _node_groups([key(i) for i in nodes]):
+        group = [nodes[j] for j in group]
+        while True:
+            group = [i for i in group if not failure or i < failure[0]]
+            if not group:
+                break
+            try:
+                results.update(zip(group, run(group)))
+                break
+            except StackError as exc:
+                failure[:] = [group[exc.index], step, exc.error]
+    return results
+
+
+def _raise_failure(failure: list) -> None:
+    if failure:
+        node, step, error = failure
+        raise SynthesisError(step, f"node {node + 1}: {error}") from error
 
 
 def decompose_nodes(
     plant: Plant,
 ) -> tuple[list[FullRankFactorization], list[NodeDecomposition]]:
-    """Factorize every C_i = D_i F_i and decompose (F_i, A) by observability.
+    """Factorize every C_i = D_i F_i and decompose (F_i, A) by observability,
+    one stack of equally shaped nodes at a time.
 
     Raises SynthesisError tagged "factorization" or "decomposition" with the
-    1-based node that failed.
+    1-based node that failed: the lowest-numbered failing node, at its first
+    failing step.
     """
-    frfs, decomps = [], []
-    for i in range(plant.node_count):
-        try:
-            frf = full_rank_factorize(plant.c_block(i))
-        except ValueError as exc:
-            raise SynthesisError("factorization", f"node {i + 1}: {exc}") from exc
-        try:
-            decomp = observability_decomposition(plant.a, frf.f_factor)
-        except ValueError as exc:
-            raise SynthesisError("decomposition", f"node {i + 1}: {exc}") from exc
-        frfs.append(frf)
-        decomps.append(decomp)
-    return frfs, decomps
+    rows = np.cumsum((0,) + plant.node_rows)
+    failure: list = []
+    frfs = _stacked_stage(
+        "factorization", list(range(plant.node_count)), lambda i: plant.node_rows[i],
+        lambda group: full_rank_factorize(
+            plant.c[np.array([np.arange(rows[i], rows[i + 1]) for i in group])]),
+        failure)
+    decomps = _stacked_stage(
+        "decomposition", sorted(frfs), lambda i: frfs[i].f_factor.shape,
+        lambda group: observability_decomposition(
+            plant.a, _fields([frfs[i] for i in group], "f_factor")),
+        failure)
+    _raise_failure(failure)
+    return ([frfs[i] for i in range(plant.node_count)],
+            [decomps[i] for i in range(plant.node_count)])
+
+
+def _design(decomps, frfs, alpha: float, gamma: float) -> list[NodeGains]:
+    """Injection, Lyapunov weight and gains of equally shaped nodes."""
+    a22 = _fields(decomps, "a22")
+    ea12 = _fields(decomps, "e_mat") @ _fields(decomps, "a12")
+    h = place_injection(a22, ea12, alpha)
+    pie = solve_pie(a22, ea12, h, gamma, alpha)
+    return assemble_gains(decomps, frfs, h, pie)
 
 
 def _lemma_weights(node_count: int) -> np.ndarray:
@@ -438,15 +567,15 @@ def synthesize(
     epsilon = compute_epsilon(decomps, spectral, _lemma_weights(big_n), EPSILON_FRACTION)
     gamma = select_gamma(decomps, epsilon, alpha, GAMMA_SAFETY)
 
-    nodes = []
-    for i, (frf, decomp) in enumerate(zip(frfs, decomps)):
-        try:
-            ea12 = decomp.e_mat @ decomp.a12
-            h = place_injection(decomp.a22, ea12, alpha)
-            pie = solve_pie(decomp.a22, ea12, h, gamma, alpha)
-            nodes.append(assemble_gains(decomp, frf, h, pie))
-        except ValueError as exc:
-            raise SynthesisError("gains", f"node {i + 1}: {exc}") from exc
+    failure: list = []
+    gains = _stacked_stage(
+        "gains", list(range(big_n)),
+        lambda i: (plant.node_rows[i], decomps[i].p_dim, decomps[i].v_dim),
+        lambda group: _design([decomps[i] for i in group], [frfs[i] for i in group],
+                              alpha, gamma),
+        failure)
+    _raise_failure(failure)
+    nodes = [gains[i] for i in range(big_n)]
 
     realization = ObserverRealization(
         nodes=tuple(nodes),

@@ -459,6 +459,49 @@ def test_non_finite_gains_exit1_at_parse(command, key, bad, standard_files, tmp_
     assert f"{name} has a non-finite entry" in error["message"]
 
 
+# the UTF-16 byte order mark, then "{bad": not UTF-8 text
+NOT_UTF8 = bytes.fromhex("fffe7b626164")
+
+
+@pytest.mark.parametrize("command, which", [
+    ("synthesize", "problem"), ("simulate", "problem"), ("simulate", "gains"),
+    ("verify", "gains")])
+def test_non_utf8_file_exit1_at_parse(command, which, standard_files, tmp_path, capsys):
+    """A problem or gains file that is not UTF-8 text is a parse error with
+    the error JSON, not a UnicodeDecodeError traceback."""
+    _, _, problem, gains = standard_files
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_bytes(NOT_UTF8)
+    files = {"problem": problem, "gains": gains, which: str(bad_file)}
+    if command == "synthesize":
+        argv = [command, files["problem"], str(tmp_path / "out.json")]
+    else:
+        argv = [command, files["gains"], files["problem"]]
+    capsys.readouterr()
+    assert main(argv) == 1
+    error = strict_loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["step"] == "parse"
+    assert "can't decode byte 0xff" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
+def test_gains_file_alpha_exit1_at_parse(command, alpha, standard_files, tmp_path,
+                                         capsys):
+    """The gains file's alpha is checked as the problem file's is, at parse,
+    in a message that names it."""
+    _, _, problem, gains = standard_files
+    doc = json.loads(open(gains).read())
+    doc["alpha"] = alpha
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(bad_file), problem]) == 1
+    error = strict_loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["step"] == "parse"
+    assert "alpha must be finite and nonnegative" in error["message"]
+
+
 class TestGainsFileText:
     """save_realization writes json.dumps(realization_to_dict(...), indent=1)
     and a newline, byte for byte."""
