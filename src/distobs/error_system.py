@@ -158,13 +158,16 @@ def _lyapunov_in_place(
     shapes = [(g.p_ie.shape[0], g.n_gain.shape[0]) for g in nodes]
     for start, stop in _runs(shapes):
         k, order = shapes[start]
-        step = max(1, SCALED_ROWS // max(k, 1))
-        for a in range(start, stop if k else start, step):
+        if k == 0:
+            continue
+        pie = _stack([g.p_ie for g in nodes[start:stop]])
+        # the weight of e^T P_ie e, and P_ie bit for bit when it is symmetric
+        weight = 0.5 * (pie + pie.transpose(0, 2, 1))
+        step = max(1, SCALED_ROWS // k)
+        for a in range(start, stop, step):
             b = min(a + step, stop)
             rows = m[off[a] : off[b]].reshape(b - a, order, m.shape[1])[:, :k]
-            pie = _stack([g.p_ie for g in nodes[a:b]])
-            # the weight of e^T P_ie e, and P_ie bit for bit when it is symmetric
-            rows[...] = 0.5 * (pie + pie.transpose(0, 2, 1)) @ rows
+            rows[...] = weight[a - start : b - start] @ rows
     _symmetrize_in_place(m, 1.0)
     top = m.shape[0]  # 1-based: the largest eigenvalue only
     return float(_eigvalsh_in_place(m, range="I", il=top, iu=top)[0])

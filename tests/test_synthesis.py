@@ -436,12 +436,16 @@ class TestSynthesize:
 # on node-sized matrices; the kernels in distobs.linalg call LAPACK directly
 SCIPY_WRAPPERS = ("svd", "svdvals", "orth", "eigvals", "eigvalsh",
                   "solve_continuous_lyapunov", "block_diag")
+# numpy.linalg wrappers, each a LAPACK loop over its stack: they run once per
+# stack of equally shaped nodes (pinv and cond through svd)
+NUMPY_WRAPPERS = ("inv", "pinv", "cond", "svd")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_no_per_node_scipy_wrapper_calls(seed, monkeypatch):
-    """The calls of SCIPY_WRAPPERS that synthesize (with its certify) makes do
-    not grow from N = 3 to N = 12: none of them runs once per node."""
+    """The calls of SCIPY_WRAPPERS and NUMPY_WRAPPERS that synthesize (with
+    its certify) makes do not grow from N = 3 to N = 12: none of them runs
+    once per node."""
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -450,9 +454,15 @@ def test_no_per_node_scipy_wrapper_calls(seed, monkeypatch):
 
     for name in SCIPY_WRAPPERS:
         monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    for name in NUMPY_WRAPPERS:
+        wrapper = counted(f"numpy.{name}", getattr(np.linalg, name))
+        # numpy.linalg's own functions call each other through its module
+        monkeypatch.setattr(np.linalg, name, wrapper)
+        monkeypatch.setattr(np.linalg._linalg, name, wrapper)
+    names = list(SCIPY_WRAPPERS) + [f"numpy.{name}" for name in NUMPY_WRAPPERS]
     counts = []
     for n_nodes in (3, 12):
-        calls = dict.fromkeys(SCIPY_WRAPPERS, 0)
+        calls = dict.fromkeys(names, 0)
         # node 1 has v < n, so that the unobservable-block bisection runs too
         plant, graph = one_partial_node_instance(
             np.random.default_rng([seed, n_nodes]), 4, n_nodes)
@@ -460,3 +470,4 @@ def test_no_per_node_scipy_wrapper_calls(seed, monkeypatch):
         assert realization.nodes[0].v_dim < plant.n
         counts.append(calls)
     assert counts[1] == counts[0]
+    assert counts[0]["numpy.inv"] and counts[0]["numpy.svd"]
