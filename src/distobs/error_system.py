@@ -2,8 +2,9 @@
 
 Node i's observer hears its neighbours through the coupling term
     gamma r_i M_i sum_j a_ij (xhat_j - xhat_i) = sum_j C_ij xhat_j,
-written once, in _coupling, as the blocks C_ij = -gamma r_i lap_ij M_i at
-the nonzeros of the Laplacian, for the simulator and the error system alike.
+written once, in _coupling_scales, as the blocks C_ij = -gamma r_i lap_ij
+M_i at the nonzeros of the Laplacian, for the simulator and the error
+system alike.
 With G = blkdiag(N_i) T_s^T + [C_ij], the stacked error e = col(e_1, ...,
 e_N) obeys e' = T_s G e and stays on im T_s, of dimension N n - sum p_i.
 There it is generated by the restricted matrix R = G T_s, with blocks
@@ -16,6 +17,11 @@ matrix.  The Lyapunov certificate is the top eigenvalue mu of W R + R^T W +
 the rate is the bound on R's spectral abscissa that mu implies.  The
 invariance residual is T_p^T F T_s = blkdiag_i(T_ip^T P_i) R, with T_ip from
 the problem's own decomposition, so that it tests that each P_i spans im T_is.
+
+R's blocks, the invariance rows and the P_ie row scaling of the Lyapunov
+matrix are each one stacked product per shape of node blocks, and the
+eigenvalues of each sym(P_ie) are computed once per certify, for the lmi and
+the rate checks alike; only the LAPACK eigenvalue calls stay per node.
 """
 
 from __future__ import annotations
@@ -58,15 +64,19 @@ def _judge(name: str, value: float, a_norm: float, alpha: float) -> dict:
     return {"value": float(value), "bound": bound, "pass": bool(ok)}
 
 
-def _coupling(realization: ObserverRealization, lap: np.ndarray):
-    """Nonzero blocks (i, j, C_ij) of the coupling term.
+def _coupling_scales(realization: ObserverRealization, lap: np.ndarray):
+    """(i, j, s_ij) as arrays over the nonzeros of the Laplacian lap = D - A.
 
     Node i's observer receives sum_j C_ij xhat_j = gamma r_i M_i sum_j a_ij
-    (xhat_j - xhat_i), so C_ij = -gamma r_i lap_ij M_i, one block for each
-    nonzero of the Laplacian lap = D - A.
+    (xhat_j - xhat_i), so C_ij = s_ij M_i with s_ij = -gamma r_i lap_ij.
     """
     rows, cols = np.nonzero(lap)
-    scales = -realization.gamma * realization.r_vector[rows] * lap[rows, cols]
+    return rows, cols, -realization.gamma * realization.r_vector[rows] * lap[rows, cols]
+
+
+def _coupling(realization: ObserverRealization, lap: np.ndarray):
+    """Nonzero blocks (i, j, C_ij) of the coupling term, one at a time."""
+    rows, cols, scales = _coupling_scales(realization, lap)
     for i, j, scale in zip(rows.tolist(), cols.tolist(), scales.tolist()):
         yield i, j, scale * realization.nodes[i].m_gain
 
@@ -102,9 +112,8 @@ def restricted_generator(
         o = orders[group[0]]
         r_mat[_blocks(off[group], o, off[group], o)] = _stack(
             [nodes[i].n_gain for i in group])
-    # the coupling blocks C_ij P_j of error_system._coupling, added to them
-    rows, cols = np.nonzero(laplacian)
-    scales = -realization.gamma * realization.r_vector[rows] * laplacian[rows, cols]
+    # the coupling blocks C_ij P_j, added to them
+    rows, cols, scales = _coupling_scales(realization, laplacian)
     for group in _node_groups(list(zip(orders[rows].tolist(), orders[cols].tolist()))):
         i, j = rows[group], cols[group]
         c = scales[group][:, None, None] * _stack([nodes[x].m_gain for x in i])

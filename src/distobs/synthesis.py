@@ -4,6 +4,16 @@ Per node the observer is
     z_i' = N_i z_i + L_i y_i + gamma * r_i * M_i * sum_j a_ij (xhat_j - xhat_i)
     xhat_i = P_i z_i + Q_i y_i
 with z_i of dimension n - p_i, so the total observer order is N*n - sum p_i.
+
+The per-node stages run once per group of nodes of equal shape: the
+factorization over nodes with equal m_i, the decomposition over equal p_i,
+and the injection, Lyapunov weight and gains over equal (m_i, p_i, v_i), each
+group as one stack (see linalg).  place_injection, solve_pie, assemble_gains,
+verify_cancellation and verify_lmi_th1 take one node or such a group, and
+stay per node only in their LAPACK calls and the eigenvalues of each LMI.
+NodeDecomposition and NodeGains are the per-node records, views into their
+group's stacks.  When nodes fail, the error names the lowest-numbered one at
+its first failing step, as a node-by-node loop would.
 """
 
 from __future__ import annotations
@@ -385,8 +395,8 @@ def _cancellation(gains, decomps, frfs) -> np.ndarray:
     sns = s @ n_gain @ s.T
     lhs = (s @ l_gain - sns @ k_mat) @ dft + sns + (k_mat @ dft - np.eye(n)) @ at
     # np.linalg.norm of each node: the square root of one dot product
-    flat = lhs.reshape(len(lhs), -1)
-    return np.sqrt(np.vecdot(flat, flat))
+    flat = lhs.reshape(len(lhs), 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel()
 
 
 def _pie_spectra(p_ies) -> list[np.ndarray]:
@@ -497,15 +507,16 @@ def decompose_nodes(
     1-based node that failed: the lowest-numbered failing node, at its first
     failing step.
     """
-    rows = np.cumsum((0,) + plant.node_rows)
+    starts = np.cumsum((0,) + plant.node_rows)
     failure: list = []
     frfs = _stacked_stage(
         "factorization", list(range(plant.node_count)), lambda i: plant.node_rows[i],
         lambda group: full_rank_factorize(
-            plant.c[np.array([np.arange(rows[i], rows[i + 1]) for i in group])]),
+            plant.c[starts[group][:, None] + np.arange(plant.node_rows[group[0]])]),
         failure)
     decomps = _stacked_stage(
-        "decomposition", sorted(frfs), lambda i: frfs[i].f_factor.shape,
+        "decomposition", sorted(frfs),
+        lambda i: (frfs[i].f_factor.shape, frfs[i].f_factor.strides),
         lambda group: observability_decomposition(
             plant.a, _fields([frfs[i] for i in group], "f_factor")),
         failure)
