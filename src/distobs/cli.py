@@ -226,6 +226,11 @@ def cmd_verify(args) -> int:
     except (ValueError, SynthesisError) as exc:
         _emit_error("assumptions", str(exc))
         return EXIT_INFEASIBLE
+    if any((g.p_dim, g.v_dim) != (d.p_dim, d.v_dim)
+           for g, d in zip(realization.nodes, decomps)):
+        _emit_error("dimensions", "gains file does not match the problem's "
+                    "observability decomposition")
+        return EXIT_IO
 
     # alpha is the problem's requirement, not part of the observer's dynamics
     # (unlike r), so the design is judged at the problem's alpha

@@ -435,6 +435,24 @@ class TestVerifyCommand:
         _, _, other_problem = jordan_problem(tmp_path)
         assert main(["verify", gains, other_problem]) == 1
 
+    def test_gains_of_another_node_rank_exit1(self, tmp_path, capsys):
+        """Node 1 has two independent output rows in the designed problem and
+        a rank-one pair in the checked one: same shapes of Q, another p_1."""
+        rng = np.random.default_rng(3)
+        plant = Plant(a=rng.standard_normal((4, 4)) / 2, c=rng.standard_normal((3, 4)),
+                      node_rows=(2, 1))
+        c = plant.c.copy()
+        c[1] = 2.0 * c[0]
+        graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        problem = write_problem(tmp_path, problem_dict(plant, graph, alpha=0.1))
+        other = write_problem(tmp_path, problem_dict(Plant(a=plant.a, c=c, node_rows=(2, 1)),
+                                                     graph, alpha=0.1), "other.json")
+        gains = str(tmp_path / "gains.json")
+        assert main(["synthesize", problem, gains]) == 0
+        capsys.readouterr()
+        assert main(["verify", gains, other]) == 1
+        assert stderr_step(capsys) == "dimensions"
+
 
 @pytest.mark.parametrize("command, key", [
     ("verify", "Pie"), ("simulate", "N"), ("verify", "H"), ("simulate", "gamma")])
