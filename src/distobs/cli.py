@@ -119,12 +119,12 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _dimensions_match(realization, plant) -> bool:
     """True iff the gains file has one node and one r entry per problem node,
-    each node with a Q of shape (n, m_i)."""
+    each node with a Q of shape (n, m_i) and a P of n rows."""
     big_n = plant.node_count
     return (
         len(realization.nodes) == big_n
         and realization.r_vector.shape == (big_n,)
-        and all(g.q_out.shape == (plant.n, m)
+        and all(g.q_out.shape == (plant.n, m) and g.p_out.shape[0] == plant.n
                 for g, m in zip(realization.nodes, plant.node_rows))
     )
 

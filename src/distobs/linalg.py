@@ -32,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, lapack
 
-DEFAULT_RANK_TOL = 1e-9
+# relative tolerances of a numerical rank and of a symmetry check
+RANK_TOL = 1e-9
+SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -233,22 +235,22 @@ def _ranks(s: np.ndarray, tol: float) -> np.ndarray:
     return np.count_nonzero(s > tol * s[:, :1], axis=1)
 
 
-def _node_ranks(stack: np.ndarray, tol: float) -> np.ndarray:
+def _node_ranks(stack: np.ndarray) -> np.ndarray:
     (stack,) = _finite_nodes(stack)
     if stack[0].size == 0:
         return np.zeros(len(stack), dtype=int)
     # scipy.linalg.svdvals of each node: singular values only
     s = _each(lambda a: _gesdd(a, True, compute_uv=False)[1], stack)
-    return _ranks(np.array(s), tol)
+    return _ranks(np.array(s), RANK_TOL)
 
 
-def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL):
-    """Count of singular values above tol relative to the largest one; of
-    each node, as an int array, for a stack."""
+def numerical_rank(m: np.ndarray):
+    """Count of singular values above RANK_TOL relative to the largest one;
+    of each node, as an int array, for a stack."""
     m = np.asarray(m, dtype=float)
     if m.ndim == 3:
-        return _node_ranks(m, tol)
-    return int(_one(lambda: _node_ranks(m[None], tol)))
+        return _node_ranks(m)
+    return int(_one(lambda: _node_ranks(m[None])))
 
 
 def observability_matrix(f: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -260,10 +262,10 @@ def observability_matrix(f: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks, axis=-2)
 
 
-def _leading_negative(x: np.ndarray, axis: int, tol: float = 1e-12) -> np.ndarray:
-    """Whether the first entry above tol in magnitude along `axis` is
+def _leading_negative(x: np.ndarray, axis: int) -> np.ndarray:
+    """Whether the first entry above 1e-12 in magnitude along `axis` is
     negative (False where there is none), with `axis` kept."""
-    big = np.abs(x) > tol
+    big = np.abs(x) > 1e-12
     first = np.expand_dims(big.argmax(axis=axis), axis)
     return (np.take_along_axis(x, first, axis=axis) < 0) & big.any(axis=axis, keepdims=True)
 
@@ -273,9 +275,9 @@ def _fix_column_signs(t: np.ndarray) -> np.ndarray:
     return np.where(_leading_negative(t, axis=1), -t, t)
 
 
-def _factorize(c: np.ndarray, tol: float) -> list[FullRankFactorization]:
+def _factorize(c: np.ndarray) -> list[FullRankFactorization]:
     count, m, _ = c.shape
-    ranks = _node_ranks(c, tol)
+    ranks = _node_ranks(c)
     _fail_first(ranks == 0, lambda _: ValueError(
         "node has no effective output (zero output matrix)"))
     out = [None] * count
@@ -303,7 +305,7 @@ def _fortran_slices(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def full_rank_factorize(c_i: np.ndarray, tol: float = DEFAULT_RANK_TOL):
+def full_rank_factorize(c_i: np.ndarray):
     """Factor C = D F with D full column rank and F full row rank; a list of
     factorizations for a stack of equally shaped C_i.
 
@@ -312,26 +314,26 @@ def full_rank_factorize(c_i: np.ndarray, tol: float = DEFAULT_RANK_TOL):
     """
     c_i = np.asarray(c_i, dtype=float)
     if c_i.ndim == 3:
-        return _factorize(c_i, tol)
-    return _one(lambda: _factorize(np.atleast_2d(c_i)[None], tol))
+        return _factorize(c_i)
+    return _one(lambda: _factorize(np.atleast_2d(c_i)[None]))
 
 
-def _decompose(a: np.ndarray, f: np.ndarray, tol: float) -> list[NodeDecomposition]:
+def _decompose(a: np.ndarray, f: np.ndarray) -> list[NodeDecomposition]:
     count, p, _ = f.shape
     n = a.shape[0]
     if f.size == 0:
         raise StackError(0, ValueError("virtual output matrix is empty"))
-    # one thin SVD of F^T tests the full row rank, at tol and at the
+    # one thin SVD of F^T tests the full row rank, at RANK_TOL and at the
     # eps * max(n, p) of scipy.linalg.orth, and gives the basis of im F^T
     (f,) = _finite_nodes(f)
     u_f, s_f, _ = _svd_nodes(f.transpose(0, 2, 1), False)
-    full_rank = _ranks(s_f, max(tol, np.finfo(float).eps * max(n, p))) == p
+    full_rank = _ranks(s_f, max(RANK_TOL, np.finfo(float).eps * max(n, p))) == p
     _fail_first(~full_rank, lambda _: ValueError("virtual output matrix is not full row rank"))
     t_p = u_f[:, :, :p]
 
     (obs,) = _finite_nodes(observability_matrix(f, a))
     _, s_o, vt_o = _svd_nodes(obs, True)
-    v_dims = _ranks(s_o, tol)
+    v_dims = _ranks(s_o, RANK_TOL)
     zero_tol = 1e-10 * max(1.0, np.linalg.norm(a))
 
     out = [None] * count
@@ -378,9 +380,7 @@ def _decompose(a: np.ndarray, f: np.ndarray, tol: float) -> list[NodeDecompositi
     return out
 
 
-def observability_decomposition(
-    a: np.ndarray, f_i: np.ndarray, tol: float = DEFAULT_RANK_TOL
-):
+def observability_decomposition(a: np.ndarray, f_i: np.ndarray):
     """Orthogonal staircase decomposition of (F, A) exposing im F^T first; a
     list of decompositions for a stack of equally shaped F_i.
 
@@ -390,8 +390,8 @@ def observability_decomposition(
     """
     a, f_i = np.asarray(a, dtype=float), np.asarray(f_i, dtype=float)
     if f_i.ndim == 3:
-        return _decompose(a, f_i, tol)
-    return _one(lambda: _decompose(a, np.atleast_2d(f_i)[None], tol))
+        return _decompose(a, f_i)
+    return _one(lambda: _decompose(a, np.atleast_2d(f_i)[None]))
 
 
 def _abscissae(m: np.ndarray) -> np.ndarray:
@@ -474,10 +474,10 @@ def _eigvalsh_in_place(m: np.ndarray, **subset) -> np.ndarray:
     return _eigvalsh(m.T, overwrite_a=True, **subset)
 
 
-def _min_symmetric_eigenvalue_in_place(m: np.ndarray, tol: float = 1e-10) -> float:
+def _min_symmetric_eigenvalue_in_place(m: np.ndarray) -> float:
     """min_symmetric_eigenvalue of a nonempty m, which it overwrites."""
     asym = _asymmetry(m)
-    if asym > tol * max(1.0, m.max(), -m.min()):
+    if asym > SYMMETRY_TOL * max(1.0, m.max(), -m.min()):
         raise ValueError(f"matrix is not symmetric (deviation {asym:.3e})")
     # an exactly symmetric m is already 0.5 (m + m^T), bit for bit
     if asym != 0:
@@ -485,12 +485,12 @@ def _min_symmetric_eigenvalue_in_place(m: np.ndarray, tol: float = 1e-10) -> flo
     return float(_eigvalsh_in_place(m)[0])
 
 
-def min_symmetric_eigenvalue(m: np.ndarray, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of sym(m); rejects m further than tol from symmetric."""
+def min_symmetric_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of sym(m); rejects m not symmetric to SYMMETRY_TOL."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return np.inf
-    return _min_symmetric_eigenvalue_in_place(m.copy(), tol)
+    return _min_symmetric_eigenvalue_in_place(m.copy())
 
 
 def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:

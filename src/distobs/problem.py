@@ -6,6 +6,7 @@ Problem JSON schema:
      "alpha": float}
 
 alpha, the required decay rate, is finite and nonnegative (0 when absent).
+N, the m_i and the edge ends are whole numbers (3 or 3.0, not 3.7 or true).
 The design has no other settings: a file with the "overrides" key of older
 versions is rejected rather than designed differently from what it asks for.
 
@@ -39,10 +40,18 @@ class ProblemFile:
     alpha: float
 
 
+def _whole(value) -> int:
+    """value as an int, unless it is a fraction or a boolean, which int()
+    would truncate or read as 0 or 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def graph_from_fragment(fragment: dict) -> NetworkGraph:
     """Build a NetworkGraph from the {"N", "edges"} JSON fragment."""
     try:
-        n = int(fragment["N"])
+        n = _whole(fragment["N"])
         edges = fragment.get("edges", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"malformed graph fragment: {exc}") from exc
@@ -51,7 +60,7 @@ def graph_from_fragment(fragment: dict) -> NetworkGraph:
     weights = np.zeros((n, n))
     for e in edges:
         try:
-            src, dst, w = int(e["from"]), int(e["to"]), float(e["weight"])
+            src, dst, w = _whole(e["from"]), _whole(e["to"]), float(e["weight"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ProblemFormatError(f"malformed edge entry {e!r}") from exc
         if not (1 <= src <= n and 1 <= dst <= n) or src == dst:
@@ -75,8 +84,10 @@ def problem_from_dict(doc: dict) -> ProblemFile:
     try:
         a = np.asarray(doc["A"], dtype=float)
         c = np.atleast_2d(np.asarray(doc["C"], dtype=float))
-        node_outputs = [int(m) for m in doc["node_outputs"]]
+        node_outputs = [_whole(m) for m in doc["node_outputs"]]
         graph = graph_from_fragment(doc["graph"])
+        if isinstance(doc.get("alpha"), bool):
+            raise ValueError("alpha must be a number, not a boolean")
         alpha = _checked_alpha(float(doc.get("alpha", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"malformed problem file: {exc}") from exc

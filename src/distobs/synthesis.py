@@ -13,7 +13,9 @@ verify_cancellation and verify_lmi_th1 take one node or such a group, and
 stay per node only in their LAPACK calls and the eigenvalues of each LMI.
 NodeDecomposition and NodeGains are the per-node records, views into their
 group's stacks.  When nodes fail, the error names the lowest-numbered one at
-its first failing step, as a node-by-node loop would.
+its first failing step, as a node-by-node loop would.  gamma is in closed
+form: GAMMA_SAFETY times the least gain that the unobservable blocks allow,
+from one symmetric eigenvalue per node with v_i < n.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .linalg import (
     spectral_abscissa,
 )
 
-# smallest bisection bracket for the coupling-gain scalar test
+# least beta = gamma * epsilon - 2 alpha, which must be positive
 BETA_FLOOR = 1e-6
 # epsilon as a fraction of the lemma matrix's smallest eigenvalue
 EPSILON_FRACTION = 0.9
@@ -139,12 +141,11 @@ def compute_epsilon(
     decomps: list[NodeDecomposition],
     spectral: GraphSpectralData,
     g_weights,
-    epsilon_fraction: float,
 ) -> float:
     """Strict-positivity margin of T^T (mirror (x) I_n) T + G, scaled down.
 
     G stacks per-node diag(g_i I_v, 0).  The returned epsilon is
-    epsilon_fraction times the smallest eigenvalue, so the strict inequality
+    EPSILON_FRACTION times the smallest eigenvalue, so the strict inequality
     holds with margin at the returned value.
 
     When every node has v = n, T = blkdiag(T_i) is orthogonal and
@@ -163,7 +164,7 @@ def compute_epsilon(
             "joint observability violated or graph not strongly connected "
             f"(lambda_min = {lam_min:.3e})",
         )
-    return float(epsilon_fraction * lam_min)
+    return float(EPSILON_FRACTION * lam_min)
 
 
 def _lemma_min_eigenvalue(decomps, mirror, g_weights) -> float:
@@ -191,49 +192,34 @@ def _lemma_min_eigenvalue(decomps, mirror, g_weights) -> float:
     return _min_symmetric_eigenvalue_in_place(m)
 
 
-def _beta_feasible(beta: float, sym_u: np.ndarray, a32_gram: np.ndarray) -> bool:
-    m = sym_u + a32_gram / beta
-    return float(_eigvalsh(0.5 * (m + m.T))[-1]) < beta
-
-
-def _min_beta_for_node(decomp: NodeDecomposition) -> float:
-    """Minimal beta = gamma*eps - 2*alpha making the unobservable-block
-    inequality A_u^T + A_u - beta I + (1/beta) A_32 A_32^T < 0 hold."""
-    a_u, a32 = decomp.a_u, decomp.a32
-    if a_u.size == 0:
-        return 0.0
-    sym_u = a_u + a_u.T
-    gram = a32 @ a32.T if a32.shape[1] > 0 else np.zeros_like(sym_u)
-    lo = BETA_FLOOR
-    if _beta_feasible(lo, sym_u, gram):
-        return lo
-    hi = 1.0
-    while not _beta_feasible(hi, sym_u, gram):
-        hi *= 2.0
-    while (hi - lo) > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if _beta_feasible(mid, sym_u, gram):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def select_gamma(
-    decomps: list[NodeDecomposition],
-    epsilon: float,
-    alpha: float,
-    gamma_safety: float,
+    decomps: list[NodeDecomposition], epsilon: float, alpha: float
 ) -> float:
-    """Near-minimal coupling gain: bisection on beta per node, safety-inflated.
+    """Near-minimal coupling gain, inflated by GAMMA_SAFETY.
 
-    Enforces gamma > 2*alpha/epsilon (beta > 0) and gamma > 2*alpha (positive
-    definite Lyapunov forcing in the later solve).
+    Each node with v < n needs beta = gamma epsilon - 2 alpha > 0 with
+    S(beta) = A_u^T + A_u - beta I + A_32 A_32^T / beta < 0.  For beta > 0,
+    -S(beta) is the Schur complement of beta I in beta I - M, with
+    M = [[0, A_32^T], [A_32, A_u + A_u^T]], so S(beta) < 0 exactly when
+    beta > lambda_max(M) (Boyd, El Ghaoui, Feron and Balakrishnan 1994, sec. 2.1).
+    BETA_FLOOR stays to keep beta positive: beta is BETA_FLOOR where every
+    lambda_max(M) <= 0 or every v = n.  gamma > 2 alpha gives solve_pie
+    positive definite Lyapunov forcing.
     """
-    beta = max((_min_beta_for_node(d) for d in decomps), default=0.0)
-    beta = max(beta, BETA_FLOOR)
-    gamma_min = max((beta + 2.0 * alpha) / epsilon, 2.0 * alpha)
-    return float(gamma_safety * max(gamma_min, BETA_FLOOR))
+    beta = max([BETA_FLOOR] + [_least_beta(d.a_u, d.a32)
+                               for d in decomps if d.v_dim < d.n_dim])
+    return float(GAMMA_SAFETY * max((beta + 2.0 * alpha) / epsilon, 2.0 * alpha, BETA_FLOOR))
+
+
+def _least_beta(a_u: np.ndarray, a32: np.ndarray) -> float:
+    """lambda_max([[0, A_32^T], [A_32, A_u + A_u^T]]), the least beta of a
+    node with v < n (select_gamma)."""
+    k = a32.shape[1]
+    m = np.zeros((k + len(a_u),) * 2)
+    m[k:, :k] = a32
+    m[:k, k:] = a32.T
+    m[k:, k:] = a_u + a_u.T
+    return float(_eigvalsh(m)[-1])
 
 
 def place_injection(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarray:
@@ -553,7 +539,7 @@ def synthesize(
     """Run the full constructive design for the rate alpha and certify the result.
 
     The design's constants are EPSILON_FRACTION, GAMMA_SAFETY,
-    INJECTION_MARGIN, unit lemma weights g_i and linalg.DEFAULT_RANK_TOL.
+    INJECTION_MARGIN, unit lemma weights g_i and linalg.RANK_TOL.
     Raises ValueError on an alpha that is negative or not finite, and
     SynthesisError (with a step tag) when the standing assumptions fail:
     graph not strongly connected, (C, A) not observable, or a node with zero
@@ -575,8 +561,8 @@ def synthesize(
         raise SynthesisError("observability", "(C, A) is not observable")
 
     frfs, decomps = decompose_nodes(plant)
-    epsilon = compute_epsilon(decomps, spectral, _lemma_weights(big_n), EPSILON_FRACTION)
-    gamma = select_gamma(decomps, epsilon, alpha, GAMMA_SAFETY)
+    epsilon = compute_epsilon(decomps, spectral, _lemma_weights(big_n))
+    gamma = select_gamma(decomps, epsilon, alpha)
 
     failure: list = []
     gains = _stacked_stage(

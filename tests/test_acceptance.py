@@ -226,7 +226,7 @@ def test_criterion_7_coupling_margin():
     dec = observability_decomposition(a, frf.f_factor)
     single = NetworkGraph(weights=np.zeros((1, 1)))
     with pytest.raises(SynthesisError) as exc1:
-        compute_epsilon([dec], spectral_data(single), (1.0,), 0.9)
+        compute_epsilon([dec], spectral_data(single), (1.0,))
     plant_bad = Plant(a=a, c=np.array([[1.0, 0.0], [1.0, 0.0]]),
                       node_rows=(1, 1))
     pair = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))

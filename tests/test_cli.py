@@ -215,6 +215,30 @@ class TestSynthesizeCommand:
         assert stderr_step(capsys) == "parse"
 
 
+    @pytest.mark.parametrize("key, value, code", [
+        ("N", 3.7, 1), ("N", float("inf"), 1), ("node_outputs", [1.9, 1, 1], 1),
+        ("from", 1.5, 1), ("alpha", True, 1),
+        # a whole number written as a float is designed as the integer is
+        ("N", 3.0, 0), ("node_outputs", [1.0, 1.0, 1.0], 0), ("from", 1.0, 0)])
+    def test_counts_and_indices_are_whole_numbers(self, key, value, code, standard_files,
+                                                  tmp_path, capsys):
+        """A node count, output count or edge end that is not a whole number,
+        and a boolean alpha, are parse errors rather than truncated to an
+        integer, read as 1 or (for an infinite count) an OverflowError."""
+        plant, graph, _, gains = standard_files
+        doc = problem_dict(plant, graph, alpha=0.5)
+        edge = next(e for e in doc["graph"]["edges"] if e["from"] == 1)
+        target = {"N": doc["graph"], "from": edge}.get(key, doc)
+        target[key] = value
+        out = tmp_path / "g.json"
+        capsys.readouterr()
+        assert main(["synthesize", write_problem(tmp_path, doc), str(out)]) == code
+        if code:
+            assert stderr_step(capsys) == "parse"
+        else:
+            assert out.read_bytes() == open(gains, "rb").read()
+
+
 class TestSimulateCommand:
     def test_default_flags_converges(self, standard_files, capsys):
         _, _, problem, gains = standard_files
@@ -567,6 +591,24 @@ def test_gains_for_another_state_dimension_exit1(command, standard_files, tmp_pa
     other_problem = write_problem(tmp_path, problem_dict(other, graph))
     capsys.readouterr()
     assert main([command, gains, other_problem]) == 1
+    assert stderr_step(capsys) == "dimensions"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_node_with_extra_state_rows_exit1(command, standard_files, tmp_path, capsys):
+    """Node 1's P, N, M, L and K padded by a zero row (and P, N, M by a zero
+    column): its p_i, v_i and Q still match the problem, but P has n + 1 rows."""
+    _, _, problem, gains = standard_files
+    doc = json.loads(open(gains).read())
+    node = doc["nodes"][0]
+    for key in ("P", "N", "M"):
+        node[key] = [row + [0.0] for row in node[key]]
+    for key in ("P", "N", "M", "L", "K"):
+        node[key].append([0.0] * len(node[key][0]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(bad), problem]) == 1
     assert stderr_step(capsys) == "dimensions"
 
 

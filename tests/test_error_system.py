@@ -373,7 +373,7 @@ class TestCertifyMemory:
         plant, _, spectral, _, decomps = wide
         big_n = plant.node_count
         assert all(d.v_dim == plant.n for d in decomps)
-        peak = traced_peak(compute_epsilon, decomps, spectral, (1.0,) * big_n, 0.9)
+        peak = traced_peak(compute_epsilon, decomps, spectral, (1.0,) * big_n)
         assert peak <= EPSILON_PEAK_NODE_MATRICES * big_n * big_n * 8, (
             peak / (big_n * big_n * 8))
 
@@ -384,5 +384,5 @@ class TestCertifyMemory:
         assert sorted(d.v_dim for d in decomps)[:2] == [3, 6]
         nn = plant.n * plant.node_count
         peak = traced_peak(compute_epsilon, decomps, spectral_data(graph),
-                           (1.0,) * plant.node_count, 0.9)
+                           (1.0,) * plant.node_count)
         assert peak <= EPSILON_PEAK_LEMMA_MATRICES * nn * nn * 8, peak / (nn * nn * 8)

@@ -157,9 +157,8 @@ def gains_failures_node_by_node(plant, graph, alpha):
     from the stages run on stacks of one."""
     frfs, decomps = decompose_nodes(plant)
     epsilon = compute_epsilon(decomps, spectral_data(graph),
-                              synthesis._lemma_weights(plant.node_count),
-                              synthesis.EPSILON_FRACTION)
-    gamma = select_gamma(decomps, epsilon, alpha, synthesis.GAMMA_SAFETY)
+                              synthesis._lemma_weights(plant.node_count))
+    gamma = select_gamma(decomps, epsilon, alpha)
     failures = []
     for i, (frf, dec) in enumerate(zip(frfs, decomps)):
         ea12 = dec.e_mat @ dec.a12

@@ -24,7 +24,8 @@ from distobs import (
     verify_lmi_th1,
 )
 from distobs import synthesis
-from distobs.synthesis import BETA_FLOOR, _min_beta_for_node
+from distobs.linalg import _eigvalsh
+from distobs.synthesis import BETA_FLOOR, GAMMA_SAFETY, _least_beta
 
 from conftest import (
     mixed_structure_instance,
@@ -64,12 +65,47 @@ def lemma_matrix(decomps, spectral, g_weights):
     return 0.5 * (m + m.T)
 
 
+def _beta_feasible(beta, sym_u, a32_gram):
+    m = sym_u + a32_gram / beta
+    return float(_eigvalsh(0.5 * (m + m.T))[-1]) < beta
+
+
+def bisection_beta(a_u, a32):
+    """Reference for select_gamma's closed form: the least beta making
+    A_u^T + A_u - beta I + (1/beta) A_32 A_32^T < 0, by bracket doubling and
+    bisection to 1e-6 relative, BETA_FLOOR when it already holds there, and
+    0 for an empty A_u."""
+    if a_u.size == 0:
+        return 0.0
+    sym_u = a_u + a_u.T
+    gram = a32 @ a32.T if a32.shape[1] > 0 else np.zeros_like(sym_u)
+    lo = BETA_FLOOR
+    if _beta_feasible(lo, sym_u, gram):
+        return lo
+    hi = 1.0
+    while not _beta_feasible(hi, sym_u, gram):
+        hi *= 2.0
+    while (hi - lo) > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        if _beta_feasible(mid, sym_u, gram):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def bisection_gamma(decomps, epsilon, alpha):
+    """select_gamma with each node's beta from bisection_beta."""
+    beta = max([BETA_FLOOR] + [bisection_beta(d.a_u, d.a32) for d in decomps])
+    return GAMMA_SAFETY * max((beta + 2.0 * alpha) / epsilon, 2.0 * alpha, BETA_FLOOR)
+
+
 class TestComputeEpsilon:
     def test_single_fully_observable_node(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         _, dec = decomp_of(a, [[1.0, 0.0]])
         sd = spectral_data(single_node_graph())
-        eps = compute_epsilon([dec], sd, [1.0], 0.9)
+        eps = compute_epsilon([dec], sd, [1.0])
         assert eps == pytest.approx(0.9, abs=1e-12)
 
     def test_two_fully_observable_nodes(self):
@@ -78,7 +114,7 @@ class TestComputeEpsilon:
         _, d2 = decomp_of(a, [[0.0, 1.0]])
         assert d1.v_dim == 2 and d2.v_dim == 2
         sd = spectral_data(mutual_pair_graph())
-        eps = compute_epsilon([d1, d2], sd, [1.0, 1.0], 0.9)
+        eps = compute_epsilon([d1, d2], sd, [1.0, 1.0])
         assert eps == pytest.approx(0.9, abs=1e-10)
 
     def test_inequality_holds_at_returned_epsilon(self, rng):
@@ -90,7 +126,7 @@ class TestComputeEpsilon:
                 for i in range(plant.node_count)
             ]
             g = [1.0] * plant.node_count
-            eps = compute_epsilon(decomps, sd, g, 0.9)
+            eps = compute_epsilon(decomps, sd, g)
             m = lemma_matrix(decomps, sd, g)
             assert min_symmetric_eigenvalue(m - eps * np.eye(m.shape[0])) > 0
 
@@ -116,7 +152,7 @@ class TestComputeEpsilon:
                       list(rng.uniform(0.01, 2.0, plant.node_count))):
                 m = lemma_matrix(decomps, sd, g)
                 ref = float(0.9 * scipy.linalg.eigvalsh(0.5 * (m + m.T))[0])
-                eps = compute_epsilon(decomps, sd, g, 0.9)
+                eps = compute_epsilon(decomps, sd, g)
                 if dense:
                     assert eps == ref
                 else:
@@ -129,28 +165,28 @@ class TestComputeEpsilon:
         _, dec = decomp_of(a, [[1.0, 0.0]])
         sd = spectral_data(single_node_graph())
         with pytest.raises(SynthesisError, match="joint observability"):
-            compute_epsilon([dec], sd, [1.0], 0.9)
+            compute_epsilon([dec], sd, [1.0])
 
 
 class TestSelectGamma:
     def test_all_nodes_fully_observable(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         _, dec = decomp_of(a, [[1.0, 0.0]])
-        gamma = select_gamma([dec], epsilon=0.9, alpha=1.0, gamma_safety=1.25)
+        gamma = select_gamma([dec], epsilon=0.9, alpha=1.0)
         assert gamma == pytest.approx(1.25 * 2.0 / 0.9, rel=1e-5)
 
     def test_stable_unobservable_block_tiny_gamma(self):
         a = np.diag([0.0, -1.0])
         _, dec = decomp_of(a, [[1.0, 0.0]])
         assert dec.a_u.shape == (1, 1)
-        gamma = select_gamma([dec], epsilon=1.0, alpha=0.0, gamma_safety=1.25)
+        gamma = select_gamma([dec], epsilon=1.0, alpha=0.0)
         assert gamma == pytest.approx(1.25 * BETA_FLOOR, rel=1e-6)
 
     def test_unstable_unobservable_block(self):
         a = np.diag([0.0, 1.0])
         _, dec = decomp_of(a, [[1.0, 0.0]])
         np.testing.assert_allclose(dec.a_u, [[1.0]])
-        gamma = select_gamma([dec], epsilon=1.0, alpha=0.0, gamma_safety=1.25)
+        gamma = select_gamma([dec], epsilon=1.0, alpha=0.0)
         # scalar inequality: 2 - gamma*eps < 0  =>  gamma > 2
         assert gamma == pytest.approx(1.25 * 2.0, rel=1e-5)
 
@@ -164,7 +200,8 @@ class TestSelectGamma:
             if all(d.v_dim == d.n_dim for d in decomps):
                 continue
             eps, alpha = 0.7, 0.5
-            gamma = select_gamma(decomps, eps, alpha, gamma_safety=1.0 + 1e-6)
+            # the near-minimal gain, inflated by 1 + 1e-6 instead of GAMMA_SAFETY
+            gamma = select_gamma(decomps, eps, alpha) / GAMMA_SAFETY * (1.0 + 1e-6)
             beta = gamma * eps - 2 * alpha
             for d in decomps:
                 if d.a_u.size:
@@ -189,8 +226,58 @@ class TestSelectGamma:
                     violated = True
             # near-minimality unless the binding constraint was the beta floor
             assert violated or max(
-                _min_beta_for_node(d) for d in decomps
+                bisection_beta(d.a_u, d.a32) for d in decomps
             ) <= BETA_FLOOR
+
+
+class TestClosedFormBeta:
+    """select_gamma's least beta, lambda_max([[0, A_32^T], [A_32, A_u + A_u^T]]),
+    against the bisection it replaced: never above it, and within its 1e-6
+    relative tolerance."""
+
+    @staticmethod
+    def assert_matches_bisection(closed, bisected):
+        assert closed <= bisected
+        assert closed == pytest.approx(bisected, rel=1e-6, abs=0)
+
+    @pytest.mark.parametrize("instance", [
+        pytest.param(mixed_structure_instance, id="mixed-structure"),
+        pytest.param(lambda: one_partial_node_instance(np.random.default_rng(43), 6, 8),
+                     id="one-partial-node"),
+    ])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_instances(self, instance, alpha):
+        plant, graph = instance()
+        _, decomps = decompose_nodes(plant)
+        assert any(d.v_dim < d.n_dim for d in decomps)
+        for d in decomps:
+            if d.v_dim < d.n_dim:
+                self.assert_matches_bisection(max(_least_beta(d.a_u, d.a32), BETA_FLOOR),
+                                              bisection_beta(d.a_u, d.a32))
+        epsilon = compute_epsilon(decomps, spectral_data(graph),
+                                  synthesis._lemma_weights(plant.node_count))
+        self.assert_matches_bisection(select_gamma(decomps, epsilon, alpha),
+                                      bisection_gamma(decomps, epsilon, alpha))
+
+    def test_random_blocks(self):
+        """1200 blocks of n - v = 1 to 4 rows and v - p = 0 (no A_32 columns)
+        to 3 columns, over six decades of scale, every fifth with A_32 = 0;
+        on about one in seven the floor binds."""
+        rng = np.random.default_rng(2024)
+        kinds = set()
+        for i in range(1200):
+            rows, cols = int(rng.integers(1, 5)), i % 4
+            scale = 10.0 ** rng.uniform(-3, 3)
+            a_u = scale * (rng.standard_normal((rows, rows)) + rng.uniform(-3, 2) * np.eye(rows))
+            a32 = scale * rng.standard_normal((rows, cols))
+            if i % 5 == 0:
+                a32[:] = 0.0
+            closed = max(_least_beta(a_u, a32), BETA_FLOOR)
+            bisected = bisection_beta(a_u, a32)
+            self.assert_matches_bisection(closed, bisected)
+            kinds.update({"v = p" if cols == 0 else "A_32 = 0" if not a32.any() else "A_32",
+                          "floor" if bisected == BETA_FLOOR else "above floor"})
+        assert kinds == {"v = p", "A_32 = 0", "A_32", "floor", "above floor"}
 
 
 class TestPlaceInjection:
