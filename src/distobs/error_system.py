@@ -135,7 +135,8 @@ def _runs(keys) -> list[tuple[int, int]]:
 def lyapunov_decrease_check(
     r_mat: np.ndarray, realization: ObserverRealization, alpha: float
 ) -> float:
-    """Largest eigenvalue of W R + R^T W + 2 alpha W (must be < 0).
+    """Largest eigenvalue of W R + R^T W + 2 alpha W (must be < 0); NaN when
+    that matrix is not finite.
 
     R is the restricted generator and W = blkdiag_i(P_ie, I_{n - v_i}) the
     weight of V(e) = e^T P e in the coordinates of im T_s.
@@ -178,6 +179,8 @@ def _lyapunov_in_place(
             rows = m[off[a] : off[b]].reshape(b - a, order, m.shape[1])[:, :k]
             rows[...] = weight[a - start : b - start] @ rows
     _symmetrize_in_place(m, 1.0)
+    if not np.isfinite(m).all():
+        return np.nan
     top = m.shape[0]  # 1-based: the largest eigenvalue only
     return float(_eigvalsh_in_place(m, range="I", il=top, iu=top)[0])
 
@@ -189,10 +192,11 @@ def _rate_bound(realization: ObserverRealization, mu: float, spectra) -> float:
     mu < 0, or 0 < w <= lambda_min(W) and mu >= 0, so every eigenvalue of R
     has real part at most -alpha + mu / (2 w).  For W = blkdiag_i(P_ie, I), w
     is the max or min of 1 and the eigenvalues of the node-sized P_ie, which
-    `spectra` lists per node; +inf when some P_ie is not positive definite.
+    `spectra` lists per node; +inf when some P_ie is not positive definite,
+    and NaN when mu or a P_ie is not finite (its spectrum is then NaN).
     """
     w_eigs = np.concatenate([[1.0]] + [eigs for eigs in spectra if eigs.size])
-    if not w_eigs.min() > 0:
+    if w_eigs.min() <= 0:
         return np.inf
     w = w_eigs.max() if mu < 0 else w_eigs.min()
     return float(-realization.alpha + mu / (2.0 * w))
@@ -239,10 +243,9 @@ def certify(
         realization.gamma, realization.epsilon, alpha, _lemma_weights(len(nodes)),
         spectra,
     )
+    # np.max propagates a NaN residual or eigenvalue, so that it fails the check
     values = {
-        # Python's max over the nodes in order, as a NaN residual needs it
-        "cancellation": max(verify_cancellation(list(nodes), decomps, frfs).tolist()),
-        # np.max propagates a NaN eigenvalue, so that it fails the check
+        "cancellation": np.max(verify_cancellation(list(nodes), decomps, frfs)),
         "lmi": np.max(lmi_eigs),
     }
     # R serves the invariance rows and then becomes the Lyapunov matrix

@@ -29,6 +29,8 @@ class NetworkGraph:
             raise ValueError("adjacency matrix must be square")
         if w.shape[0] < 1:
             raise ValueError("graph needs at least one node")
+        if not np.isfinite(w).all():
+            raise ValueError("edge weights must be finite")
         if np.any(w < 0):
             raise ValueError("edge weights must be nonnegative")
         if np.any(np.diag(w) != 0):

@@ -50,25 +50,20 @@ class FullRankFactorization:
 class NodeDecomposition:
     """Orthogonal observability decomposition of (F, A) for one node.
 
-    t_orth = [T_p | T_e | T_u] with p, v-p and n-v columns respectively.
-    In these coordinates A takes the block form
+    t_orth = [T_p | T_e | T_u] with p, v-p and n-v columns respectively, and
+    a_transformed = T^T A T, with its structural zeros exact, in the block form
 
         [a11  a12  0 ]
         [a21  a22  0 ]
         [a31  a32  a_u]
 
-    and F t_orth = [e_mat 0 0] with e_mat invertible.  v_dim is the dimension
-    of the observable subspace of (F, A).
+    whose blocks are views of a_transformed.  F t_orth = [e_mat 0 0] with
+    e_mat invertible.  v_dim is the dimension of the observable subspace of
+    (F, A).
     """
 
     t_orth: np.ndarray
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-    a31: np.ndarray
-    a32: np.ndarray
-    a_u: np.ndarray
+    a_transformed: np.ndarray
     e_mat: np.ndarray
     v_dim: int
     p_dim: int
@@ -87,26 +82,14 @@ class NodeDecomposition:
         """Last n - p columns of T; the observer lives on their span."""
         return self.t_orth[:, self.p_dim :]
 
-    @property
-    def a_transformed(self) -> np.ndarray:
-        """Assemble T^T A T from the stored blocks (structural zeros exact)."""
-        return _transformed([self])[0]
-
-
-def _transformed(decomps) -> np.ndarray:
-    """The stack of T^T A T of equally shaped decompositions, from their
-    stored blocks (structural zeros exact)."""
-    d = decomps[0]
-    n, v, p = d.n_dim, d.v_dim, d.p_dim
-    out = np.zeros((len(decomps), n, n))
-    for name, rows, cols in (("a11", slice(p), slice(p)), ("a12", slice(p), slice(p, v)),
-                             ("a21", slice(p, v), slice(p)),
-                             ("a22", slice(p, v), slice(p, v)),
-                             ("a31", slice(v, n), slice(p)),
-                             ("a32", slice(v, n), slice(p, v)),
-                             ("a_u", slice(v, n), slice(v, n))):
-        out[:, rows, cols] = _stack([getattr(x, name) for x in decomps])
-    return out
+    a11 = property(lambda self: self.a_transformed[: self.p_dim, : self.p_dim])
+    a12 = property(lambda self: self.a_transformed[: self.p_dim, self.p_dim : self.v_dim])
+    a21 = property(lambda self: self.a_transformed[self.p_dim : self.v_dim, : self.p_dim])
+    a22 = property(lambda self: self.a_transformed[self.p_dim : self.v_dim,
+                                                   self.p_dim : self.v_dim])
+    a31 = property(lambda self: self.a_transformed[self.v_dim :, : self.p_dim])
+    a32 = property(lambda self: self.a_transformed[self.v_dim :, self.p_dim : self.v_dim])
+    a_u = property(lambda self: self.a_transformed[self.v_dim :, self.v_dim :])
 
 
 class StackError(Exception):
@@ -364,19 +347,8 @@ def _decompose(a: np.ndarray, f: np.ndarray) -> list[NodeDecomposition]:
 
         e_mat = fp @ t[:, :, :p]
         for j, node in enumerate(part):
-            out[node] = NodeDecomposition(
-                t_orth=t[j],
-                a11=at[j, :p, :p],
-                a12=at[j, :p, p:v],
-                a21=at[j, p:v, :p],
-                a22=at[j, p:v, p:v],
-                a31=at[j, v:, :p],
-                a32=at[j, v:, p:v],
-                a_u=at[j, v:, v:],
-                e_mat=e_mat[j],
-                v_dim=v,
-                p_dim=p,
-            )
+            out[node] = NodeDecomposition(t_orth=t[j], a_transformed=at[j],
+                                          e_mat=e_mat[j], v_dim=v, p_dim=p)
     return out
 
 

@@ -5,8 +5,9 @@ Problem JSON schema:
      "graph": {"N": int, "edges": [{"from": i, "to": j, "weight": w}, ...]},
      "alpha": float}
 
-alpha, the required decay rate, is finite and nonnegative (0 when absent).
-N, the m_i and the edge ends are whole numbers (3 or 3.0, not 3.7 or true).
+alpha, the required decay rate, is a finite and nonnegative number (0 when
+absent), not a boolean or a string.  N, the m_i and the edge ends are whole
+numbers (3 or 3.0, not 3.7 or true).
 The design has no other settings: a file with the "overrides" key of older
 versions is rejected rather than designed differently from what it asks for.
 
@@ -86,9 +87,7 @@ def problem_from_dict(doc: dict) -> ProblemFile:
         c = np.atleast_2d(np.asarray(doc["C"], dtype=float))
         node_outputs = [_whole(m) for m in doc["node_outputs"]]
         graph = graph_from_fragment(doc["graph"])
-        if isinstance(doc.get("alpha"), bool):
-            raise ValueError("alpha must be a number, not a boolean")
-        alpha = _checked_alpha(float(doc.get("alpha", 0.0)))
+        alpha = float(_checked_alpha(doc.get("alpha", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"malformed problem file: {exc}") from exc
     if "overrides" in doc:
@@ -148,15 +147,27 @@ def _require_finite(name: str, value):
     return value
 
 
+def _number(name: str, value) -> float:
+    """value as a float if it is a JSON number: float() would also read a
+    boolean as 0 or 1 and a string as the number it spells."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
 def realization_from_dict(doc: dict) -> ObserverRealization:
     """Gains-file document to realization.  An older file may also carry P
-    as "Tis"; that key is ignored.  Every gain matrix, gamma, epsilon and r
-    must be finite, and alpha finite and nonnegative; the certificate values
-    may be infinite."""
+    as "Tis"; that key is ignored.  Every gain matrix must be 2-D (or an
+    empty list) and finite, gamma, epsilon and r finite JSON numbers, and
+    alpha a finite and nonnegative one; the certificate values may be
+    infinite."""
     try:
         nodes = []
         for i, nd in enumerate(doc["nodes"], start=1):
             mats = {key: np.asarray(nd[key], dtype=float) for key in GAIN_MATRICES}
+            for key, m in mats.items():
+                if m.ndim != 2 and m.size:
+                    raise ProblemFormatError(f"node {i}: {key} is not a matrix")
             # one check over the node's entries; the loop only names the matrix
             if not np.isfinite(np.concatenate([m.ravel() for m in mats.values()])).all():
                 for key, m in mats.items():
@@ -183,10 +194,10 @@ def realization_from_dict(doc: dict) -> ObserverRealization:
             )
         return ObserverRealization(
             nodes=tuple(nodes),
-            gamma=_require_finite("gamma", float(doc["gamma"])),
-            epsilon=_require_finite("epsilon", float(doc["epsilon"])),
-            r_vector=_require_finite("r", np.asarray(doc["r"], dtype=float)),
-            alpha=_checked_alpha(float(doc.get("alpha", 0.0))),
+            gamma=_require_finite("gamma", _number("gamma", doc["gamma"])),
+            epsilon=_require_finite("epsilon", _number("epsilon", doc["epsilon"])),
+            r_vector=_require_finite("r", np.array([_number("r", x) for x in doc["r"]])),
+            alpha=float(_checked_alpha(doc.get("alpha", 0.0))),
             certificate=doc.get("certificate", {}) or {},
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -37,7 +37,6 @@ from .linalg import (
     _node_groups,
     _one,
     _stack,
-    _transformed,
     full_rank_factorize,
     numerical_rank,
     observability_decomposition,
@@ -312,47 +311,32 @@ def _assemble(decomps, frfs, h, pie) -> list[NodeGains]:
     n, v, p = d0.n_dim, d0.v_dim, d0.p_dim
     k = v - p
     count = len(decomps)
-    e_mat, a11, a12, a21, a22, a31, a32, a_u, t_orth = (
-        _fields(decomps, name) for name in
-        ("e_mat", "a11", "a12", "a21", "a22", "a31", "a32", "a_u", "t_orth"))
+    e_mat, at, t_orth = (_fields(decomps, name) for name in ("e_mat", "a_transformed", "t_orth"))
     e_inv = _inverses(e_mat)
     d_dag = np.linalg.pinv(_fields(frfs, "d_factor"))
     t_is = t_orth[:, :, p:]
+    he = h @ e_mat
 
-    # N = [[a22 - H E a12, 0], [a32, a_u]] and blkdiag(P_ie^-1, I), block by block
-    n_gain = np.zeros((count, n - p, n - p))
-    n_gain[:, :k, :k] = a22 - h @ e_mat @ a12
-    n_gain[:, k:, :k] = a32
-    n_gain[:, k:, k:] = a_u
+    # with S = [0; I]: N = S^T (T^T A T) S = [[a22, 0], [a32, a_u]] and the
+    # factor [a21; a31] of L, each less H E times a12 or a11 in its first v - p
+    # rows; and blkdiag(P_ie^-1, I)
+    n_gain = at[:, p:, p:].copy()
+    n_gain[:, :k, :k] -= he @ at[:, :p, p:v]
+    l_factor = at[:, p:, :p].copy()
+    l_factor[:, :k] -= he @ at[:, :p, :p]
     weight_inv = np.zeros((count, n - p, n - p))
     weight_inv[:, :k, :k] = _inverses(pie)
     weight_inv[:, k:, k:] = np.eye(n - v)
     k_mat = np.concatenate([e_inv, h, np.zeros((count, n - v, p))], axis=1) @ d_dag
-    l_gain = (
-        np.concatenate([a21 - h @ e_mat @ a11, a31], axis=1)
-        @ e_inv
-        @ d_dag
-        + n_gain @ k_mat[:, p:, :]
-    )
+    l_gain = l_factor @ e_inv @ d_dag + n_gain @ k_mat[:, p:, :]
     m_gain = weight_inv @ t_is.transpose(0, 2, 1)
     p_out = t_is.copy()
     q_out = t_orth @ k_mat
 
-    return [
-        NodeGains(
-            n_gain=n_gain[j],
-            l_gain=l_gain[j],
-            m_gain=m_gain[j],
-            p_out=p_out[j],
-            q_out=q_out[j],
-            k_mat=k_mat[j],
-            h_inj=h[j],
-            p_ie=pie[j],
-            p_dim=p,
-            v_dim=v,
-        )
-        for j in range(count)
-    ]
+    return [NodeGains(n_gain=n_gain[j], l_gain=l_gain[j], m_gain=m_gain[j], p_out=p_out[j],
+                      q_out=q_out[j], k_mat=k_mat[j], h_inj=h[j], p_ie=pie[j], p_dim=p,
+                      v_dim=v)
+            for j in range(count)]
 
 
 def verify_cancellation(gains, decomp, frf):
@@ -360,7 +344,8 @@ def verify_cancellation(gains, decomp, frf):
     lists of nodes, the norm of each, as an array.
 
     The identity (S L - S N S^T K) D F T + S N S^T + (K D F T - I) T^T A T
-    must vanish for the assembled gains.
+    must vanish for the assembled gains, and so must Q - T K, since the
+    observer's output map Q is the K of the identity in x coordinates.
     """
     if isinstance(decomp, NodeDecomposition):
         return float(_cancellation([gains], [decomp], [frf])[0])
@@ -375,21 +360,35 @@ def verify_cancellation(gains, decomp, frf):
 def _cancellation(gains, decomps, frfs) -> np.ndarray:
     n, p = decomps[0].n_dim, decomps[0].p_dim
     s = np.vstack([np.zeros((p, n - p)), np.eye(n - p)])
-    dft = _fields(frfs, "d_factor") @ _fields(frfs, "f_factor") @ _fields(decomps, "t_orth")
-    at = _transformed(decomps)
-    l_gain, n_gain, k_mat = (_fields(gains, name) for name in ("l_gain", "n_gain", "k_mat"))
+    t_orth = _fields(decomps, "t_orth")
+    dft = _fields(frfs, "d_factor") @ _fields(frfs, "f_factor") @ t_orth
+    at = _fields(decomps, "a_transformed")
+    l_gain, n_gain, k_mat, q_out = (_fields(gains, name)
+                                    for name in ("l_gain", "n_gain", "k_mat", "q_out"))
     sns = s @ n_gain @ s.T
     lhs = (s @ l_gain - sns @ k_mat) @ dft + sns + (k_mat @ dft - np.eye(n)) @ at
-    # np.linalg.norm of each node: the square root of one dot product
-    flat = lhs.reshape(len(lhs), 1, -1)
-    return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel()
+    # np.linalg.norm of each node's identity and then of its Q - T K, squared:
+    # one dot product each, so that an exact Q adds an exact zero
+    squares = np.zeros(len(lhs))
+    for x in (lhs, q_out - t_orth @ k_mat):
+        flat = x.reshape(len(x), 1, -1)
+        squares += (flat @ flat.transpose(0, 2, 1)).ravel()
+    return np.sqrt(squares)
+
+
+def _spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric m; all NaN when m has an entry
+    that is not finite, so that the check that reads them fails."""
+    if not np.isfinite(m).all():
+        return np.full(len(m), np.nan)
+    return _eigvalsh(m)
 
 
 def _pie_spectra(p_ies) -> list[np.ndarray]:
     """Ascending eigenvalues of sym(P_ie) of each node, empty for an empty
     P_ie: the positive-definiteness test of verify_lmi_th1 and the weight
     bounds of the rate certificate."""
-    return [_eigvalsh(0.5 * (pie + pie.T)) if pie.size else np.zeros(0)
+    return [_spectrum(0.5 * (pie + pie.T)) if pie.size else np.zeros(0)
             for pie in p_ies]
 
 
@@ -407,7 +406,8 @@ def verify_lmi_th1(
 
     The LMI is taken at P_iu = I and W_i = P_ie H_i.  Returns (all negative
     definite, worst eigenvalue per node).  Empty node blocks (p = n) report
-    -inf, and a P_ie that is not positive definite reports +inf.  `spectra`
+    -inf, a P_ie that is not positive definite reports +inf, and an LMI or a
+    P_ie that is not finite reports NaN.  `spectra`
     are the _pie_spectra of p_ies, when the caller has them.
     """
     if spectra is None:
@@ -423,7 +423,7 @@ def verify_lmi_th1(
                           [decomps[i] for i in nodes], gamma * g_weights[nodes],
                           gamma, epsilon, alpha)
         for i, b in zip(nodes, blk):
-            worst[i] = float(_eigvalsh(b)[-1])
+            worst[i] = float(_spectrum(b)[-1])
     return all(w < 0 for w in worst), worst
 
 
@@ -433,9 +433,10 @@ def _lmi_blocks(p_ies, h_injs, decomps, gamma_g, gamma, epsilon, alpha) -> np.nd
     n, v, p = d0.n_dim, d0.v_dim, d0.p_dim
     k = v - p
     pie, h = _stack(p_ies), _stack(h_injs)
-    a22, a32, a_u = (_fields(decomps, name) for name in ("a22", "a32", "a_u"))
+    at = _fields(decomps, "a_transformed")
+    a22, a32, a_u = at[:, p:v, p:v], at[:, v:, p:v], at[:, v:, v:]
     w = pie @ h
-    ea12 = _fields(decomps, "e_mat") @ _fields(decomps, "a12")
+    ea12 = _fields(decomps, "e_mat") @ at[:, :p, p:v]
     phi = (
         pie @ a22
         + a22.transpose(0, 2, 1) @ pie
@@ -513,8 +514,10 @@ def decompose_nodes(
 
 def _design(decomps, frfs, alpha: float, gamma: float) -> list[NodeGains]:
     """Injection, Lyapunov weight and gains of equally shaped nodes."""
-    a22 = _fields(decomps, "a22")
-    ea12 = _fields(decomps, "e_mat") @ _fields(decomps, "a12")
+    p, v = decomps[0].p_dim, decomps[0].v_dim
+    at = _fields(decomps, "a_transformed")
+    a22 = at[:, p:v, p:v]
+    ea12 = _fields(decomps, "e_mat") @ at[:, :p, p:v]
     h = place_injection(a22, ea12, alpha)
     pie = solve_pie(a22, ea12, h, gamma, alpha)
     return assemble_gains(decomps, frfs, h, pie)
@@ -527,8 +530,9 @@ def _lemma_weights(node_count: int) -> np.ndarray:
 
 
 def _checked_alpha(alpha: float) -> float:
-    """alpha, the required decay rate, if it is finite and nonnegative."""
-    if not (math.isfinite(alpha) and alpha >= 0):
+    """alpha, the required decay rate, if it is a finite and nonnegative
+    number: a boolean or a string is not one."""
+    if isinstance(alpha, (bool, str)) or not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and nonnegative, not {alpha!r}")
     return alpha
 
@@ -557,7 +561,10 @@ def synthesize(
     except GraphStructureError as exc:
         raise SynthesisError("graph", str(exc)) from exc
 
-    if numerical_rank(observability_matrix(plant.c, plant.a)) != plant.n:
+    obs = observability_matrix(plant.c, plant.a)
+    if not np.isfinite(obs).all():
+        raise SynthesisError("observability", "the observability matrix of (C, A) overflows")
+    if numerical_rank(obs) != plant.n:
         raise SynthesisError("observability", "(C, A) is not observable")
 
     frfs, decomps = decompose_nodes(plant)

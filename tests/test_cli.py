@@ -217,7 +217,7 @@ class TestSynthesizeCommand:
 
     @pytest.mark.parametrize("key, value, code", [
         ("N", 3.7, 1), ("N", float("inf"), 1), ("node_outputs", [1.9, 1, 1], 1),
-        ("from", 1.5, 1), ("alpha", True, 1),
+        ("from", 1.5, 1), ("alpha", True, 1), ("alpha", "0.5", 1),
         # a whole number written as a float is designed as the integer is
         ("N", 3.0, 0), ("node_outputs", [1.0, 1.0, 1.0], 0), ("from", 1.0, 0)])
     def test_counts_and_indices_are_whole_numbers(self, key, value, code, standard_files,
@@ -527,7 +527,7 @@ def test_non_utf8_file_exit1_at_parse(command, which, standard_files, tmp_path, 
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
-@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5, True])
 def test_gains_file_alpha_exit1_at_parse(command, alpha, standard_files, tmp_path,
                                          capsys):
     """The gains file's alpha is checked as the problem file's is, at parse,
@@ -542,6 +542,93 @@ def test_gains_file_alpha_exit1_at_parse(command, alpha, standard_files, tmp_pat
     error = strict_loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert error["step"] == "parse"
     assert "alpha must be finite and nonnegative" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("key, value", [
+    ("gamma", True), ("gamma", "1"), ("epsilon", False), ("r", [1, "1", 1]),
+    ("Q", [1.0, 2.0, 3.0, 4.0])])
+def test_gains_file_non_numbers_exit1_at_parse(command, key, value, standard_files,
+                                               tmp_path, capsys):
+    """gamma, epsilon and r are JSON numbers, not booleans or strings that
+    float() would read as one, and every gain matrix is 2-D."""
+    _, _, problem, gains = standard_files
+    doc = json.loads(open(gains).read())
+    (doc["nodes"][0] if key == "Q" else doc)[key] = value
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(bad_file), problem]) == 1
+    assert stderr_step(capsys) == "parse"
+
+
+def alternating(shape, big=1e308) -> list:
+    """A matrix of the given shape whose entries alternate +big, -big."""
+    size = int(np.prod(shape))
+    return np.where(np.arange(size) % 2, -big, big).reshape(shape).tolist()
+
+
+def test_output_map_q_is_checked(standard_files, tmp_path, capsys):
+    """The observer runs Q, so a Q that is not T K fails cancellation."""
+    _, _, problem, gains = standard_files
+    doc = json.loads(open(gains).read())
+    doc["nodes"][0]["Q"] = (2.0 * np.array(doc["nodes"][0]["Q"])).tolist()
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(edited), problem]) == 4
+    assert stderr_step(capsys) == "cancellation"
+
+
+@pytest.mark.parametrize("key, step", [
+    ("K", "cancellation"), ("Pie", "lmi"), ("H", "lmi"), ("M", "rate")])
+def test_non_finite_certificate_fails_closed(key, step, standard_files, tmp_path,
+                                             capsys):
+    """A gain that overflows a check's matrix gives the check the value NaN,
+    which fails it, on any node: not a pass at another node's value, and
+    not a traceback."""
+    _, _, problem, gains = standard_files
+    doc = json.loads(open(gains).read())
+    node = doc["nodes"][2]
+    node[key] = alternating(np.shape(node[key]))
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(edited), problem, "--json"]) == 4
+    out, err = capsys.readouterr()
+    error = strict_loads(err.strip().splitlines()[-1])["error"]
+    assert error["step"] == step and error["value"] is None
+    assert strict_loads(out)[step]["pass"] is False
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+@pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])
+def test_non_finite_edge_weight_exit1_at_parse(command, weight, standard_files,
+                                               tmp_path, capsys):
+    plant, graph, _, gains = standard_files
+    doc = problem_dict(plant, graph)
+    doc["graph"]["edges"][0]["weight"] = weight
+    problem = write_problem(tmp_path, doc)
+    files = {"synthesize": [problem, str(tmp_path / "g.json")],
+             "verify": [gains, problem],
+             "simulate": [gains, problem, "--tfinal", "0.01"]}[command]
+    capsys.readouterr()
+    assert main([command, *files]) == 1
+    assert stderr_step(capsys) == "parse"
+
+
+def test_overflowing_observability_matrix_exit2(standard_files, tmp_path, capsys):
+    """A finite A whose powers overflow fails the observability test, in
+    synthesize as in verify, rather than raising from the rank test."""
+    plant, graph, _, gains = standard_files
+    doc = problem_dict(plant, graph)
+    doc["A"][0][0] = 1e160
+    problem = write_problem(tmp_path, doc)
+    capsys.readouterr()
+    assert main(["synthesize", problem, str(tmp_path / "g.json")]) == 2
+    assert stderr_step(capsys) == "observability"
+    assert main(["verify", gains, problem]) == 2
+    assert stderr_step(capsys) == "assumptions"
 
 
 class TestGainsFileText:

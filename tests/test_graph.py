@@ -160,6 +160,11 @@ class TestNetworkGraphValidation:
         with pytest.raises(ValueError):
             NetworkGraph(weights=np.array([[0.0, -1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            NetworkGraph(weights=np.array([[0.0, weight], [1.0, 0.0]]))
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             NetworkGraph(weights=np.array([[1.0, 1.0], [1.0, 0.0]]))

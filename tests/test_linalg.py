@@ -135,6 +135,25 @@ class TestObservabilityDecomposition:
         with pytest.raises(ValueError):
             observability_decomposition(np.eye(3), np.array([[1.0, 0, 0], [2.0, 0, 0]]))
 
+    @pytest.mark.parametrize("instance", [
+        standard_instance, mixed_structure_instance,
+        lambda: one_partial_node_instance(np.random.default_rng(43), 6, 8)],
+        ids=["standard", "mixed", "one-partial"])
+    def test_blocks_are_views_of_a_transformed(self, instance):
+        """The record holds T^T A T once: every nonempty block is a view of
+        it, at its place in the block form."""
+        plant, _ = instance()
+        for dec in decompose_nodes(plant)[1]:
+            at, p, v = dec.a_transformed, dec.p_dim, dec.v_dim
+            blocks = {"a11": at[:p, :p], "a12": at[:p, p:v], "a21": at[p:v, :p],
+                      "a22": at[p:v, p:v], "a31": at[v:, :p], "a32": at[v:, p:v],
+                      "a_u": at[v:, v:]}
+            for name, want in blocks.items():
+                got = getattr(dec, name)
+                assert got.shape == want.shape and got.strides == want.strides, name
+                np.testing.assert_array_equal(got, want)
+                assert got.size == 0 or np.shares_memory(got, at), name
+
 
 class TestSolveLyapunov:
     def test_scalar_balance(self):
