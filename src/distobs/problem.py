@@ -129,11 +129,13 @@ def realization_to_dict(realization: ObserverRealization) -> dict:
     }
 
 
-def _as_matrix(data, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+def _as_matrix(arr: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """arr if it is a rows x cols matrix, zeros of that shape if it is empty."""
     if arr.size == 0:
         return np.zeros((rows, cols))
-    return arr.reshape(rows, cols)
+    if arr.shape != (rows, cols):
+        raise ValueError(f"a {arr.shape} matrix where a ({rows}, {cols}) one belongs")
+    return arr
 
 
 # gains-file matrices of a node, in the order the file lists them
@@ -157,10 +159,10 @@ def _number(name: str, value) -> float:
 
 def realization_from_dict(doc: dict) -> ObserverRealization:
     """Gains-file document to realization.  An older file may also carry P
-    as "Tis"; that key is ignored.  Every gain matrix must be 2-D (or an
-    empty list) and finite, gamma, epsilon and r finite JSON numbers, and
-    alpha a finite and nonnegative one; the certificate values may be
-    infinite."""
+    as "Tis"; that key is ignored.  Every gain matrix must be finite and
+    2-D, of the shape that P, Q and Pie set (an empty one may be written []),
+    gamma, epsilon and r finite JSON numbers, and alpha a finite and
+    nonnegative one; the certificate values may be infinite."""
     try:
         nodes = []
         for i, nd in enumerate(doc["nodes"], start=1):

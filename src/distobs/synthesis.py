@@ -317,9 +317,9 @@ def _assemble(decomps, frfs, h, pie) -> list[NodeGains]:
     t_is = t_orth[:, :, p:]
     he = h @ e_mat
 
-    # with S = [0; I]: N = S^T (T^T A T) S = [[a22, 0], [a32, a_u]] and the
-    # factor [a21; a31] of L, each less H E times a12 or a11 in its first v - p
-    # rows; and blkdiag(P_ie^-1, I)
+    # with S = [0; I]: N = S^T (T^T A T) S = [[a22, 0], [a32, a_u]] less H E a12
+    # in its first v - p rows, L's factor [a21; a31] less H E a11 there, and
+    # blkdiag(P_ie^-1, I)
     n_gain = at[:, p:, p:].copy()
     n_gain[:, :k, :k] -= he @ at[:, :p, p:v]
     l_factor = at[:, p:, :p].copy()
@@ -407,8 +407,8 @@ def verify_lmi_th1(
     The LMI is taken at P_iu = I and W_i = P_ie H_i.  Returns (all negative
     definite, worst eigenvalue per node).  Empty node blocks (p = n) report
     -inf, a P_ie that is not positive definite reports +inf, and an LMI or a
-    P_ie that is not finite reports NaN.  `spectra`
-    are the _pie_spectra of p_ies, when the caller has them.
+    P_ie that is not finite reports NaN.  `spectra` are the _pie_spectra of
+    p_ies, when the caller has them.
     """
     if spectra is None:
         spectra = _pie_spectra(p_ies)

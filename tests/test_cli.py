@@ -547,14 +547,17 @@ def test_gains_file_alpha_exit1_at_parse(command, alpha, standard_files, tmp_pat
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("key, value", [
     ("gamma", True), ("gamma", "1"), ("epsilon", False), ("r", [1, "1", 1]),
-    ("Q", [1.0, 2.0, 3.0, 4.0])])
-def test_gains_file_non_numbers_exit1_at_parse(command, key, value, standard_files,
-                                               tmp_path, capsys):
+    ("Q", [1.0, 2.0, 3.0, 4.0]), ("N", "row")])
+def test_gains_file_entries_of_the_wrong_kind_exit1_at_parse(
+        command, key, value, standard_files, tmp_path, capsys):
     """gamma, epsilon and r are JSON numbers, not booleans or strings that
-    float() would read as one, and every gain matrix is 2-D."""
+    float() would read as one, and every gain matrix is 2-D and of its own
+    shape: node 1's N written as one row is not read as its 3 x 3 entries."""
     _, _, problem, gains = standard_files
     doc = json.loads(open(gains).read())
-    (doc["nodes"][0] if key == "Q" else doc)[key] = value
+    if value == "row":
+        value = [np.ravel(doc["nodes"][0][key]).tolist()]
+    (doc["nodes"][0] if key in ("Q", "N") else doc)[key] = value
     bad_file = tmp_path / "bad.json"
     bad_file.write_text(json.dumps(doc))
     capsys.readouterr()
