@@ -217,9 +217,11 @@ class TestSynthesizeCommand:
 
     @pytest.mark.parametrize("key, value, code", [
         ("N", 3.7, 1), ("N", float("inf"), 1), ("node_outputs", [1.9, 1, 1], 1),
-        ("from", 1.5, 1), ("alpha", True, 1), ("alpha", "0.5", 1),
+        ("from", 1.5, 1), ("alpha", True, 1),
         # a whole number written as a float is designed as the integer is
-        ("N", 3.0, 0), ("node_outputs", [1.0, 1.0, 1.0], 0), ("from", 1.0, 0)])
+        ("N", 3.0, 0), ("node_outputs", [1.0, 1.0, 1.0], 0), ("from", 1.0, 0),
+        # alpha is a JSON number, not the number a string spells
+        ("alpha", "0.5", 1)])
     def test_counts_and_indices_are_whole_numbers(self, key, value, code, standard_files,
                                                   tmp_path, capsys):
         """A node count, output count or edge end that is not a whole number,
