@@ -33,7 +33,7 @@ realization = synthesize(plant, graph, alpha=alpha)
 
 dt = suggested_timestep(realization, plant, laplacian(graph))
 t_final = 10.0
-print(f"integrating to t = {t_final} with dt = {dt:.2e}")
+print(f"propagating exactly to t = {t_final}, recording every 50 steps of dt = {dt:.2e}")
 
 cfg = SimulationConfig(t_final=t_final, dt=dt, x0=np.array([1.0, -2.0, 0.5, 3.0]),
                        record_stride=50)

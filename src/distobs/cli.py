@@ -289,8 +289,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # looked up at call time, so that a wrapper bound over cmd_* applies
-    return globals()[f"cmd_{args.command}"](args)
+    # every check turns a non-finite value into a failure with error JSON, so
+    # numpy's floating-point warnings would only print lines ahead of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # looked up at call time, so that a wrapper bound over cmd_* applies
+        return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

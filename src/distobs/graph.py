@@ -121,6 +121,5 @@ def spectral_data(g: NetworkGraph) -> GraphSpectralData:
         raise GraphStructureError("graph is not strongly connected")
     lap = laplacian(g)
     r = perron_row_vector(lap)
-    mirror = r[:, None] * lap + lap.T * r
-    mirror = 0.5 * (mirror + mirror.T)
+    mirror = r[:, None] * lap + lap.T * r  # exactly symmetric: r_i L_ij + L_ji r_j
     return GraphSpectralData(laplacian=lap, perron_row=r, mirror=mirror)

@@ -6,8 +6,9 @@ Problem JSON schema:
      "alpha": float}
 
 alpha, the required decay rate, is a finite and nonnegative number (0 when
-absent), not a boolean or a string.  N, the m_i and the edge ends are whole
-numbers (3 or 3.0, not 3.7 or true).
+absent), not a boolean or a string.  Each edge is listed once, and its weight
+is a finite positive number, not a boolean or a string.  N, the m_i and the
+edge ends are whole numbers (3 or 3.0, not 3.7 or true).
 The design has no other settings: a file with the "overrides" key of older
 versions is rejected rather than designed differently from what it asks for.
 
@@ -61,13 +62,16 @@ def graph_from_fragment(fragment: dict) -> NetworkGraph:
     weights = np.zeros((n, n))
     for e in edges:
         try:
-            src, dst, w = _whole(e["from"]), _whole(e["to"]), float(e["weight"])
+            src, dst = _whole(e["from"]), _whole(e["to"])
+            w = _number("weight", e["weight"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ProblemFormatError(f"malformed edge entry {e!r}") from exc
         if not (1 <= src <= n and 1 <= dst <= n) or src == dst:
             raise ProblemFormatError(f"edge {src}->{dst} out of range or a self-loop")
         if w <= 0:
             raise ProblemFormatError(f"edge {src}->{dst} must have positive weight")
+        if weights[dst - 1, src - 1]:
+            raise ProblemFormatError(f"edge {src}->{dst} is listed twice")
         weights[dst - 1, src - 1] = w  # a_{ji} on the edge (i, j)
     return NetworkGraph(weights=weights)
 

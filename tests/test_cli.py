@@ -8,10 +8,13 @@ from distobs import (
     NetworkGraph,
     Plant,
     full_rank_factorize,
+    laplacian,
     load_realization,
     observability_decomposition,
     observability_matrix,
+    restricted_generator,
     save_realization,
+    suggested_timestep,
     synthesize,
 )
 from distobs.cli import main
@@ -83,6 +86,10 @@ def zero_injection_gains(plant, realization, node):
 def stderr_step(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     return json.loads(err[-1])["error"]["step"]
+
+
+def runtime_warnings(recwarn):
+    return [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def strict_loads(text):
@@ -267,6 +274,29 @@ class TestSimulateCommand:
         summary = strict_loads(capsys.readouterr().out)
         assert summary["alpha_hat"] is None
         assert summary["low_confidence"]
+
+    def test_default_step_runs_a_stiff_design(self, tmp_path, capsys):
+        """An (8, 10) design whose restricted generator R has a large norm: a
+        step bounded by ||R||_2, as an explicit scheme needs, would take over
+        1e6 steps to the default horizon, and the run ran out of memory."""
+        rng = np.random.default_rng([1, 0, 8, 10])
+        while True:
+            a = rng.standard_normal((8, 8)) / np.sqrt(8)
+            c = rng.standard_normal((10, 8))
+            if numerical_rank(observability_matrix(c, a)) == 8:
+                break
+        plant = Plant(a=a, c=c, node_rows=(1,) * 10)
+        graph = random_strongly_connected_graph(rng, 10)
+        problem = write_problem(tmp_path, problem_dict(plant, graph, alpha=0.5))
+        gains = str(tmp_path / "gains.json")
+        assert main(["synthesize", problem, gains]) == 0
+        realization, lap = load_realization(gains), laplacian(graph)
+        t_final = 10.0 / 0.5  # simulate's default horizon at this alpha
+        r_norm = np.linalg.norm(restricted_generator(realization, lap), 2)
+        assert t_final * r_norm / 0.1 > 1e6
+        assert t_final / suggested_timestep(realization, plant, lap) <= 1e6
+        capsys.readouterr()
+        assert main(["simulate", gains, problem]) == 0
 
     def test_trace_csv_deterministic(self, standard_files, tmp_path, capsys):
         _, _, problem, gains = standard_files
@@ -588,10 +618,10 @@ def test_output_map_q_is_checked(standard_files, tmp_path, capsys):
 @pytest.mark.parametrize("key, step", [
     ("K", "cancellation"), ("Pie", "lmi"), ("H", "lmi"), ("M", "rate")])
 def test_non_finite_certificate_fails_closed(key, step, standard_files, tmp_path,
-                                             capsys):
+                                             capsys, recwarn):
     """A gain that overflows a check's matrix gives the check the value NaN,
     which fails it, on any node: not a pass at another node's value, and
-    not a traceback."""
+    not a traceback or a numpy warning."""
     _, _, problem, gains = standard_files
     doc = json.loads(open(gains).read())
     node = doc["nodes"][2]
@@ -604,6 +634,7 @@ def test_non_finite_certificate_fails_closed(key, step, standard_files, tmp_path
     error = strict_loads(err.strip().splitlines()[-1])["error"]
     assert error["step"] == step and error["value"] is None
     assert strict_loads(out)[step]["pass"] is False
+    assert not runtime_warnings(recwarn)
 
 
 @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
@@ -622,9 +653,37 @@ def test_non_finite_edge_weight_exit1_at_parse(command, weight, standard_files,
     assert stderr_step(capsys) == "parse"
 
 
-def test_overflowing_observability_matrix_exit2(standard_files, tmp_path, capsys):
+@pytest.mark.parametrize("case", ["boolean weight", "string weight", "listed twice"])
+@pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])
+def test_malformed_edge_exit1_at_parse(command, case, standard_files, tmp_path,
+                                       capsys):
+    """An edge weight is a JSON number, and an edge is listed once: the same
+    graph written with a weight of true or "1.0", or with edge 1 first listed
+    at another weight, is a parse error, not that graph."""
+    plant, graph, _, gains = standard_files
+    doc = problem_dict(plant, graph)
+    edges = doc["graph"]["edges"]
+    assert edges[0]["weight"] == 1.0
+    if case == "boolean weight":
+        edges[0]["weight"] = True
+    elif case == "string weight":
+        edges[0]["weight"] = "1.0"
+    else:
+        edges.insert(0, {**edges[0], "weight": 3.0})
+    problem = write_problem(tmp_path, doc)
+    files = {"synthesize": [problem, str(tmp_path / "g.json")],
+             "verify": [gains, problem],
+             "simulate": [gains, problem, "--tfinal", "0.01"]}[command]
+    capsys.readouterr()
+    assert main([command, *files]) == 1
+    assert stderr_step(capsys) == "parse"
+
+
+def test_overflowing_observability_matrix_exit2(standard_files, tmp_path, capsys,
+                                                recwarn):
     """A finite A whose powers overflow fails the observability test, in
-    synthesize as in verify, rather than raising from the rank test."""
+    synthesize as in verify, rather than raising from the rank test, and
+    without a numpy warning."""
     plant, graph, _, gains = standard_files
     doc = problem_dict(plant, graph)
     doc["A"][0][0] = 1e160
@@ -634,6 +693,7 @@ def test_overflowing_observability_matrix_exit2(standard_files, tmp_path, capsys
     assert stderr_step(capsys) == "observability"
     assert main(["verify", gains, problem]) == 2
     assert stderr_step(capsys) == "assumptions"
+    assert not runtime_warnings(recwarn)
 
 
 class TestGainsFileText:

@@ -142,7 +142,7 @@ class TestSpectralData:
         for _ in range(40):
             n = int(rng.integers(2, 9))
             sd = spectral_data(random_strongly_connected_graph(rng, n))
-            np.testing.assert_allclose(sd.mirror, sd.mirror.T, atol=1e-14)
+            assert np.array_equal(sd.mirror, sd.mirror.T)
             eigs = np.sort(np.linalg.eigvalsh(sd.mirror))
             assert eigs[0] >= -1e-10
             assert np.count_nonzero(np.abs(eigs) < 1e-8) == 1
