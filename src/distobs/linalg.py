@@ -1,36 +1,37 @@
 """Dense linear-algebra kernels: full-rank factorization, observability
-decomposition, Lyapunov and Riccati solves and eigenvalue utilities.
+decomposition, Lyapunov solves, the minimum-energy output injection and
+eigenvalue utilities.
 
-The SVD, eigenvalue, Lyapunov and Riccati kernels make the LAPACK calls of
-their scipy.linalg counterparts directly, through scipy.linalg.lapack, with
-scipy's arguments and workspace sizes, so that every result is scipy's bit
-for bit (and in scipy's memory layout) without the per-call cost of scipy's
-wrappers on node-sized matrices.  Like scipy, each rejects a non-finite input
-with ValueError.
+The SVD, eigenvalue and Lyapunov kernels make the LAPACK calls of their
+scipy.linalg counterparts directly, through scipy.linalg.lapack, with scipy's
+arguments and workspace sizes, so that every result is scipy's bit for bit
+(and in scipy's memory layout) without the per-call cost of scipy's wrappers
+on node-sized matrices.  Like scipy, each rejects a non-finite input with
+ValueError.
 
 The node-sized kernels (numerical_rank, observability_matrix,
 full_rank_factorize, observability_decomposition, spectral_abscissa,
-solve_lyapunov and solve_care) take one node's matrices or a stack of equally
-shaped ones, node first.  A stack is worked on as one array: every product,
-sign fix, check and block fill is one numpy call over all its nodes, and only
-the LAPACK calls (dgesdd, dgebal, dgeqrf, dorgqr, dgges, dtgsen, dgetrf,
-dtrtrs, dgeev, dgees, dtrsyl), which have no batched form, run node by node.
-One node's call is the stacked code on a stack of one.  A stacked product
-rounds each node's slice as the same product of that node's 2-D matrices
-does, as long as the slice keeps their row- or column-major memory order,
-which _stack preserves; so every stacked result is the node-by-node one bit
-for bit.  A node of a stack that fails raises StackError, which names the
-node and carries the ValueError that the node's own call raises.
+solve_lyapunov and min_energy_injection) take one node's matrices or a stack
+of equally shaped ones, node first.  A stack is worked on as one array: every
+product, sign fix, check and block fill is one numpy call over all its nodes,
+and only the LAPACK calls (dgesdd, dgeev, dgees, dtrsyl), which have no
+batched form, run node by node, as does the rest of min_energy_injection,
+whose sizes differ from node to node.  One node's call is the stacked code on
+a stack of one.  A stacked product rounds each node's slice as the same
+product of that node's 2-D matrices does, as long as the slice keeps their
+row- or column-major memory order, which _stack preserves; so every stacked
+result is the node-by-node one bit for bit.  A node of a stack that fails
+raises StackError, which names the node and carries the ValueError that the
+node's own call raises.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lapack
+from scipy.linalg import lapack
 
 # relative tolerances of a numerical rank and of a symmetry check
 RANK_TOL = 1e-9
@@ -465,32 +466,38 @@ def min_symmetric_eigenvalue(m: np.ndarray) -> float:
     return _min_symmetric_eigenvalue_in_place(m.copy())
 
 
+def _schur(a: np.ndarray, select=None):
+    """Real Schur form a = u s u^T of a finite square a (dgees), with the
+    eigenvalues for which select(wr, wi) holds first: (s, u, their count, the
+    real parts of the eigenvalues)."""
+    s, sdim, wr, _, u, _, info = lapack.dgees(select or _no_selection, a, sort_t=int(bool(select)),
+                                              lwork=_gees_lwork(len(a)))
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return s, u, sdim, wr
+
+
+def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray, **trans):
+    """(y, scale) with op(a) y + y op(b) = scale c for quasi-triangular a and
+    b (dtrsyl); ValueError where dtrsyl can only solve a perturbed equation,
+    as a and -b then share an eigenvalue to working precision."""
+    y, scale, info = lapack.dtrsyl(a, b, c, **trans)
+    if info == 1:
+        raise ValueError("Sylvester equation is singular to working precision: an "
+                         "eigenvalue pair sums to about zero")
+    return y, scale
+
+
 def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     a, q = _finite_nodes(a, q)
     count, k, _ = a.shape
     if k == 0:
         return np.zeros((count, 0, 0))
-    lwork = _gees_lwork(k)
-
-    def schur(x):
-        s, _, wr, _, u, _, info = lapack.dgees(_no_selection, x.T, lwork=lwork)
-        if info > 0:
-            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-        return s, np.max(wr), u
-
-    s, top, u = zip(*_each(schur, a))
-    _fail_first(np.array(top) >= 0, lambda _: ValueError("unstable coefficient matrix"))
+    s, u, _, wr = zip(*_each(lambda x: _schur(x.T), a))
+    _fail_first(np.max(wr, axis=1) >= 0, lambda _: ValueError("unstable coefficient matrix"))
     u = _stack(u)
     rhs = u.transpose(0, 2, 1) @ (-q @ u)
-    y, scales = [], []
-    for s_i, rhs_i in zip(s, rhs):
-        y_i, scale, info = lapack.dtrsyl(s_i, s_i, rhs_i, tranb="T")
-        if info == 1:
-            warnings.warn('Input "a" has an eigenvalue pair whose sum is very close '
-                          "to or exactly zero. The solution is obtained via "
-                          "perturbing the coefficients.", RuntimeWarning, stacklevel=3)
-        y.append(y_i)
-        scales.append(scale)
+    y, scales = zip(*_each(lambda s_i, rhs_i: _sylvester(s_i, s_i, rhs_i, tranb="T"), s, rhs))
     y = _stack(y)
     y *= np.array(scales)[:, None, None]
     p = u @ y @ u.transpose(0, 2, 1)
@@ -506,7 +513,9 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     scipy's order, so that P is scipy's bit for bit: the real Schur form
     A^T = U S U^T (dgees), then S Y + Y S^T = U^T (-Q) U (dtrsyl) and
     P = U Y U^T.  Raises ValueError on an A that is not Hurwitz, judged by
-    the eigenvalues that dgees returns with the Schur form.
+    the eigenvalues that dgees returns with the Schur form, and where scipy
+    warns that dtrsyl perturbed the equation: the solution it returns then
+    need not solve it.
     """
     a, q = np.asarray(a, dtype=float), np.asarray(q, dtype=float)
     if a.ndim == 3:
@@ -514,152 +523,53 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _one(lambda: _lyapunov(a[None], q[None]))
 
 
+def _injection(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """min_energy_injection of one finite node."""
+    s, z, sdim, _ = _schur(a, lambda wr, _: wr > 0.0)
+    if sdim == 0:
+        return np.zeros(c.shape[::-1])
+    z1 = z[:, :sdim]
+    g = z1.T @ c.T
+    y, scale = _sylvester(s[:sdim, :sdim], s[:sdim, :sdim], g @ g.T, trana="T")
+    return z1 @ np.linalg.solve(y / scale, g)
+
+
+def _injections(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    a, c = _finite_nodes(a, c)
+    count, k, _ = a.shape
+    if k == 0:
+        return np.zeros((count, 0, c.shape[1]))
+    return _stack(_each(_injection, a, c))
+
+
+def min_energy_injection(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Output injection H of least energy that makes a - H c Hurwitz: it
+    moves each eigenvalue of a with a positive real part to its mirror image
+    -conj(lambda) and leaves the others where they are.  Of each node for
+    stacks of a and c.
+
+    H is the limit, as Q -> 0, of P c^T with P the stabilizing solution of
+    a P + P a^T - P c^T c P + Q = 0 (Zhou, Doyle and Glover 1996, Robust and
+    Optimal Control, sec. 13.5).  With the real Schur form of a ordered so
+    that its k_+ eigenvalues with positive real part come first (dgees),
+    a Z_1 = Z_1 T_11 with Z_1 the first k_+ Schur vectors, and
+    H = Z_1 Y^-1 g, where g = Z_1^T c^T and T_11^T Y + Y T_11 = g g^T
+    (dtrsyl); on the span of Z_1, a - H c is then similar to -T_11^T, and
+    on the rest it keeps a's Schur block.  H is exactly zero when a has no
+    eigenvalue with a positive real part.  Raises ValueError when (c, a) is
+    not observable enough for Y to be solved or inverted in floating point.
+    """
+    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+    if a.ndim == 3:
+        return _injections(a, c)
+    return _one(lambda: _injections(a[None], c[None]))
+
+
 @functools.cache
 def _gees_lwork(n: int) -> int:
     """dgees' workspace for order n, from the query that scipy.linalg.schur makes."""
-    return _lwork(lapack.dgees, _no_selection, np.zeros((n, n)))
-
-
-@functools.cache
-def _care_lworks(m: int, n: int) -> tuple[int, int, int]:
-    """The dgeqrf, dorgqr and dgges workspaces of a CARE of order m with n
-    inputs, from the queries that scipy.linalg.solve_continuous_are makes."""
-    size = 2 * m + n
-    square = np.zeros((2 * m, 2 * m))
-    return (_lwork(lapack.dgeqrf, np.zeros((size, n))),
-            _lwork(lapack.dorgqr, np.zeros((size, size)), np.zeros(n)),
-            _lwork(lapack.dgges, _no_selection, square, square))
-
-
-def _lwork(routine, *args) -> int:
-    """Optimal workspace size reported by a LAPACK workspace query."""
-    return int(routine(*args, lwork=-1)[-2][0])
+    return int(lapack.dgees(_no_selection, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
 def _no_selection(*_):
-    """gges callback for an unsorted QZ (never called with sort_t=0)."""
-
-
-def _care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _finite_nodes(a, b)
-    count, m, n = b.shape
-    size = 2 * m + n
-    eye = np.eye(m)
-    qr_lwork, orgqr_lwork, gges_lwork = _care_lworks(m, n)
-
-    # extended pencil [[a, 0, b], [-I, -a^T, 0], [0, b^T, I]] - s blkdiag(I, I, 0)
-    h = np.zeros((count, size, size))
-    h[:, :m, :m] = a
-    h[:, :m, 2 * m :] = b
-    h[:, m : 2 * m, :m] = -eye
-    h[:, m : 2 * m, m : 2 * m] = -a.transpose(0, 2, 1)
-    h[:, 2 * m :, m : 2 * m] = b.transpose(0, 2, 1)
-    h[:, 2 * m :, 2 * m :] = np.eye(n)
-
-    # balance |H| + |J| with its diagonal zeroed (J is diagonal, so only |H|
-    # is left), then make the scaling symplectic
-    off = np.abs(h)
-    off[:, np.arange(size), np.arange(size)] = 0.0
-    sca = np.array(_each(
-        lambda x: lapack.dgebal(x, scale=1, permute=0, overwrite_a=1)[3], off))
-    # gebal scales by powers of 2, so on a node whose scaling is all ones
-    # (scipy's allclose(sca, 1)) every step below is exact and changes nothing
-    sca = np.log2(sca)
-    s = np.round((sca[:, m : 2 * m] - sca[:, :m]) / 2)
-    sca = 2 ** np.concatenate((s, -s, sca[:, 2 * m :]), axis=1)
-    h *= sca[:, :, None] * np.reciprocal(sca)[:, None, :]
-
-    # deflate to the 2m x 2m pencil (hd, jd) with the full Q of H[:, 2m:]
-    def full_q(cols):
-        qr, tau = lapack.dgeqrf(cols, lwork=qr_lwork)[:2]
-        q = np.empty((size, size))
-        q[:, :n] = qr
-        return lapack.dorgqr(q, tau, lwork=orgqr_lwork, overwrite_a=1)[0]
-
-    q = _stack(_each(full_q, h[:, :, -n:]))
-    hd = q[:, :, n:].transpose(0, 2, 1) @ h[:, :, : 2 * m]
-    jd = q[:, : 2 * m, n:].transpose(0, 2, 1) @ np.eye(2 * m)
-
-    # real QZ, then move the left-half-plane eigenvalues first
-    def qz(hd_i, jd_i):
-        aa, bb, _, alphar, alphai, beta, qq, zz, _, info = lapack.dgges(
-            _no_selection, hd_i, jd_i, lwork=gges_lwork, overwrite_a=1,
-            overwrite_b=1, sort_t=0)
-        if info > 2 * m:
-            raise np.linalg.LinAlgError("Something other than QZ iteration failed")
-        if info > 0:
-            warnings.warn("The QZ iteration failed. (a,b) are not in Schur form, "
-                          "but ALPHAR(j), ALPHAI(j), and BETA(j) should be correct "
-                          f"for J={info - 1},...,N", LinAlgWarning,
-                          stacklevel=2)
-        return aa, bb, qq, zz, alphar + alphai * 1.0j, beta
-
-    aa, bb, qq, zz, alpha, beta = zip(*_each(qz, hd, jd))
-    alpha, beta = np.array(alpha), np.array(beta)
-    select = np.zeros((count, 2 * m), dtype=bool)
-    finite = beta != 0
-    select[finite] = np.real(alpha[finite] / beta[finite]) < 0.0
-
-    def reorder(select_i, aa_i, bb_i, qq_i, zz_i):
-        # dtgsen returns (a, b, alphar, alphai, beta, q, z, m, pl, pr, dif, info)
-        reordered = lapack.dtgsen(select_i, aa_i, bb_i, qq_i, zz_i, ijob=0,
-                                  lwork=8 * m + 16, liwork=1)
-        if reordered[-1] == 1:
-            raise ValueError("Reordering of (A, B) failed because the transformed"
-                             " matrix pair (A, B) would be too far from "
-                             "generalized Schur form; the problem is very "
-                             "ill-conditioned. (A, B) may have been partially "
-                             "reordered.")
-        return reordered[6]
-
-    u = _stack(_each(reorder, select, aa, bb, qq, zz))
-    u00 = u[:, :m, :m]
-    u10 = u[:, m:, :m]
-
-    # X = U10 U00^-1 through the LU factors of U00 = P L U
-    lu, piv = zip(*(lapack.dgetrf(x)[:2] for x in u00))
-    lu, piv = _stack(lu), np.array(piv)
-    uu = np.triu(lu)
-    _fail_first(1 / np.linalg.cond(uu) < np.spacing(1.0),
-                lambda _: np.linalg.LinAlgError("Failed to find a finite solution."))
-    ul = np.tril(lu, -1) + eye
-    perm = np.repeat(np.arange(m)[None], count, axis=0)
-    nodes = np.arange(count)
-    for i in range(m):
-        swap = perm[nodes, piv[:, i]]
-        perm[nodes, piv[:, i]] = perm[:, i].copy()
-        perm[:, i] = swap
-    z = _stack([lapack.dtrtrs(ul_i.T, lapack.dtrtrs(uu_i.T, u10_i.T, lower=1)[0],
-                              unitdiag=1)[0]
-                for uu_i, ul_i, u10_i in zip(uu, ul, u10)])
-    # the row interchanges as a product with P^T: signed zeros as scipy has them
-    p_t = np.ascontiguousarray(eye[:, perm].transpose(1, 0, 2)).transpose(0, 2, 1)
-    x = z.transpose(0, 2, 1) @ p_t
-    x *= sca[:, :m, None] * sca[:, None, :m]
-
-    # U00^T U10 is symmetric exactly when the stable subspace is Lagrangian
-    u_sym = u00.transpose(0, 2, 1) @ u10
-    threshold = np.fmax(np.spacing(1000.0), 0.1 * np.linalg.norm(u_sym, 1, axis=(1, 2)))
-    asym = np.linalg.norm(u_sym - u_sym.transpose(0, 2, 1), 1, axis=(1, 2))
-    _fail_first(asym > threshold, lambda _: np.linalg.LinAlgError(
-        "The associated Hamiltonian pencil has eigenvalues too close to the "
-        "imaginary axis"))
-    return (x + x.transpose(0, 2, 1)) / 2
-
-
-def solve_care(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stabilizing solution X of a^T X + X a - X b b^T X + I = 0; of each node
-    for stacks of a and b.
-
-    The LAPACK calls of scipy.linalg.solve_continuous_are(a, b, I, I), made
-    in the same order on the same arrays, so that X is scipy's bit for bit:
-    symplectic balancing of the extended pencil, QR deflation to order 2m,
-    ordered QZ with the left-half-plane eigenvalues first, and an LU
-    back-substitution.  Raises LinAlgError where scipy does: on an
-    ill-conditioned U11 and on a pencil with eigenvalues too close to the
-    imaginary axis.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.ndim == 3:
-        return _care(a, b)
-    return _one(lambda: _care(a[None], b[None]))
+    """dgees callback for an unsorted Schur form (never called with sort_t=0)."""

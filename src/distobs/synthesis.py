@@ -38,10 +38,10 @@ from .linalg import (
     _one,
     _stack,
     full_rank_factorize,
+    min_energy_injection,
     numerical_rank,
     observability_decomposition,
     observability_matrix,
-    solve_care,
     solve_lyapunov,
     spectral_abscissa,
 )
@@ -52,8 +52,8 @@ BETA_FLOOR = 1e-6
 EPSILON_FRACTION = 0.9
 # inflation of the near-minimal coupling gain
 GAMMA_SAFETY = 1.25
-# margin beyond alpha that place_injection's Riccati solve aims at
-INJECTION_MARGIN = 0.5
+# margin beyond alpha of the shift at which place_injection reflects the modes
+INJECTION_MARGIN = 0.05
 
 
 class SynthesisError(RuntimeError):
@@ -225,11 +225,13 @@ def place_injection(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarr
     """Output injection H with spectral abscissa of a22 - H ea12 below -alpha;
     of each node for stacks of a22 and ea12.
 
-    One Riccati solve stabilizes the dual pair shifted by alpha +
-    INJECTION_MARGIN.  In exact arithmetic its stabilizing solution puts the
-    closed loop's abscissa below -alpha - INJECTION_MARGIN; ValueError when
-    the computed H misses -alpha, naming the abscissa it reached, and on a
-    Riccati solve that fails.
+    H is the minimum-energy injection (linalg.min_energy_injection) at the
+    shift s = alpha + INJECTION_MARGIN: each eigenvalue lambda of a22 with
+    real part above -s moves to -2 s - conj(lambda), and the others stay, so
+    H = 0 on a node whose a22 already decays faster than s.  In exact
+    arithmetic the closed loop's abscissa is then at most -s; ValueError when
+    the pair is not observable, when the injection cannot be computed, and
+    when the computed H misses -alpha, naming the abscissa it reached.
     """
     a22, ea12 = np.asarray(a22, dtype=float), np.asarray(ea12, dtype=float)
     if a22.ndim == 3:
@@ -244,9 +246,7 @@ def _place(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarray:
     observable = numerical_rank(observability_matrix(ea12, a22)) == k
     _fail_first(~observable, lambda _: ValueError(
         "injection pair is not observable (decomposition bug)"))
-    b_dual = ea12.transpose(0, 2, 1)
-    x = solve_care(a22.transpose(0, 2, 1) + (alpha + INJECTION_MARGIN) * np.eye(k), b_dual)
-    h = (b_dual.transpose(0, 2, 1) @ x).transpose(0, 2, 1)
+    h = min_energy_injection(a22 + (alpha + INJECTION_MARGIN) * np.eye(k), ea12)
     reached = spectral_abscissa(a22 - h @ ea12)
     _fail_first(~(reached < -alpha), lambda j: ValueError(
         f"injection placement reached abscissa {reached[j]:.3g}, "
@@ -542,8 +542,11 @@ def synthesize(
 ) -> ObserverRealization:
     """Run the full constructive design for the rate alpha and certify the result.
 
-    The design's constants are EPSILON_FRACTION, GAMMA_SAFETY,
-    INJECTION_MARGIN, unit lemma weights g_i and linalg.RANK_TOL.
+    Each node's injection H_i is the minimum-energy one at the shift
+    alpha + INJECTION_MARGIN (place_injection), which moves only the modes
+    of its a22 that decay slower than that shift.  The design's constants
+    are EPSILON_FRACTION, GAMMA_SAFETY, INJECTION_MARGIN, unit lemma weights
+    g_i and linalg.RANK_TOL.
     Raises ValueError on an alpha that is negative or not finite, and
     SynthesisError (with a step tag) when the standing assumptions fail:
     graph not strongly connected, (C, A) not observable, or a node with zero

@@ -279,14 +279,7 @@ class TestSimulateCommand:
         """An (8, 10) design whose restricted generator R has a large norm: a
         step bounded by ||R||_2, as an explicit scheme needs, would take over
         1e6 steps to the default horizon, and the run ran out of memory."""
-        rng = np.random.default_rng([1, 0, 8, 10])
-        while True:
-            a = rng.standard_normal((8, 8)) / np.sqrt(8)
-            c = rng.standard_normal((10, 8))
-            if numerical_rank(observability_matrix(c, a)) == 8:
-                break
-        plant = Plant(a=a, c=c, node_rows=(1,) * 10)
-        graph = random_strongly_connected_graph(rng, 10)
+        plant, graph = generator_instance(1, 5, 8, 10)
         problem = write_problem(tmp_path, problem_dict(plant, graph, alpha=0.5))
         gains = str(tmp_path / "gains.json")
         assert main(["synthesize", problem, gains]) == 0
@@ -776,12 +769,12 @@ def test_r_of_wrong_length_exit1(command, standard_files, tmp_path, capsys):
     assert stderr_step(capsys) == "dimensions"
 
 
-def cancellation_failing_instance():
-    """n = 6, N = 4, one output row per node: A ~ N(0,1)/sqrt(n), C ~ N(0,1),
-    a Hamiltonian cycle plus N random edges.  Its synthesized gains miss the
-    cancellation bound."""
-    rng = np.random.default_rng([1, 3, 6, 4])
-    n, n_nodes = 6, 4
+def generator_instance(seed, index, n, n_nodes):
+    """Instance `index` of the benchmark's run seeded `seed`, rebuilt from the
+    conftest helpers: A ~ N(0,1)/sqrt(n), C ~ N(0,1) with one output row per
+    node, a Hamiltonian cycle plus N random edges, without a conditioning
+    filter."""
+    rng = np.random.default_rng([seed, index, n, n_nodes])
     while True:
         a = rng.standard_normal((n, n)) / np.sqrt(n)
         c = rng.standard_normal((n_nodes, n))
@@ -789,6 +782,28 @@ def cancellation_failing_instance():
             break
     plant = Plant(a=a, c=c, node_rows=(1,) * n_nodes)
     return plant, random_strongly_connected_graph(rng, n_nodes)
+
+
+def cancellation_failing_instance():
+    """n = 8, N = 10: its synthesized gains miss the cancellation bound."""
+    return generator_instance(1, 6, 8, 10)
+
+
+def test_perturbed_weight_solve_exit2_at_gains(tmp_path, capsys):
+    """Node 6 of this (8, 10) instance gets an injection so large that the
+    Lyapunov equation of its weight P_ie can only be solved perturbed:
+    synthesize fails closed at gains, naming the node, and prints only the
+    error JSON."""
+    plant, graph = generator_instance(1, 3, 8, 10)
+    problem = write_problem(tmp_path, problem_dict(plant, graph))
+    capsys.readouterr()
+    assert main(["synthesize", problem, str(tmp_path / "gains.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert error["step"] == "gains"
+    assert error["message"].startswith("node 6: Sylvester equation is singular")
 
 
 class TestSynthesizeAndVerifyAgree:

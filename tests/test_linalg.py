@@ -10,12 +10,13 @@ from distobs import (
     solve_lyapunov,
     spectral_abscissa,
 )
+from distobs import linalg
 from distobs.linalg import (
     _eigvalsh,
     _svd,
     _symmetrize_in_place,
+    min_energy_injection,
     numerical_rank,
-    solve_care,
 )
 from distobs.synthesis import decompose_nodes
 
@@ -195,42 +196,95 @@ class TestSolveLyapunov:
         with pytest.raises(ValueError, match="unstable"):
             solve_lyapunov(np.array([[0.1]]), np.eye(1))
 
+    def test_perturbed_solve_rejected(self):
+        """A = -1e-300 is Hurwitz, yet dtrsyl can solve its equation only
+        after perturbing it, and the solution it returns is not P."""
+        with pytest.raises(ValueError, match="singular to working precision"):
+            solve_lyapunov(np.array([[-1e-300]]), np.eye(1))
 
-class TestSolveCare:
-    ALPHA = 0.5
 
-    def injection_pairs(self):
-        """(a22^T, (E a12)^T) of every node with v > p on the conftest instances."""
+class TestMinEnergyInjection:
+    SHIFT = 0.55  # alpha + INJECTION_MARGIN at alpha = 0.5
+
+    def injection_pairs(self, shift=SHIFT):
+        """(a22 + shift I, E a12) of every node with v > p on the conftest instances."""
         rng = np.random.default_rng(41)
         pairs = [standard_instance(), mixed_structure_instance()] + [
             random_observable_instance(rng) for _ in range(8)]
         for plant, _ in pairs:
             for dec in decompose_nodes(plant)[1]:
                 if dec.v_dim > dec.p_dim:
-                    yield dec.a22.T, (dec.e_mat @ dec.a12).T
+                    yield dec.a22 + shift * np.eye(len(dec.a22)), dec.e_mat @ dec.a12
 
-    def test_is_scipy_bit_for_bit_at_every_shift(self):
+    @staticmethod
+    def ill_conditioned_pairs(count=100):
+        """Single-output pairs of order 2 to 11 as the benchmark draws them,
+        without a conditioning filter: many modes move through one output."""
+        rng = np.random.default_rng(3)
+        for _ in range(count):
+            k = int(rng.integers(2, 12))
+            a = rng.standard_normal((k, k)) / np.sqrt(k) + 0.55 * np.eye(k)
+            yield a, rng.standard_normal((1, k))
+
+    def test_is_the_small_weight_limit_of_scipy_care(self):
         count = 0
-        for a_dual, b_dual in self.injection_pairs():
-            k, p = b_dual.shape
-            for extra in (0.5, 1.0, 2.0, 3.0, 4.0):
-                a = a_dual + (self.ALPHA + extra) * np.eye(k)
-                ref = scipy.linalg.solve_continuous_are(a, b_dual, np.eye(k), np.eye(p))
-                assert np.array_equal(solve_care(a, b_dual), ref)
-                count += 1
-        assert count >= 50
+        for a, c in self.injection_pairs():
+            k, p = a.shape[0], c.shape[0]
+            ref = scipy.linalg.solve_continuous_are(a.T, c.T, 1e-8 * np.eye(k), np.eye(p)) @ c.T
+            h = min_energy_injection(a, c)
+            assert np.linalg.norm(h - ref) <= 1e-4 * max(1.0, np.linalg.norm(ref))
+            count += 1
+        assert count >= 20
 
-    @pytest.mark.parametrize("a, b, match", [
-        ([[0.0]], [[0.0]], "finite solution"),  # U11 singular
-        ([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [0.0]], "imaginary axis"),
-    ])
-    def test_raises_where_scipy_raises(self, a, b, match):
-        a, b = np.array(a), np.array(b)
-        eye_k, eye_p = np.eye(b.shape[0]), np.eye(b.shape[1])
-        with pytest.raises(np.linalg.LinAlgError, match=match):
-            scipy.linalg.solve_continuous_are(a, b, eye_k, eye_p)
-        with pytest.raises(np.linalg.LinAlgError, match=match):
-            solve_care(a, b)
+    def test_reflects_the_right_half_plane_and_keeps_the_rest(self):
+        for a, c in self.injection_pairs():
+            lam = np.linalg.eigvals(a)
+            want = np.where(lam.real > 0, -lam.conj(), lam)
+            got = np.linalg.eigvals(a - min_energy_injection(a, c) @ c)
+            scale = max(1.0, np.abs(lam).max())
+            for w in want:
+                assert np.min(np.abs(got - w)) <= 1e-8 * scale
+
+    def test_gramian_has_a_rounding_level_residual_on_ill_conditioned_pairs(self, monkeypatch):
+        solves = []
+
+        def recording(a, b, c, **trans):
+            y, scale = sylvester(a, b, c, **trans)
+            solves.append((a, c, y, scale))
+            return y, scale
+
+        sylvester = linalg._sylvester
+        monkeypatch.setattr(linalg, "_sylvester", recording)
+        eps = np.finfo(float).eps
+        for a, c in self.ill_conditioned_pairs():
+            min_energy_injection(a, c)
+        for t11, rhs, y, scale in solves:
+            residual = np.linalg.norm(t11.T @ y + y @ t11 - scale * rhs)
+            assert residual <= len(t11) * eps * (
+                2 * np.linalg.norm(t11) * np.linalg.norm(y) + np.linalg.norm(rhs))
+        assert max(np.linalg.cond(y) for _, _, y, _ in solves) > 1e8
+
+    def test_zero_exactly_when_no_eigenvalue_lies_right_of_the_axis(self):
+        kinds = set()
+        for shift in (self.SHIFT, -2.0, -5.0):
+            for a, c in self.injection_pairs(shift):
+                unstable = bool(np.any(np.linalg.eigvals(a).real > 0))
+                assert bool(min_energy_injection(a, c).any()) == unstable
+                kinds.add(unstable)
+        assert kinds == {True, False}
+
+    def test_stack_is_its_nodes_bit_for_bit(self):
+        groups = {}
+        for a, c in list(self.injection_pairs()) + list(self.ill_conditioned_pairs(40)):
+            groups.setdefault((a.shape, c.shape), []).append((a, c))
+        stacked = 0
+        for pairs in groups.values():
+            a, c = (np.stack(x) for x in zip(*pairs))
+            h = min_energy_injection(a, c)
+            for j, (a_j, c_j) in enumerate(pairs):
+                assert bits(h[j]) == bits(min_energy_injection(a_j, c_j))
+            stacked += len(pairs) > 1
+        assert stacked >= 5
 
 
 class TestEigenUtilities:
@@ -375,7 +429,8 @@ class TestDirectKernels:
         _eigvalsh,
         lambda m: solve_lyapunov(m, np.eye(2)),
         lambda m: solve_lyapunov(-np.eye(2), m),
-        lambda m: solve_care(m, np.ones((2, 1))),
+        lambda m: min_energy_injection(m, np.ones((1, 2))),
+        lambda m: min_energy_injection(-np.eye(2), m),
     ])
     def test_non_finite_input_raises(self, kernel):
         for bad in (np.nan, np.inf):

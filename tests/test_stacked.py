@@ -171,19 +171,20 @@ def gains_failures_node_by_node(plant, graph, alpha):
 
 
 def test_gains_failure_names_the_first_node_of_the_loop():
-    """On this n = 12, N = 30 plant one node misses the placement target and
-    a later one fails its Riccati solve, which the stacked pass meets first:
-    the error still names the earlier node, with its own message."""
-    rng = np.random.default_rng([99, 1])
+    """On this n = 12, N = 30 plant, at alpha = 1.5, one node's weight P_ie
+    fails its Lyapunov solve and a later one misses the placement target,
+    which the stacked pass meets first: the error still names the earlier
+    node, with its own message."""
+    rng = np.random.default_rng([99, 2])
     n, big_n = 12, 30
     a = rng.standard_normal((n, n)) / np.sqrt(n)
     c = rng.standard_normal((big_n, n))
     w = np.roll(np.eye(big_n), 1, axis=0)  # directed cycle i -> i + 1
     plant, graph = Plant(a=a, c=c, node_rows=(1,) * big_n), NetworkGraph(weights=w)
-    failures = gains_failures_node_by_node(plant, graph, 0.5)
+    failures = gains_failures_node_by_node(plant, graph, 1.5)
     (first, message), later = failures[0], failures[1:]
-    assert "placement" in message
-    assert any("finite solution" in m for _, m in later)
+    assert "unstable coefficient matrix" in message
+    assert any("placement" in m for _, m in later)
     with pytest.raises(SynthesisError) as exc:
-        synthesize(plant, graph, 0.5)
+        synthesize(plant, graph, 1.5)
     assert (exc.value.step, exc.value.message) == ("gains", f"node {first}: {message}")

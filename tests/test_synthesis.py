@@ -296,13 +296,19 @@ class TestPlaceInjection:
             h = place_injection(a22, ea12, alpha=0.5)
             assert spectral_abscissa(a22 - h @ ea12) < -0.5
 
+    def test_pair_that_decays_fast_enough_does_not_inject(self):
+        """a22's abscissa -1 lies left of -alpha - INJECTION_MARGIN."""
+        h = place_injection(np.diag([-1.0, -2.0]), np.array([[1.0, 1.0]]), alpha=0.5)
+        assert h.shape == (2, 1) and not h.any()
+
     def test_unobservable_pair_rejected(self):
         with pytest.raises(ValueError, match="not observable"):
             place_injection(np.diag([1.0, 2.0]), np.array([[1.0, 0.0]]), alpha=0.0)
 
     def test_missed_target_names_abscissa_and_target(self, monkeypatch):
-        """X = 0 leaves H = 0, so the closed loop keeps a22's abscissa -0.31."""
-        monkeypatch.setattr(synthesis, "solve_care", lambda a, b: np.zeros_like(a))
+        """H = 0 leaves the closed loop at a22's abscissa -0.31."""
+        monkeypatch.setattr(synthesis, "min_energy_injection",
+                            lambda a, c: np.zeros_like(c.transpose(0, 2, 1)))
         with pytest.raises(ValueError, match=r"reached abscissa -0\.31, target below -0\.5$"):
             place_injection(np.array([[-0.31]]), np.array([[1.0]]), alpha=0.5)
 
