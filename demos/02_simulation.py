@@ -41,7 +41,7 @@ trace = simulate(realization, plant, graph, cfg)
 
 print("\n  t      ||e_1||     ||e_2||     ||e_3||")
 for k in np.linspace(0, trace.times.size - 1, 11).astype(int):
-    norms = "  ".join(f"{np.linalg.norm(e[k]):.3e}" for e in trace.errors)
+    norms = "  ".join(f"{v:.3e}" for v in trace.error_norms[k])
     print(f"{trace.times[k]:5.1f}   {norms}")
 
 alpha_hat = estimate_rate(trace)

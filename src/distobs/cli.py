@@ -188,7 +188,7 @@ def cmd_simulate(args) -> int:
     alpha_hat = estimate_rate(trace)
     max_inv = check_invariance(trace)
     summary = trace_summary(trace, alpha_hat, max_inv)
-    e_norm = np.linalg.norm(np.hstack(trace.errors), axis=1)
+    e_norm = np.linalg.norm(trace.error_norms, axis=1)
     summary["low_confidence"] = bool(
         not np.isfinite(alpha_hat) or np.count_nonzero(e_norm > 1e-12) < 20
     )

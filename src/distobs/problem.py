@@ -279,7 +279,7 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
         header += [f"z_{k + 1}_{j + 1}" for j in range(z.shape[1])]
         header += [f"xhat_{k + 1}_{j + 1}" for j in range(n)]
         header += [f"err_norm_{k + 1}", f"inv_res_{k + 1}"]
-        columns += [z, trace.xhat[k], np.linalg.norm(trace.errors[k], axis=1)[:, None],
+        columns += [z, trace.xhat[k], trace.error_norms[:, k : k + 1],
                     trace.invariance_residuals[:, k : k + 1]]
     # the csv module's "\r\n" line ending; repr round-trips every float
     with open(path, "w", newline="") as fh:

@@ -10,7 +10,7 @@ A record that is not finite raises SimulationDiverged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,8 +49,8 @@ class SimulationTrace:
     x: np.ndarray                 # (samples, n)
     z: list[np.ndarray]           # per node (samples, n - p_i)
     xhat: list[np.ndarray]        # per node (samples, n)
-    errors: list[np.ndarray]      # per node (samples, n), xhat_i - x
-    invariance_residuals: np.ndarray = field(default=None)  # (samples, N)
+    invariance_residuals: np.ndarray  # (samples, N), ||T_ip^T e_i||
+    error_norms: np.ndarray       # (samples, N), ||e_i||, e_i = xhat_i - x
 
 
 def suggested_timestep(
@@ -153,17 +153,21 @@ def simulate(
 
     x_arr, *z_arrs = np.split(rows, np.cumsum([n] + orders[:-1]), axis=1)
     xh_arrs = np.split(rows @ est.T, len(nodes), axis=1)
-    err_arrs = [xh - x_arr for xh in xh_arrs]
-    # ||T_ip^T e_i|| equals the norm of the component off im P_i = im T_is
-    inv = np.column_stack([np.linalg.norm(e - (e @ g.p_out) @ g.p_out.T, axis=1)
-                           for e, g in zip(err_arrs, nodes)])
+    # each node's error is formed only for its two norms, then dropped
+    norms = np.empty((times.size, len(nodes)))
+    inv = np.empty_like(norms)
+    for i, (xh, g) in enumerate(zip(xh_arrs, nodes)):
+        e = xh - x_arr
+        norms[:, i] = np.linalg.norm(e, axis=1)
+        # ||T_ip^T e_i|| equals the norm of the component off im P_i = im T_is
+        inv[:, i] = np.linalg.norm(e - (e @ g.p_out) @ g.p_out.T, axis=1)
     return SimulationTrace(
         times=times,
         x=x_arr,
         z=z_arrs,
         xhat=xh_arrs,
-        errors=err_arrs,
         invariance_residuals=inv,
+        error_norms=norms,
     )
 
 
@@ -176,7 +180,7 @@ def estimate_rate(trace: SimulationTrace, window: float = 0.5) -> float:
     """
     if not (0 < window <= 1):
         raise ValueError("window must lie in (0, 1]")
-    e_norm = np.linalg.norm(np.hstack(trace.errors), axis=1)
+    e_norm = np.linalg.norm(trace.error_norms, axis=1)
     alive = e_norm > 1e-12
     if not np.any(alive):
         return math.inf
@@ -192,18 +196,12 @@ def estimate_rate(trace: SimulationTrace, window: float = 0.5) -> float:
 
 def check_invariance(trace: SimulationTrace) -> float:
     """Worst relative off-subspace residual max_{t,i} ||T_ip^T e_i|| / max(1, ||e_i||)."""
-    worst = 0.0
-    for i, e in enumerate(trace.errors):
-        denom = np.maximum(1.0, np.linalg.norm(e, axis=1))
-        worst = max(worst, float(np.max(trace.invariance_residuals[:, i] / denom)))
-    return worst
+    return float(np.max(trace.invariance_residuals / np.maximum(1.0, trace.error_norms)))
 
 
 def trace_summary(trace: SimulationTrace, alpha_hat: float, max_inv: float) -> dict:
     return {
         "alpha_hat": alpha_hat,
         "max_invariance_residual": max_inv,
-        "final_error_norms": [
-            float(np.linalg.norm(e[-1])) for e in trace.errors
-        ],
+        "final_error_norms": trace.error_norms[-1].tolist(),
     }

@@ -122,6 +122,11 @@ def dense_coupling(r, lap):
     return -r.gamma * m_blk @ np.kron(np.diag(r.r_vector) @ lap, np.eye(n))
 
 
+def stacked_errors(trace):
+    """The error vectors col(xhat_1 - x, ..., xhat_N - x), one row per sample."""
+    return np.hstack(trace.xhat) - np.tile(trace.x, len(trace.xhat))
+
+
 def dense_g(r, lap):
     """G = blkdiag(N_i) T_s^T + [C_ij] and T_s = blkdiag(P_i), each assembled
     as one dense Nn-wide matrix.  The full error generator is T_s G."""

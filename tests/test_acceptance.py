@@ -35,7 +35,12 @@ from distobs import (
 )
 from distobs.synthesis import compute_epsilon
 
-from conftest import dense_g, random_observable_instance, standard_instance
+from conftest import (
+    dense_g,
+    random_observable_instance,
+    stacked_errors,
+    standard_instance,
+)
 
 POOL_SIZE = 100
 ALPHAS = (0.0, 0.5, 1.0)
@@ -160,8 +165,8 @@ def test_criterion_4_invariance():
 def test_criterion_5_simulation_vs_linear_theory():
     plant, graph, r, spectral = standard_run(0.5)
     trace = run_simulation(plant, graph, r, spectral, t_final=1.0, dt=1e-3)
-    e0 = np.hstack([e[0] for e in trace.errors])
-    e_final = np.hstack([e[-1] for e in trace.errors])
+    errors = stacked_errors(trace)
+    e0, e_final = errors[0], errors[-1]
     g_mat, t_s = dense_g(r, spectral.laplacian)
     oracle = scipy.linalg.expm(t_s @ g_mat) @ e0
     rel = np.linalg.norm(e_final - oracle) / np.linalg.norm(oracle)
@@ -186,8 +191,8 @@ def test_criterion_6_classical_reduction():
     eig_ok = spectral_abscissa(r.nodes[0].n_gain) < -alpha
     trace = run_simulation(plant, graph, r, spectral_data(graph),
                            t_final=math.log(1e6) / alpha + 1.0)
-    e0 = np.linalg.norm(trace.errors[0][0])
-    e_t = np.linalg.norm(trace.errors[0][-1])
+    e0 = trace.error_norms[0, 0]
+    e_t = trace.error_norms[-1, 0]
     conv_ok = e_t <= 1e-6 * e0
     _line(6, "classical single-node reduction",
           order_ok and eig_ok and conv_ok,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from distobs import (
     observability_matrix,
     restricted_generator,
     save_realization,
+    simulate,
     suggested_timestep,
     synthesize,
 )
+from distobs import cli
 from distobs.cli import main
 from distobs.linalg import numerical_rank
 from distobs.problem import realization_to_dict
@@ -55,6 +58,18 @@ def standard_files(tmp_path_factory):
     """Problem file plus synthesized gains for the 3-node cycle instance."""
     tmp = tmp_path_factory.mktemp("std")
     plant, graph = standard_instance()
+    problem = write_problem(tmp, problem_dict(plant, graph, alpha=0.5))
+    gains = str(tmp / "gains.json")
+    assert main(["synthesize", problem, gains]) == 0
+    return plant, graph, problem, gains
+
+
+@pytest.fixture(scope="module")
+def stiff_files(tmp_path_factory):
+    """Problem file plus synthesized gains for an (8, 10) design whose
+    default step gives 2.5e4 records to the default horizon."""
+    tmp = tmp_path_factory.mktemp("stiff")
+    plant, graph = generator_instance(1, 5, 8, 10)
     problem = write_problem(tmp, problem_dict(plant, graph, alpha=0.5))
     gains = str(tmp / "gains.json")
     assert main(["synthesize", problem, gains]) == 0
@@ -275,14 +290,11 @@ class TestSimulateCommand:
         assert summary["alpha_hat"] is None
         assert summary["low_confidence"]
 
-    def test_default_step_runs_a_stiff_design(self, tmp_path, capsys):
+    def test_default_step_runs_a_stiff_design(self, stiff_files, capsys):
         """An (8, 10) design whose restricted generator R has a large norm: a
         step bounded by ||R||_2, as an explicit scheme needs, would take over
         1e6 steps to the default horizon, and the run ran out of memory."""
-        plant, graph = generator_instance(1, 5, 8, 10)
-        problem = write_problem(tmp_path, problem_dict(plant, graph, alpha=0.5))
-        gains = str(tmp_path / "gains.json")
-        assert main(["synthesize", problem, gains]) == 0
+        plant, graph, problem, gains = stiff_files
         realization, lap = load_realization(gains), laplacian(graph)
         t_final = 10.0 / 0.5  # simulate's default horizon at this alpha
         r_norm = np.linalg.norm(restricted_generator(realization, lap), 2)
@@ -290,6 +302,47 @@ class TestSimulateCommand:
         assert t_final / suggested_timestep(realization, plant, lap) <= 1e6
         capsys.readouterr()
         assert main(["simulate", gains, problem]) == 0
+
+    def test_default_run_holds_each_record_once(self, stiff_files, capsys,
+                                                monkeypatch):
+        """Without --trace-out, simulate allocates its state rows, the
+        estimates and per-node error norms: below 3x the bytes of the rows.
+        A trace that also stores the errors and stacked copies of them peaks
+        above 5x."""
+        _, _, problem, gains = stiff_files
+        row_bytes = []
+
+        def recording_simulate(*args):
+            trace = simulate(*args)
+            width = trace.x.shape[1] + sum(z.shape[1] for z in trace.z)
+            row_bytes.append(trace.times.size * width * trace.x.itemsize)
+            return trace
+
+        monkeypatch.setattr(cli, "simulate", recording_simulate)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(["simulate", gains, problem]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * row_bytes[0]
+
+    def test_summary_reads_the_csv_norms(self, standard_files, tmp_path, capsys):
+        """The summary and the trace CSV report the same error norms."""
+        _, _, problem, gains = standard_files
+        path = tmp_path / "trace.csv"
+        capsys.readouterr()
+        assert main(["simulate", gains, problem, "--trace-out", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        nodes = range(1, len(summary["final_error_norms"]) + 1)
+        err = table[:, [header.index(f"err_norm_{k}") for k in nodes]]
+        inv = table[:, [header.index(f"inv_res_{k}") for k in nodes]]
+        assert summary["final_error_norms"] == err[-1].tolist()
+        assert summary["max_invariance_residual"] == np.max(inv / np.maximum(1.0, err))
 
     def test_trace_csv_deterministic(self, standard_files, tmp_path, capsys):
         _, _, problem, gains = standard_files

@@ -18,7 +18,7 @@ from distobs import (
     synthesize,
 )
 
-from conftest import dense_g, standard_instance
+from conftest import dense_g, stacked_errors, standard_instance
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ class TestSimulate:
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         z0 = equilibrium_initial_observer_states(r, plant, x0)
         trace = run(plant, graph, r, spectral, t_final=2.0, z0=z0, x0=x0)
-        worst = max(np.max(np.linalg.norm(e, axis=1)) for e in trace.errors)
+        worst = np.max(trace.error_norms)
         assert worst <= 1e-8 * max(1.0, np.linalg.norm(x0))
 
     def test_static_plant_converges(self):
@@ -52,8 +52,8 @@ class TestSimulate:
         r = synthesize(plant, graph, alpha=0.5)
         trace = run(plant, graph, r, spectral_data(graph), t_final=20.0)
         assert np.max(np.abs(trace.x - trace.x[0])) <= 1e-12
-        for e in trace.errors:
-            assert np.linalg.norm(e[-1]) < 1e-4 * max(1.0, np.linalg.norm(e[0]))
+        for e_norm in trace.error_norms.T:
+            assert e_norm[-1] < 1e-4 * max(1.0, e_norm[0])
 
     def test_full_rank_scalar_output_reproduces_state(self):
         plant = Plant(a=np.zeros((1, 1)), c=np.eye(1), node_rows=(1,))
@@ -66,8 +66,8 @@ class TestSimulate:
     def test_matches_matrix_exponential(self, standard_setup):
         plant, graph, r, spectral = standard_setup
         trace = run(plant, graph, r, spectral, t_final=1.0, dt=1e-3)
-        e0 = np.hstack([e[0] for e in trace.errors])
-        e_final = np.hstack([e[-1] for e in trace.errors])
+        errors = stacked_errors(trace)
+        e0, e_final = errors[0], errors[-1]
         g_mat, t_s = dense_g(r, spectral.laplacian)
         propagated = scipy.linalg.expm(t_s @ g_mat * 1.0) @ e0
         assert np.linalg.norm(e_final - propagated) <= 1e-6 * np.linalg.norm(
@@ -79,8 +79,8 @@ class TestSimulate:
         dt = suggested_timestep(r, plant, spectral.laplacian)
         t1 = run(plant, graph, r, spectral, t_final=2.0, dt=dt)
         t2 = run(plant, graph, r, spectral, t_final=2.0, dt=dt / 2)
-        e1 = np.hstack([e[-1] for e in t1.errors])
-        e2 = np.hstack([e[-1] for e in t2.errors])
+        e1 = stacked_errors(t1)[-1]
+        e2 = stacked_errors(t2)[-1]
         assert np.linalg.norm(e1 - e2) <= 1e-4 * max(np.linalg.norm(e2), 1e-12)
 
     def test_omniscience_at_horizon(self, standard_setup):
@@ -89,8 +89,8 @@ class TestSimulate:
         alpha_hat = estimate_rate(trace)
         horizon_needed = math.log(1e6) / alpha_hat
         assert trace.times[-1] >= horizon_needed
-        for e in trace.errors:
-            assert np.linalg.norm(e[-1]) <= 1e-6 * np.linalg.norm(e[0])
+        for e_norm in trace.error_norms.T:
+            assert e_norm[-1] <= 1e-6 * e_norm[0]
 
     def test_divergence_detected(self, standard_setup):
         plant, graph, r, spectral = standard_setup
@@ -179,8 +179,9 @@ class TestEstimateRate:
         n = err.shape[1]
         zeros = np.zeros((times.size, n))
         return SimulationTrace(
-            times=times, x=zeros, z=[err.copy()], xhat=[err.copy()], errors=[err],
+            times=times, x=zeros, z=[err.copy()], xhat=[err.copy()],
             invariance_residuals=np.zeros((times.size, 1)),
+            error_norms=np.linalg.norm(err, axis=1)[:, None],
         )
 
     def test_pure_exponential(self):
@@ -225,15 +226,17 @@ class TestCheckInvariance:
         trace = run(plant, graph, r, spectral, t_final=8.0)
         g = r.nodes[0]
         t_ip = scipy.linalg.null_space(g.p_out.T)
-        bad_err = trace.errors[0] + t_ip[:, 0]
+        bad_err = stacked_errors(trace)[:, : plant.n] + t_ip[:, 0]
         inv = trace.invariance_residuals.copy()
         off = bad_err - (bad_err @ g.p_out) @ g.p_out.T
         inv[:, 0] = np.linalg.norm(off, axis=1)
+        norms = trace.error_norms.copy()
+        norms[:, 0] = np.linalg.norm(bad_err, axis=1)
         corrupted = SimulationTrace(
             times=trace.times, x=trace.x, z=trace.z,
             xhat=[trace.xhat[0] + t_ip[:, 0]] + list(trace.xhat[1:]),
-            errors=[bad_err] + list(trace.errors[1:]),
             invariance_residuals=inv,
+            error_norms=norms,
         )
         assert check_invariance(corrupted) > 0.5
 
