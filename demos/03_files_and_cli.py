@@ -52,4 +52,8 @@ with tempfile.TemporaryDirectory(prefix="distobs_demo_") as tmp:
     print("per-node matrices:", sorted(gains["nodes"][0]))
     with open(trace_path) as fh:
         header = fh.readline().strip()
+        first_row = fh.readline().strip()
+    # every float is written with 17 significant digits, which read back as
+    # the same double
     print("trace CSV columns:", header)
+    print("first data row:   ", first_row)

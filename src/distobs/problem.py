@@ -13,8 +13,10 @@ The design has no other settings: a file with the "overrides" key of older
 versions is rejected rather than designed differently from what it asks for.
 
 An edge {"from": i, "to": j} (1-based) means information flows i -> j and
-sets the adjacency weight a_ji.  Floats are serialized via repr, so a write
-followed by a read reproduces every matrix bit-exactly.
+sets the adjacency weight a_ji.  The gains file spells its floats via repr,
+the trace CSV with 17 significant digits ("%.17g"); both read back as the
+same doubles, so a write followed by a read reproduces every matrix
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -270,8 +272,20 @@ def load_realization(path) -> ObserverRealization:
     return realization_from_dict(doc)
 
 
+# rows of the trace that one format call writes at a time; a small block keeps
+# its Python floats and text small next to the trace itself
+CSV_ROWS = 16
+
+
 def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """Columns: t, x_1..x_n, then per node k: z_k_*, xhat_k_*, err_norm_k, inv_res_k."""
+    """Columns: t, x_1..x_n, then per node k: z_k_*, xhat_k_*, err_norm_k, inv_res_k.
+
+    One row per record, with the csv module's CRLF line ending.  Every
+    float is written as "%.17g", 17 significant digits, which read back as
+    the same double (0.1 is written 0.10000000000000001, 1.0 as 1).  The rows
+    are formatted CSV_ROWS at a time from the trace's arrays, so no copy of
+    the whole trace is made.
+    """
     n = trace.x.shape[1]
     header = ["t"] + [f"x_{j + 1}" for j in range(n)]
     columns = [trace.times[:, None], trace.x]
@@ -281,8 +295,9 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
         header += [f"err_norm_{k + 1}", f"inv_res_{k + 1}"]
         columns += [z, trace.xhat[k], trace.error_norms[:, k : k + 1],
                     trace.invariance_residuals[:, k : k + 1]]
-    # the csv module's "\r\n" line ending; repr round-trips every float
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for row in np.hstack(columns):
-            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
+        for start in range(0, trace.times.size, CSV_ROWS):
+            block = np.hstack([c[start : start + CSV_ROWS] for c in columns])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import json
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 from distobs import (
     NetworkGraph,
     Plant,
+    SimulationConfig,
+    SimulationTrace,
     full_rank_factorize,
     laplacian,
     load_realization,
@@ -18,14 +23,19 @@ from distobs import (
     simulate,
     suggested_timestep,
     synthesize,
+    write_trace_csv,
 )
 from distobs import cli
 from distobs.cli import main
 from distobs.linalg import numerical_rank
-from distobs.problem import realization_to_dict
+from distobs.problem import CSV_ROWS, realization_to_dict
 from distobs.synthesis import assemble_gains
 
-from conftest import random_strongly_connected_graph, standard_instance
+from conftest import (
+    mixed_structure_instance,
+    random_strongly_connected_graph,
+    standard_instance,
+)
 
 
 def problem_dict(plant, graph, alpha=0.5, overrides=None):
@@ -263,6 +273,54 @@ class TestSynthesizeCommand:
             assert out.read_bytes() == open(gains, "rb").read()
 
 
+def record_traces(monkeypatch):
+    """A list to which each trace that the CLI's simulate returns is added."""
+    traces = []
+
+    def recording_simulate(*args):
+        traces.append(simulate(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "simulate", recording_simulate)
+    return traces
+
+
+def trace_table(trace, header):
+    """The trace's arrays as one table whose columns are the CSV header's
+    names, in its order."""
+    def column(name):
+        if name == "t":
+            return trace.times
+        kind, k, j = re.fullmatch(r"(x|z|xhat|err_norm|inv_res)_(\d+)(?:_(\d+))?",
+                                  name).groups()
+        k = int(k) - 1
+        if kind == "x":
+            return trace.x[:, k]
+        if kind == "err_norm":
+            return trace.error_norms[:, k]
+        if kind == "inv_res":
+            return trace.invariance_residuals[:, k]
+        return {"z": trace.z, "xhat": trace.xhat}[kind][k][:, int(j) - 1]
+
+    n = trace.x.shape[1]
+    width = 1 + n + sum(z.shape[1] + n + 2 for z in trace.z)
+    assert len(header) == len(set(header)) == width
+    return np.column_stack([column(name) for name in header])
+
+
+def read_trace_csv(path):
+    """The header and the data lines of a trace CSV, split at CRLF only."""
+    lines = path.read_bytes().decode().split("\r\n")
+    assert lines[-1] == ""  # every row, the last one too, ends in CRLF
+    return lines[0].split(","), lines[1:-1]
+
+
+def assert_same_bits(a, b):
+    """Equal doubles bit for bit, so that -0.0 differs from 0.0."""
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestSimulateCommand:
     def test_default_flags_converges(self, standard_files, capsys):
         _, _, problem, gains = standard_files
@@ -303,6 +361,21 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert main(["simulate", gains, problem]) == 0
 
+    @staticmethod
+    def peak_and_row_bytes(argv, monkeypatch):
+        """tracemalloc's peak over main(argv), and the bytes of the state
+        rows (x and z) of the trace that simulate returned."""
+        traces = record_traces(monkeypatch)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trace = traces[0]
+        width = trace.x.shape[1] + sum(z.shape[1] for z in trace.z)
+        return peak, trace.times.size * width * trace.x.itemsize
+
     def test_default_run_holds_each_record_once(self, stiff_files, capsys,
                                                 monkeypatch):
         """Without --trace-out, simulate allocates its state rows, the
@@ -310,23 +383,24 @@ class TestSimulateCommand:
         A trace that also stores the errors and stacked copies of them peaks
         above 5x."""
         _, _, problem, gains = stiff_files
-        row_bytes = []
-
-        def recording_simulate(*args):
-            trace = simulate(*args)
-            width = trace.x.shape[1] + sum(z.shape[1] for z in trace.z)
-            row_bytes.append(trace.times.size * width * trace.x.itemsize)
-            return trace
-
-        monkeypatch.setattr(cli, "simulate", recording_simulate)
         capsys.readouterr()
-        tracemalloc.start()
-        try:
-            assert main(["simulate", gains, problem]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * row_bytes[0]
+        peak, row_bytes = self.peak_and_row_bytes(["simulate", gains, problem],
+                                                  monkeypatch)
+        assert peak < 3 * row_bytes
+
+    def test_trace_out_run_holds_each_record_once(self, stiff_files, capsys,
+                                                  monkeypatch):
+        """--trace-out formats a block of rows at a time from the trace's
+        arrays, so the run stays below the same 3x (2.8x, as without
+        --trace-out); a writer that stacks every column into one table first
+        peaks at 4.7x.  Every 10th record only: under tracemalloc, formatting
+        all 2.5e4 records takes almost a minute."""
+        _, _, problem, gains = stiff_files
+        capsys.readouterr()
+        argv = ["simulate", gains, problem, "--record-stride", "10",
+                "--trace-out", os.devnull]
+        peak, row_bytes = self.peak_and_row_bytes(argv, monkeypatch)
+        assert peak < 3 * row_bytes
 
     def test_summary_reads_the_csv_norms(self, standard_files, tmp_path, capsys):
         """The summary and the trace CSV report the same error norms."""
@@ -343,6 +417,20 @@ class TestSimulateCommand:
         inv = table[:, [header.index(f"inv_res_{k}") for k in nodes]]
         assert summary["final_error_norms"] == err[-1].tolist()
         assert summary["max_invariance_residual"] == np.max(inv / np.maximum(1.0, err))
+
+    def test_trace_csv_columns_are_the_trace(self, standard_files, tmp_path, capsys,
+                                             monkeypatch):
+        """Each column of the CSV reads back as its array of the trace, bit
+        for bit."""
+        _, _, problem, gains = standard_files
+        traces = record_traces(monkeypatch)
+        path = tmp_path / "trace.csv"
+        capsys.readouterr()
+        assert main(["simulate", gains, problem, "--trace-out", str(path)]) == 0
+        header, rows = read_trace_csv(path)
+        assert len(rows) == traces[0].times.size
+        assert_same_bits(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2),
+                         trace_table(traces[0], header))
 
     def test_trace_csv_deterministic(self, standard_files, tmp_path, capsys):
         _, _, problem, gains = standard_files
@@ -778,6 +866,71 @@ class TestGainsFileText:
         realization = dataclasses.replace(realization, certificate=certificate)
         text = self.assert_json_dumps_text(realization, tmp_path / "gains.json")
         assert all(word in text for word in ("Infinity", "-Infinity", "NaN"))
+
+
+class TestTraceCsvText:
+    """write_trace_csv writes the header and one CRLF-ended row per record,
+    each float as "%.17g", which reads back as the same double."""
+
+    # repr spells each of these with fewer than 17 digits or with an exponent
+    PLANTED = (0.1, 1.0, -0.0, 1 / 3, 1e-5, 1e16, 5e-324, 1.7976931348623157e308)
+
+    @classmethod
+    def planted_values(cls):
+        return np.array(cls.PLANTED + tuple(-v for v in cls.PLANTED))
+
+    @classmethod
+    def planted_trace(cls, samples, n, z_widths):
+        """A trace whose every array cycles through PLANTED and its negatives."""
+        shifts = itertools.count()
+
+        def planted(cols):
+            return np.resize(np.roll(cls.planted_values(), next(shifts)), (samples, cols))
+
+        nodes = len(z_widths)
+        return SimulationTrace(
+            times=planted(1)[:, 0], x=planted(n), z=[planted(w) for w in z_widths],
+            xhat=[planted(n) for _ in z_widths], invariance_residuals=planted(nodes),
+            error_norms=planted(nodes))
+
+    def test_planted_values_round_trip(self, tmp_path):
+        trace = self.planted_trace(6, 3, (2, 0))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        header, rows = read_trace_csv(path)
+        table = trace_table(trace, header)
+        assert set(table.view(np.int64).ravel()) == set(
+            self.planted_values().view(np.int64))
+        assert_same_bits(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2), table)
+        fields = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert_same_bits(fields, table)
+        spelled = set(",".join(rows).split(","))
+        assert {"0.10000000000000001", "1", "-0", "0.33333333333333331",
+                "1.0000000000000001e-05", "10000000000000000",
+                "4.9406564584124654e-324", "1.7976931348623157e+308"} <= spelled
+
+    @pytest.mark.parametrize("records", [1, CSV_ROWS, CSV_ROWS + 1])
+    def test_fully_measured_node(self, records, tmp_path):
+        """A node with p_i = n has no z columns; 1 record, one block and one
+        block plus one record give one row each, all as wide as the header."""
+        plant, graph = mixed_structure_instance()
+        realization = synthesize(plant, graph)
+        cfg = SimulationConfig(t_final=CSV_ROWS * 1e-3, dt=1e-3, x0=np.ones(plant.n))
+        full = simulate(realization, plant, graph, cfg)
+        assert full.times.size == CSV_ROWS + 1 and full.z[1].shape[1] == 0
+        trace = SimulationTrace(
+            times=full.times[:records], x=full.x[:records],
+            z=[z[:records] for z in full.z], xhat=[xh[:records] for xh in full.xhat],
+            invariance_residuals=full.invariance_residuals[:records],
+            error_norms=full.error_norms[:records])
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        header, rows = read_trace_csv(path)
+        assert "z_2_1" not in header and "xhat_2_1" in header
+        assert len(rows) == records
+        assert all(len(row.split(",")) == len(header) for row in rows)
+        assert_same_bits(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2),
+                         trace_table(trace, header))
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])
