@@ -49,7 +49,6 @@ from .simulate import (
     equilibrium_initial_observer_states,
     estimate_rate,
     simulate,
-    suggested_timestep,
 )
 from .synthesis import (
     NodeGains,

@@ -19,6 +19,9 @@ from .error_system import _coupling, _offsets, restricted_generator
 from .graph import NetworkGraph, laplacian
 from .synthesis import ObserverRealization, Plant
 
+# estimate_rate fits the last half of the samples above the numerical floor
+RATE_WINDOW = 0.5
+
 
 class SimulationDiverged(RuntimeError):
     def __init__(self, t: float):
@@ -51,21 +54,6 @@ class SimulationTrace:
     xhat: list[np.ndarray]        # per node (samples, n)
     invariance_residuals: np.ndarray  # (samples, N), ||T_ip^T e_i||
     error_norms: np.ndarray       # (samples, N), ||e_i||, e_i = xhat_i - x
-
-
-def suggested_timestep(
-    realization: ObserverRealization, plant: Plant, laplacian: np.ndarray
-) -> float:
-    """Default step resolving the fastest mode: dt * rho(F) <= 0.1.
-
-    The simulator's generator is block triangular with diagonal blocks A and
-    the restricted error generator R, so its spectral radius is theirs.
-    """
-    rho = max(np.max(np.abs(np.linalg.eigvals(m)), initial=0.0)
-              for m in (plant.a, restricted_generator(realization, laplacian)))
-    # the factor keeps dt * rho <= 0.1 after rounding; the 1e-12 keeps dt
-    # finite for a generator that is nilpotent
-    return 0.1 / ((1.0 + 1e-9) * rho + 1e-12)
 
 
 def equilibrium_initial_observer_states(
@@ -171,22 +159,21 @@ def simulate(
     )
 
 
-def estimate_rate(trace: SimulationTrace, window: float = 0.5) -> float:
-    """Decay-rate estimate from a log-linear fit on the tail of ||e(t)||.
+def estimate_rate(trace: SimulationTrace) -> float:
+    """Decay-rate estimate from a log-linear fit on the tail of ||e(t)||: the
+    last RATE_WINDOW of the samples above the numerical floor.
 
     Returns +inf when the stacked error is already below the numerical floor
     across the fitting window (converged beyond measurement), and NaN when
     the window holds too few recorded samples to fit.
     """
-    if not (0 < window <= 1):
-        raise ValueError("window must lie in (0, 1]")
     e_norm = np.linalg.norm(trace.error_norms, axis=1)
     alive = e_norm > 1e-12
     if not np.any(alive):
         return math.inf
     last = np.nonzero(alive)[0][-1]
     usable = np.arange(last + 1)[alive[: last + 1]]
-    take = max(int(round(window * usable.size)), 2)
+    take = max(int(round(RATE_WINDOW * usable.size)), 2)
     idx = usable[-take:]
     if idx.size < 10:
         return math.nan
@@ -199,9 +186,17 @@ def check_invariance(trace: SimulationTrace) -> float:
     return float(np.max(trace.invariance_residuals / np.maximum(1.0, trace.error_norms)))
 
 
-def trace_summary(trace: SimulationTrace, alpha_hat: float, max_inv: float) -> dict:
+def trace_summary(trace: SimulationTrace) -> dict:
+    """The run's verdict: fitted rate, worst invariance residual and final
+    error norms, with low_confidence set when the rate is not finite or fewer
+    than 20 samples lie above the numerical floor."""
+    alpha_hat = estimate_rate(trace)
+    e_norm = np.linalg.norm(trace.error_norms, axis=1)
     return {
         "alpha_hat": alpha_hat,
-        "max_invariance_residual": max_inv,
+        "max_invariance_residual": check_invariance(trace),
         "final_error_norms": trace.error_norms[-1].tolist(),
+        "low_confidence": bool(
+            not np.isfinite(alpha_hat) or np.count_nonzero(e_norm > 1e-12) < 20
+        ),
     }

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import json
 import os
@@ -21,11 +22,10 @@ from distobs import (
     restricted_generator,
     save_realization,
     simulate,
-    suggested_timestep,
     synthesize,
     write_trace_csv,
 )
-from distobs import cli
+from distobs import cli, error_system
 from distobs.cli import main
 from distobs.linalg import numerical_rank
 from distobs.problem import CSV_ROWS, realization_to_dict
@@ -77,7 +77,8 @@ def standard_files(tmp_path_factory):
 @pytest.fixture(scope="module")
 def stiff_files(tmp_path_factory):
     """Problem file plus synthesized gains for an (8, 10) design whose
-    default step gives 2.5e4 records to the default horizon."""
+    restricted generator has a large norm; --dt 8e-4 gives 2.5e4 records to
+    the default horizon."""
     tmp = tmp_path_factory.mktemp("stiff")
     plant, graph = generator_instance(1, 5, 8, 10)
     problem = write_problem(tmp, problem_dict(plant, graph, alpha=0.5))
@@ -348,18 +349,54 @@ class TestSimulateCommand:
         assert summary["alpha_hat"] is None
         assert summary["low_confidence"]
 
-    def test_default_step_runs_a_stiff_design(self, stiff_files, capsys):
+    def test_default_step_runs_a_stiff_design(self, stiff_files, capsys,
+                                              monkeypatch):
         """An (8, 10) design whose restricted generator R has a large norm: a
         step bounded by ||R||_2, as an explicit scheme needs, would take over
         1e6 steps to the default horizon, and the run ran out of memory."""
-        plant, graph, problem, gains = stiff_files
+        _, graph, problem, gains = stiff_files
         realization, lap = load_realization(gains), laplacian(graph)
         t_final = 10.0 / 0.5  # simulate's default horizon at this alpha
         r_norm = np.linalg.norm(restricted_generator(realization, lap), 2)
         assert t_final * r_norm / 0.1 > 1e6
-        assert t_final / suggested_timestep(realization, plant, lap) <= 1e6
+        traces = record_traces(monkeypatch)
         capsys.readouterr()
         assert main(["simulate", gains, problem]) == 0
+        assert traces[0].times.size <= 1e6
+
+    def test_default_grid_is_set_by_the_horizon(self, standard_files, tmp_path,
+                                                capsys):
+        """Without --dt, the records split the default horizon into
+        DEFAULT_RECORDS = 1000 intervals: 1,001 records, whatever the
+        design."""
+        _, _, problem, gains = standard_files
+        path = tmp_path / "trace.csv"
+        capsys.readouterr()
+        assert main(["simulate", gains, problem, "--trace-out", str(path)]) == 0
+        assert len(read_trace_csv(path)[1]) == 1001
+
+    def test_default_run_reads_no_spectrum(self, standard_files, capsys,
+                                           monkeypatch):
+        """A default run builds the restricted generator once, for the
+        propagator, and takes no dense eigenvalues."""
+        _, _, problem, gains = standard_files
+        calls = {"restricted_generator": 0, "eigvals": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        generator = counting("restricted_generator", error_system.restricted_generator)
+        monkeypatch.setattr(error_system, "restricted_generator", generator)
+        monkeypatch.setattr(importlib.import_module("distobs.simulate"),
+                            "restricted_generator", generator)
+        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+        capsys.readouterr()
+        assert main(["simulate", gains, problem]) == 0
+        assert calls == {"restricted_generator": 1, "eigvals": 0}
 
     @staticmethod
     def peak_and_row_bytes(argv, monkeypatch):
@@ -384,8 +421,8 @@ class TestSimulateCommand:
         above 5x."""
         _, _, problem, gains = stiff_files
         capsys.readouterr()
-        peak, row_bytes = self.peak_and_row_bytes(["simulate", gains, problem],
-                                                  monkeypatch)
+        peak, row_bytes = self.peak_and_row_bytes(
+            ["simulate", gains, problem, "--dt", "8e-4"], monkeypatch)
         assert peak < 3 * row_bytes
 
     def test_trace_out_run_holds_each_record_once(self, stiff_files, capsys,
@@ -397,7 +434,7 @@ class TestSimulateCommand:
         all 2.5e4 records takes almost a minute."""
         _, _, problem, gains = stiff_files
         capsys.readouterr()
-        argv = ["simulate", gains, problem, "--record-stride", "10",
+        argv = ["simulate", gains, problem, "--dt", "8e-4", "--record-stride", "10",
                 "--trace-out", os.devnull]
         peak, row_bytes = self.peak_and_row_bytes(argv, monkeypatch)
         assert peak < 3 * row_bytes

@@ -16,7 +16,6 @@ from distobs import (
     restricted_generator,
     spectral_abscissa,
     spectral_data,
-    suggested_timestep,
     synthesize,
 )
 from distobs.simulate import _generator
@@ -313,16 +312,6 @@ class TestBlockFormsAgainstDenseReferences:
                 ref = scipy.linalg.eigvalsh(0.5 * (reduced + reduced.T))[-1]
                 got = lyapunov_decrease_check(r_mat, r, alpha)
                 assert abs(got - ref) <= 1e-12 * np.linalg.norm(reduced, 2)
-
-
-class TestSuggestedTimestep:
-    def test_step_resolves_plant_and_error_spectra(self, rng):
-        """The simulator's generator has the spectrum of A and of R."""
-        for plant, graph, r in reference_instances(rng):
-            lap = spectral_data(graph).laplacian
-            radius = max(np.max(np.abs(np.linalg.eigvals(m)))
-                         for m in (plant.a, restricted_generator(r, lap)))
-            assert suggested_timestep(r, plant, lap) * radius <= 0.1
 
 
 # certify's traced peak may be at most this many restricted generators R of

@@ -14,7 +14,6 @@ from distobs import (
     estimate_rate,
     simulate,
     spectral_data,
-    suggested_timestep,
     synthesize,
 )
 
@@ -28,8 +27,7 @@ def standard_setup():
     return plant, graph, realization, spectral_data(graph)
 
 
-def run(plant, graph, realization, spectral, t_final, dt=None, z0=None, x0=None):
-    dt = dt or suggested_timestep(realization, plant, spectral.laplacian)
+def run(plant, graph, realization, t_final, dt, z0=None, x0=None):
     x0 = np.ones(plant.n) if x0 is None else x0
     cfg = SimulationConfig(t_final=t_final, dt=dt, x0=x0, z0=z0)
     return simulate(realization, plant, graph, cfg)
@@ -40,7 +38,7 @@ class TestSimulate:
         plant, graph, r, spectral = standard_setup
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         z0 = equilibrium_initial_observer_states(r, plant, x0)
-        trace = run(plant, graph, r, spectral, t_final=2.0, z0=z0, x0=x0)
+        trace = run(plant, graph, r, t_final=2.0, dt=2e-3, z0=z0, x0=x0)
         worst = np.max(trace.error_norms)
         assert worst <= 1e-8 * max(1.0, np.linalg.norm(x0))
 
@@ -50,7 +48,7 @@ class TestSimulate:
         plant = Plant(a=a, c=c, node_rows=(1, 1))
         graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
         r = synthesize(plant, graph, alpha=0.5)
-        trace = run(plant, graph, r, spectral_data(graph), t_final=20.0)
+        trace = run(plant, graph, r, t_final=20.0, dt=0.02)
         assert np.max(np.abs(trace.x - trace.x[0])) <= 1e-12
         for e_norm in trace.error_norms.T:
             assert e_norm[-1] < 1e-4 * max(1.0, e_norm[0])
@@ -60,12 +58,12 @@ class TestSimulate:
         graph = NetworkGraph(weights=np.zeros((1, 1)))
         r = synthesize(plant, graph)
         assert r.total_order == 0
-        trace = run(plant, graph, r, spectral_data(graph), t_final=1.0, dt=0.01)
+        trace = run(plant, graph, r, t_final=1.0, dt=0.01)
         np.testing.assert_allclose(trace.xhat[0], trace.x, atol=1e-12)
 
     def test_matches_matrix_exponential(self, standard_setup):
         plant, graph, r, spectral = standard_setup
-        trace = run(plant, graph, r, spectral, t_final=1.0, dt=1e-3)
+        trace = run(plant, graph, r, t_final=1.0, dt=1e-3)
         errors = stacked_errors(trace)
         e0, e_final = errors[0], errors[-1]
         g_mat, t_s = dense_g(r, spectral.laplacian)
@@ -76,16 +74,16 @@ class TestSimulate:
 
     def test_step_halving_consistency(self, standard_setup):
         plant, graph, r, spectral = standard_setup
-        dt = suggested_timestep(r, plant, spectral.laplacian)
-        t1 = run(plant, graph, r, spectral, t_final=2.0, dt=dt)
-        t2 = run(plant, graph, r, spectral, t_final=2.0, dt=dt / 2)
+        dt = 2e-3
+        t1 = run(plant, graph, r, t_final=2.0, dt=dt)
+        t2 = run(plant, graph, r, t_final=2.0, dt=dt / 2)
         e1 = stacked_errors(t1)[-1]
         e2 = stacked_errors(t2)[-1]
         assert np.linalg.norm(e1 - e2) <= 1e-4 * max(np.linalg.norm(e2), 1e-12)
 
     def test_omniscience_at_horizon(self, standard_setup):
         plant, graph, r, spectral = standard_setup
-        trace = run(plant, graph, r, spectral, t_final=20.0)
+        trace = run(plant, graph, r, t_final=20.0, dt=0.02)
         alpha_hat = estimate_rate(trace)
         horizon_needed = math.log(1e6) / alpha_hat
         assert trace.times[-1] >= horizon_needed
@@ -99,15 +97,15 @@ class TestSimulate:
         with pytest.raises(SimulationDiverged):
             # the plant's own unstable mode (Re lambda = 0.565) grows the state
             # past the largest float64 near t = 1256
-            run(plant, graph, r, spectral, t_final=2000.0, dt=5.0)
+            run(plant, graph, r, t_final=2000.0, dt=5.0)
 
     def test_step_halving_agrees_at_shared_samples(self, standard_setup):
         """The records are exact, so halving dt moves none of them beyond
         rounding (an explicit scheme's truncation error would)."""
         plant, graph, r, spectral = standard_setup
-        dt = suggested_timestep(r, plant, spectral.laplacian)
-        coarse = run(plant, graph, r, spectral, t_final=2.0, dt=dt)
-        fine = run(plant, graph, r, spectral, t_final=2.0, dt=dt / 2)
+        dt = 2e-3
+        coarse = run(plant, graph, r, t_final=2.0, dt=dt)
+        fine = run(plant, graph, r, t_final=2.0, dt=dt / 2)
         _, i, j = np.intersect1d(coarse.times, fine.times, return_indices=True)
         assert i.size == coarse.times.size
         s_coarse = np.hstack([coarse.x] + coarse.z)[i]
@@ -194,8 +192,9 @@ class TestEstimateRate:
     def test_two_mode_dominant(self):
         t = np.linspace(0, 12, 2000)
         err = (np.exp(-t) + np.exp(-5.0 * t))[:, None] * np.array([1.0])
-        assert estimate_rate(self._trace_from_error(t, err), window=0.25
-                             ) == pytest.approx(1.0, abs=1e-3)
+        assert estimate_rate(self._trace_from_error(t, err)) == pytest.approx(
+            1.0, abs=1e-3
+        )
 
     def test_converged_returns_sentinel(self):
         t = np.linspace(0, 1, 50)
@@ -209,21 +208,21 @@ class TestEstimateRate:
 
     def test_synthesized_rate_meets_target(self, standard_setup):
         plant, graph, r, spectral = standard_setup
-        trace = run(plant, graph, r, spectral, t_final=10.0)
+        trace = run(plant, graph, r, t_final=10.0, dt=0.01)
         assert estimate_rate(trace) >= 1.0 - 0.05
 
 
 class TestCheckInvariance:
     def test_simulated_instance(self, standard_setup):
         plant, graph, r, spectral = standard_setup
-        trace = run(plant, graph, r, spectral, t_final=5.0)
+        trace = run(plant, graph, r, t_final=5.0, dt=5e-3)
         assert check_invariance(trace) <= 1e-6
 
     def test_corrupted_trace(self, standard_setup):
         plant, graph, r, spectral = standard_setup
         # run long enough for the true errors to decay so the injected unit
         # off-subspace component dominates and the relative residual is ~1
-        trace = run(plant, graph, r, spectral, t_final=8.0)
+        trace = run(plant, graph, r, t_final=8.0, dt=8e-3)
         g = r.nodes[0]
         t_ip = scipy.linalg.null_space(g.p_out.T)
         bad_err = stacked_errors(trace)[:, : plant.n] + t_ip[:, 0]
@@ -244,5 +243,5 @@ class TestCheckInvariance:
         plant, graph, r, spectral = standard_setup
         x0 = np.ones(plant.n)
         z0 = equilibrium_initial_observer_states(r, plant, x0)
-        trace = run(plant, graph, r, spectral, t_final=1.0, z0=z0, x0=x0)
+        trace = run(plant, graph, r, t_final=1.0, dt=1e-3, z0=z0, x0=x0)
         assert check_invariance(trace) <= 1e-10
