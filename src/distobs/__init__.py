@@ -1,15 +1,12 @@
 """Reduced-order distributed observers for LTI plants over directed networks.
 
 Synthesis of the order Nn - sum(p_i) observer network, numerical certificates
-(cancellation identity, feasibility LMI, invariant-subspace algebra,
-convergence rate), and deterministic simulation of the coupled dynamics.
+(cancellation identity, feasibility LMI, invariant-subspace algebra, and the
+Lyapunov decrease that certifies the decay rate), and deterministic
+simulation of the coupled dynamics.
 """
 
-from .error_system import (
-    certify,
-    lyapunov_decrease_check,
-    restricted_generator,
-)
+from .error_system import certify, restricted_generator
 from .graph import (
     GraphSpectralData,
     GraphStructureError,

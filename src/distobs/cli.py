@@ -69,7 +69,7 @@ def _report_from_realization(realization) -> dict:
         "nodes": [{"p": g.p_dim, "v": g.v_dim} for g in realization.nodes],
         "epsilon": realization.epsilon,
         "gamma": realization.gamma,
-        "rate_bound": cert["rate"]["value"],
+        "lyapunov": cert["lyapunov"]["value"],
         "cancellation_residual": cert["cancellation"]["value"],
         "lmi_pass": cert["lmi"]["pass"],
         "alpha": realization.alpha,
@@ -104,7 +104,7 @@ def cmd_synthesize(args) -> int:
             print(f"node {i}: p = {nd['p']}, v = {nd['v']}")
         print(f"epsilon              : {report['epsilon']:.6g}")
         print(f"gamma                : {report['gamma']:.6g}")
-        print(f"rate bound           : {report['rate_bound']:.6g}")
+        print(f"lyapunov (< 0)       : {report['lyapunov']:.6g}")
         print(f"cancellation residual: {report['cancellation_residual']:.3e}")
         print(f"LMI feasibility      : {'pass' if report['lmi_pass'] else 'FAIL'}")
     return EXIT_OK

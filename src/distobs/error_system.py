@@ -13,15 +13,16 @@ which restricted_generator() fills block by block for both.
 
 certify() builds R once, of order K = N n - sum p_i, and forms no Nn-sized
 matrix.  The Lyapunov certificate is the top eigenvalue mu of W R + R^T W +
-2 alpha W, W = blkdiag_i(P_ie, I), which LAPACK computes by overwriting R;
-the rate is the bound on R's spectral abscissa that mu implies.  The
-invariance residual is T_p^T F T_s = blkdiag_i(T_ip^T P_i) R, with T_ip from
-the problem's own decomposition, so that it tests that each P_i spans im T_is.
+2 alpha W, W = blkdiag_i(P_ie, I), which LAPACK computes by overwriting R.
+With W positive definite, which the lmi check requires of every P_ie, mu < 0
+bounds R's spectral abscissa below -alpha, so it certifies the decay rate.
+The invariance residual is T_p^T F T_s = blkdiag_i(T_ip^T P_i) R, with T_ip
+from the problem's own decomposition, so that it tests that each P_i spans
+im T_is.
 
 R's blocks, the invariance rows and the P_ie row scaling of the Lyapunov
-matrix are each one stacked product per shape of node blocks, and the
-eigenvalues of each sym(P_ie) are computed once per certify, for the lmi and
-the rate checks alike; only the LAPACK eigenvalue calls stay per node.
+matrix are each one stacked product per shape of node blocks; only the
+LAPACK eigenvalue calls stay per node.
 """
 
 from __future__ import annotations
@@ -41,25 +42,23 @@ from .synthesis import (
     ObserverRealization,
     Plant,
     _lemma_weights,
-    _pie_spectra,
     verify_cancellation,
     verify_lmi_th1,
 )
 
 # The certificates in the order certify() reports them.  Each has its bound as
-# a function of (||A||_F, alpha), and whether a value equal to the bound passes.
+# a function of ||A||_F, and whether a value equal to the bound passes.
 CERTIFICATE_BOUNDS = {
-    "cancellation": (lambda a_norm, alpha: 1e-9 * max(a_norm, 1e-300), True),
-    "lmi": (lambda a_norm, alpha: 0.0, False),
-    "rate": (lambda a_norm, alpha: -alpha, False),
-    "invariance": (lambda a_norm, alpha: 1e-9, True),
-    "lyapunov": (lambda a_norm, alpha: 0.0, False),
+    "cancellation": (lambda a_norm: 1e-9 * max(a_norm, 1e-300), True),
+    "lmi": (lambda a_norm: 0.0, False),
+    "invariance": (lambda a_norm: 1e-9, True),
+    "lyapunov": (lambda a_norm: 0.0, False),
 }
 
 
-def _judge(name: str, value: float, a_norm: float, alpha: float) -> dict:
+def _judge(name: str, value: float, a_norm: float) -> dict:
     bound_of, inclusive = CERTIFICATE_BOUNDS[name]
-    bound = float(bound_of(a_norm, alpha))
+    bound = float(bound_of(a_norm))
     ok = value <= bound if inclusive else value < bound
     return {"value": float(value), "bound": bound, "pass": bool(ok)}
 
@@ -132,19 +131,6 @@ def _runs(keys) -> list[tuple[int, int]]:
     return out
 
 
-def lyapunov_decrease_check(
-    r_mat: np.ndarray, realization: ObserverRealization, alpha: float
-) -> float:
-    """Largest eigenvalue of W R + R^T W + 2 alpha W (must be < 0); NaN when
-    that matrix is not finite.
-
-    R is the restricted generator and W = blkdiag_i(P_ie, I_{n - v_i}) the
-    weight of V(e) = e^T P e in the coordinates of im T_s.
-    """
-    m = np.array(r_mat, dtype=float, order="C")
-    return _lyapunov_in_place(m, realization, alpha)
-
-
 # rows of R that one stacked P_ie product scales at a time
 SCALED_ROWS = 64
 
@@ -152,7 +138,10 @@ SCALED_ROWS = 64
 def _lyapunov_in_place(
     m: np.ndarray, realization: ObserverRealization, alpha: float
 ) -> float:
-    """lyapunov_decrease_check of R = m, given in C order and overwritten.
+    """Largest eigenvalue of W R + R^T W + 2 alpha W (must be < 0), -inf when
+    R is empty and NaN when that matrix is not finite.  R = m, given in C
+    order, is overwritten, and W = blkdiag_i(P_ie, I_{n - v_i}) is the weight
+    of V(e) = e^T P e in the coordinates of im T_s.
 
     m becomes W (R + alpha I), which is R + alpha I with the first v_i - p_i
     rows of each node block scaled by P_ie, then that plus its transpose,
@@ -183,23 +172,6 @@ def _lyapunov_in_place(
         return np.nan
     top = m.shape[0]  # 1-based: the largest eigenvalue only
     return float(_eigvalsh_in_place(m, range="I", il=top, iu=top)[0])
-
-
-def _rate_bound(realization: ObserverRealization, mu: float, spectra) -> float:
-    """Upper bound on R's spectral abscissa implied by the Lyapunov value mu.
-
-    W R + R^T W + 2 alpha W <= mu I <= mu W / w when w >= lambda_max(W) and
-    mu < 0, or 0 < w <= lambda_min(W) and mu >= 0, so every eigenvalue of R
-    has real part at most -alpha + mu / (2 w).  For W = blkdiag_i(P_ie, I), w
-    is the max or min of 1 and the eigenvalues of the node-sized P_ie, which
-    `spectra` lists per node; +inf when some P_ie is not positive definite,
-    and NaN when mu or a P_ie is not finite (its spectrum is then NaN).
-    """
-    w_eigs = np.concatenate([[1.0]] + [eigs for eigs in spectra if eigs.size])
-    if w_eigs.min() <= 0:
-        return np.inf
-    w = w_eigs.max() if mu < 0 else w_eigs.min()
-    return float(-realization.alpha + mu / (2.0 * w))
 
 
 def _invariance(
@@ -236,12 +208,9 @@ def certify(
     """
     alpha = realization.alpha
     nodes = realization.nodes
-    # the eigenvalues of each sym(P_ie), for the lmi and the rate alike
-    spectra = _pie_spectra([g.p_ie for g in nodes])
-    _, lmi_eigs = verify_lmi_th1(
+    lmi_eigs = verify_lmi_th1(
         [g.p_ie for g in nodes], [g.h_inj for g in nodes], decomps,
         realization.gamma, realization.epsilon, alpha, _lemma_weights(len(nodes)),
-        spectra,
     )
     # np.max propagates a NaN residual or eigenvalue, so that it fails the check
     values = {
@@ -252,8 +221,7 @@ def certify(
     r_mat = restricted_generator(realization, spectral.laplacian)
     values["invariance"] = _invariance(realization, r_mat, [d.t_p for d in decomps])
     values["lyapunov"] = _lyapunov_in_place(r_mat, realization, alpha)
-    values["rate"] = _rate_bound(realization, values["lyapunov"], spectra)
     a_norm = float(np.linalg.norm(plant.a))
-    checks = {name: _judge(name, values[name], a_norm, alpha) for name in CERTIFICATE_BOUNDS}
+    checks = {name: _judge(name, values[name], a_norm) for name in CERTIFICATE_BOUNDS}
     checks["lmi"]["nodes"] = lmi_eigs
     return checks

@@ -131,7 +131,6 @@ def realization_to_dict(realization: ObserverRealization) -> dict:
         "epsilon": realization.epsilon,
         "r": list(np.asarray(realization.r_vector, dtype=float)),
         "alpha": realization.alpha,
-        "certificate": realization.certificate,
     }
 
 
@@ -165,10 +164,10 @@ def _number(name: str, value) -> float:
 
 def realization_from_dict(doc: dict) -> ObserverRealization:
     """Gains-file document to realization.  An older file may also carry P
-    as "Tis"; that key is ignored.  Every gain matrix must be finite and
-    2-D, of the shape that P, Q and Pie set (an empty one may be written []),
-    gamma, epsilon and r finite JSON numbers, and alpha a finite and
-    nonnegative one; the certificate values may be infinite."""
+    as "Tis" and a "certificate" table; those keys are ignored.  Every gain
+    matrix must be finite and 2-D, of the shape that P, Q and Pie set (an
+    empty one may be written []), gamma, epsilon and r finite JSON numbers,
+    and alpha a finite and nonnegative one."""
     try:
         nodes = []
         for i, nd in enumerate(doc["nodes"], start=1):
@@ -206,7 +205,6 @@ def realization_from_dict(doc: dict) -> ObserverRealization:
             epsilon=_require_finite("epsilon", _number("epsilon", doc["epsilon"])),
             r_vector=_require_finite("r", np.array([_number("r", x) for x in doc["r"]])),
             alpha=float(_checked_alpha(doc.get("alpha", 0.0))),
-            certificate=doc.get("certificate", {}) or {},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"malformed gains file: {exc}") from exc

@@ -122,7 +122,9 @@ class NodeGains:
 
 @dataclass(frozen=True)
 class ObserverRealization:
-    """Complete distributed observer: per-node gains plus global scalars."""
+    """Complete distributed observer: per-node gains plus global scalars.
+    certificate is synthesize's certify() report, which the gains file does
+    not carry."""
 
     nodes: tuple[NodeGains, ...]
     gamma: float
@@ -384,14 +386,6 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     return _eigvalsh(m)
 
 
-def _pie_spectra(p_ies) -> list[np.ndarray]:
-    """Ascending eigenvalues of sym(P_ie) of each node, empty for an empty
-    P_ie: the positive-definiteness test of verify_lmi_th1 and the weight
-    bounds of the rate certificate."""
-    return [_spectrum(0.5 * (pie + pie.T)) if pie.size else np.zeros(0)
-            for pie in p_ies]
-
-
 def verify_lmi_th1(
     p_ies: list[np.ndarray],
     h_injs: list[np.ndarray],
@@ -400,22 +394,20 @@ def verify_lmi_th1(
     epsilon: float,
     alpha: float,
     g_weights,
-    spectra: list[np.ndarray] | None = None,
-) -> tuple[bool, list[float]]:
-    """Check each node's feasibility LMI at its design (P_ie, H).
+) -> list[float]:
+    """The worst eigenvalue of each node's feasibility LMI at its design
+    (P_ie, H), which must be negative.
 
-    The LMI is taken at P_iu = I and W_i = P_ie H_i.  Returns (all negative
-    definite, worst eigenvalue per node).  Empty node blocks (p = n) report
-    -inf, a P_ie that is not positive definite reports +inf, and an LMI or a
-    P_ie that is not finite reports NaN.  `spectra` are the _pie_spectra of
-    p_ies, when the caller has them.
+    The LMI is taken at P_iu = I and W_i = P_ie H_i.  Empty node blocks
+    (p = n) report -inf, a P_ie that is not positive definite reports +inf,
+    and an LMI or a P_ie that is not finite reports NaN.
     """
-    if spectra is None:
-        spectra = _pie_spectra(p_ies)
     worst = [-np.inf if d.n_dim == d.p_dim else np.inf for d in decomps]
     g_weights = np.asarray(g_weights, dtype=float)
-    candidates = [i for i, (d, eigs) in enumerate(zip(decomps, spectra))
-                  if d.n_dim > d.p_dim and not (eigs.size and eigs[0] <= 0)]
+    # the nodes whose P_ie is empty or positive definite
+    candidates = [i for i, (d, pie) in enumerate(zip(decomps, p_ies))
+                  if d.n_dim > d.p_dim
+                  and not (pie.size and _spectrum(0.5 * (pie + pie.T))[0] <= 0)]
     shapes = [(decomps[i].n_dim, decomps[i].v_dim, decomps[i].p_dim) for i in candidates]
     for group in _node_groups(shapes):
         nodes = [candidates[j] for j in group]
@@ -424,7 +416,7 @@ def verify_lmi_th1(
                           gamma, epsilon, alpha)
         for i, b in zip(nodes, blk):
             worst[i] = float(_spectrum(b)[-1])
-    return all(w < 0 for w in worst), worst
+    return worst
 
 
 def _lmi_blocks(p_ies, h_injs, decomps, gamma_g, gamma, epsilon, alpha) -> np.ndarray:

@@ -28,7 +28,7 @@ from distobs import (
 from distobs import cli, error_system
 from distobs.cli import main
 from distobs.linalg import numerical_rank
-from distobs.problem import CSV_ROWS, realization_to_dict
+from distobs.problem import CSV_ROWS, _json_text, realization_to_dict
 from distobs.synthesis import assemble_gains
 
 from conftest import (
@@ -136,11 +136,11 @@ class TestSynthesizeCommand:
         # 3 single-output nodes on a 4-state plant: 3*4 - 3 = 9
         assert report["total_order"] == 9
         assert report["lmi_pass"] is True
-        assert report["rate_bound"] < -0.5
+        assert report["lyapunov"] < 0
 
     def test_fully_measured_node_prints_strict_json(self, tmp_path, capsys):
-        """C = I on one node: the empty observer's rate bound is -inf, which
-        the synthesize and verify reports print as null."""
+        """C = I on one node: the empty observer's Lyapunov value is -inf,
+        which the synthesize and verify reports print as null."""
         plant = Plant(a=np.array([[0.0, 1.0], [-1.0, 0.0]]), c=np.eye(2),
                       node_rows=(2,))
         graph = NetworkGraph(weights=np.zeros((1, 1)))
@@ -148,10 +148,10 @@ class TestSynthesizeCommand:
         gains = str(tmp_path / "gains.json")
         assert main(["synthesize", problem, gains, "--json"]) == 0
         report = strict_loads(capsys.readouterr().out)
-        assert report["total_order"] == 0 and report["rate_bound"] is None
+        assert report["total_order"] == 0 and report["lyapunov"] is None
         assert main(["verify", gains, problem, "--json"]) == 0
         checks = strict_loads(capsys.readouterr().out)
-        assert checks["rate"]["value"] is None and checks["rate"]["pass"]
+        assert checks["lyapunov"]["value"] is None and checks["lyapunov"]["pass"]
 
     def test_roundtrip_bit_exact(self, standard_files, tmp_path):
         plant, graph, problem, gains = standard_files
@@ -174,6 +174,29 @@ class TestSynthesizeCommand:
             nd["Tis"] = nd["P"]
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps(doc))
+        resaved = tmp_path / "resaved.json"
+        save_realization(load_realization(legacy), resaved)
+        assert resaved.read_bytes() == open(gains, "rb").read()
+
+    def test_gains_file_holds_only_the_design(self, standard_files):
+        doc = json.loads(open(standard_files[3]).read())
+        assert list(doc) == ["nodes", "gamma", "epsilon", "r", "alpha"]
+
+    def test_legacy_certificate_key_ignored(self, standard_files, tmp_path):
+        """A gains file of the earlier format, which also held certify's
+        report, rate check included, loads and saves as the design alone."""
+        _, _, _, gains = standard_files
+        doc = json.loads(open(gains).read())
+        check = {"value": -1.5, "bound": 0.0, "pass": True}
+        doc["certificate"] = {
+            "cancellation": {"value": 1e-15, "bound": 1e-9, "pass": True},
+            "lmi": {**check, "nodes": [-1.5, float("-inf"), -2.0]},
+            "rate": {"value": float("-inf"), "bound": -0.5, "pass": True},
+            "invariance": {"value": 1e-16, "bound": 1e-9, "pass": True},
+            "lyapunov": check,
+        }
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(doc, indent=1) + "\n")
         resaved = tmp_path / "resaved.json"
         save_realization(load_realization(legacy), resaved)
         assert resaved.read_bytes() == open(gains, "rb").read()
@@ -557,7 +580,8 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", gains, problem, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        for name in ("cancellation", "lmi", "rate", "invariance", "lyapunov"):
+        assert list(report) == ["cancellation", "lmi", "invariance", "lyapunov"]
+        for name in report:
             assert report[name]["pass"], name
 
     def test_perturbed_l_fails_cancellation(self, standard_files, tmp_path,
@@ -575,7 +599,7 @@ class TestVerifyCommand:
         assert json.loads(captured.err.strip().splitlines()[-1]
                           )["error"]["step"] == "cancellation"
 
-    def test_zeroed_injection_fails_rate(self, tmp_path, capsys):
+    def test_zeroed_injection_fails_lyapunov(self, tmp_path, capsys):
         plant, graph, problem = jordan_problem(tmp_path)
         gains = str(tmp_path / "gains.json")
         assert main(["synthesize", problem, gains]) == 0
@@ -587,7 +611,7 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", str(bad_path), problem, "--json"]) == 4
         report = json.loads(capsys.readouterr().out)
-        assert not report["rate"]["pass"]
+        assert not report["lyapunov"]["pass"]
 
     def test_verify_reads_the_gains_file_r(self, standard_files, tmp_path, capsys):
         """The certificates judge the observer simulate runs, whose coupling
@@ -613,7 +637,6 @@ class TestVerifyCommand:
         report = strict_loads(captured.out)
         assert report["lmi"]["nodes"][1] is None
         assert report["lmi"]["value"] is None
-        assert report["rate"]["value"] is None
         error = strict_loads(captured.err.strip().splitlines()[-1])["error"]
         assert error["step"] == "lmi" and error["value"] is None
 
@@ -634,8 +657,8 @@ class TestVerifyCommand:
         assert not report["invariance"]["pass"]
 
     def test_judged_at_the_problem_alpha(self, standard_files, tmp_path, capsys):
-        """The gains file's alpha does not move the rate bound: verify judges the
-        design at the problem's alpha, which it must meet."""
+        """The gains file's alpha does not move the Lyapunov value: verify judges
+        the design at the problem's alpha, which it must meet."""
         plant, graph, problem, gains = standard_files
         doc = json.loads(open(gains).read())
         doc["alpha"] = 0.0
@@ -646,7 +669,8 @@ class TestVerifyCommand:
             capsys.readouterr()
             assert main(["verify", path, problem, "--json"]) == 0
             reports.append(json.loads(capsys.readouterr().out))
-        assert reports[0]["rate"]["bound"] == reports[1]["rate"]["bound"] == -0.5
+        assert reports[0]["lyapunov"]["value"] == reports[1]["lyapunov"]["value"]
+        assert reports[0] == reports[1]
 
         demanding = write_problem(tmp_path, problem_dict(plant, graph, alpha=5.0),
                                   "alpha5.json")
@@ -654,8 +678,7 @@ class TestVerifyCommand:
             capsys.readouterr()
             assert main(["verify", path, demanding, "--json"]) == 4
             report = json.loads(capsys.readouterr().out)
-            assert report["rate"]["bound"] == -5.0
-            assert not report["rate"]["pass"]
+            assert not report["lyapunov"]["pass"]
 
     def test_mismatched_files_exit1(self, standard_files, tmp_path, capsys):
         _, _, _, gains = standard_files
@@ -787,7 +810,7 @@ def test_output_map_q_is_checked(standard_files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, step", [
-    ("K", "cancellation"), ("Pie", "lmi"), ("H", "lmi"), ("M", "rate")])
+    ("K", "cancellation"), ("Pie", "lmi"), ("H", "lmi"), ("M", "invariance")])
 def test_non_finite_certificate_fails_closed(key, step, standard_files, tmp_path,
                                              capsys, recwarn):
     """A gain that overflows a check's matrix gives the check the value NaN,
@@ -883,25 +906,26 @@ class TestGainsFileText:
         self.assert_json_dumps_text(realization, tmp_path / "gains.json")
 
     def test_fully_measured_node(self, tmp_path):
-        """C = I: the node's N, L, M, H and Pie are empty, and the rate bound
-        is -inf."""
+        """C = I: the node's N, L, M, H and Pie are empty."""
         plant = Plant(a=np.array([[0.0, 1.0], [-1.0, 0.0]]), c=np.eye(2),
                       node_rows=(2,))
         realization = synthesize(plant, NetworkGraph(weights=np.zeros((1, 1))))
         assert realization.nodes[0].p_ie.size == 0
         text = self.assert_json_dumps_text(realization, tmp_path / "gains.json")
-        assert '"Pie": []' in text and "-Infinity" in text
+        assert '"Pie": []' in text
 
-    def test_non_finite_certificate_values(self, standard_files, tmp_path):
-        realization = load_realization(standard_files[3])
-        certificate = {
+    def test_non_finite_certificate_values(self, standard_files):
+        """The writer's non-finite and mixed-type paths, on a planted
+        document: json.dumps(doc, indent=1) byte for byte."""
+        doc = realization_to_dict(load_realization(standard_files[3]))
+        doc["certificate"] = {
             "lmi": {"value": float("inf"), "bound": 0.0, "pass": False,
                     "nodes": [float("-inf"), float("nan"), -1.5]},
-            "rate": {"value": float("nan"), "bound": -0.5, "pass": False},
+            "lyapunov": {"value": float("nan"), "bound": 0.0, "pass": False},
             "note": "\u00e9\"", "empty": {}, "mixed": [1, True, None, [[]]],
         }
-        realization = dataclasses.replace(realization, certificate=certificate)
-        text = self.assert_json_dumps_text(realization, tmp_path / "gains.json")
+        text = _json_text(doc, "\n")
+        assert text == json.dumps(doc, indent=1)
         assert all(word in text for word in ("Infinity", "-Infinity", "NaN"))
 
 

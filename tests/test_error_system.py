@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -12,7 +13,6 @@ from distobs import (
     compute_epsilon,
     decompose_nodes,
     error_system,
-    lyapunov_decrease_check,
     restricted_generator,
     spectral_abscissa,
     spectral_data,
@@ -98,7 +98,8 @@ class TestBuildErrorSystem:
 
 
 class TestCertifyRate:
-    """The exact spectral abscissa of R, the dense reference for the rate."""
+    """The exact spectral abscissa of R, the dense reference for the decay
+    rate."""
 
     def test_synthesized_instance_passes(self):
         plant, graph, r = synthesized(alpha=1.0)
@@ -115,23 +116,33 @@ class TestCertifyRate:
         assert not spectral_abscissa(restricted(r0, graph)) < 0.0
 
 
+def certified_at(plant, graph, r, alpha):
+    """certify's report on the design r, judged at alpha."""
+    frfs, decomps = decompose_nodes(plant)
+    return certify(dataclasses.replace(r, alpha=alpha), plant, spectral_data(graph),
+                   frfs, decomps)
+
+
+def lyapunov_at(plant, graph, r, alpha):
+    """certify's Lyapunov value for the design r at alpha."""
+    return certified_at(plant, graph, r, alpha)["lyapunov"]["value"]
+
+
 class TestLyapunovDecrease:
     def test_synthesized_instance_negative(self):
         plant, graph, r = synthesized(alpha=0.5)
-        assert lyapunov_decrease_check(restricted(r, graph), r, 0.5) < 0
+        assert lyapunov_at(plant, graph, r, 0.5) < 0
 
     def test_fails_beyond_achieved_rate(self):
         plant, graph, r = synthesized(alpha=0.5)
-        r_mat = restricted(r, graph)
-        alpha_too_big = -spectral_abscissa(r_mat) * 4.0
-        assert lyapunov_decrease_check(r_mat, r, alpha_too_big) > 0
+        alpha_too_big = -spectral_abscissa(restricted(r, graph)) * 4.0
+        assert lyapunov_at(plant, graph, r, alpha_too_big) > 0
 
     def test_agrees_with_rate_certificate(self, rng):
         for _ in range(8):
             plant, graph, r = synthesized(rng, alpha=0.5)
-            r_mat = restricted(r, graph)
-            if spectral_abscissa(r_mat) < -0.5:
-                assert lyapunov_decrease_check(r_mat, r, 0.5) < 0
+            if spectral_abscissa(restricted(r, graph)) < -0.5:
+                assert r.certificate["lyapunov"]["value"] < 0
 
     def test_matches_stacked_weight_sandwich(self, rng):
         """The reduced value equals the Nn-coordinate form T_s^T (P F + F^T P +
@@ -143,69 +154,45 @@ class TestLyapunovDecrease:
             for alpha in (0.0, 0.5, 1.0):
                 r = synthesize(plant, graph, alpha=alpha)
                 spectral = spectral_data(graph)
-                got = lyapunov_decrease_check(restricted(r, graph), r, alpha)
+                got = r.certificate["lyapunov"]["value"]
                 ref = stacked_sandwich(r, spectral, alpha)
                 assert abs(got - ref) <= 1e-6 * abs(ref), (alpha, got, ref)
 
 
 class TestCertifyAgreesWithPublicChecks:
     def test_same_values_and_caller_array_kept(self, rng):
-        """certify's in-place Lyapunov value equals lyapunov_decrease_check
-        bit for bit, its rate bounds spectral_abscissa, and those two leave R
-        as it was."""
+        """certify's Lyapunov value is that of the restricted generator
+        bit for bit, and certify leaves the design's arrays as they were,
+        although it overwrites its own R."""
         for plant, graph, r in reference_instances(rng):
-            spectral = spectral_data(graph)
-            frfs, decomps = decompose_nodes(plant)
-            cert = certify(r, plant, spectral, frfs, decomps)
-            r_mat = restricted(r, graph)
-            before = r_mat.copy()
-            assert bounds_abscissa(cert["rate"]["value"], r_mat, r.alpha)
-            assert cert["lyapunov"]["value"] == lyapunov_decrease_check(r_mat, r, r.alpha)
-            assert np.array_equal(r_mat, before)
-
-
-def bounds_abscissa(rate, r_mat, alpha):
-    """rate >= spectral_abscissa(R) up to rounding: the bound is computed
-    with alpha folded into the Lyapunov value, and is exact in exact
-    arithmetic when, say, R is 1 x 1."""
-    slack = 1e-12 * (abs(alpha) + np.linalg.norm(r_mat, 2))
-    return spectral_abscissa(r_mat) <= rate + slack
-
-
-def certified_at(plant, graph, r, alpha):
-    """certify's report on the design r, judged at alpha."""
-    frfs, decomps = decompose_nodes(plant)
-    return certify(dataclasses.replace(r, alpha=alpha), plant, spectral_data(graph),
-                   frfs, decomps)
+            before = copy.deepcopy(r.nodes)
+            cert = certified_at(plant, graph, r, r.alpha)
+            mu = error_system._lyapunov_in_place(restricted(r, graph), r, r.alpha)
+            assert cert["lyapunov"]["value"] == mu
+            for g, kept in zip(r.nodes, before):
+                for f in dataclasses.fields(g):
+                    assert np.array_equal(getattr(g, f.name), getattr(kept, f.name))
 
 
 class TestRateBound:
-    """certify's rate is the bound on R's spectral abscissa that its Lyapunov
-    value implies: never below the exact abscissa, and passing exactly when
-    lyapunov passes."""
+    """lyapunov certifies the decay rate: whenever it passes, with the
+    positive definite weight that the lmi check requires, every eigenvalue
+    of R has real part below -alpha."""
 
     def test_bounds_the_exact_abscissa(self, rng):
-        for plant, graph, r in reference_instances(rng):
-            r_mat = restricted(r, graph)
-            absc = spectral_abscissa(r_mat)
-            # no weight certifies a rate beyond the abscissa, so at -4 absc
-            # lyapunov fails
-            for alpha, lyapunov_passes in ((r.alpha, True), (-4.0 * absc, False)):
-                cert = certified_at(plant, graph, r, alpha)
-                assert cert["lyapunov"]["pass"] == lyapunov_passes
-                assert bounds_abscissa(cert["rate"]["value"], r_mat, alpha)
-
-    def test_passes_exactly_when_lyapunov_passes(self, rng):
         seen = set()
         for plant, graph, r in reference_instances(rng):
             absc = spectral_abscissa(restricted(r, graph))
-            for alpha in (r.alpha, -0.9 * absc, -0.99 * absc, -4.0 * absc):
-                cert = certified_at(plant, graph, r, alpha)
-                # a finite lmi value, as when lmi passes, means every P_ie is
-                # positive definite, which is all the equivalence needs
-                if cert["lmi"]["value"] < np.inf:
-                    assert cert["rate"]["pass"] == cert["lyapunov"]["pass"]
-                    seen.add(cert["lyapunov"]["pass"])
+            alphas = (r.alpha, -0.9 * absc, -0.99 * absc, -4.0 * absc)
+            verdicts = [certified_at(plant, graph, r, alpha)["lyapunov"]["pass"]
+                        for alpha in alphas]
+            # the design passes at its own alpha, and no weight certifies a
+            # rate beyond the abscissa, so at -4 absc lyapunov fails
+            assert verdicts[0] and not verdicts[-1]
+            for alpha, passes in zip(alphas, verdicts):
+                if passes:
+                    assert absc < -alpha, (alpha, absc)
+            seen.update(verdicts)
         assert seen == {True, False}
 
     def test_empty_generator_reads_minus_inf(self):
@@ -214,8 +201,8 @@ class TestRateBound:
         graph = NetworkGraph(weights=np.zeros((1, 1)))
         r = synthesize(plant, graph, alpha=0.5)
         assert r.total_order == 0
-        assert r.certificate["rate"]["value"] == -np.inf
-        assert r.certificate["rate"]["pass"]
+        assert r.certificate["lyapunov"]["value"] == -np.inf
+        assert r.certificate["lyapunov"]["pass"]
 
 
 def stacked_sandwich(r, spectral, alpha):
@@ -310,7 +297,7 @@ class TestBlockFormsAgainstDenseReferences:
             for alpha in (0.0, 0.5, 1.0):
                 reduced = w @ r_mat + r_mat.T @ w + 2.0 * alpha * w
                 ref = scipy.linalg.eigvalsh(0.5 * (reduced + reduced.T))[-1]
-                got = lyapunov_decrease_check(r_mat, r, alpha)
+                got = lyapunov_at(plant, graph, r, alpha)
                 assert abs(got - ref) <= 1e-12 * np.linalg.norm(reduced, 2)
 
 

@@ -96,7 +96,7 @@ def test_synthesis_and_certificates_match_node_by_node(case, alpha):
     cert = r.certificate
     residuals = [verify_cancellation(g, d, f) for g, d, f in zip(r.nodes, decomps, frfs)]
     assert bits(cert["cancellation"]["value"]) == bits(max(residuals))
-    lmi = [verify_lmi_th1([g.p_ie], [g.h_inj], [d], r.gamma, r.epsilon, alpha, [1.0])[1][0]
+    lmi = [verify_lmi_th1([g.p_ie], [g.h_inj], [d], r.gamma, r.epsilon, alpha, [1.0])[0]
            for g, d in zip(r.nodes, decomps)]
     assert bits(cert["lmi"]["nodes"]) == bits(lmi)
     lap = spectral_data(graph).laplacian
@@ -110,10 +110,6 @@ def test_synthesis_and_certificates_match_node_by_node(case, alpha):
     if r_mat.size:
         mu = lyapunov_block_by_block(r_mat, r, alpha)
         assert bits(cert["lyapunov"]["value"]) == bits(mu)
-        w = np.concatenate([[1.0]] + [scipy.linalg.eigvalsh(0.5 * (g.p_ie + g.p_ie.T))
-                                      for g in r.nodes if g.p_ie.size])
-        rate = -alpha + mu / (2.0 * (w.max() if mu < 0 else w.min()))
-        assert bits(cert["rate"]["value"]) == bits(rate)
 
 
 def test_records_are_views_into_one_stack_per_shape():
