@@ -5,9 +5,12 @@ verify` on the command line; here they are driven through the CLI entry
 point so the script also documents the file formats and exit codes.
 """
 
+import base64
 import json
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from distobs.cli import main
 
@@ -50,6 +53,11 @@ with tempfile.TemporaryDirectory(prefix="distobs_demo_") as tmp:
     gains = json.loads(gains_path.read_text())
     print("gains file keys:", sorted(gains))
     print("per-node matrices:", sorted(gains["nodes"][0]))
+    # each matrix is a record: its shape, and the base64 of its little-endian
+    # float64 entries in C order, which decode bit for bit
+    record = gains["nodes"][0]["K"]
+    k = np.frombuffer(base64.b64decode(record["f8"]), "<f8").reshape(record["shape"])
+    print(f"node 1's K decodes to a {k.shape[0]} x {k.shape[1]} matrix")
     with open(trace_path) as fh:
         header = fh.readline().strip()
         first_row = fh.readline().strip()

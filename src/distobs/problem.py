@@ -13,18 +13,28 @@ The design has no other settings: a file with the "overrides" key of older
 versions is rejected rather than designed differently from what it asks for.
 
 An edge {"from": i, "to": j} (1-based) means information flows i -> j and
-sets the adjacency weight a_ji.  The gains file spells its floats via repr,
-the trace CSV with 17 significant digits ("%.17g"); both read back as the
-same doubles, so a write followed by a read reproduces every matrix
-bit-exactly.
+sets the adjacency weight a_ji.
+
+Gains file schema, written as compact json.dumps text and a newline:
+    {"nodes": [{"N": rec, "L": rec, "M": rec, "P": rec, "Q": rec,
+                "K": rec, "H": rec, "Pie": rec}, ...],
+     "gamma": float, "epsilon": float, "r": [r_1, ..., r_N], "alpha": float}
+    rec = {"shape": [rows, cols], "f8": "<base64>"}
+
+A record's "f8" is the RFC 4648 base64 of the matrix's little-endian IEEE 754
+binary64 entries in C (row-major) order, so it reads back bit for bit:
+    np.frombuffer(base64.b64decode(rec["f8"]), "<f8").reshape(rec["shape"])
+gamma, epsilon, r and alpha are JSON numbers.  A matrix may also be given as
+nested lists of JSON numbers, as older and hand-written files give it.  The
+trace CSV spells its floats with 17 significant digits ("%.17g"), which also
+read back as the same doubles.
 """
 
 from __future__ import annotations
 
+import base64
 import json
-import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -108,22 +118,25 @@ def problem_from_dict(doc: dict) -> ProblemFile:
     return ProblemFile(plant=plant, graph=graph, alpha=alpha)
 
 
-def _mat(m: np.ndarray) -> list:
-    return np.asarray(m, dtype=float).tolist()
+def _record(m: np.ndarray) -> dict:
+    """A matrix as its gains-file record: its shape and the base64 of its
+    C-order little-endian float64 bytes."""
+    m = np.asarray(m, dtype="<f8")
+    return {"shape": list(m.shape), "f8": base64.b64encode(m.tobytes()).decode("ascii")}
 
 
 def realization_to_dict(realization: ObserverRealization) -> dict:
     return {
         "nodes": [
             {
-                "N": _mat(g.n_gain),
-                "L": _mat(g.l_gain),
-                "M": _mat(g.m_gain),
-                "P": _mat(g.p_out),
-                "Q": _mat(g.q_out),
-                "K": _mat(g.k_mat),
-                "H": _mat(g.h_inj),
-                "Pie": _mat(g.p_ie),
+                "N": _record(g.n_gain),
+                "L": _record(g.l_gain),
+                "M": _record(g.m_gain),
+                "P": _record(g.p_out),
+                "Q": _record(g.q_out),
+                "K": _record(g.k_mat),
+                "H": _record(g.h_inj),
+                "Pie": _record(g.p_ie),
             }
             for g in realization.nodes
         ],
@@ -162,17 +175,35 @@ def _number(name: str, value) -> float:
     return float(value)
 
 
+def _matrix(value) -> np.ndarray:
+    """A gain matrix from its gains-file entry: a record, or nested lists."""
+    if not isinstance(value, dict):
+        return np.asarray(value, dtype=float)
+    shape = value.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(x) is int and x >= 0 for x in shape)):
+        raise ValueError(f"shape {shape!r} is not two integers >= 0")
+    # b64decode, frombuffer and reshape raise on text that is not base64 and
+    # on a byte count other than 8 * rows * cols
+    raw = base64.b64decode(value.get("f8"), validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+
+
 def realization_from_dict(doc: dict) -> ObserverRealization:
     """Gains-file document to realization.  An older file may also carry P
     as "Tis" and a "certificate" table; those keys are ignored.  Every gain
-    matrix must be finite and 2-D, of the shape that P, Q and Pie set (an
-    empty one may be written []), gamma, epsilon and r finite JSON numbers,
-    and alpha a finite and nonnegative one."""
+    matrix, a record or nested lists, must be finite and 2-D, of the shape
+    that P, Q and Pie set (an empty one may be written []), gamma, epsilon
+    and r finite JSON numbers, and alpha a finite and nonnegative one."""
     try:
         nodes = []
         for i, nd in enumerate(doc["nodes"], start=1):
-            mats = {key: np.asarray(nd[key], dtype=float) for key in GAIN_MATRICES}
-            for key, m in mats.items():
+            mats = {}
+            for key in GAIN_MATRICES:
+                try:
+                    mats[key] = m = _matrix(nd[key])
+                except (TypeError, ValueError) as exc:
+                    raise ProblemFormatError(f"node {i}: {key}: {exc}") from exc
                 if m.ndim != 2 and m.size:
                     raise ProblemFormatError(f"node {i}: {key} is not a matrix")
             # one check over the node's entries; the loop only names the matrix
@@ -210,55 +241,10 @@ def realization_from_dict(doc: dict) -> ObserverRealization:
         raise ProblemFormatError(f"malformed gains file: {exc}") from exc
 
 
-def _float_text(x: float) -> str:
-    """A float as json spells it: repr, or NaN, Infinity, -Infinity."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-
-
-def _json_text(obj, indent: str) -> str:
-    """json.dumps(obj, indent=1) byte for byte, for a document of string-keyed
-    dicts, lists, tuples, strings, numbers, booleans and None.  `indent` is
-    the newline and indentation of obj's own level.  A list of floats is one
-    join: json's pure-Python encoder, which indent selects, is much slower."""
-    if isinstance(obj, (dict, list, tuple)) and not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    inner = indent + " "
-    sep = "," + inner
-    if isinstance(obj, dict):
-        return "{" + inner + sep.join(
-            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
-            for key, value in obj.items()) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        try:
-            # float.__repr__ raises TypeError on any item that is not a float
-            text = sep.join(map(float.__repr__, obj))
-        except TypeError:
-            text = sep.join(_json_text(x, inner) for x in obj)
-        else:
-            # repr spells the non-finite floats nan, inf and -inf, and only
-            # those contain an "n"
-            if "n" in text:
-                text = sep.join(map(_float_text, obj))
-        return "[" + inner + text + indent + "]"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or isinstance(obj, bool):
-        return {None: "null", True: "true", False: "false"}[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def save_realization(realization: ObserverRealization, path) -> None:
-    """Write json.dumps(realization_to_dict(realization), indent=1) and a
-    newline, in one write."""
-    text = _json_text(realization_to_dict(realization), "\n") + "\n"
+    """Write json.dumps(realization_to_dict(realization)) and a newline."""
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(json.dumps(realization_to_dict(realization)) + "\n")
 
 
 def load_realization(path) -> ObserverRealization:

@@ -1,9 +1,11 @@
+import base64
 import dataclasses
 import importlib
 import itertools
 import json
 import os
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -28,7 +30,7 @@ from distobs import (
 from distobs import cli, error_system
 from distobs.cli import main
 from distobs.linalg import numerical_rank
-from distobs.problem import CSV_ROWS, _json_text, realization_to_dict
+from distobs.problem import CSV_ROWS, GAIN_MATRICES, realization_to_dict
 from distobs.synthesis import assemble_gains
 
 from conftest import (
@@ -109,6 +111,18 @@ def zero_injection_gains(plant, realization, node):
     return dataclasses.replace(realization, nodes=tuple(nodes))
 
 
+def decimal_document(path) -> dict:
+    """The gains file at path as a document of the older decimal format: each
+    matrix record decoded to nested lists of floats."""
+    doc = json.loads(open(path).read())
+    for nd in doc["nodes"]:
+        for key in GAIN_MATRICES:
+            rec = nd[key]
+            nd[key] = np.frombuffer(base64.b64decode(rec["f8"]), "<f8").reshape(
+                rec["shape"]).tolist()
+    return doc
+
+
 def stderr_step(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     return json.loads(err[-1])["error"]["step"]
@@ -168,7 +182,7 @@ class TestSynthesizeCommand:
 
     def test_legacy_tis_key_ignored(self, standard_files, tmp_path):
         _, _, _, gains = standard_files
-        doc = json.loads(open(gains).read())
+        doc = decimal_document(gains)
         assert all("Tis" not in nd for nd in doc["nodes"])
         for nd in doc["nodes"]:
             nd["Tis"] = nd["P"]
@@ -186,7 +200,7 @@ class TestSynthesizeCommand:
         """A gains file of the earlier format, which also held certify's
         report, rate check included, loads and saves as the design alone."""
         _, _, _, gains = standard_files
-        doc = json.loads(open(gains).read())
+        doc = decimal_document(gains)
         check = {"value": -1.5, "bound": 0.0, "pass": True}
         doc["certificate"] = {
             "cancellation": {"value": 1e-15, "bound": 1e-9, "pass": True},
@@ -587,7 +601,7 @@ class TestVerifyCommand:
     def test_perturbed_l_fails_cancellation(self, standard_files, tmp_path,
                                             capsys):
         _, _, problem, gains = standard_files
-        doc = json.loads(open(gains).read())
+        doc = decimal_document(gains)
         doc["nodes"][0]["L"][0][0] += 1e-3
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -626,7 +640,7 @@ class TestVerifyCommand:
 
     def test_indefinite_pie_fails_lmi(self, standard_files, tmp_path, capsys):
         _, _, problem, gains = standard_files
-        doc = json.loads(open(gains).read())
+        doc = decimal_document(gains)
         doc["nodes"][1]["Pie"] = (-np.array(doc["nodes"][1]["Pie"])).tolist()
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -644,7 +658,7 @@ class TestVerifyCommand:
                                                         tmp_path, capsys):
         """A P off the problem's im T_is breaks the invariance certificate."""
         _, _, problem, gains = standard_files
-        doc = json.loads(open(gains).read())
+        doc = decimal_document(gains)
         p_shape = np.array(doc["nodes"][0]["P"]).shape
         rng = np.random.default_rng(11)
         doc["nodes"][0]["P"] = np.linalg.qr(
@@ -712,7 +726,7 @@ def test_non_finite_gains_exit1_at_parse(command, key, bad, standard_files, tmp_
     """A non-finite gain is a parse error naming the node and the matrix, not
     a traceback from the numerics."""
     _, _, problem, gains = standard_files
-    doc = json.loads(open(gains).read())
+    doc = decimal_document(gains)
     if key == "gamma":
         doc["gamma"] = bad
     else:
@@ -782,13 +796,70 @@ def test_gains_file_entries_of_the_wrong_kind_exit1_at_parse(
     _, _, problem, gains = standard_files
     doc = json.loads(open(gains).read())
     if value == "row":
-        value = [np.ravel(doc["nodes"][0][key]).tolist()]
+        value = [np.ravel(decimal_document(gains)["nodes"][0][key]).tolist()]
     (doc["nodes"][0] if key in ("Q", "N") else doc)[key] = value
     bad_file = tmp_path / "bad.json"
     bad_file.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, str(bad_file), problem]) == 1
     assert stderr_step(capsys) == "parse"
+
+
+def with_f8_bytes(record, edit):
+    """record with its decoded bytes passed through edit."""
+    raw = edit(base64.b64decode(record["f8"]))
+    return {**record, "f8": base64.b64encode(raw).decode("ascii")}
+
+
+# node 2's K is 4 x 1, so reshape alone would read its entries at [-1, 1]
+RECORD_EDITS = {
+    "bad character": lambda rec: {**rec, "f8": "*" + rec["f8"]},
+    "bad padding": lambda rec: {**rec, "f8": rec["f8"].rstrip("=")},
+    "one entry short": lambda rec: with_f8_bytes(rec, lambda raw: raw[:-8]),
+    "one byte over": lambda rec: with_f8_bytes(rec, lambda raw: raw + b"\0"),
+    "fractional shape": lambda rec: {**rec, "shape": [2.5, 1]},
+    "negative shape": lambda rec: {**rec, "shape": [-1, 1]},
+    "boolean shape": lambda rec: {**rec, "shape": [4, True]},
+    "one-entry shape": lambda rec: {**rec, "shape": [3]},
+    "shape past int64": lambda rec: {**rec, "shape": [2**70, 1]},
+    "no shape": lambda rec: {"f8": rec["f8"]},
+    "no f8": lambda rec: {"shape": rec["shape"]},
+}
+
+
+@pytest.mark.parametrize("edit", list(RECORD_EDITS))
+def test_malformed_record_exit1_at_parse(edit, standard_files, tmp_path, capsys):
+    """A matrix record is outside input: a base64 text that does not decode,
+    a byte count other than 8 * rows * cols, a shape that is not two
+    integers >= 0, or a missing key is a parse error naming the node and the
+    matrix."""
+    _, _, problem, gains = standard_files
+    doc = json.loads(open(gains).read())
+    assert doc["nodes"][1]["K"]["shape"] == [4, 1]
+    doc["nodes"][1]["K"] = RECORD_EDITS[edit](doc["nodes"][1]["K"])
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(bad_file), problem]) == 1
+    error = strict_loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["step"] == "parse"
+    assert "node 2: K" in error["message"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_record_exit1_at_parse(bad, standard_files, tmp_path, capsys):
+    """A non-finite entry in a record reads as one in nested lists does."""
+    _, _, problem, gains = standard_files
+    doc = json.loads(open(gains).read())
+    doc["nodes"][1]["K"] = with_f8_bytes(doc["nodes"][1]["K"],
+                                         lambda raw: struct.pack("<d", bad) + raw[8:])
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(bad_file), problem]) == 1
+    error = strict_loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["step"] == "parse"
+    assert "node 2: K has a non-finite entry" in error["message"]
 
 
 def alternating(shape, big=1e308) -> list:
@@ -800,7 +871,7 @@ def alternating(shape, big=1e308) -> list:
 def test_output_map_q_is_checked(standard_files, tmp_path, capsys):
     """The observer runs Q, so a Q that is not T K fails cancellation."""
     _, _, problem, gains = standard_files
-    doc = json.loads(open(gains).read())
+    doc = decimal_document(gains)
     doc["nodes"][0]["Q"] = (2.0 * np.array(doc["nodes"][0]["Q"])).tolist()
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(doc))
@@ -817,7 +888,7 @@ def test_non_finite_certificate_fails_closed(key, step, standard_files, tmp_path
     which fails it, on any node: not a pass at another node's value, and
     not a traceback or a numpy warning."""
     _, _, problem, gains = standard_files
-    doc = json.loads(open(gains).read())
+    doc = decimal_document(gains)
     node = doc["nodes"][2]
     node[key] = alternating(np.shape(node[key]))
     edited = tmp_path / "edited.json"
@@ -891,13 +962,17 @@ def test_overflowing_observability_matrix_exit2(standard_files, tmp_path, capsys
 
 
 class TestGainsFileText:
-    """save_realization writes json.dumps(realization_to_dict(...), indent=1)
-    and a newline, byte for byte."""
+    """save_realization writes json.dumps(realization_to_dict(...)) and a
+    newline, byte for byte: compact text, each matrix a base64 record."""
+
+    # a decimal fraction, a negative zero, the least subnormal and the
+    # largest finite double
+    PLANTED = (0.1, -0.0, 5e-324, 1.7976931348623157e308)
 
     @staticmethod
     def assert_json_dumps_text(realization, path):
         save_realization(realization, path)
-        text = json.dumps(realization_to_dict(realization), indent=1) + "\n"
+        text = json.dumps(realization_to_dict(realization)) + "\n"
         assert path.read_text() == text
         return text
 
@@ -912,21 +987,22 @@ class TestGainsFileText:
         realization = synthesize(plant, NetworkGraph(weights=np.zeros((1, 1))))
         assert realization.nodes[0].p_ie.size == 0
         text = self.assert_json_dumps_text(realization, tmp_path / "gains.json")
-        assert '"Pie": []' in text
+        assert '"Pie": {"shape": [0, 0], "f8": ""}' in text
 
-    def test_non_finite_certificate_values(self, standard_files):
-        """The writer's non-finite and mixed-type paths, on a planted
-        document: json.dumps(doc, indent=1) byte for byte."""
-        doc = realization_to_dict(load_realization(standard_files[3]))
-        doc["certificate"] = {
-            "lmi": {"value": float("inf"), "bound": 0.0, "pass": False,
-                    "nodes": [float("-inf"), float("nan"), -1.5]},
-            "lyapunov": {"value": float("nan"), "bound": 0.0, "pass": False},
-            "note": "\u00e9\"", "empty": {}, "mixed": [1, True, None, [[]]],
-        }
-        text = _json_text(doc, "\n")
-        assert text == json.dumps(doc, indent=1)
-        assert all(word in text for word in ("Infinity", "-Infinity", "NaN"))
+    def test_planted_values_round_trip(self, standard_files, tmp_path):
+        """Node 1's K set to the planted column is written as the base64 of
+        its little-endian bytes and reads back bit for bit."""
+        realization = load_realization(standard_files[3])
+        planted = np.array(self.PLANTED)[:, None]
+        node = realization.nodes[0]
+        assert node.k_mat.shape == planted.shape
+        nodes = (dataclasses.replace(node, k_mat=planted),) + realization.nodes[1:]
+        path = tmp_path / "gains.json"
+        save_realization(dataclasses.replace(realization, nodes=nodes), path)
+        record = json.loads(path.read_text())["nodes"][0]["K"]
+        assert record["shape"] == [4, 1]
+        assert base64.b64decode(record["f8"]) == struct.pack("<4d", *self.PLANTED)
+        assert load_realization(path).nodes[0].k_mat.tobytes() == planted.tobytes()
 
 
 class TestTraceCsvText:
@@ -1011,7 +1087,7 @@ def test_node_with_extra_state_rows_exit1(command, standard_files, tmp_path, cap
     """Node 1's P, N, M, L and K padded by a zero row (and P, N, M by a zero
     column): its p_i, v_i and Q still match the problem, but P has n + 1 rows."""
     _, _, problem, gains = standard_files
-    doc = json.loads(open(gains).read())
+    doc = decimal_document(gains)
     node = doc["nodes"][0]
     for key in ("P", "N", "M"):
         node[key] = [row + [0.0] for row in node[key]]
