@@ -11,8 +11,7 @@ import numpy as np
 from distobs import (
     NetworkGraph,
     Plant,
-    full_rank_factorize,
-    observability_decomposition,
+    decompose_nodes,
     spectral_data,
     synthesize,
 )
@@ -37,9 +36,7 @@ print("  laplacian:\n", spectral.laplacian)
 print("  perron row vector r:", spectral.perron_row)
 
 print("\nper-node structure")
-for i in range(3):
-    frf = full_rank_factorize(plant.c_block(i))
-    dec = observability_decomposition(plant.a, frf.f_factor)
+for i, (frf, dec) in enumerate(zip(*decompose_nodes(plant))):
     print(f"  node {i + 1}: rank C_i = {frf.rank}, "
           f"observable subspace dim v_i = {dec.v_dim}, "
           f"local observer order = {n - frf.rank}")

@@ -117,31 +117,35 @@ def _parse_vector(text: str) -> np.ndarray:
     return v
 
 
-def _dimensions_match(realization, plant) -> bool:
-    """True iff the gains file has one node and one r entry per problem node,
-    each node with a Q of shape (n, m_i) and a P of n rows."""
-    big_n = plant.node_count
-    return (
-        len(realization.nodes) == big_n
-        and realization.r_vector.shape == (big_n,)
-        and all(g.q_out.shape == (plant.n, m) and g.p_out.shape[0] == plant.n
-                for g, m in zip(realization.nodes, plant.node_rows))
-    )
-
-
-def cmd_simulate(args) -> int:
+def _load_matched(args):
+    """(problem, realization) from the files args names, if both parse and
+    the gains file has one node and one r entry per problem node, each node
+    with a Q of shape (n, m_i) and a P of n rows; else None, after the parse
+    or dimensions error JSON."""
     try:
         problem = load_problem(args.problem)
         realization = load_realization(args.gains)
     except (OSError, ValueError) as exc:
         _emit_error("parse", str(exc))
-        return EXIT_IO
+        return None
+    plant = problem.plant
+    big_n = plant.node_count
+    if not (len(realization.nodes) == big_n
+            and realization.r_vector.shape == (big_n,)
+            and all(g.q_out.shape == (plant.n, m) and g.p_out.shape[0] == plant.n
+                    for g, m in zip(realization.nodes, plant.node_rows))):
+        _emit_error("dimensions", "gains file does not match the problem file")
+        return None
+    return problem, realization
 
+
+def cmd_simulate(args) -> int:
+    loaded = _load_matched(args)
+    if loaded is None:
+        return EXIT_IO
+    problem, realization = loaded
     plant, graph = problem.plant, problem.graph
     n = plant.n
-    if not _dimensions_match(realization, plant):
-        _emit_error("dimensions", "gains file does not match the problem file")
-        return EXIT_IO
 
     if not is_strongly_connected(graph):
         _emit_error("graph", "graph is not strongly connected")
@@ -200,17 +204,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-        realization = load_realization(args.gains)
-    except (OSError, ValueError) as exc:
-        _emit_error("parse", str(exc))
+    loaded = _load_matched(args)
+    if loaded is None:
         return EXIT_IO
-
+    problem, realization = loaded
     plant = problem.plant
-    if not _dimensions_match(realization, plant):
-        _emit_error("dimensions", "gains file does not match the problem file")
-        return EXIT_IO
 
     try:
         spectral = spectral_data(problem.graph)

@@ -7,22 +7,21 @@ scipy.linalg counterparts directly, through scipy.linalg.lapack, with scipy's
 arguments and workspace sizes, so that every result is scipy's bit for bit
 (and in scipy's memory layout) without the per-call cost of scipy's wrappers
 on node-sized matrices.  Like scipy, each rejects a non-finite input with
-ValueError.
+ValueError, which a node kernel raises inside a StackError.
 
-The node-sized kernels (numerical_rank, observability_matrix,
-full_rank_factorize, observability_decomposition, spectral_abscissa,
-solve_lyapunov and min_energy_injection) take one node's matrices or a stack
-of equally shaped ones, node first.  A stack is worked on as one array: every
-product, sign fix, check and block fill is one numpy call over all its nodes,
-and only the LAPACK calls (dgesdd, dgeev, dgees, dtrsyl), which have no
-batched form, run node by node, as does the rest of min_energy_injection,
-whose sizes differ from node to node.  One node's call is the stacked code on
-a stack of one.  A stacked product rounds each node's slice as the same
-product of that node's 2-D matrices does, as long as the slice keeps their
-row- or column-major memory order, which _stack preserves; so every stacked
-result is the node-by-node one bit for bit.  A node of a stack that fails
-raises StackError, which names the node and carries the ValueError that the
-node's own call raises.
+The node kernels (numerical_rank, full_rank_factorize,
+observability_decomposition, spectral_abscissa, solve_lyapunov and
+min_energy_injection) take a stack of equally shaped node matrices, node
+first, and return one result per node; a single node is a stack of one.  A
+stack is worked on as one array: every product, sign fix, check and block
+fill is one numpy call over all its nodes, and only the LAPACK calls
+(dgesdd, dgeev, dgees, dtrsyl), which have no batched form, run node by
+node, as does the rest of min_energy_injection, whose sizes differ from node
+to node.  A stacked product rounds each node's slice as the same product of
+that node's 2-D matrices does, as long as the slice keeps their row- or
+column-major memory order, which _stack preserves; so every result of a
+stack is that of its node on a stack of one, bit for bit.  A node that fails
+raises StackError, which names the node and carries its ValueError.
 """
 
 from __future__ import annotations
@@ -94,22 +93,13 @@ class NodeDecomposition:
 
 
 class StackError(Exception):
-    """Node `index` of a stacked call failed; `error` is the ValueError that
-    the call on that node alone raises."""
+    """Node `index` of a stacked call failed; `error` is its ValueError, the
+    same for the node on a stack of one."""
 
     def __init__(self, index: int, error: ValueError):
         super().__init__(index, error)
         self.index = index
         self.error = error
-
-
-def _one(stacked_call):
-    """The only node of stacked_call(), a call on a stack of one; that node's
-    own ValueError when it fails."""
-    try:
-        return stacked_call()[0]
-    except StackError as exc:
-        raise exc.error from None
 
 
 def _fail_first(bad, error, index=None) -> None:
@@ -198,15 +188,9 @@ def _gesdd(a: np.ndarray, full_matrices: bool, compute_uv: bool = True):
     return u, s, vt
 
 
-def _svd(a: np.ndarray, full_matrices: bool, compute_uv: bool = True):
-    """scipy.linalg.svd(a, full_matrices, compute_uv) of a nonempty a."""
-    (a,) = _finite(a)
-    return _gesdd(a, full_matrices, compute_uv)
-
-
 def _svd_nodes(stack: np.ndarray, full_matrices: bool, index=None):
-    """_svd of each node of a finite stack: (u, s, vt) stacked, u and vt with
-    scipy's Fortran-ordered slices."""
+    """_gesdd of each node of a finite stack: (u, s, vt) stacked, u and vt
+    with scipy's Fortran-ordered slices."""
     u, s, vt = zip(*_each(lambda a: _gesdd(a, full_matrices), stack, index=index))
     return _stack(u), np.array(s), _stack(vt)
 
@@ -219,7 +203,9 @@ def _ranks(s: np.ndarray, tol: float) -> np.ndarray:
     return np.count_nonzero(s > tol * s[:, :1], axis=1)
 
 
-def _node_ranks(stack: np.ndarray) -> np.ndarray:
+def numerical_rank(stack: np.ndarray) -> np.ndarray:
+    """Count, per node, of its singular values above RANK_TOL relative to
+    its largest one, as an int array."""
     (stack,) = _finite_nodes(stack)
     if stack[0].size == 0:
         return np.zeros(len(stack), dtype=int)
@@ -228,19 +214,10 @@ def _node_ranks(stack: np.ndarray) -> np.ndarray:
     return _ranks(np.array(s), RANK_TOL)
 
 
-def numerical_rank(m: np.ndarray):
-    """Count of singular values above RANK_TOL relative to the largest one;
-    of each node, as an int array, for a stack."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 3:
-        return _node_ranks(m)
-    return int(_one(lambda: _node_ranks(m[None])))
-
-
 def observability_matrix(f: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Stacked matrix col(F, FA, ..., FA^(n-1)), of each node for stacks."""
     f, a = np.asarray(f, dtype=float), np.asarray(a, dtype=float)
-    blocks = [f if f.ndim == 3 else np.atleast_2d(f)]
+    blocks = [np.atleast_2d(f)]
     for _ in range(a.shape[-1] - 1):
         blocks.append(blocks[-1] @ a)
     return np.concatenate(blocks, axis=-2)
@@ -259,9 +236,16 @@ def _fix_column_signs(t: np.ndarray) -> np.ndarray:
     return np.where(_leading_negative(t, axis=1), -t, t)
 
 
-def _factorize(c: np.ndarray) -> list[FullRankFactorization]:
+def full_rank_factorize(c: np.ndarray) -> list[FullRankFactorization]:
+    """Factor each node's C = D F with D full column rank and F full row
+    rank, one factorization per node of the stack.
+
+    When C already has full row rank the factorization is skipped and D = I,
+    F = C.  A zero matrix is rejected: such a node has no effective output.
+    """
+    c = np.asarray(c, dtype=float)
     count, m, _ = c.shape
-    ranks = _node_ranks(c)
+    ranks = numerical_rank(c)
     _fail_first(ranks == 0, lambda _: ValueError(
         "node has no effective output (zero output matrix)"))
     out = [None] * count
@@ -289,27 +273,21 @@ def _fortran_slices(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def full_rank_factorize(c_i: np.ndarray):
-    """Factor C = D F with D full column rank and F full row rank; a list of
-    factorizations for a stack of equally shaped C_i.
+def observability_decomposition(a: np.ndarray, f: np.ndarray) -> list[NodeDecomposition]:
+    """Orthogonal staircase decomposition of (F, A) exposing im F^T first,
+    one decomposition per node of the stack of F.
 
-    When C already has full row rank the factorization is skipped and D = I,
-    F = C.  A zero matrix is rejected: such a node has no effective output.
+    Columns of T are built as [basis of im F^T | completion inside the
+    observable subspace | basis of the unobservable subspace], each block
+    orthonormal, signs fixed for determinism.
     """
-    c_i = np.asarray(c_i, dtype=float)
-    if c_i.ndim == 3:
-        return _factorize(c_i)
-    return _one(lambda: _factorize(np.atleast_2d(c_i)[None]))
-
-
-def _decompose(a: np.ndarray, f: np.ndarray) -> list[NodeDecomposition]:
+    a, (f,) = np.asarray(a, dtype=float), _finite_nodes(f)
     count, p, _ = f.shape
     n = a.shape[0]
     if f.size == 0:
         raise StackError(0, ValueError("virtual output matrix is empty"))
     # one thin SVD of F^T tests the full row rank, at RANK_TOL and at the
     # eps * max(n, p) of scipy.linalg.orth, and gives the basis of im F^T
-    (f,) = _finite_nodes(f)
     u_f, s_f, _ = _svd_nodes(f.transpose(0, 2, 1), False)
     full_rank = _ranks(s_f, max(RANK_TOL, np.finfo(float).eps * max(n, p))) == p
     _fail_first(~full_rank, lambda _: ValueError("virtual output matrix is not full row rank"))
@@ -353,21 +331,13 @@ def _decompose(a: np.ndarray, f: np.ndarray) -> list[NodeDecomposition]:
     return out
 
 
-def observability_decomposition(a: np.ndarray, f_i: np.ndarray):
-    """Orthogonal staircase decomposition of (F, A) exposing im F^T first; a
-    list of decompositions for a stack of equally shaped F_i.
+def spectral_abscissa(m: np.ndarray) -> np.ndarray:
+    """Largest real part over the eigenvalues of each node (-inf for empty
+    nodes), as an array.
 
-    Columns of T are built as [basis of im F^T | completion inside the
-    observable subspace | basis of the unobservable subspace], each block
-    orthonormal, signs fixed for determinism.
+    The real parts are those of scipy.linalg.eigvals(m): its dgeev call,
+    without eigenvectors.
     """
-    a, f_i = np.asarray(a, dtype=float), np.asarray(f_i, dtype=float)
-    if f_i.ndim == 3:
-        return _decompose(a, f_i)
-    return _one(lambda: _decompose(a, np.atleast_2d(f_i)[None]))
-
-
-def _abscissae(m: np.ndarray) -> np.ndarray:
     (m,) = _finite_nodes(m)
     count, k, _ = m.shape
     if k == 0:
@@ -383,19 +353,6 @@ def _abscissae(m: np.ndarray) -> np.ndarray:
         return np.max(wr)
 
     return np.array(_each(largest_real_part, m))
-
-
-def spectral_abscissa(m: np.ndarray):
-    """Largest real part over the eigenvalues of m (-inf for empty m); of
-    each node, as an array, for a stack.
-
-    The real parts are those of scipy.linalg.eigvals(m): its dgeev call,
-    without eigenvectors.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 3:
-        return _abscissae(m)
-    return float(_one(lambda: _abscissae(m[None])))
 
 
 def _strip_pairs(m: np.ndarray, rows: int = 64):
@@ -488,8 +445,20 @@ def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray, **trans):
     return y, scale
 
 
-def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    a, q = _finite_nodes(a, q)
+def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solve A^T P + P A + Q = 0 for each node's Hurwitz A and symmetric Q,
+    with Q one matrix for all nodes or a stack; returns the symmetric part
+    of each solution.
+
+    The LAPACK calls of scipy.linalg.solve_continuous_lyapunov(A^T, -Q), in
+    scipy's order, so that P is scipy's bit for bit: the real Schur form
+    A^T = U S U^T (dgees), then S Y + Y S^T = U^T (-Q) U (dtrsyl) and
+    P = U Y U^T.  Raises StackError for an A that is not Hurwitz, judged by
+    the eigenvalues that dgees returns with the Schur form, and where scipy
+    warns that dtrsyl perturbed the equation: the solution it returns then
+    need not solve it.
+    """
+    a, q = _finite_nodes(a, np.broadcast_to(q, np.shape(a)))
     count, k, _ = a.shape
     if k == 0:
         return np.zeros((count, 0, 0))
@@ -504,25 +473,6 @@ def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.transpose(0, 2, 1))
 
 
-def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve A^T P + P A + Q = 0 for Hurwitz A and symmetric Q; returns the
-    symmetric part of the solution.  For a stack of A, Q is one matrix for
-    all nodes or a stack.
-
-    The LAPACK calls of scipy.linalg.solve_continuous_lyapunov(A^T, -Q), in
-    scipy's order, so that P is scipy's bit for bit: the real Schur form
-    A^T = U S U^T (dgees), then S Y + Y S^T = U^T (-Q) U (dtrsyl) and
-    P = U Y U^T.  Raises ValueError on an A that is not Hurwitz, judged by
-    the eigenvalues that dgees returns with the Schur form, and where scipy
-    warns that dtrsyl perturbed the equation: the solution it returns then
-    need not solve it.
-    """
-    a, q = np.asarray(a, dtype=float), np.asarray(q, dtype=float)
-    if a.ndim == 3:
-        return _lyapunov(a, np.broadcast_to(q, a.shape))
-    return _one(lambda: _lyapunov(a[None], q[None]))
-
-
 def _injection(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """min_energy_injection of one finite node."""
     s, z, sdim, _ = _schur(a, lambda wr, _: wr > 0.0)
@@ -534,19 +484,11 @@ def _injection(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return z1 @ np.linalg.solve(y / scale, g)
 
 
-def _injections(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    a, c = _finite_nodes(a, c)
-    count, k, _ = a.shape
-    if k == 0:
-        return np.zeros((count, 0, c.shape[1]))
-    return _stack(_each(_injection, a, c))
-
-
 def min_energy_injection(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Output injection H of least energy that makes a - H c Hurwitz: it
-    moves each eigenvalue of a with a positive real part to its mirror image
-    -conj(lambda) and leaves the others where they are.  Of each node for
-    stacks of a and c.
+    """Output injection H of least energy that makes a - H c Hurwitz, of
+    each node of the stacks of a and c: it moves each eigenvalue of a with a
+    positive real part to its mirror image -conj(lambda) and leaves the
+    others where they are.
 
     H is the limit, as Q -> 0, of P c^T with P the stabilizing solution of
     a P + P a^T - P c^T c P + Q = 0 (Zhou, Doyle and Glover 1996, Robust and
@@ -556,13 +498,14 @@ def min_energy_injection(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     H = Z_1 Y^-1 g, where g = Z_1^T c^T and T_11^T Y + Y T_11 = g g^T
     (dtrsyl); on the span of Z_1, a - H c is then similar to -T_11^T, and
     on the rest it keeps a's Schur block.  H is exactly zero when a has no
-    eigenvalue with a positive real part.  Raises ValueError when (c, a) is
+    eigenvalue with a positive real part.  Raises StackError when (c, a) is
     not observable enough for Y to be solved or inverted in floating point.
     """
-    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
-    if a.ndim == 3:
-        return _injections(a, c)
-    return _one(lambda: _injections(a[None], c[None]))
+    a, c = _finite_nodes(a, c)
+    count, k, _ = a.shape
+    if k == 0:
+        return np.zeros((count, 0, c.shape[1]))
+    return _stack(_each(_injection, a, c))
 
 
 @functools.cache

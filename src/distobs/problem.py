@@ -8,7 +8,7 @@ Problem JSON schema:
 alpha, the required decay rate, is a finite and nonnegative number (0 when
 absent), not a boolean or a string.  Each edge is listed once, and its weight
 is a finite positive number, not a boolean or a string.  N, the m_i and the
-edge ends are whole numbers (3 or 3.0, not 3.7 or true).
+edge ends are whole numbers (3 or 3.0, not 3.7, true or "3").
 The design has no other settings: a file with the "overrides" key of older
 versions is rejected rather than designed differently from what it asks for.
 
@@ -55,9 +55,9 @@ class ProblemFile:
 
 
 def _whole(value) -> int:
-    """value as an int, unless it is a fraction or a boolean, which int()
-    would truncate or read as 0 or 1."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """value as an int, unless it is a fraction, a boolean or a string, which
+    int() would truncate, read as 0 or 1, or read as the number it spells."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -215,21 +215,17 @@ def realization_from_dict(doc: dict) -> ObserverRealization:
             p = n - order
             m_i = q.shape[1]
             k_e = pie_raw.shape[0] if pie_raw.size else 0  # = v - p
-            v = p + k_e
-            nodes.append(
-                NodeGains(
-                    n_gain=_as_matrix(mats["N"], order, order),
-                    l_gain=_as_matrix(mats["L"], order, m_i),
-                    m_gain=_as_matrix(mats["M"], order, n),
-                    p_out=p_out,
-                    q_out=q,
-                    k_mat=_as_matrix(mats["K"], n, m_i),
-                    h_inj=_as_matrix(mats["H"], v - p, p),
-                    p_ie=_as_matrix(pie_raw, k_e, k_e),
-                    p_dim=p,
-                    v_dim=v,
-                )
-            )
+            shapes = {"N": (order, order), "L": (order, m_i), "M": (order, n),
+                      "K": (n, m_i), "H": (k_e, p), "Pie": (k_e, k_e)}
+            for key, (rows, cols) in shapes.items():
+                try:
+                    mats[key] = _as_matrix(mats[key], rows, cols)
+                except ValueError as exc:
+                    raise ProblemFormatError(f"node {i}: {key}: {exc}") from exc
+            nodes.append(NodeGains(
+                n_gain=mats["N"], l_gain=mats["L"], m_gain=mats["M"], p_out=p_out,
+                q_out=q, k_mat=mats["K"], h_inj=mats["H"], p_ie=mats["Pie"],
+                p_dim=p, v_dim=p + k_e))
         return ObserverRealization(
             nodes=tuple(nodes),
             gamma=_require_finite("gamma", _number("gamma", doc["gamma"])),

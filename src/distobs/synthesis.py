@@ -8,14 +8,15 @@ with z_i of dimension n - p_i, so the total observer order is N*n - sum p_i.
 The per-node stages run once per group of nodes of equal shape: the
 factorization over nodes with equal m_i, the decomposition over equal p_i,
 and the injection, Lyapunov weight and gains over equal (m_i, p_i, v_i), each
-group as one stack (see linalg).  place_injection, solve_pie, assemble_gains,
-verify_cancellation and verify_lmi_th1 take one node or such a group, and
-stay per node only in their LAPACK calls and the eigenvalues of each LMI.
-NodeDecomposition and NodeGains are the per-node records, views into their
-group's stacks.  When nodes fail, the error names the lowest-numbered one at
-its first failing step, as a node-by-node loop would.  gamma is in closed
-form: GAMMA_SAFETY times the least gain that the unobservable blocks allow,
-from one symmetric eigenvalue per node with v_i < n.
+group as one stack (see linalg).  place_injection, solve_pie and
+assemble_gains take such a group, and verify_cancellation and verify_lmi_th1
+lists of nodes, which they split into such groups; all stay per node only in
+their LAPACK calls and the eigenvalues of each LMI.  NodeDecomposition and
+NodeGains are the per-node records, views into their group's stacks.  When
+nodes fail, the error names the lowest-numbered one at its first failing
+step, as a node-by-node loop would.  gamma is in closed form: GAMMA_SAFETY
+times the least gain that the unobservable blocks allow, from one symmetric
+eigenvalue per node with v_i < n.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .linalg import (
     _fail_first,
     _min_symmetric_eigenvalue_in_place,
     _node_groups,
-    _one,
     _stack,
     full_rank_factorize,
     min_energy_injection,
@@ -224,24 +224,17 @@ def _least_beta(a_u: np.ndarray, a32: np.ndarray) -> float:
 
 
 def place_injection(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarray:
-    """Output injection H with spectral abscissa of a22 - H ea12 below -alpha;
-    of each node for stacks of a22 and ea12.
+    """Output injection H with spectral abscissa of a22 - H ea12 below -alpha,
+    of each node of the stacks of a22 and ea12.
 
     H is the minimum-energy injection (linalg.min_energy_injection) at the
     shift s = alpha + INJECTION_MARGIN: each eigenvalue lambda of a22 with
     real part above -s moves to -2 s - conj(lambda), and the others stay, so
     H = 0 on a node whose a22 already decays faster than s.  In exact
-    arithmetic the closed loop's abscissa is then at most -s; ValueError when
+    arithmetic the closed loop's abscissa is then at most -s; StackError when
     the pair is not observable, when the injection cannot be computed, and
     when the computed H misses -alpha, naming the abscissa it reached.
     """
-    a22, ea12 = np.asarray(a22, dtype=float), np.asarray(ea12, dtype=float)
-    if a22.ndim == 3:
-        return _place(a22, ea12, alpha)
-    return _one(lambda: _place(a22[None], ea12[None], alpha))
-
-
-def _place(a22: np.ndarray, ea12: np.ndarray, alpha: float) -> np.ndarray:
     count, k, _ = a22.shape
     if k == 0:
         return np.zeros((count, 0, ea12.shape[1]))
@@ -260,15 +253,8 @@ def solve_pie(
     a22: np.ndarray, ea12: np.ndarray, h: np.ndarray, gamma: float, alpha: float
 ) -> np.ndarray:
     """Positive definite solution of the shifted Lyapunov equation
-    (a22 - H ea12 + alpha I)^T P + P (...) + (gamma - 2 alpha) I = 0; of each
-    node for stacks of a22, ea12 and H."""
-    a22, ea12, h = (np.asarray(x, dtype=float) for x in (a22, ea12, h))
-    if a22.ndim == 3:
-        return _pie(a22, ea12, h, gamma, alpha)
-    return _one(lambda: _pie(a22[None], ea12[None], h[None], gamma, alpha))
-
-
-def _pie(a22, ea12, h, gamma: float, alpha: float) -> np.ndarray:
+    (a22 - H ea12 + alpha I)^T P + P (...) + (gamma - 2 alpha) I = 0, of each
+    node of the stacks of a22, ea12 and H."""
     count, k, _ = a22.shape
     if k == 0:
         return np.zeros((count, 0, 0))
@@ -294,21 +280,14 @@ def _inverses(m: np.ndarray) -> np.ndarray:
         raise
 
 
-def assemble_gains(decomp, frf, h: np.ndarray, pie: np.ndarray):
-    """Evaluate the closed-form gain formulas for one node; for lists of
-    equally shaped decompositions and factorizations with stacks of H and
-    P_ie, a list of gains, views into one stack per gain.
+def assemble_gains(decomps, frfs, h: np.ndarray, pie: np.ndarray) -> list[NodeGains]:
+    """Evaluate the closed-form gain formulas for lists of equally shaped
+    decompositions and factorizations with stacks of H and P_ie: a list of
+    gains, views into one stack per gain.
 
     When v = p the middle block is void (H and P_ie are empty) and the
     formulas reduce to N = A_u, L = A_31 E^-1 D^+, M = T_s^T.
     """
-    if isinstance(decomp, NodeDecomposition):
-        return _one(lambda: _assemble([decomp], [frf], np.asarray(h)[None],
-                                      np.asarray(pie)[None]))
-    return _assemble(decomp, frf, h, pie)
-
-
-def _assemble(decomps, frfs, h, pie) -> list[NodeGains]:
     d0 = decomps[0]
     n, v, p = d0.n_dim, d0.v_dim, d0.p_dim
     k = v - p
@@ -341,21 +320,19 @@ def _assemble(decomps, frfs, h, pie) -> list[NodeGains]:
             for j in range(count)]
 
 
-def verify_cancellation(gains, decomp, frf):
-    """Frobenius norm of the state-dependence cancellation identity; for
-    lists of nodes, the norm of each, as an array.
+def verify_cancellation(gains, decomps, frfs) -> np.ndarray:
+    """Frobenius norm of the state-dependence cancellation identity of each
+    node of the lists, as an array.
 
     The identity (S L - S N S^T K) D F T + S N S^T + (K D F T - I) T^T A T
     must vanish for the assembled gains, and so must Q - T K, since the
     observer's output map Q is the K of the identity in x coordinates.
     """
-    if isinstance(decomp, NodeDecomposition):
-        return float(_cancellation([gains], [decomp], [frf])[0])
-    out = np.empty(len(decomp))
-    shapes = [(d.p_dim, d.v_dim, f.d_factor.shape[0]) for d, f in zip(decomp, frf)]
+    out = np.empty(len(decomps))
+    shapes = [(d.p_dim, d.v_dim, f.d_factor.shape[0]) for d, f in zip(decomps, frfs)]
     for group in _node_groups(shapes):
-        out[group] = _cancellation([gains[i] for i in group], [decomp[i] for i in group],
-                                   [frf[i] for i in group])
+        out[group] = _cancellation([gains[i] for i in group], [decomps[i] for i in group],
+                                   [frfs[i] for i in group])
     return out
 
 
@@ -559,7 +536,7 @@ def synthesize(
     obs = observability_matrix(plant.c, plant.a)
     if not np.isfinite(obs).all():
         raise SynthesisError("observability", "the observability matrix of (C, A) overflows")
-    if numerical_rank(obs) != plant.n:
+    if numerical_rank(obs[None])[0] != plant.n:
         raise SynthesisError("observability", "(C, A) is not observable")
 
     frfs, decomps = decompose_nodes(plant)

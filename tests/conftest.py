@@ -1,3 +1,6 @@
+import contextlib
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +12,7 @@ from distobs import (
     observability_decomposition,
     observability_matrix,
 )
-from distobs.linalg import numerical_rank
+from distobs.linalg import StackError, numerical_rank
 
 
 def random_strongly_connected_graph(rng, n_nodes: int) -> NetworkGraph:
@@ -40,7 +43,7 @@ def random_observable_instance(rng, n=None, n_nodes=None, margin=1e-2):
     while True:
         a = rng.standard_normal((n, n))
         c = rng.standard_normal((m, n))
-        if numerical_rank(observability_matrix(c, a)) != n:
+        if numerical_rank(observability_matrix(c, a)[None])[0] != n:
             continue
         if n_nodes > 1:
             cuts = sorted(rng.choice(np.arange(1, m), size=n_nodes - 1, replace=False))
@@ -56,14 +59,25 @@ def random_observable_instance(rng, n=None, n_nodes=None, margin=1e-2):
 
 def _well_conditioned(plant, margin) -> bool:
     for i in range(plant.node_count):
-        frf = full_rank_factorize(plant.c_block(i))
-        dec = observability_decomposition(plant.a, frf.f_factor)
+        frf = full_rank_factorize(plant.c_block(i)[None])[0]
+        dec = observability_decomposition(plant.a, frf.f_factor[None])[0]
         if dec.v_dim > dec.p_dim:
             obs = observability_matrix(dec.e_mat @ dec.a12, dec.a22)
             s = scipy.linalg.svdvals(obs)
             if s[-1] < margin * s[0]:
                 return False
     return True
+
+
+@contextlib.contextmanager
+def raises_stack_error(pattern: str, index: int = 0):
+    """The block raises StackError for node `index` of its stack, carrying a
+    ValueError whose message matches `pattern` (re.search)."""
+    with pytest.raises(StackError) as exc:
+        yield exc
+    assert exc.value.index == index
+    assert isinstance(exc.value.error, ValueError)
+    assert re.search(pattern, str(exc.value.error)), str(exc.value.error)
 
 
 @pytest.fixture
@@ -78,7 +92,7 @@ def standard_instance():
     while True:
         a = rng.standard_normal((n, n))
         c = rng.standard_normal((3, n))
-        if numerical_rank(observability_matrix(c, a)) != n:
+        if numerical_rank(observability_matrix(c, a)[None])[0] != n:
             continue
         plant = Plant(a=a, c=c, node_rows=(1, 1, 1))
         if _well_conditioned(plant, 1e-2):

@@ -121,7 +121,7 @@ def test_criterion_2_rate_certification():
     for alpha in ALPHAS:
         for (plant, graph), r in zip(instance_pool(), pool_runs(alpha)):
             spectral = spectral_data(graph)
-            absc = spectral_abscissa(restricted_generator(r, spectral.laplacian))
+            absc = spectral_abscissa(restricted_generator(r, spectral.laplacian)[None])[0]
             worst_margin = min(worst_margin, -alpha - absc)
             worst_lyap = max(worst_lyap, r.certificate["lyapunov"]["value"])
     elapsed = time.perf_counter() - t0
@@ -175,14 +175,14 @@ def test_criterion_6_classical_reduction():
     a = rng.standard_normal((3, 3))
     # center the plant spectrum: an exponentially growing x(t) would push the
     # float64 floor of xhat - x above the convergence threshold
-    a -= spectral_abscissa(a) * np.eye(3)
+    a -= spectral_abscissa(a[None])[0] * np.eye(3)
     c = np.array([[1.0, 0.0, 0.0]])
     plant = Plant(a=a, c=c, node_rows=(1,))
     graph = NetworkGraph(weights=np.zeros((1, 1)))
     alpha = 1.0
     r = synthesize(plant, graph, alpha=alpha)
     order_ok = r.total_order == plant.n - 1
-    eig_ok = spectral_abscissa(r.nodes[0].n_gain) < -alpha
+    eig_ok = spectral_abscissa(r.nodes[0].n_gain[None])[0] < -alpha
     trace = run_simulation(plant, graph, r, t_final=math.log(1e6) / alpha + 1.0,
                            dt=0.01)
     e0 = trace.error_norms[0, 0]
@@ -191,7 +191,7 @@ def test_criterion_6_classical_reduction():
     _line(6, "classical single-node reduction",
           order_ok and eig_ok and conv_ok,
           f"order {r.total_order}, abscissa "
-          f"{spectral_abscissa(r.nodes[0].n_gain):.3f}, decay {e_t / e0:.2e}")
+          f"{spectral_abscissa(r.nodes[0].n_gain[None])[0]:.3f}, decay {e_t / e0:.2e}")
 
 
 def _lemma_matrix(plant, graph):
@@ -199,8 +199,8 @@ def _lemma_matrix(plant, graph):
     spectral = spectral_data(graph)
     decs = []
     for i in range(plant.node_count):
-        frf = full_rank_factorize(plant.c_block(i))
-        decs.append(observability_decomposition(plant.a, frf.f_factor))
+        frf = full_rank_factorize(plant.c_block(i)[None])[0]
+        decs.append(observability_decomposition(plant.a, frf.f_factor[None])[0])
     n = plant.n
     big_n = plant.node_count
     t_blk = scipy.linalg.block_diag(*(d.t_orth for d in decs))
@@ -221,8 +221,8 @@ def test_criterion_7_coupling_margin():
 
     # joint-observability failures must be rejected with the right error
     a = np.diag([1.0, 2.0])
-    frf = full_rank_factorize(np.array([[1.0, 0.0]]))
-    dec = observability_decomposition(a, frf.f_factor)
+    frf = full_rank_factorize(np.array([[[1.0, 0.0]]]))[0]
+    dec = observability_decomposition(a, frf.f_factor[None])[0]
     single = NetworkGraph(weights=np.zeros((1, 1)))
     with pytest.raises(SynthesisError) as exc1:
         compute_epsilon([dec], spectral_data(single), (1.0,))
@@ -252,7 +252,8 @@ def test_criterion_8_lmi_feasibility():
     graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
     r = synthesize(plant, graph)
     decs = [
-        observability_decomposition(plant.a, full_rank_factorize(plant.c_block(i)).f_factor)
+        observability_decomposition(
+            plant.a, full_rank_factorize(plant.c_block(i)[None])[0].f_factor[None])[0]
         for i in range(plant.node_count)
     ]
     corrupted = verify_lmi_th1([g.p_ie for g in r.nodes], [g.h_inj for g in r.nodes],
@@ -270,7 +271,7 @@ def test_criterion_9_special_cases():
                      c=rng.standard_normal((3, 4)), node_rows=(2, 1))
     pair = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
     d_identity = all(
-        np.array_equal(full_rank_factorize(plant_fr.c_block(i)).d_factor,
+        np.array_equal(full_rank_factorize(plant_fr.c_block(i)[None])[0].d_factor,
                        np.eye(plant_fr.node_rows[i]))
         for i in range(2)
     )

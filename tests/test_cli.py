@@ -102,10 +102,11 @@ def jordan_problem(tmp_path, alpha=0.0):
 
 def zero_injection_gains(plant, realization, node):
     """Reassemble one node's gains with the dynamic injection H set to zero."""
-    frf = full_rank_factorize(plant.c_block(node))
-    dec = observability_decomposition(plant.a, frf.f_factor)
+    frf = full_rank_factorize(plant.c_block(node)[None])[0]
+    dec = observability_decomposition(plant.a, frf.f_factor[None])[0]
     g = realization.nodes[node]
-    bad = assemble_gains(dec, frf, np.zeros_like(g.h_inj), np.eye(g.p_ie.shape[0]))
+    bad = assemble_gains([dec], [frf], np.zeros_like(g.h_inj)[None],
+                         np.eye(g.p_ie.shape[0])[None])[0]
     nodes = list(realization.nodes)
     nodes[node] = bad
     return dataclasses.replace(realization, nodes=tuple(nodes))
@@ -290,13 +291,16 @@ class TestSynthesizeCommand:
         ("from", 1.5, 1), ("alpha", True, 1),
         # a whole number written as a float is designed as the integer is
         ("N", 3.0, 0), ("node_outputs", [1.0, 1.0, 1.0], 0), ("from", 1.0, 0),
-        # alpha is a JSON number, not the number a string spells
-        ("alpha", "0.5", 1)])
+        # alpha is a JSON number, not the number a string spells, and so are
+        # the counts and edge ends
+        ("alpha", "0.5", 1), ("N", "3", 1), ("node_outputs", ["1", 1, 1], 1),
+        ("from", "1", 1)])
     def test_counts_and_indices_are_whole_numbers(self, key, value, code, standard_files,
                                                   tmp_path, capsys):
-        """A node count, output count or edge end that is not a whole number,
-        and a boolean alpha, are parse errors rather than truncated to an
-        integer, read as 1 or (for an infinite count) an OverflowError."""
+        """A node count, output count or edge end that is not a whole number
+        (a fraction, a boolean or a string), and a boolean alpha, are parse
+        errors rather than truncated to an integer, read as 1, read as the
+        number a string spells or (for an infinite count) an OverflowError."""
         plant, graph, _, gains = standard_files
         doc = problem_dict(plant, graph, alpha=0.5)
         edge = next(e for e in doc["graph"]["edges"] if e["from"] == 1)
@@ -824,6 +828,7 @@ RECORD_EDITS = {
     "shape past int64": lambda rec: {**rec, "shape": [2**70, 1]},
     "no shape": lambda rec: {"f8": rec["f8"]},
     "no f8": lambda rec: {"shape": rec["shape"]},
+    "transposed shape": lambda rec: {**rec, "shape": rec["shape"][::-1]},
 }
 
 
@@ -831,8 +836,8 @@ RECORD_EDITS = {
 def test_malformed_record_exit1_at_parse(edit, standard_files, tmp_path, capsys):
     """A matrix record is outside input: a base64 text that does not decode,
     a byte count other than 8 * rows * cols, a shape that is not two
-    integers >= 0, or a missing key is a parse error naming the node and the
-    matrix."""
+    integers >= 0, a shape other than the node's, or a missing key is a parse
+    error naming the node and the matrix."""
     _, _, problem, gains = standard_files
     doc = json.loads(open(gains).read())
     assert doc["nodes"][1]["K"]["shape"] == [4, 1]
@@ -1121,7 +1126,7 @@ def generator_instance(seed, index, n, n_nodes):
     while True:
         a = rng.standard_normal((n, n)) / np.sqrt(n)
         c = rng.standard_normal((n_nodes, n))
-        if numerical_rank(observability_matrix(c, a)) == n:
+        if numerical_rank(observability_matrix(c, a)[None])[0] == n:
             break
     plant = Plant(a=a, c=c, node_rows=(1,) * n_nodes)
     return plant, random_strongly_connected_graph(rng, n_nodes)

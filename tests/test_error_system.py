@@ -103,7 +103,7 @@ class TestCertifyRate:
 
     def test_synthesized_instance_passes(self):
         plant, graph, r = synthesized(alpha=1.0)
-        assert spectral_abscissa(restricted(r, graph)) < -1.0
+        assert spectral_abscissa(restricted(r, graph)[None])[0] < -1.0
 
     def test_decoupled_unstable_block_fails(self):
         # node 2 cannot observe the unstable mode; without coupling it stays
@@ -113,7 +113,7 @@ class TestCertifyRate:
         graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
         r = synthesize(plant, graph, alpha=0.0)
         r0 = dataclasses.replace(r, gamma=0.0)
-        assert not spectral_abscissa(restricted(r0, graph)) < 0.0
+        assert not spectral_abscissa(restricted(r0, graph)[None])[0] < 0.0
 
 
 def certified_at(plant, graph, r, alpha):
@@ -135,13 +135,13 @@ class TestLyapunovDecrease:
 
     def test_fails_beyond_achieved_rate(self):
         plant, graph, r = synthesized(alpha=0.5)
-        alpha_too_big = -spectral_abscissa(restricted(r, graph)) * 4.0
+        alpha_too_big = -spectral_abscissa(restricted(r, graph)[None])[0] * 4.0
         assert lyapunov_at(plant, graph, r, alpha_too_big) > 0
 
     def test_agrees_with_rate_certificate(self, rng):
         for _ in range(8):
             plant, graph, r = synthesized(rng, alpha=0.5)
-            if spectral_abscissa(restricted(r, graph)) < -0.5:
+            if spectral_abscissa(restricted(r, graph)[None])[0] < -0.5:
                 assert r.certificate["lyapunov"]["value"] < 0
 
     def test_matches_stacked_weight_sandwich(self, rng):
@@ -182,7 +182,7 @@ class TestRateBound:
     def test_bounds_the_exact_abscissa(self, rng):
         seen = set()
         for plant, graph, r in reference_instances(rng):
-            absc = spectral_abscissa(restricted(r, graph))
+            absc = spectral_abscissa(restricted(r, graph)[None])[0]
             alphas = (r.alpha, -0.9 * absc, -0.99 * absc, -4.0 * absc)
             verdicts = [certified_at(plant, graph, r, alpha)["lyapunov"]["pass"]
                         for alpha in alphas]

@@ -13,7 +13,7 @@ from distobs import (
 from distobs import linalg
 from distobs.linalg import (
     _eigvalsh,
-    _svd,
+    _gesdd,
     _symmetrize_in_place,
     min_energy_injection,
     numerical_rank,
@@ -23,6 +23,7 @@ from distobs.synthesis import decompose_nodes
 from conftest import (
     mixed_structure_instance,
     one_partial_node_instance,
+    raises_stack_error,
     random_observable_instance,
     standard_instance,
 )
@@ -31,7 +32,7 @@ from conftest import (
 class TestFullRankFactorize:
     def test_rank_one_by_inspection(self):
         c = np.array([[1.0, 0.0], [2.0, 0.0]])
-        frf = full_rank_factorize(c)
+        frf = full_rank_factorize(c[None])[0]
         assert frf.rank == 1
         np.testing.assert_allclose(frf.d_factor @ frf.f_factor, c, atol=1e-12)
         # D proportional to (1,2)^T, F proportional to (1,0)
@@ -39,14 +40,14 @@ class TestFullRankFactorize:
         assert abs(frf.f_factor[0, 1]) < 1e-12
 
     def test_identity(self):
-        frf = full_rank_factorize(np.eye(2))
+        frf = full_rank_factorize(np.eye(2)[None])[0]
         assert frf.rank == 2
         np.testing.assert_allclose(frf.d_factor @ frf.f_factor, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(frf.d_factor, np.eye(2))  # full row rank: skipped
 
     def test_rank_two_reconstruction(self):
         c = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
-        frf = full_rank_factorize(c)
+        frf = full_rank_factorize(c[None])[0]
         assert frf.rank == np.count_nonzero(
             scipy.linalg.svdvals(c) > 1e-9 * scipy.linalg.svdvals(c)[0]
         )
@@ -55,8 +56,8 @@ class TestFullRankFactorize:
         assert resid <= 1e-10 * np.linalg.norm(c)
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError, match="no effective output"):
-            full_rank_factorize(np.zeros((2, 3)))
+        with raises_stack_error("no effective output"):
+            full_rank_factorize(np.zeros((1, 2, 3)))
 
     def test_random_matrices_match_svd_oracle(self):
         rng = np.random.default_rng(11)
@@ -64,21 +65,21 @@ class TestFullRankFactorize:
             m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             r = int(rng.integers(1, min(m, n) + 1))
             c = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-            frf = full_rank_factorize(c)
+            frf = full_rank_factorize(c[None])[0]
             s = scipy.linalg.svdvals(c)
             assert frf.rank == np.count_nonzero(s > 1e-9 * s[0])
             assert np.linalg.norm(frf.d_factor @ frf.f_factor - c) <= 1e-10 * max(
                 1.0, np.linalg.norm(c)
             )
-            assert numerical_rank(frf.d_factor) == frf.rank
-            assert numerical_rank(frf.f_factor) == frf.rank
+            assert numerical_rank(frf.d_factor[None])[0] == frf.rank
+            assert numerical_rank(frf.f_factor[None])[0] == frf.rank
 
 
 class TestObservabilityDecomposition:
     def test_already_in_form(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         f = np.array([[1.0, 0.0]])
-        dec = observability_decomposition(a, f)
+        dec = observability_decomposition(a, f[None])[0]
         assert dec.v_dim == 2
         np.testing.assert_allclose(dec.t_orth, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(dec.e_mat, [[1.0]], atol=1e-12)
@@ -90,7 +91,7 @@ class TestObservabilityDecomposition:
 
     def test_decoupled_modes(self):
         a = np.diag([1.0, 2.0])
-        dec = observability_decomposition(a, np.array([[1.0, 0.0]]))
+        dec = observability_decomposition(a, np.array([[[1.0, 0.0]]]))[0]
         assert dec.v_dim == 1
         np.testing.assert_allclose(dec.a_u, [[2.0]], atol=1e-12)
         assert abs(abs(dec.e_mat[0, 0]) - 1.0) < 1e-12
@@ -102,10 +103,10 @@ class TestObservabilityDecomposition:
             a = rng.standard_normal((n, n))
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             f = q[:2, :]
-            dec = observability_decomposition(a, f)
+            dec = observability_decomposition(a, f[None])[0]
             t = dec.t_orth
             assert np.linalg.norm(t.T @ t - np.eye(n)) <= 1e-12
-            assert dec.v_dim == numerical_rank(observability_matrix(f, a))
+            assert dec.v_dim == numerical_rank(observability_matrix(f, a)[None])[0]
             at = t.T @ a @ t
             v = dec.v_dim
             if v < n:
@@ -117,24 +118,24 @@ class TestObservabilityDecomposition:
             # observable sub-pairs
             f_io = np.hstack([dec.e_mat, np.zeros((dec.p_dim, v - dec.p_dim))])
             a_io = dec.a_transformed[:v, :v]
-            assert numerical_rank(observability_matrix(f_io, a_io)) == v
+            assert numerical_rank(observability_matrix(f_io, a_io)[None])[0] == v
             if v > dec.p_dim:
                 pair_rank = numerical_rank(
-                    observability_matrix(dec.e_mat @ dec.a12, dec.a22)
-                )
+                    observability_matrix(dec.e_mat @ dec.a12, dec.a22)[None]
+                )[0]
                 assert pair_rank == v - dec.p_dim
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((4, 4))
         f = rng.standard_normal((1, 4))
-        d1 = observability_decomposition(a, f)
-        d2 = observability_decomposition(a, f)
+        d1 = observability_decomposition(a, f[None])[0]
+        d2 = observability_decomposition(a, f[None])[0]
         np.testing.assert_array_equal(d1.t_orth, d2.t_orth)
 
     def test_rank_deficient_f_rejected(self):
-        with pytest.raises(ValueError):
-            observability_decomposition(np.eye(3), np.array([[1.0, 0, 0], [2.0, 0, 0]]))
+        with raises_stack_error("not full row rank"):
+            observability_decomposition(np.eye(3), np.array([[[1.0, 0, 0], [2.0, 0, 0]]]))
 
     @pytest.mark.parametrize("instance", [
         standard_instance, mixed_structure_instance,
@@ -159,12 +160,12 @@ class TestObservabilityDecomposition:
 class TestSolveLyapunov:
     def test_scalar_balance(self):
         np.testing.assert_allclose(
-            solve_lyapunov(-np.eye(2), np.eye(2)), 0.5 * np.eye(2), atol=1e-12
+            solve_lyapunov(-np.eye(2)[None], np.eye(2))[0], 0.5 * np.eye(2), atol=1e-12
         )
 
     def test_decoupled_scalars(self):
         np.testing.assert_allclose(
-            solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2)),
+            solve_lyapunov(np.diag([-1.0, -2.0])[None], np.eye(2))[0],
             np.diag([0.5, 0.25]),
             atol=1e-12,
         )
@@ -173,8 +174,8 @@ class TestSolveLyapunov:
         rng = np.random.default_rng(17)
         for _ in range(5):
             a = rng.standard_normal((4, 4))
-            a -= (spectral_abscissa(a) + 1.0) * np.eye(4)
-            p = solve_lyapunov(a, np.eye(4))
+            a -= (spectral_abscissa(a[None])[0] + 1.0) * np.eye(4)
+            p = solve_lyapunov(a[None], np.eye(4))[0]
             resid = np.linalg.norm(a.T @ p + p @ a + np.eye(4))
             assert resid <= 1e-9 * (
                 np.linalg.norm(a) * np.linalg.norm(p) + np.linalg.norm(np.eye(4))
@@ -193,14 +194,14 @@ class TestSolveLyapunov:
             np.testing.assert_allclose(p, oracle, atol=1e-7 * np.linalg.norm(p))
 
     def test_unstable_rejected(self):
-        with pytest.raises(ValueError, match="unstable"):
-            solve_lyapunov(np.array([[0.1]]), np.eye(1))
+        with raises_stack_error("unstable"):
+            solve_lyapunov(np.array([[[0.1]]]), np.eye(1))
 
     def test_perturbed_solve_rejected(self):
         """A = -1e-300 is Hurwitz, yet dtrsyl can solve its equation only
         after perturbing it, and the solution it returns is not P."""
-        with pytest.raises(ValueError, match="singular to working precision"):
-            solve_lyapunov(np.array([[-1e-300]]), np.eye(1))
+        with raises_stack_error("singular to working precision"):
+            solve_lyapunov(np.array([[[-1e-300]]]), np.eye(1))
 
 
 class TestMinEnergyInjection:
@@ -231,7 +232,7 @@ class TestMinEnergyInjection:
         for a, c in self.injection_pairs():
             k, p = a.shape[0], c.shape[0]
             ref = scipy.linalg.solve_continuous_are(a.T, c.T, 1e-8 * np.eye(k), np.eye(p)) @ c.T
-            h = min_energy_injection(a, c)
+            h = min_energy_injection(a[None], c[None])[0]
             assert np.linalg.norm(h - ref) <= 1e-4 * max(1.0, np.linalg.norm(ref))
             count += 1
         assert count >= 20
@@ -240,7 +241,7 @@ class TestMinEnergyInjection:
         for a, c in self.injection_pairs():
             lam = np.linalg.eigvals(a)
             want = np.where(lam.real > 0, -lam.conj(), lam)
-            got = np.linalg.eigvals(a - min_energy_injection(a, c) @ c)
+            got = np.linalg.eigvals(a - min_energy_injection(a[None], c[None])[0] @ c)
             scale = max(1.0, np.abs(lam).max())
             for w in want:
                 assert np.min(np.abs(got - w)) <= 1e-8 * scale
@@ -257,7 +258,7 @@ class TestMinEnergyInjection:
         monkeypatch.setattr(linalg, "_sylvester", recording)
         eps = np.finfo(float).eps
         for a, c in self.ill_conditioned_pairs():
-            min_energy_injection(a, c)
+            min_energy_injection(a[None], c[None])
         for t11, rhs, y, scale in solves:
             residual = np.linalg.norm(t11.T @ y + y @ t11 - scale * rhs)
             assert residual <= len(t11) * eps * (
@@ -269,7 +270,7 @@ class TestMinEnergyInjection:
         for shift in (self.SHIFT, -2.0, -5.0):
             for a, c in self.injection_pairs(shift):
                 unstable = bool(np.any(np.linalg.eigvals(a).real > 0))
-                assert bool(min_energy_injection(a, c).any()) == unstable
+                assert bool(min_energy_injection(a[None], c[None]).any()) == unstable
                 kinds.add(unstable)
         assert kinds == {True, False}
 
@@ -282,22 +283,22 @@ class TestMinEnergyInjection:
             a, c = (np.stack(x) for x in zip(*pairs))
             h = min_energy_injection(a, c)
             for j, (a_j, c_j) in enumerate(pairs):
-                assert bits(h[j]) == bits(min_energy_injection(a_j, c_j))
+                assert bits(h[j]) == bits(min_energy_injection(a_j[None], c_j[None])[0])
             stacked += len(pairs) > 1
         assert stacked >= 5
 
 
 class TestEigenUtilities:
     def test_abscissa_diagonal(self):
-        assert spectral_abscissa(np.diag([-1.0, -3.0])) == pytest.approx(-1.0)
+        assert spectral_abscissa(np.diag([-1.0, -3.0])[None])[0] == pytest.approx(-1.0)
 
     def test_abscissa_imaginary_pair(self):
-        assert spectral_abscissa(np.array([[0.0, 1.0], [-1.0, 0.0]])) == pytest.approx(
+        assert spectral_abscissa(np.array([[[0.0, 1.0], [-1.0, 0.0]]]))[0] == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_abscissa_characteristic_roots(self):
-        assert spectral_abscissa(np.array([[0.0, 1.0], [-2.0, -3.0]])) == pytest.approx(
+        assert spectral_abscissa(np.array([[[0.0, 1.0], [-2.0, -3.0]]]))[0] == pytest.approx(
             -1.0, abs=1e-10
         )
 
@@ -308,8 +309,8 @@ class TestEigenUtilities:
             m = rng.standard_normal((k, k))
             s = np.eye(k) + 0.3 * rng.standard_normal((k, k))
             sim = s @ m @ np.linalg.inv(s)
-            assert spectral_abscissa(m) == pytest.approx(
-                spectral_abscissa(sim), abs=1e-8
+            assert spectral_abscissa(m[None])[0] == pytest.approx(
+                spectral_abscissa(sim[None])[0], abs=1e-8
             )
 
     def test_min_symmetric_eigenvalue(self):
@@ -385,12 +386,12 @@ class TestDirectKernels:
         count = 0
         for a in self.svd_inputs():
             ref = scipy.linalg.svd(a, full_matrices=full_matrices)
-            out = _svd(a, full_matrices)
+            out = _gesdd(a, full_matrices)
             for got, want in zip(out, ref):
                 assert got.shape == want.shape and bits(got) == bits(want)
             # scipy's memory layout, which the products downstream round by
             assert out[0].flags.f_contiguous and out[2].flags.f_contiguous
-            assert bits(_svd(a, full_matrices, compute_uv=False)[1]) == bits(
+            assert bits(_gesdd(a, full_matrices, compute_uv=False)[1]) == bits(
                 scipy.linalg.svdvals(a))
             count += 1
         assert count >= 100
@@ -398,7 +399,7 @@ class TestDirectKernels:
     def test_spectral_abscissa_is_scipy_bit_for_bit(self):
         for m in self.node_matrices():
             ref = float(np.max(scipy.linalg.eigvals(m).real))
-            assert bits(spectral_abscissa(m)) == bits(ref)
+            assert bits(spectral_abscissa(m[None])[0]) == bits(ref)
 
     def test_eigvalsh_is_scipy_bit_for_bit(self):
         for m in self.node_matrices():
@@ -413,28 +414,35 @@ class TestDirectKernels:
         count = 0
         for m in self.node_matrices():
             k = m.shape[0]
-            a = m - (spectral_abscissa(m) + 0.5) * np.eye(k)
+            a = m - (spectral_abscissa(m[None])[0] + 0.5) * np.eye(k)
             b = rng.standard_normal((k, k))
             for q in (np.eye(k), b @ b.T + np.eye(k)):
                 p = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
-                assert bits(solve_lyapunov(a, q)) == bits(0.5 * (p + p.T))
+                assert bits(solve_lyapunov(a[None], q)[0]) == bits(0.5 * (p + p.T))
                 count += 1
         assert count >= 100
 
     @pytest.mark.parametrize("kernel", [
-        lambda m: _svd(m, True),
-        lambda m: _svd(m, False),
+        lambda m: full_rank_factorize(m),
+        lambda m: observability_decomposition(-np.eye(2), m),
         numerical_rank,
         spectral_abscissa,
         _eigvalsh,
         lambda m: solve_lyapunov(m, np.eye(2)),
-        lambda m: solve_lyapunov(-np.eye(2), m),
-        lambda m: min_energy_injection(m, np.ones((1, 2))),
-        lambda m: min_energy_injection(-np.eye(2), m),
+        lambda m: solve_lyapunov(np.broadcast_to(-np.eye(2), m.shape), m),
+        lambda m: min_energy_injection(m, np.ones((len(m), 1, 2))),
+        lambda m: min_energy_injection(np.broadcast_to(-np.eye(2), m.shape), m),
     ])
     def test_non_finite_input_raises(self, kernel):
+        """A non-finite entry fails before any LAPACK call, as scipy fails;
+        a stacked kernel names the node that holds it."""
         for bad in (np.nan, np.inf):
-            m = -np.eye(2)
-            m[1, 0] = bad
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                kernel(m)
+            for count, node in ((1, 0), (3, 1)):
+                m = np.stack([-np.eye(2)] * count)
+                m[node, 1, 0] = bad
+                if kernel is _eigvalsh:  # one matrix, not a stack
+                    with pytest.raises(ValueError, match="infs or NaNs"):
+                        kernel(m[node])
+                else:
+                    with raises_stack_error("infs or NaNs", index=node):
+                        kernel(m)

@@ -57,9 +57,10 @@ def test_decompositions_match_node_by_node(case):
     plant, _ = instances()[case]
     frfs, decomps = decompose_nodes(plant)
     for i in range(plant.node_count):
-        frf = full_rank_factorize(plant.c_block(i))
+        frf = full_rank_factorize(plant.c_block(i)[None])[0]
         assert_same_record(frfs[i], frf)
-        assert_same_record(decomps[i], observability_decomposition(plant.a, frf.f_factor))
+        assert_same_record(decomps[i],
+                           observability_decomposition(plant.a, frf.f_factor[None])[0])
 
 
 def generator_block_by_block(r, lap):
@@ -88,13 +89,14 @@ def test_synthesis_and_certificates_match_node_by_node(case, alpha):
     r = synthesize(plant, graph, alpha)
     frfs, decomps = decompose_nodes(plant)
     for g, frf, dec in zip(r.nodes, frfs, decomps):
-        ea12 = dec.e_mat @ dec.a12
-        h = place_injection(dec.a22, ea12, alpha)
-        pie = solve_pie(dec.a22, ea12, h, r.gamma, alpha)
-        assert_same_record(g, assemble_gains(dec, frf, h, pie))
+        a22, ea12 = dec.a22[None], (dec.e_mat @ dec.a12)[None]
+        h = place_injection(a22, ea12, alpha)
+        pie = solve_pie(a22, ea12, h, r.gamma, alpha)
+        assert_same_record(g, assemble_gains([dec], [frf], h, pie)[0])
 
     cert = r.certificate
-    residuals = [verify_cancellation(g, d, f) for g, d, f in zip(r.nodes, decomps, frfs)]
+    residuals = [verify_cancellation([g], [d], [f])[0]
+                 for g, d, f in zip(r.nodes, decomps, frfs)]
     assert bits(cert["cancellation"]["value"]) == bits(max(residuals))
     lmi = [verify_lmi_th1([g.p_ie], [g.h_inj], [d], r.gamma, r.epsilon, alpha, [1.0])[0]
            for g, d in zip(r.nodes, decomps)]
@@ -157,12 +159,12 @@ def gains_failures_node_by_node(plant, graph, alpha):
     gamma = select_gamma(decomps, epsilon, alpha)
     failures = []
     for i, (frf, dec) in enumerate(zip(frfs, decomps)):
-        ea12 = dec.e_mat @ dec.a12
+        a22, ea12 = dec.a22[None], (dec.e_mat @ dec.a12)[None]
         try:
-            h = place_injection(dec.a22, ea12, alpha)
-            assemble_gains(dec, frf, h, solve_pie(dec.a22, ea12, h, gamma, alpha))
-        except ValueError as exc:
-            failures.append((i + 1, str(exc)))
+            h = place_injection(a22, ea12, alpha)
+            assemble_gains([dec], [frf], h, solve_pie(a22, ea12, h, gamma, alpha))
+        except StackError as exc:
+            failures.append((i + 1, str(exc.error)))
     return failures
 
 

@@ -31,14 +31,15 @@ from conftest import (
     mixed_structure_instance,
     one_partial_node_instance,
     random_observable_instance,
+    raises_stack_error,
     random_strongly_connected_graph,
     standard_instance,
 )
 
 
 def decomp_of(a, c):
-    frf = full_rank_factorize(np.atleast_2d(c))
-    return frf, observability_decomposition(a, frf.f_factor)
+    frf = full_rank_factorize(np.atleast_2d(c)[None])[0]
+    return frf, observability_decomposition(a, frf.f_factor[None])[0]
 
 
 def single_node_graph():
@@ -282,56 +283,57 @@ class TestClosedFormBeta:
 
 class TestPlaceInjection:
     def test_scalar(self):
-        h = place_injection(np.array([[0.0]]), np.array([[1.0]]), alpha=1.0)
-        assert spectral_abscissa(np.array([[0.0]]) - h @ np.array([[1.0]])) < -1.0
+        h = place_injection(np.array([[[0.0]]]), np.array([[[1.0]]]), alpha=1.0)[0]
+        assert spectral_abscissa((np.array([[0.0]]) - h @ np.array([[1.0]]))[None])[0] < -1.0
 
     def test_empty_pair_skipped(self):
-        h = place_injection(np.zeros((0, 0)), np.zeros((1, 0)), alpha=1.0)
+        h = place_injection(np.zeros((1, 0, 0)), np.zeros((1, 1, 0)), alpha=1.0)[0]
         assert h.shape == (0, 1)
 
     def test_random_observable_pair(self, rng):
         for _ in range(10):
             a22 = rng.standard_normal((3, 3))
             ea12 = rng.standard_normal((1, 3))
-            h = place_injection(a22, ea12, alpha=0.5)
-            assert spectral_abscissa(a22 - h @ ea12) < -0.5
+            h = place_injection(a22[None], ea12[None], alpha=0.5)[0]
+            assert spectral_abscissa((a22 - h @ ea12)[None])[0] < -0.5
 
     def test_pair_that_decays_fast_enough_does_not_inject(self):
         """a22's abscissa -1 lies left of -alpha - INJECTION_MARGIN."""
-        h = place_injection(np.diag([-1.0, -2.0]), np.array([[1.0, 1.0]]), alpha=0.5)
+        h = place_injection(np.diag([-1.0, -2.0])[None], np.array([[[1.0, 1.0]]]),
+                            alpha=0.5)[0]
         assert h.shape == (2, 1) and not h.any()
 
     def test_unobservable_pair_rejected(self):
-        with pytest.raises(ValueError, match="not observable"):
-            place_injection(np.diag([1.0, 2.0]), np.array([[1.0, 0.0]]), alpha=0.0)
+        with raises_stack_error("not observable"):
+            place_injection(np.diag([1.0, 2.0])[None], np.array([[[1.0, 0.0]]]), alpha=0.0)
 
     def test_missed_target_names_abscissa_and_target(self, monkeypatch):
         """H = 0 leaves the closed loop at a22's abscissa -0.31."""
         monkeypatch.setattr(synthesis, "min_energy_injection",
                             lambda a, c: np.zeros_like(c.transpose(0, 2, 1)))
-        with pytest.raises(ValueError, match=r"reached abscissa -0\.31, target below -0\.5$"):
-            place_injection(np.array([[-0.31]]), np.array([[1.0]]), alpha=0.5)
+        with raises_stack_error(r"reached abscissa -0\.31, target below -0\.5$"):
+            place_injection(np.array([[[-0.31]]]), np.array([[[1.0]]]), alpha=0.5)
 
 
 class TestSolvePie:
     def test_scalar_gamma_four(self):
-        pie = solve_pie(np.array([[0.0]]), np.array([[1.0]]), np.array([[2.0]]),
-                        gamma=4.0, alpha=1.0)
+        pie = solve_pie(np.array([[[0.0]]]), np.array([[[1.0]]]), np.array([[[2.0]]]),
+                        gamma=4.0, alpha=1.0)[0]
         np.testing.assert_allclose(pie, [[1.0]], atol=1e-12)
 
     def test_scalar_gamma_small(self):
-        pie = solve_pie(np.array([[0.0]]), np.array([[1.0]]), np.array([[2.0]]),
-                        gamma=2.5, alpha=1.0)
+        pie = solve_pie(np.array([[[0.0]]]), np.array([[[1.0]]]), np.array([[[2.0]]]),
+                        gamma=2.5, alpha=1.0)[0]
         np.testing.assert_allclose(pie, [[0.25]], atol=1e-12)
 
     def test_empty_node(self):
-        pie = solve_pie(np.zeros((0, 0)), np.zeros((1, 0)), np.zeros((0, 1)),
-                        gamma=1.0, alpha=0.0)
+        pie = solve_pie(np.zeros((1, 0, 0)), np.zeros((1, 1, 0)), np.zeros((1, 0, 1)),
+                        gamma=1.0, alpha=0.0)[0]
         assert pie.shape == (0, 0)
 
     def test_gamma_floor_enforced(self):
-        with pytest.raises(ValueError, match="gamma too small"):
-            solve_pie(np.array([[0.0]]), np.array([[1.0]]), np.array([[2.0]]),
+        with raises_stack_error("gamma too small"):
+            solve_pie(np.array([[[0.0]]]), np.array([[[1.0]]]), np.array([[[2.0]]]),
                       gamma=2.0, alpha=1.0)
 
 
@@ -339,9 +341,9 @@ class TestAssembleGains:
     def test_scalar_chain_single_node(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         frf, dec = decomp_of(a, [[1.0, 0.0]])
-        h = np.array([[2.0]])
-        pie = solve_pie(dec.a22, dec.e_mat @ dec.a12, h, gamma=4.0, alpha=1.0)
-        g = assemble_gains(dec, frf, h, pie)
+        h = np.array([[[2.0]]])
+        pie = solve_pie(dec.a22[None], (dec.e_mat @ dec.a12)[None], h, gamma=4.0, alpha=1.0)
+        g = assemble_gains([dec], [frf], h, pie)[0]
         np.testing.assert_allclose(g.n_gain, [[-2.0]], atol=1e-12)
         np.testing.assert_allclose(g.k_mat, [[1.0], [2.0]], atol=1e-12)
         np.testing.assert_allclose(g.p_out, dec.t_orth[:, 1:], atol=1e-12)
@@ -350,7 +352,7 @@ class TestAssembleGains:
         a = np.diag([1.0, -1.0])
         frf, dec = decomp_of(a, [[1.0, 0.0]])
         assert dec.v_dim == dec.p_dim == 1
-        g = assemble_gains(dec, frf, np.zeros((0, 1)), np.zeros((0, 0)))
+        g = assemble_gains([dec], [frf], np.zeros((1, 0, 1)), np.zeros((1, 0, 0)))[0]
         np.testing.assert_allclose(g.n_gain, [[-1.0]], atol=1e-12)
         np.testing.assert_allclose(g.l_gain, [[0.0]], atol=1e-12)
         np.testing.assert_allclose(g.m_gain, dec.t_s.T, atol=1e-12)
@@ -361,12 +363,12 @@ class TestAssembleGains:
             frf, dec = decomp_of(plant.a, plant.c_block(i))
             special = dec.v_dim == dec.p_dim
             if special:
-                h, pie = np.zeros((0, dec.p_dim)), np.zeros((0, 0))
+                h, pie = np.zeros((1, 0, dec.p_dim)), np.zeros((1, 0, 0))
             else:
-                ea12 = dec.e_mat @ dec.a12
-                h = place_injection(dec.a22, ea12, 0.0)
-                pie = solve_pie(dec.a22, ea12, h, gamma=3.0, alpha=0.0)
-            g = assemble_gains(dec, frf, h, pie)
+                a22, ea12 = dec.a22[None], (dec.e_mat @ dec.a12)[None]
+                h = place_injection(a22, ea12, 0.0)
+                pie = solve_pie(a22, ea12, h, gamma=3.0, alpha=0.0)
+            g = assemble_gains([dec], [frf], h, pie)[0]
             s = np.vstack([np.zeros((dec.p_dim, dec.n_dim - dec.p_dim)),
                            np.eye(dec.n_dim - dec.p_dim)])
             np.testing.assert_array_equal(s.T @ g.k_mat, g.k_mat[dec.p_dim :, :])
@@ -378,31 +380,31 @@ class TestVerifyCancellation:
         frf, dec = decomp_of(plant.a, plant.c_block(0))
         special = dec.v_dim == dec.p_dim
         if special:
-            h, pie = np.zeros((0, dec.p_dim)), np.zeros((0, 0))
+            h, pie = np.zeros((1, 0, dec.p_dim)), np.zeros((1, 0, 0))
         else:
-            ea12 = dec.e_mat @ dec.a12
-            h = place_injection(dec.a22, ea12, 0.5)
-            pie = solve_pie(dec.a22, ea12, h, gamma=3.0, alpha=0.5)
-        return plant, frf, dec, assemble_gains(dec, frf, h, pie)
+            a22, ea12 = dec.a22[None], (dec.e_mat @ dec.a12)[None]
+            h = place_injection(a22, ea12, 0.5)
+            pie = solve_pie(a22, ea12, h, gamma=3.0, alpha=0.5)
+        return plant, frf, dec, assemble_gains([dec], [frf], h, pie)[0]
 
     def test_assembled_node_cancels(self, rng):
         for _ in range(10):
             plant, frf, dec, g = self._node(rng)
-            assert verify_cancellation(g, dec, frf) <= 1e-9 * np.linalg.norm(plant.a)
+            assert verify_cancellation([g], [dec], [frf])[0] <= 1e-9 * np.linalg.norm(plant.a)
 
     def test_perturbed_l_detected(self, rng):
         plant, frf, dec, g = self._node(rng)
         l_bad = g.l_gain.copy()
         l_bad[0, 0] += 1e-3
         bad = dataclasses.replace(g, l_gain=l_bad)
-        assert verify_cancellation(bad, dec, frf) > 1e-5
+        assert verify_cancellation([bad], [dec], [frf])[0] > 1e-5
 
     def test_special_case_cancels(self):
         a = np.diag([1.0, -1.0, -2.0])
         frf, dec = decomp_of(a, [[1.0, 0.0, 0.0]])
         assert dec.v_dim == dec.p_dim
-        g = assemble_gains(dec, frf, np.zeros((0, 1)), np.zeros((0, 0)))
-        assert verify_cancellation(g, dec, frf) <= 1e-9 * np.linalg.norm(a)
+        g = assemble_gains([dec], [frf], np.zeros((1, 0, 1)), np.zeros((1, 0, 0)))[0]
+        assert verify_cancellation([g], [dec], [frf])[0] <= 1e-9 * np.linalg.norm(a)
 
 
 class TestVerifyLmi:
@@ -424,9 +426,9 @@ class TestVerifyLmi:
     def test_alpha_escalation_reports_violation(self, rng):
         plant, graph = random_observable_instance(rng, n=4, n_nodes=2)
         r = synthesize(plant, graph, alpha=0.0)
-        frfs = [full_rank_factorize(plant.c_block(i)) for i in range(2)]
+        frfs = [full_rank_factorize(plant.c_block(i)[None])[0] for i in range(2)]
         decomps = [
-            observability_decomposition(plant.a, f.f_factor) for f in frfs
+            observability_decomposition(plant.a, f.f_factor[None])[0] for f in frfs
         ]
         p_ies = [g.p_ie for g in r.nodes]
         h_injs = [g.h_inj for g in r.nodes]
@@ -505,8 +507,8 @@ class TestSynthesize:
         w = np.zeros((3, 3))
         w[1, 0] = w[2, 1] = w[0, 2] = 1.0
         r = synthesize(plant, NetworkGraph(weights=w), alpha=0.5)
-        frfs = [full_rank_factorize(plant.c_block(i)) for i in range(3)]
-        decomps = [observability_decomposition(a, f.f_factor) for f in frfs]
+        frfs = [full_rank_factorize(plant.c_block(i)[None])[0] for i in range(3)]
+        decomps = [observability_decomposition(a, f.f_factor[None])[0] for f in frfs]
         for g, dec, frf in zip(r.nodes, decomps, frfs):
             assert dec.v_dim == dec.p_dim
             e_inv = np.linalg.inv(dec.e_mat)
