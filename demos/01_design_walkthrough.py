@@ -49,9 +49,11 @@ print(f"  total observer order: {realization.total_order} "
 print(f"  epsilon = {realization.epsilon:.6g}")
 print(f"  coupling gain gamma = {realization.gamma:.6g}")
 
-print("\ncertificates (value, bound, verdict)")
+print("\ncertificates (value, bound, verdict); a sign proved by a shifted")
+print("Cholesky factorization has no value")
 for name, check in realization.certificate.items():
-    print(f"  {name:<13}{check['value']:>11.3e}  {check['bound']:>9.3e}  "
+    value = "proved" if check["value"] is None else f"{check['value']:.3e}"
+    print(f"  {name:<13}{value:>11}  {check['bound']:>9.3e}  "
           f"{'pass' if check['pass'] else 'FAIL'}")
 
 print("\nnode 1 gain shapes")

@@ -20,7 +20,6 @@ from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
     full_rank_factorize,
-    min_symmetric_eigenvalue,
     observability_decomposition,
     observability_matrix,
     solve_lyapunov,
@@ -43,7 +42,6 @@ from .simulate import (
     SimulationDiverged,
     SimulationTrace,
     check_invariance,
-    equilibrium_initial_observer_states,
     estimate_rate,
     simulate,
 )

@@ -12,17 +12,17 @@ N_i [i = j] + C_ij P_j: the observer block of the simulator's generator F,
 which restricted_generator() fills block by block for both.
 
 certify() builds R once, of order K = N n - sum p_i, and forms no Nn-sized
-matrix.  The Lyapunov certificate is the top eigenvalue mu of W R + R^T W +
-2 alpha W, W = blkdiag_i(P_ie, I), which LAPACK computes by overwriting R.
-With W positive definite, which the lmi check requires of every P_ie, mu < 0
-bounds R's spectral abscissa below -alpha, so it certifies the decay rate.
-The invariance residual is T_p^T F T_s = blkdiag_i(T_ip^T P_i) R, with T_ip
-from the problem's own decomposition, so that it tests that each P_i spans
-im T_is.
+matrix.  The Lyapunov certificate is the sign of M = W R + R^T W + 2 alpha W,
+W = blkdiag_i(P_ie, I), formed over R and proved by a Cholesky factorization
+of -M - c I with Rump's shift c.  With W positive definite, which the lmi
+check requires of every P_ie, M < 0 bounds R's spectral abscissa below
+-alpha, so it certifies the decay rate.  The invariance residual is T_p^T F
+T_s = blkdiag_i(T_ip^T P_i) R, with T_ip from the problem's own
+decomposition, so that it tests that each P_i spans im T_is.
 
 R's blocks, the invariance rows and the P_ie row scaling of the Lyapunov
 matrix are each one stacked product per shape of node blocks; only the
-LAPACK eigenvalue calls stay per node.
+LAPACK eigenvalue calls of the lmi check stay per node.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from .graph import GraphSpectralData
 from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
-    _eigvalsh_in_place,
+    _cholesky_completes,
+    _cholesky_shift,
+    _eigvalsh,
     _node_groups,
     _stack,
     _symmetrize_in_place,
@@ -56,11 +58,12 @@ CERTIFICATE_BOUNDS = {
 }
 
 
-def _judge(name: str, value: float, a_norm: float) -> dict:
+def _judge(name: str, value, a_norm: float, ok=None) -> dict:
     bound_of, inclusive = CERTIFICATE_BOUNDS[name]
     bound = float(bound_of(a_norm))
-    ok = value <= bound if inclusive else value < bound
-    return {"value": float(value), "bound": bound, "pass": bool(ok)}
+    if ok is None:
+        ok = value <= bound if inclusive else value < bound
+    return {"value": None if value is None else float(value), "bound": bound, "pass": bool(ok)}
 
 
 def _coupling_scales(realization: ObserverRealization, lap: np.ndarray):
@@ -137,20 +140,19 @@ SCALED_ROWS = 64
 
 def _lyapunov_in_place(
     m: np.ndarray, realization: ObserverRealization, alpha: float
-) -> float:
-    """Largest eigenvalue of W R + R^T W + 2 alpha W (must be < 0), -inf when
-    R is empty and NaN when that matrix is not finite.  R = m, given in C
-    order, is overwritten, and W = blkdiag_i(P_ie, I_{n - v_i}) is the weight
-    of V(e) = e^T P e in the coordinates of im T_s.
-
-    m becomes W (R + alpha I), which is R + alpha I with the first v_i - p_i
-    rows of each node block scaled by P_ie, then that plus its transpose,
-    W R + R^T W + 2 alpha W, which LAPACK overwrites in turn.  The node
-    blocks are scaled a run of equally shaped nodes at a time, in stacks of
-    at most SCALED_ROWS rows.
+) -> tuple[bool, float | None, float]:
+    """(proved, mu, c): M = W R + R^T W + 2 alpha W < 0 is proved when the
+    Cholesky factorization of -M - c I, c = linalg._cholesky_shift, runs to
+    completion, and only a failure computes mu, M's top eigenvalue (None
+    otherwise); (True, -inf, 0) when R is empty, (False, NaN, NaN) when M is
+    not finite.  R = m, in C order, is overwritten, and W = blkdiag_i(P_ie,
+    I_{n - v_i}) is the weight of V(e) = e^T P e in the coordinates of im T_s.
+    m becomes W (R + alpha I), R + alpha I with the first v_i - p_i rows of
+    each node block scaled by P_ie, a run of equally shaped nodes at a time
+    in stacks of at most SCALED_ROWS rows, then -M, which LAPACK overwrites.
     """
     if m.size == 0:
-        return -np.inf
+        return True, -np.inf, 0.0
     m[np.diag_indices_from(m)] += alpha
     nodes = realization.nodes
     off = _offsets(realization)
@@ -167,11 +169,20 @@ def _lyapunov_in_place(
             b = min(a + step, stop)
             rows = m[off[a] : off[b]].reshape(b - a, order, m.shape[1])[:, :k]
             rows[...] = weight[a - start : b - start] @ rows
-    _symmetrize_in_place(m, 1.0)
+    _symmetrize_in_place(m, -1.0)
     if not np.isfinite(m).all():
-        return np.nan
+        return False, np.nan, np.nan
+    diagonal = np.diagonal(m).copy()
+    shift = float(_cholesky_shift(diagonal))
+    m[np.diag_indices_from(m)] -= shift
+    # dpotrf overwrites the upper triangle of m.T (m in Fortran order) alone
+    if _cholesky_completes(m.T):
+        return True, None, shift
+    np.negative(m, out=m)  # M again, exactly, in m.T's lower triangle, which dsyevr reads
+    m[np.diag_indices_from(m)] = -diagonal
     top = m.shape[0]  # 1-based: the largest eigenvalue only
-    return float(_eigvalsh_in_place(m, range="I", il=top, iu=top)[0])
+    mu = _eigvalsh(m.T, True, check_finite=False, range="I", il=top, iu=top)[0]
+    return False, float(mu), shift
 
 
 def _invariance(
@@ -204,7 +215,8 @@ def certify(
     """Check a design against every certificate in CERTIFICATE_BOUNDS.
 
     Returns {name: {"value", "bound", "pass"}} in the table's order.  The lmi
-    check also carries "nodes", the worst eigenvalue of each node's LMI.
+    check also carries "nodes", the worst eigenvalue of each node's LMI, and
+    lyapunov "shift", the c of the Cholesky test that alone decides it.
     """
     alpha = realization.alpha
     nodes = realization.nodes
@@ -220,8 +232,9 @@ def certify(
     # R serves the invariance rows and then becomes the Lyapunov matrix
     r_mat = restricted_generator(realization, spectral.laplacian)
     values["invariance"] = _invariance(realization, r_mat, [d.t_p for d in decomps])
-    values["lyapunov"] = _lyapunov_in_place(r_mat, realization, alpha)
+    proved, mu, shift = _lyapunov_in_place(r_mat, realization, alpha)
     a_norm = float(np.linalg.norm(plant.a))
-    checks = {name: _judge(name, values[name], a_norm) for name in CERTIFICATE_BOUNDS}
+    checks = {name: _judge(name, value, a_norm) for name, value in values.items()}
+    checks["lyapunov"] = {**_judge("lyapunov", mu, a_norm, ok=proved), "shift": shift}
     checks["lmi"]["nodes"] = lmi_eigs
     return checks

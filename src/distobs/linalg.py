@@ -77,11 +77,6 @@ class NodeDecomposition:
         """First p columns of T (basis of im F^T)."""
         return self.t_orth[:, : self.p_dim]
 
-    @property
-    def t_s(self) -> np.ndarray:
-        """Last n - p columns of T; the observer lives on their span."""
-        return self.t_orth[:, self.p_dim :]
-
     a11 = property(lambda self: self.a_transformed[: self.p_dim, : self.p_dim])
     a12 = property(lambda self: self.a_transformed[: self.p_dim, self.p_dim : self.v_dim])
     a21 = property(lambda self: self.a_transformed[self.p_dim : self.v_dim, : self.p_dim])
@@ -383,11 +378,12 @@ def _symmetrize_in_place(m: np.ndarray, scale: float) -> None:
         col[...] = w
 
 
-def _eigvalsh(m: np.ndarray, overwrite_a: bool = False, **subset) -> np.ndarray:
+def _eigvalsh(m: np.ndarray, overwrite_a=False, check_finite=True, **subset) -> np.ndarray:
     """Ascending eigenvalues of the symmetric nonempty m from its lower
-    triangle: scipy.linalg.eigvalsh's dsyevr call.  `subset` is dsyevr's
-    range="I", il=, iu= (1-based) for scipy's subset_by_index."""
-    (m,) = _finite(m)
+    triangle: scipy.linalg.eigvalsh's dsyevr call and check_finite.  `subset`
+    is dsyevr's range="I", il=, iu= (1-based) for scipy's subset_by_index."""
+    if check_finite:
+        (m,) = _finite(m)
     lwork, liwork = _workspace("dsyevr_lwork", m.shape[0], lower=1)
     w, _, count, _, info = lapack.dsyevr(m, compute_v=0, lower=1, lwork=lwork,
                                          liwork=liwork, overwrite_a=overwrite_a,
@@ -397,30 +393,48 @@ def _eigvalsh(m: np.ndarray, overwrite_a: bool = False, **subset) -> np.ndarray:
     return w[:count]
 
 
-def _eigvalsh_in_place(m: np.ndarray, **subset) -> np.ndarray:
-    """_eigvalsh of the exactly symmetric m, which LAPACK overwrites."""
-    # m is exactly symmetric, so its transpose is the same matrix in Fortran
-    # order, which LAPACK takes without a copy
-    return _eigvalsh(m.T, overwrite_a=True, **subset)
-
-
 def _min_symmetric_eigenvalue_in_place(m: np.ndarray) -> float:
-    """min_symmetric_eigenvalue of a nonempty m, which it overwrites."""
+    """Smallest eigenvalue of sym(m), m nonempty and overwritten; rejects m
+    not symmetric to SYMMETRY_TOL."""
     asym = _asymmetry(m)
     if asym > SYMMETRY_TOL * max(1.0, m.max(), -m.min()):
         raise ValueError(f"matrix is not symmetric (deviation {asym:.3e})")
     # an exactly symmetric m is already 0.5 (m + m^T), bit for bit
     if asym != 0:
         _symmetrize_in_place(m, 0.5)
-    return float(_eigvalsh_in_place(m)[0])
+    # m is exactly symmetric, so its transpose is the same matrix in Fortran
+    # order, which LAPACK takes without a copy
+    return float(_eigvalsh(m.T, overwrite_a=True)[0])
 
 
-def min_symmetric_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of sym(m); rejects m not symmetric to SYMMETRY_TOL."""
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return np.inf
-    return _min_symmetric_eigenvalue_in_place(m.copy())
+def _cholesky_shift(diagonals: np.ndarray) -> np.ndarray:
+    """Rump's shift c for symmetric A of order K from its diagonal (last
+    axis): a floating-point Cholesky factorization of A - c I that completes
+    proves A > 0 (Rump 2006, BIT 46).  With gamma_k = k u / (1 - k u), it
+    bounds lambda_min(A) below by c - (gamma_{K+1} (1 + u) / (1 - gamma_{K+1})
+    + u) sum|a_ii|, which c = gamma_{K+2} / (1 - gamma_{K+2}) sum|a_ii| keeps
+    positive; the eta term covers underflow, the last factor c's roundings."""
+    k, a, u, eta = diagonals.shape[-1], np.abs(diagonals), 2.0**-53, 2.0**-1074
+    c = (k + 2) * u / (1 - 2 * (k + 2) * u) * a.sum(axis=-1)
+    return (c + 2 * k * (k + 2 + a.max(axis=-1, initial=0.0)) * eta) * (1 + 2 * (k + 4) * u)
+
+
+def _cholesky_completes(a: np.ndarray) -> bool:
+    """Whether dpotrf factors a from its upper triangle (overwritten if a is in Fortran order)."""
+    return lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)[1] == 0
+
+
+def _positive_definite(stack: np.ndarray) -> np.ndarray:
+    """Whether each finite symmetric node of the stack is proved positive
+    definite by its Cholesky factorization at _cholesky_shift: one for the
+    stack, and one per node only when some node fails."""
+    shift = _cholesky_shift(np.diagonal(stack, axis1=1, axis2=2))
+    shifted = stack - shift[:, None, None] * np.eye(stack.shape[1])
+    try:
+        np.linalg.cholesky(shifted)
+        return np.ones(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        return np.array([_cholesky_completes(a) for a in shifted])
 
 
 def _schur(a: np.ndarray, select=None):

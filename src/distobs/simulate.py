@@ -56,21 +56,6 @@ class SimulationTrace:
     error_norms: np.ndarray       # (samples, N), ||e_i||, e_i = xhat_i - x
 
 
-def equilibrium_initial_observer_states(
-    realization: ObserverRealization, plant: Plant, x0: np.ndarray
-) -> list[np.ndarray]:
-    """Observer initial states giving zero initial estimation error.
-
-    From the error-coordinate identity z_i = S_i^T (T_i^T e_i - K_i y_i + T_i^T x)
-    at e_i = 0: z_i(0) = T_is^T x0 - (S_i^T K_i) C_i x0.
-    """
-    out = []
-    for i, g in enumerate(realization.nodes):
-        y0 = plant.c_block(i) @ x0
-        out.append(g.p_out.T @ x0 - g.k_mat[g.p_dim :, :] @ y0)
-    return out
-
-
 def _generator(
     realization: ObserverRealization, plant: Plant, graph: NetworkGraph
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,7 @@ from .linalg import (
     _fail_first,
     _min_symmetric_eigenvalue_in_place,
     _node_groups,
+    _positive_definite,
     _stack,
     full_rank_factorize,
     min_energy_injection,
@@ -123,8 +124,8 @@ class NodeGains:
 @dataclass(frozen=True)
 class ObserverRealization:
     """Complete distributed observer: per-node gains plus global scalars.
-    certificate is synthesize's certify() report, which the gains file does
-    not carry."""
+    certificate is synthesize's certify() report, not in the gains file; its
+    lyapunov value is None where the shifted Cholesky proved the sign."""
 
     nodes: tuple[NodeGains, ...]
     gamma: float
@@ -355,14 +356,6 @@ def _cancellation(gains, decomps, frfs) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def _spectrum(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric m; all NaN when m has an entry
-    that is not finite, so that the check that reads them fails."""
-    if not np.isfinite(m).all():
-        return np.full(len(m), np.nan)
-    return _eigvalsh(m)
-
-
 def verify_lmi_th1(
     p_ies: list[np.ndarray],
     h_injs: list[np.ndarray],
@@ -376,23 +369,29 @@ def verify_lmi_th1(
     (P_ie, H), which must be negative.
 
     The LMI is taken at P_iu = I and W_i = P_ie H_i.  Empty node blocks
-    (p = n) report -inf, a P_ie that is not positive definite reports +inf,
-    and an LMI or a P_ie that is not finite reports NaN.
+    (p = n) report -inf, a P_ie that linalg._positive_definite does not prove
+    positive definite reports +inf, and an LMI or a P_ie that is not finite
+    reports NaN.
     """
     worst = [-np.inf if d.n_dim == d.p_dim else np.inf for d in decomps]
     g_weights = np.asarray(g_weights, dtype=float)
-    # the nodes whose P_ie is empty or positive definite
-    candidates = [i for i, (d, pie) in enumerate(zip(decomps, p_ies))
-                  if d.n_dim > d.p_dim
-                  and not (pie.size and _spectrum(0.5 * (pie + pie.T))[0] <= 0)]
-    shapes = [(decomps[i].n_dim, decomps[i].v_dim, decomps[i].p_dim) for i in candidates]
+    nonempty = [i for i, d in enumerate(decomps) if d.n_dim > d.p_dim]
+    shapes = [(decomps[i].n_dim, decomps[i].v_dim, decomps[i].p_dim) for i in nonempty]
     for group in _node_groups(shapes):
-        nodes = [candidates[j] for j in group]
+        pie = _stack([p_ies[nonempty[j]] for j in group])
+        pie = 0.5 * (pie + pie.transpose(0, 2, 1))
+        # the nodes whose P_ie is empty, proved positive definite or not finite
+        keep = ~np.isfinite(pie).all(axis=(1, 2))
+        keep[~keep] = _positive_definite(pie[~keep])
+        nodes = [nonempty[j] for j, kept in zip(group, keep) if kept]
+        if not nodes:
+            continue
         blk = _lmi_blocks([p_ies[i] for i in nodes], [h_injs[i] for i in nodes],
                           [decomps[i] for i in nodes], gamma * g_weights[nodes],
                           gamma, epsilon, alpha)
         for i, b in zip(nodes, blk):
-            worst[i] = float(_spectrum(b)[-1])
+            # NaN when the LMI is not finite, so that the check fails
+            worst[i] = float(_eigvalsh(b)[-1]) if np.isfinite(b).all() else np.nan
     return worst
 
 

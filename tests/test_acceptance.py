@@ -117,18 +117,18 @@ def test_criterion_1_order_formula():
 def test_criterion_2_rate_certification():
     t0 = time.perf_counter()
     worst_margin = math.inf
-    worst_lyap = -math.inf
+    failed_lyap = 0
     for alpha in ALPHAS:
         for (plant, graph), r in zip(instance_pool(), pool_runs(alpha)):
             spectral = spectral_data(graph)
             absc = spectral_abscissa(restricted_generator(r, spectral.laplacian)[None])[0]
             worst_margin = min(worst_margin, -alpha - absc)
-            worst_lyap = max(worst_lyap, r.certificate["lyapunov"]["value"])
+            failed_lyap += not r.certificate["lyapunov"]["pass"]
     elapsed = time.perf_counter() - t0
-    ok = worst_margin > 0 and worst_lyap < 0 and elapsed < 30.0
+    ok = worst_margin > 0 and failed_lyap == 0 and elapsed < 30.0
     _line(2, "rate certification", ok,
           f"min abscissa margin {worst_margin:.3e}, "
-          f"max Lyapunov eigenvalue {worst_lyap:.3e}, {elapsed:.2f}s")
+          f"{failed_lyap} Lyapunov decreases not proved, {elapsed:.2f}s")
 
 
 def test_criterion_3_cancellation_identity():

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from distobs import (
     spectral_data,
     synthesize,
 )
+from distobs.linalg import _cholesky_shift
 from distobs.simulate import _generator
 
 from conftest import (
@@ -124,51 +126,63 @@ def certified_at(plant, graph, r, alpha):
 
 
 def lyapunov_at(plant, graph, r, alpha):
-    """certify's Lyapunov value for the design r at alpha."""
-    return certified_at(plant, graph, r, alpha)["lyapunov"]["value"]
+    """certify's Lyapunov check for the design r at alpha."""
+    return certified_at(plant, graph, r, alpha)["lyapunov"]
 
 
 class TestLyapunovDecrease:
     def test_synthesized_instance_negative(self):
         plant, graph, r = synthesized(alpha=0.5)
-        assert lyapunov_at(plant, graph, r, 0.5) < 0
+        assert lyapunov_at(plant, graph, r, 0.5)["pass"]
 
     def test_fails_beyond_achieved_rate(self):
         plant, graph, r = synthesized(alpha=0.5)
         alpha_too_big = -spectral_abscissa(restricted(r, graph)[None])[0] * 4.0
-        assert lyapunov_at(plant, graph, r, alpha_too_big) > 0
+        check = lyapunov_at(plant, graph, r, alpha_too_big)
+        assert not check["pass"] and check["value"] > 0
 
     def test_agrees_with_rate_certificate(self, rng):
         for _ in range(8):
             plant, graph, r = synthesized(rng, alpha=0.5)
             if spectral_abscissa(restricted(r, graph)[None])[0] < -0.5:
-                assert r.certificate["lyapunov"]["value"] < 0
+                assert r.certificate["lyapunov"]["pass"]
 
     def test_matches_stacked_weight_sandwich(self, rng):
         """The reduced value equals the Nn-coordinate form T_s^T (P F + F^T P +
         2 alpha P) T_s with the stacked weight P_i = I + T_ie (P_ie - I) T_ie^T
-        and F assembled with a dense Kronecker coupling."""
+        and F assembled with a dense Kronecker coupling.  A design passes at
+        its own alpha, where the proof measures no value, so the value is
+        compared beyond the abscissa's rate, where the check fails."""
         instances = [standard_instance()] + [
             random_observable_instance(rng) for _ in range(6)]
         for plant, graph in instances:
             for alpha in (0.0, 0.5, 1.0):
                 r = synthesize(plant, graph, alpha=alpha)
                 spectral = spectral_data(graph)
-                got = r.certificate["lyapunov"]["value"]
-                ref = stacked_sandwich(r, spectral, alpha)
+                assert r.certificate["lyapunov"]["pass"]
+                assert stacked_sandwich(r, spectral, alpha) < 0
+                beyond = -4.0 * spectral_abscissa(restricted(r, graph)[None])[0]
+                check = lyapunov_at(plant, graph, r, beyond)
+                got, ref = check["value"], stacked_sandwich(r, spectral, beyond)
+                assert not check["pass"]
                 assert abs(got - ref) <= 1e-6 * abs(ref), (alpha, got, ref)
 
 
 class TestCertifyAgreesWithPublicChecks:
     def test_same_values_and_caller_array_kept(self, rng):
-        """certify's Lyapunov value is that of the restricted generator
-        bit for bit, and certify leaves the design's arrays as they were,
-        although it overwrites its own R."""
+        """certify's Lyapunov verdict, value and shift are those of the
+        restricted generator bit for bit, at the design's alpha, where it
+        passes, and beyond the abscissa's rate, where it fails; certify
+        leaves the design's arrays as they were, although it overwrites its
+        own R."""
         for plant, graph, r in reference_instances(rng):
             before = copy.deepcopy(r.nodes)
-            cert = certified_at(plant, graph, r, r.alpha)
-            mu = error_system._lyapunov_in_place(restricted(r, graph), r, r.alpha)
-            assert cert["lyapunov"]["value"] == mu
+            beyond = -4.0 * spectral_abscissa(restricted(r, graph)[None])[0]
+            for alpha, passes in ((r.alpha, True), (beyond, False)):
+                check = certified_at(plant, graph, r, alpha)["lyapunov"]
+                got = (check["pass"], check["value"], check["shift"])
+                assert got == error_system._lyapunov_in_place(restricted(r, graph), r, alpha)
+                assert check["pass"] == passes
             for g, kept in zip(r.nodes, before):
                 for f in dataclasses.fields(g):
                     assert np.array_equal(getattr(g, f.name), getattr(kept, f.name))
@@ -203,6 +217,54 @@ class TestRateBound:
         assert r.total_order == 0
         assert r.certificate["lyapunov"]["value"] == -np.inf
         assert r.certificate["lyapunov"]["pass"]
+
+
+def planted(k, top):
+    """An exactly symmetric matrix of order k with the eigenvalues -1 to -2
+    and top, the same eigenvectors for every top, and its dense top
+    eigenvalue."""
+    q = np.linalg.qr(np.random.default_rng([71, k]).standard_normal((k, k)))[0]
+    m = (q * np.append(-np.linspace(1.0, 2.0, k - 1), top)) @ q.T
+    m = 0.5 * (m + m.T)
+    return m, scipy.linalg.eigvalsh(m)[-1]
+
+
+def lyapunov_of(m):
+    """The Lyapunov check of the symmetric m: R = m / 2 on one node with no
+    P_ie rows, so W = I, at alpha = 0, so that its M is m bit for bit."""
+    node = types.SimpleNamespace(p_ie=np.zeros((0, 0)), n_gain=m)
+    return error_system._lyapunov_in_place(0.5 * m, types.SimpleNamespace(nodes=[node]), 0.0)
+
+
+class TestShiftedCholesky:
+    """The Lyapunov check proves M < 0 by a Cholesky factorization of
+    -M - c I, so a top eigenvalue inside (-c, 0) is not proved."""
+
+    @pytest.mark.parametrize("k", [2, 60, 130])
+    def test_top_eigenvalue_inside_the_shift_fails(self, k):
+        c = _cholesky_shift(np.diagonal(planted(k, 0.0)[0]))
+        m, ref = planted(k, -0.5 * c)
+        proved, mu, shift = lyapunov_of(m)
+        assert -shift < ref < 0 and not proved
+        assert abs(mu - ref) <= 1e-12 * np.linalg.norm(m, 2)
+
+    @pytest.mark.parametrize("k", [2, 60, 130])
+    def test_top_eigenvalue_ten_shifts_below_zero_passes(self, k):
+        c = _cholesky_shift(np.diagonal(planted(k, 0.0)[0]))
+        m, ref = planted(k, -10.0 * c)
+        proved, mu, shift = lyapunov_of(m)
+        assert proved and mu is None and ref < -9.0 * shift
+
+    def test_non_finite_matrix_fails_with_nan(self):
+        m = planted(60, -1.0)[0]
+        m[3, 5] = m[5, 3] = np.nan
+        proved, mu, shift = lyapunov_of(m)
+        assert not proved and np.isnan(mu) and np.isnan(shift)
+
+    def test_empty_generator_passes_with_minus_inf(self):
+        node = types.SimpleNamespace(p_ie=np.zeros((0, 0)), n_gain=np.zeros((0, 0)))
+        assert error_system._lyapunov_in_place(
+            np.zeros((0, 0)), types.SimpleNamespace(nodes=[node]), 0.5) == (True, -np.inf, 0.0)
 
 
 def stacked_sandwich(r, spectral, alpha):
@@ -291,14 +353,25 @@ class TestBlockFormsAgainstDenseReferences:
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_lyapunov_top_eigenvalue_is_full_eigvalsh_maximum(self, rng):
+        """The shifted Cholesky's verdict is the sign of the dense top
+        eigenvalue wherever that lies outside (-c, c), and a failing value
+        is that eigenvalue."""
+        verdicts = set()
         for plant, graph, r in reference_instances(rng):
             r_mat = restricted_generator(r, spectral_data(graph).laplacian)
             w = dense_weight(r)
-            for alpha in (0.0, 0.5, 1.0):
+            beyond = -4.0 * spectral_abscissa(r_mat[None])[0]
+            for alpha in (0.0, 0.5, 1.0, beyond):
                 reduced = w @ r_mat + r_mat.T @ w + 2.0 * alpha * w
                 ref = scipy.linalg.eigvalsh(0.5 * (reduced + reduced.T))[-1]
-                got = lyapunov_at(plant, graph, r, alpha)
-                assert abs(got - ref) <= 1e-12 * np.linalg.norm(reduced, 2)
+                check = lyapunov_at(plant, graph, r, alpha)
+                if abs(ref) > check["shift"]:
+                    assert check["pass"] == (ref < 0), (alpha, ref)
+                if not check["pass"]:
+                    got = check["value"]
+                    assert abs(got - ref) <= 1e-12 * np.linalg.norm(reduced, 2)
+                verdicts.add(check["pass"])
+        assert verdicts == {True, False}
 
 
 # certify's traced peak may be at most this many restricted generators R of

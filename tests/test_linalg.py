@@ -4,7 +4,6 @@ import scipy.linalg
 
 from distobs import (
     full_rank_factorize,
-    min_symmetric_eigenvalue,
     observability_decomposition,
     observability_matrix,
     solve_lyapunov,
@@ -12,8 +11,11 @@ from distobs import (
 )
 from distobs import linalg
 from distobs.linalg import (
+    _cholesky_shift,
     _eigvalsh,
     _gesdd,
+    _min_symmetric_eigenvalue_in_place,
+    _positive_definite,
     _symmetrize_in_place,
     min_energy_injection,
     numerical_rank,
@@ -314,16 +316,16 @@ class TestEigenUtilities:
             )
 
     def test_min_symmetric_eigenvalue(self):
-        assert min_symmetric_eigenvalue(np.eye(3)) == pytest.approx(1.0)
-        assert min_symmetric_eigenvalue(np.diag([2.0, -5.0])) == pytest.approx(-5.0)
+        assert _min_symmetric_eigenvalue_in_place(np.eye(3)) == pytest.approx(1.0)
+        assert _min_symmetric_eigenvalue_in_place(np.diag([2.0, -5.0])) == pytest.approx(-5.0)
 
     def test_min_symmetric_eigenvalue_mirror_cycle(self):
         mirror = np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])
-        assert abs(min_symmetric_eigenvalue(mirror)) <= 1e-10
+        assert abs(_min_symmetric_eigenvalue_in_place(mirror.copy())) <= 1e-10
 
     def test_min_symmetric_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="symmetric"):
-            min_symmetric_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            _min_symmetric_eigenvalue_in_place(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
     @pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
@@ -335,7 +337,7 @@ class TestEigenUtilities:
         for m in (base + base.T, base + base.T + 1e-13 * rng.standard_normal((k, k))):
             before = m.copy()
             ref = float(scipy.linalg.eigvalsh(0.5 * (m + m.T))[0])
-            assert min_symmetric_eigenvalue(m) == ref
+            assert _min_symmetric_eigenvalue_in_place(m.copy()) == ref
             assert np.array_equal(m, before)
 
     @pytest.mark.parametrize("k", [1, 64, 130])
@@ -344,6 +346,24 @@ class TestEigenUtilities:
         ref = m + m.T
         _symmetrize_in_place(m, 1.0)
         assert np.array_equal(m, ref)
+
+
+class TestShiftedCholesky:
+    def test_shift_is_k_plus_two_roundoffs_of_the_diagonal(self):
+        """c = (K + 2) u sum|a_ii| to first order; a zero diagonal leaves
+        only the underflow term."""
+        c = _cholesky_shift(np.array([[3.0, -1.0, 2.0], [0.0, 0.0, 0.0]]))
+        assert c[0] == pytest.approx(5 * 2.0**-53 * 6.0, rel=1e-12)
+        assert 0 < c[1] < 1e-300
+
+    def test_each_node_not_proved_is_named(self):
+        """A stack with failing nodes falls back to one factorization per
+        node: a smallest eigenvalue inside (0, c) is not proved, one at 10 c
+        is."""
+        c = _cholesky_shift(np.array([1.0, 0.0]))
+        stack = np.stack([np.diag([1.0, lam]) for lam in (1.0, 0.5 * c, 10.0 * c, -1.0)])
+        assert _positive_definite(stack).tolist() == [True, False, True, False]
+        assert _positive_definite(stack[[0, 2]]).tolist() == [True, True]
 
 
 def conftest_plants():

@@ -10,7 +10,6 @@ from distobs import (
     SimulationConfig,
     SimulationTrace,
     check_invariance,
-    equilibrium_initial_observer_states,
     estimate_rate,
     simulate,
     spectral_data,
@@ -25,6 +24,19 @@ def standard_setup():
     plant, graph = standard_instance()
     realization = synthesize(plant, graph, alpha=1.0)
     return plant, graph, realization, spectral_data(graph)
+
+
+def equilibrium_initial_observer_states(realization, plant, x0):
+    """Observer initial states giving zero initial estimation error.
+
+    From the error-coordinate identity z_i = S_i^T (T_i^T e_i - K_i y_i + T_i^T x)
+    at e_i = 0: z_i(0) = T_is^T x0 - (S_i^T K_i) C_i x0.
+    """
+    out = []
+    for i, g in enumerate(realization.nodes):
+        y0 = plant.c_block(i) @ x0
+        out.append(g.p_out.T @ x0 - g.k_mat[g.p_dim :, :] @ y0)
+    return out
 
 
 def run(plant, graph, realization, t_final, dt, z0=None, x0=None):

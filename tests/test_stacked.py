@@ -13,6 +13,7 @@ from distobs import (
     Plant,
     SynthesisError,
     assemble_gains,
+    certify,
     compute_epsilon,
     decompose_nodes,
     full_rank_factorize,
@@ -21,6 +22,7 @@ from distobs import (
     restricted_generator,
     select_gamma,
     solve_pie,
+    spectral_abscissa,
     spectral_data,
     synthesize,
     verify_cancellation,
@@ -110,8 +112,15 @@ def test_synthesis_and_certificates_match_node_by_node(case, alpha):
         for g, d, start, stop in zip(r.nodes, decomps, off, off[1:])]))
     assert bits(cert["invariance"]["value"]) == bits(invariance)
     if r_mat.size:
+        # the shifted Cholesky proves the sign and measures no value, so the
+        # value is compared where the check fails: beyond the abscissa's rate
         mu = lyapunov_block_by_block(r_mat, r, alpha)
-        assert bits(cert["lyapunov"]["value"]) == bits(mu)
+        assert cert["lyapunov"]["pass"] and cert["lyapunov"]["value"] is None and mu < 0
+        beyond = -4.0 * spectral_abscissa(r_mat[None])[0]
+        failed = certify(dataclasses.replace(r, alpha=beyond), plant,
+                         spectral_data(graph), frfs, decomps)["lyapunov"]
+        assert not failed["pass"]
+        assert bits(failed["value"]) == bits(lyapunov_block_by_block(r_mat, r, beyond))
 
 
 def test_records_are_views_into_one_stack_per_shape():

@@ -12,7 +12,6 @@ from distobs import (
     compute_epsilon,
     decompose_nodes,
     full_rank_factorize,
-    min_symmetric_eigenvalue,
     observability_decomposition,
     place_injection,
     select_gamma,
@@ -24,7 +23,7 @@ from distobs import (
     verify_lmi_th1,
 )
 from distobs import synthesis
-from distobs.linalg import _eigvalsh
+from distobs.linalg import _cholesky_shift, _eigvalsh, _min_symmetric_eigenvalue_in_place
 from distobs.synthesis import BETA_FLOOR, GAMMA_SAFETY, _least_beta
 
 from conftest import (
@@ -129,7 +128,7 @@ class TestComputeEpsilon:
             g = [1.0] * plant.node_count
             eps = compute_epsilon(decomps, sd, g)
             m = lemma_matrix(decomps, sd, g)
-            assert min_symmetric_eigenvalue(m - eps * np.eye(m.shape[0])) > 0
+            assert _min_symmetric_eigenvalue_in_place(m - eps * np.eye(m.shape[0])) > 0
 
     def test_equals_dense_loop(self, rng):
         """Where some node has v < n, assembling only the mirror's nonzero
@@ -355,7 +354,7 @@ class TestAssembleGains:
         g = assemble_gains([dec], [frf], np.zeros((1, 0, 1)), np.zeros((1, 0, 0)))[0]
         np.testing.assert_allclose(g.n_gain, [[-1.0]], atol=1e-12)
         np.testing.assert_allclose(g.l_gain, [[0.0]], atol=1e-12)
-        np.testing.assert_allclose(g.m_gain, dec.t_s.T, atol=1e-12)
+        np.testing.assert_allclose(g.m_gain, dec.t_orth[:, dec.p_dim :].T, atol=1e-12)
 
     def test_k_tail_rows_are_selected_by_s(self, rng):
         plant, _ = random_observable_instance(rng, n=4, n_nodes=2)
@@ -422,6 +421,32 @@ class TestVerifyLmi:
                               [d1, d2], gamma=0.0, epsilon=1.0,
                               alpha=0.0, g_weights=[1.0, 1.0])
         assert max(eigs) > 0
+
+    def test_pie_not_proved_definite_reads_inf(self):
+        """A P_ie whose smallest eigenvalue lies inside its Cholesky shift,
+        (0, c), is not proved positive definite, so its node reads +inf; at
+        10 c it is proved and its LMI is judged.  A P_ie that is not finite
+        reads NaN.  The other nodes keep their values."""
+        plant, graph = standard_instance()
+        r = synthesize(plant, graph, alpha=0.5)
+        _, decomps = decompose_nodes(plant)
+        p_ies = [g.p_ie for g in r.nodes]
+        k = len(p_ies[1])
+        assert k > 1 and all(len(p) == k for p in p_ies)
+
+        def lmi(pie):
+            return verify_lmi_th1(p_ies[:1] + [pie] + p_ies[2:], [g.h_inj for g in r.nodes],
+                                  decomps, r.gamma, r.epsilon, 0.5, [1.0] * len(p_ies))
+
+        c = _cholesky_shift(np.append(np.ones(k - 1), 0.0))
+        before = lmi(p_ies[1])
+        for small, want in ((0.5 * c, np.inf), (10.0 * c, None)):
+            got = lmi(np.diag(np.append(np.ones(k - 1), small)))
+            assert got[1] == want if want else np.isfinite(got[1])
+            assert got[::2] == before[::2]
+        bad = p_ies[1].copy()
+        bad[0, 0] = np.nan
+        assert np.isnan(lmi(bad)[1])
 
     def test_alpha_escalation_reports_violation(self, rng):
         plant, graph = random_observable_instance(rng, n=4, n_nodes=2)
@@ -515,7 +540,7 @@ class TestSynthesize:
             d_dag = np.linalg.pinv(frf.d_factor)
             np.testing.assert_allclose(g.n_gain, dec.a_u, atol=1e-12)
             np.testing.assert_allclose(g.l_gain, dec.a31 @ e_inv @ d_dag, atol=1e-12)
-            np.testing.assert_allclose(g.m_gain, dec.t_s.T, atol=1e-12)
+            np.testing.assert_allclose(g.m_gain, dec.t_orth[:, dec.p_dim :].T, atol=1e-12)
             np.testing.assert_allclose(
                 g.k_mat,
                 np.vstack([e_inv, np.zeros((2, 1))]) @ d_dag,
