@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,10 +41,20 @@ EXIT_CERTIFICATE = 4
 DEFAULT_RECORDS = 1000
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float in it replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _strict_json(obj, **kwargs) -> str:
-    """Strict JSON for the reports: a non-finite value, read back as None, prints as null."""
-    plain = json.loads(json.dumps(obj), parse_constant=lambda _: None)
-    return json.dumps(plain, allow_nan=False, **kwargs)
+    """Strict JSON for the reports: a non-finite value prints as null."""
+    return json.dumps(_finite_or_null(obj), allow_nan=False, **kwargs)
 
 
 def _emit_error(step: str, message: str, **extra) -> None:

@@ -27,6 +27,8 @@ LAPACK eigenvalue calls of the lmi check stay per node.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .graph import GraphSpectralData
@@ -58,12 +60,11 @@ CERTIFICATE_BOUNDS = {
 }
 
 
-def _judge(name: str, value, a_norm: float, ok=None) -> dict:
+def _judge(name: str, value: float, a_norm: float) -> dict:
     bound_of, inclusive = CERTIFICATE_BOUNDS[name]
     bound = float(bound_of(a_norm))
-    if ok is None:
-        ok = value <= bound if inclusive else value < bound
-    return {"value": None if value is None else float(value), "bound": bound, "pass": bool(ok)}
+    ok = value <= bound if inclusive else value < bound
+    return {"value": float(value), "bound": bound, "pass": bool(ok)}
 
 
 def _coupling_scales(realization: ObserverRealization, lap: np.ndarray):
@@ -126,12 +127,8 @@ def restricted_generator(
 
 def _runs(keys) -> list[tuple[int, int]]:
     """(start, stop) of each run of equal consecutive keys."""
-    out, start = [], 0
-    for at in range(1, len(keys) + 1):
-        if at == len(keys) or keys[at] != keys[start]:
-            out.append((start, at))
-            start = at
-    return out
+    stops = list(itertools.accumulate(len(list(run)) for _, run in itertools.groupby(keys)))
+    return list(zip([0] + stops[:-1], stops))
 
 
 # rows of R that one stacked P_ie product scales at a time
@@ -142,15 +139,13 @@ def _lyapunov_in_place(
     m: np.ndarray, realization: ObserverRealization, alpha: float
 ) -> tuple[bool, float | None, float]:
     """(proved, mu, c): M = W R + R^T W + 2 alpha W < 0 is proved when the
-    Cholesky factorization of -M - c I, c = linalg._cholesky_shift, runs to
-    completion, and only a failure computes mu, M's top eigenvalue (None
-    otherwise); (True, -inf, 0) when R is empty, (False, NaN, NaN) when M is
-    not finite.  R = m, in C order, is overwritten, and W = blkdiag_i(P_ie,
-    I_{n - v_i}) is the weight of V(e) = e^T P e in the coordinates of im T_s.
-    m becomes W (R + alpha I), R + alpha I with the first v_i - p_i rows of
-    each node block scaled by P_ie, a run of equally shaped nodes at a time
-    in stacks of at most SCALED_ROWS rows, then -M, which LAPACK overwrites.
-    """
+    Cholesky factorization of -M - c I, c = linalg._cholesky_shift, completes;
+    only a failure computes mu, M's top eigenvalue (None otherwise).  (True,
+    -inf, 0) when R is empty, (False, NaN, NaN) when M is not finite.  R = m,
+    in C order, is overwritten: W = blkdiag_i(P_ie, I_{n - v_i}), the weight
+    of V(e) = e^T P e on im T_s, scales the first v_i - p_i rows of each node
+    block of R + alpha I, in stacks of at most SCALED_ROWS rows, and -M
+    follows, which LAPACK overwrites."""
     if m.size == 0:
         return True, -np.inf, 0.0
     m[np.diag_indices_from(m)] += alpha
@@ -178,10 +173,12 @@ def _lyapunov_in_place(
     # dpotrf overwrites the upper triangle of m.T (m in Fortran order) alone
     if _cholesky_completes(m.T):
         return True, None, shift
-    np.negative(m, out=m)  # M again, exactly, in m.T's lower triangle, which dsyevr reads
+    np.negative(m, out=m)  # M again, exactly, in m's upper triangle
     m[np.diag_indices_from(m)] = -diagonal
+    for i in range(1, len(m)):  # and mirrored over the factor dpotrf left below it
+        m[i, :i] = m[:i, i]
     top = m.shape[0]  # 1-based: the largest eigenvalue only
-    mu = _eigvalsh(m.T, True, check_finite=False, range="I", il=top, iu=top)[0]
+    mu = _eigvalsh(m.T, True, range="I", il=top, iu=top)[0]
     return False, float(mu), shift
 
 
@@ -235,6 +232,7 @@ def certify(
     proved, mu, shift = _lyapunov_in_place(r_mat, realization, alpha)
     a_norm = float(np.linalg.norm(plant.a))
     checks = {name: _judge(name, value, a_norm) for name, value in values.items()}
-    checks["lyapunov"] = {**_judge("lyapunov", mu, a_norm, ok=proved), "shift": shift}
+    checks["lyapunov"] = {"value": mu, "bound": float(CERTIFICATE_BOUNDS["lyapunov"][0](a_norm)),
+                          "pass": proved, "shift": shift}
     checks["lmi"]["nodes"] = lmi_eigs
     return checks

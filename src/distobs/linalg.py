@@ -77,6 +77,11 @@ class NodeDecomposition:
         """First p columns of T (basis of im F^T)."""
         return self.t_orth[:, : self.p_dim]
 
+    @property
+    def t_s(self) -> np.ndarray:
+        """Last n - p columns of T; the observer lives on their span."""
+        return self.t_orth[:, self.p_dim :]
+
     a11 = property(lambda self: self.a_transformed[: self.p_dim, : self.p_dim])
     a12 = property(lambda self: self.a_transformed[: self.p_dim, self.p_dim : self.v_dim])
     a21 = property(lambda self: self.a_transformed[self.p_dim : self.v_dim, : self.p_dim])
@@ -378,12 +383,11 @@ def _symmetrize_in_place(m: np.ndarray, scale: float) -> None:
         col[...] = w
 
 
-def _eigvalsh(m: np.ndarray, overwrite_a=False, check_finite=True, **subset) -> np.ndarray:
+def _eigvalsh(m: np.ndarray, overwrite_a: bool = False, **subset) -> np.ndarray:
     """Ascending eigenvalues of the symmetric nonempty m from its lower
-    triangle: scipy.linalg.eigvalsh's dsyevr call and check_finite.  `subset`
-    is dsyevr's range="I", il=, iu= (1-based) for scipy's subset_by_index."""
-    if check_finite:
-        (m,) = _finite(m)
+    triangle: scipy.linalg.eigvalsh's dsyevr call.  `subset` is dsyevr's
+    range="I", il=, iu= (1-based) for scipy's subset_by_index."""
+    (m,) = _finite(m)
     lwork, liwork = _workspace("dsyevr_lwork", m.shape[0], lower=1)
     w, _, count, _, info = lapack.dsyevr(m, compute_v=0, lower=1, lwork=lwork,
                                          liwork=liwork, overwrite_a=overwrite_a,
@@ -420,21 +424,17 @@ def _cholesky_shift(diagonals: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_completes(a: np.ndarray) -> bool:
-    """Whether dpotrf factors a from its upper triangle (overwritten if a is in Fortran order)."""
+    """Whether dpotrf factors the finite a from its upper triangle (overwritten
+    if a is in Fortran order); OpenBLAS's dpotrf can run through a NaN."""
     return lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)[1] == 0
 
 
 def _positive_definite(stack: np.ndarray) -> np.ndarray:
     """Whether each finite symmetric node of the stack is proved positive
-    definite by its Cholesky factorization at _cholesky_shift: one for the
-    stack, and one per node only when some node fails."""
+    definite by its own Cholesky factorization at _cholesky_shift."""
     shift = _cholesky_shift(np.diagonal(stack, axis1=1, axis2=2))
     shifted = stack - shift[:, None, None] * np.eye(stack.shape[1])
-    try:
-        np.linalg.cholesky(shifted)
-        return np.ones(len(stack), dtype=bool)
-    except np.linalg.LinAlgError:
-        return np.array([_cholesky_completes(a) for a in shifted])
+    return np.array([_cholesky_completes(a) for a in shifted], dtype=bool)
 
 
 def _schur(a: np.ndarray, select=None):

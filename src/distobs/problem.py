@@ -127,19 +127,8 @@ def _record(m: np.ndarray) -> dict:
 
 def realization_to_dict(realization: ObserverRealization) -> dict:
     return {
-        "nodes": [
-            {
-                "N": _record(g.n_gain),
-                "L": _record(g.l_gain),
-                "M": _record(g.m_gain),
-                "P": _record(g.p_out),
-                "Q": _record(g.q_out),
-                "K": _record(g.k_mat),
-                "H": _record(g.h_inj),
-                "Pie": _record(g.p_ie),
-            }
-            for g in realization.nodes
-        ],
+        "nodes": [{key: _record(getattr(g, field)) for key, field in GAIN_MATRICES.items()}
+                  for g in realization.nodes],
         "gamma": realization.gamma,
         "epsilon": realization.epsilon,
         "r": list(np.asarray(realization.r_vector, dtype=float)),
@@ -156,8 +145,10 @@ def _as_matrix(arr: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return arr
 
 
-# gains-file matrices of a node, in the order the file lists them
-GAIN_MATRICES = ("N", "L", "M", "P", "Q", "K", "H", "Pie")
+# gains-file matrices of a node, in the order the file lists them, and the
+# NodeGains field that holds each
+GAIN_MATRICES = {"N": "n_gain", "L": "l_gain", "M": "m_gain", "P": "p_out",
+                 "Q": "q_out", "K": "k_mat", "H": "h_inj", "Pie": "p_ie"}
 
 
 def _require_finite(name: str, value):

@@ -331,14 +331,12 @@ class TestEigenUtilities:
     @pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
     def test_min_symmetric_eigenvalue_matches_full_size_formula(self, k):
         """Strip-wise checks and symmetrization give the eigenvalue of the
-        full-size 0.5 (m + m^T) bit for bit, and leave the input as it was."""
+        full-size 0.5 (m + m^T) bit for bit."""
         rng = np.random.default_rng([29, k])
         base = rng.standard_normal((k, k))
         for m in (base + base.T, base + base.T + 1e-13 * rng.standard_normal((k, k))):
-            before = m.copy()
             ref = float(scipy.linalg.eigvalsh(0.5 * (m + m.T))[0])
-            assert _min_symmetric_eigenvalue_in_place(m.copy()) == ref
-            assert np.array_equal(m, before)
+            assert _min_symmetric_eigenvalue_in_place(m) == ref
 
     @pytest.mark.parametrize("k", [1, 64, 130])
     def test_in_place_symmetrization_is_the_full_size_formula(self, k):
@@ -357,13 +355,16 @@ class TestShiftedCholesky:
         assert 0 < c[1] < 1e-300
 
     def test_each_node_not_proved_is_named(self):
-        """A stack with failing nodes falls back to one factorization per
-        node: a smallest eigenvalue inside (0, c) is not proved, one at 10 c
-        is."""
+        """A smallest eigenvalue inside (0, c] is not proved, one just above
+        c is, and each node of a stack gets the verdict it gets alone, next
+        to failing neighbours or not."""
         c = _cholesky_shift(np.array([1.0, 0.0]))
-        stack = np.stack([np.diag([1.0, lam]) for lam in (1.0, 0.5 * c, 10.0 * c, -1.0)])
-        assert _positive_definite(stack).tolist() == [True, False, True, False]
-        assert _positive_definite(stack[[0, 2]]).tolist() == [True, True]
+        lams = (1.0, 0.5 * c, c, c * (1 + 1e-12), 10.0 * c, -1.0)
+        stack = np.stack([np.diag([1.0, lam]) for lam in lams])
+        verdicts = [True, False, False, True, True, False]
+        assert _positive_definite(stack).tolist() == verdicts
+        assert [_positive_definite(node[None])[0] for node in stack] == verdicts
+        assert _positive_definite(stack[[0, 3, 4]]).tolist() == [True, True, True]
 
 
 def conftest_plants():

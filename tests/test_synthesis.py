@@ -354,7 +354,7 @@ class TestAssembleGains:
         g = assemble_gains([dec], [frf], np.zeros((1, 0, 1)), np.zeros((1, 0, 0)))[0]
         np.testing.assert_allclose(g.n_gain, [[-1.0]], atol=1e-12)
         np.testing.assert_allclose(g.l_gain, [[0.0]], atol=1e-12)
-        np.testing.assert_allclose(g.m_gain, dec.t_orth[:, dec.p_dim :].T, atol=1e-12)
+        np.testing.assert_allclose(g.m_gain, dec.t_s.T, atol=1e-12)
 
     def test_k_tail_rows_are_selected_by_s(self, rng):
         plant, _ = random_observable_instance(rng, n=4, n_nodes=2)
@@ -540,7 +540,7 @@ class TestSynthesize:
             d_dag = np.linalg.pinv(frf.d_factor)
             np.testing.assert_allclose(g.n_gain, dec.a_u, atol=1e-12)
             np.testing.assert_allclose(g.l_gain, dec.a31 @ e_inv @ d_dag, atol=1e-12)
-            np.testing.assert_allclose(g.m_gain, dec.t_orth[:, dec.p_dim :].T, atol=1e-12)
+            np.testing.assert_allclose(g.m_gain, dec.t_s.T, atol=1e-12)
             np.testing.assert_allclose(
                 g.k_mat,
                 np.vstack([e_inv, np.zeros((2, 1))]) @ d_dag,
