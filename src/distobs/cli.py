@@ -111,7 +111,13 @@ def cmd_synthesize(args) -> int:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    v = np.array([float(part) for part in text.split(",") if part.strip() != ""])
+    """The comma-separated entries of --x0 or --z0.  An empty or blank field
+    is an error, as a non-numeric or non-finite one is, rather than dropped:
+    dropping it would shift the entries after it."""
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"empty entry in {text!r}")
+    v = np.array([float(part) for part in parts])
     if not np.all(np.isfinite(v)):
         raise ValueError(f"non-finite entry in {text!r}")
     return v

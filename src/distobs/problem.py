@@ -27,12 +27,15 @@ binary64 entries in C (row-major) order, so it reads back bit for bit:
 gamma, epsilon, r and alpha are JSON numbers.  A matrix may also be given as
 nested lists of JSON numbers, as older and hand-written files give it.  The
 trace CSV spells its floats with 17 significant digits ("%.17g"), which also
-read back as the same doubles.
+read back as the same doubles.  Its bytes are those of "%.17g" % value; numpy
+computes them a block at a time (_g17_digits, _g17_rows), and a value whose
+rounding the block's arithmetic cannot decide is spelled by "%.17g" itself.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from dataclasses import dataclass
 
@@ -243,9 +246,235 @@ def load_realization(path) -> ObserverRealization:
     return realization_from_dict(doc)
 
 
-# rows of the trace that one format call writes at a time; a small block keeps
-# its Python floats and text small next to the trace itself
-CSV_ROWS = 16
+# values of the trace that one formatting pass writes: enough that numpy's
+# per-call cost is spread thin, few enough that the pass's work arrays, about
+# 150 bytes a value, stay small next to the trace
+_CSV_VALUES = 4096
+
+
+def _block_rows(columns: int) -> int:
+    """Rows of a trace with this many columns that one pass writes."""
+    return max(1, _CSV_VALUES // columns)
+
+
+# |x| that the numpy "%.17g" pass writes, a range in which no split, product
+# or power of ten overflows or underflows; other values, and 0, NaN and inf,
+# are written by "%.17g" itself
+_G17_RANGE = (1e-250, 1e250)
+_X_MIN, _X_MAX = -252, 251  # decimal exponents the tables cover: the range, with room
+_SPLIT = 2.0**27 + 1  # Dekker's splitter for binary64
+_MARGIN = 2.0**-30  # closest a boundary may lie to y for y to decide it
+
+
+def _power_of_ten(k: int) -> tuple[float, float]:
+    """10**k as hi + lo: hi the exact power rounded to a double, lo the
+    exact rest rounded.  Python's int / int is correctly rounded."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+@functools.cache
+def _g17_tables() -> dict[str, np.ndarray]:
+    """The read-only tables of _g17_rows.  A word is a uint64 whose bytes,
+    least significant first, are text.
+
+    By decimal exponent X in [_X_MIN, _X_MAX], at X - _X_MIN: 10**(16 - X) as
+    "hi" + "lo" (hi the exact power rounded, lo the exact rest rounded) and
+    hi's Dekker halves "hi_hi" + "hi_lo"; "whole", how many of the 16 digits
+    after the lead are in the integer part, and "point", how many go before
+    the point (16: it is not among them); "head", the word of "%g"'s "0." to
+    "0.000" for -4 <= X < 0, ending at byte 6, and "sign", "-" at the byte
+    before it; "tail", the word of "e+XX" in the exponent form, ending at
+    byte 5, then the separator: "," at X - _X_MIN, CRLF one table further.
+    By lead digit: "lead", its ASCII at byte 7.  By m in 0..16: "low0" and
+    "low1", the 16-byte mask of bytes < m, and "dot0" and "dot1", "." at
+    byte m.  By v in 0..9999: "quad", the word of v's 4 ASCII digits, and
+    "sig"[k], for v at place k = 0..3 of the 16 digits after the lead, how
+    many of them run up to v's last nonzero digit (0 for v = 0).
+    """
+    xs = np.arange(_X_MIN, _X_MAX + 1)
+    hi, lo = np.array([_power_of_ten(16 - x) for x in xs.tolist()]).T
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+    fixed = (-4 <= xs) & (xs <= 16)
+    prefixes = [b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in xs.tolist()]
+    suffixes = [b"" if f else b"e%+03d" % x for x, f in zip(xs.tolist(), fixed)]
+
+    def words(texts) -> np.ndarray:
+        return np.frombuffer(b"".join(texts), "<u8").astype(np.uint64)
+
+    v = np.arange(10000)
+    quad = np.zeros((v.size, 8), np.uint8)
+    for k, scale in enumerate((1000, 100, 10, 1)):
+        quad[:, k] = v // scale % 10 + ord("0")
+    sig = 4 - np.argmax(quad[:, 3::-1] != ord("0"), axis=1).astype(np.int8)
+    sig = np.arange(0, 16, 4, dtype=np.int8)[:, None] + sig
+    sig[:, 0] = 0
+    low = words(b"\xff" * m + b"\0" * (16 - m) for m in range(17)).reshape(17, 2)
+    dot = words((b"\0" * m + b".").ljust(16, b"\0")[:16] for m in range(17)).reshape(17, 2)
+    tables = {
+        "hi": hi, "hi_hi": hi_hi, "hi_lo": hi - hi_hi, "lo": lo,
+        "whole": np.where(fixed & (xs >= 0), xs, 0),
+        "point": np.where(fixed, np.where(xs < 0, 16, xs), 0),
+        "head": words(s.rjust(7, b"\0") + b"\0" for s in prefixes),
+        "sign": words(b"-".rjust(7 - len(s), b"\0").ljust(8, b"\0") for s in prefixes),
+        "tail": words([s.rjust(6, b"\0") + b",\0" for s in suffixes]
+                      + [s.rjust(6, b"\0") + b"\r\n" for s in suffixes]),
+        "lead": words(b"\0" * 7 + b"%d" % k for k in range(10)),
+        "low0": low[:, 0], "low1": low[:, 1], "dot0": dot[:, 0], "dot1": dot[:, 1],
+        "quad": quad.view("<u8").ravel().astype(np.uint64),
+        "sig": sig,
+    }
+    for t in tables.values():
+        t.flags.writeable = False
+    return tables
+
+
+def _scaled(ax: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e), the double-double ax * 10**(16 - X) for table rows xi =
+    X - _X_MIN: p = fl(ax * hi), and e = (ax * hi - p, exact by Dekker's
+    TwoProduct) + ax * lo.  The products are formed in place, so that the
+    pass holds few arrays at once."""
+    t = _g17_tables()
+    p = np.take(t["hi"], xi)
+    p *= ax
+    a_hi = ax * _SPLIT
+    a_lo = a_hi - ax
+    a_hi -= a_lo
+    np.subtract(ax, a_hi, out=a_lo)
+    b_hi, b_lo = np.take(t["hi_hi"], xi), np.take(t["hi_lo"], xi)
+    # e = ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, each step exact
+    e = a_hi * b_hi
+    e -= p
+    a_hi *= b_lo
+    e += a_hi
+    b_hi *= a_lo
+    e += b_hi
+    a_lo *= b_lo
+    e += a_lo
+    lo = np.take(t["lo"], xi, out=b_lo)
+    lo *= ax
+    e += lo
+    return p, e
+
+
+def _g17_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, X - _X_MIN, decided) for each value of a 1-D float64 array: the
+    17 significant digits of |x| as an integer D in [1e16, 1e17) and the
+    decimal exponent X of its first, as "%.16e" % |x| spells them, wherever
+    decided is True.
+
+    D is the integer nearest y = |x| * 10**(16 - X).  X starts as
+    floor(log10 |x|) and moves by one where y falls outside [1e16, 1e17); a
+    D that rounds up to 1e17 is 1e16 with X + 1.  y is the double-double
+    p + e of _scaled, within 4 u**2 y < 5e-15 of the exact product (u =
+    2**-53: u**2 from hi + lo, u**2 from ax * lo and 2 u**2 from the sum
+    that makes e), and D is y + 1/2 rounded down, the sum rounding off at
+    most 1e-15 more: both far inside _MARGIN.  Not decided: a y within
+    _MARGIN of 1e16 or 1e17, a y + 1/2 within _MARGIN of an integer (a tie,
+    which "%.16e" rounds to even), and 0, -0, NaN, inf, subnormals and |x|
+    outside _G17_RANGE.
+    """
+    ax = np.abs(x)
+    decided = (ax >= _G17_RANGE[0]) & (ax < _G17_RANGE[1])
+    np.copyto(ax, 1.0, where=~decided)
+    xi = np.log10(ax)
+    xi -= _X_MIN
+    xi = xi.astype(np.intp)  # floor: log10 |x| - _X_MIN > 0
+    p, e = _scaled(ax, xi)
+    below, above = (p - 1e16) + e, (p - 1e17) + e  # y - 1e16, y - 1e17
+    moved = np.flatnonzero((below < 0) | (above >= 0))
+    if moved.size:
+        xi[moved] += np.where(above[moved] >= 0, 1, -1)
+        p[moved], e[moved] = _scaled(ax[moved], xi[moved])
+        below[moved], above[moved] = (p[moved] - 1e16) + e[moved], (p[moved] - 1e17) + e[moved]
+    del ax  # each work array goes once used: the pass's peak is the writer's memory
+    decided &= below >= _MARGIN
+    decided &= above <= -_MARGIN
+    del below, above
+    e += 0.5
+    d = np.floor(e)
+    e -= d  # the fraction of y + 1/2: a tie sits at 0 or 1
+    decided &= (e >= _MARGIN) & (e <= 1 - _MARGIN)
+    d = d.astype(np.int64)
+    d += p.astype(np.int64)
+    del p, e
+    carry = d == 10**17
+    d[carry] = 10**16
+    xi += carry
+    return d, xi, decided
+
+
+def _g17_rows(block: np.ndarray) -> bytes:
+    """The CSV text of a 2-D float64 block: each value as "%.17g" % value,
+    byte for byte, "," between values and CRLF after each row.
+
+    The digits come from _g17_digits; a value it does not decide is written
+    by "%.17g" itself.  Each value fills four words, 32 bytes, whose 0 bytes
+    are dropped at the end.  Word 0 ends with the sign, "%g"'s "0." to
+    "0.000" for -4 <= X < 0, and the lead digit.  Words 1-3 hold the 16
+    other digits, with the point shifted in after the first X of them in the
+    fixed form (0 <= X < 16) and before all of them in the exponent form
+    (X < -4 or X > 16).  Word 3 ends with "e+XX" in the exponent form and
+    the separator.  Digits that follow the point past the last nonzero one
+    are 0 bytes, and so is the point when no digit follows it.
+    """
+    t = _g17_tables()
+    rows, cols = block.shape
+    x = block.ravel()
+    d, xi, decided = _g17_digits(x)
+    # the 16 digits after the lead as places 0-3 of 4 digits each
+    lead = d // 10**16
+    d -= lead * 10**16
+    upper = d // 10**8
+    d -= upper * 10**8
+    places = []
+    for half in (upper, d):
+        top = half // 10**4
+        half -= top * 10**4
+        places += [top, half]
+    # the 16 digits as text in two words, bytes 0-7 and 8-15; sig of them
+    # run up to the last nonzero one
+    sig = np.take(t["sig"][0], places[0])
+    for k in (1, 2, 3):
+        np.maximum(sig, np.take(t["sig"][k], places[k]), out=sig)
+    w0, w1 = np.take(t["quad"], places[0]), np.take(t["quad"], places[2])
+    for w, k in ((w0, 1), (w1, 3)):
+        high = np.take(t["quad"], places[k])
+        high <<= 32
+        w |= high
+    del places, upper, d, high
+    # keep the integer part and the digits up to the last nonzero one
+    keep = np.take(t["whole"], xi)
+    np.maximum(keep, sig, out=keep)
+    w0 &= np.take(t["low0"], keep)
+    w1 &= np.take(t["low1"], keep)
+    # r: the digits before the point, 16 where no digit follows it; the
+    # digits after it move up a byte and the point goes in at byte r
+    point = np.take(t["point"], xi)
+    r = np.where(sig > point, point, 16)
+    del keep, point, sig
+    low0 = w0 & np.take(t["low0"], r)
+    low1 = w1 & np.take(t["low1"], r)
+    w0 ^= low0
+    w1 ^= low1
+
+    words = np.empty((x.size, 4), "<u8")
+    words[:, 0] = (np.take(t["head"], xi) | np.take(t["lead"], lead)
+                   | np.take(t["sign"], xi) * np.signbit(x))
+    words[:, 1] = low0 | w0 << 8 | np.take(t["dot0"], r)
+    words[:, 2] = low1 | w1 << 8 | w0 >> 56 | np.take(t["dot1"], r)
+    last = np.zeros(cols, np.intp)
+    last[-1] = t["head"].size  # CRLF after the last column
+    words[:, 3] = w1 >> 56 | np.take(t["tail"], (xi.reshape(rows, cols) + last).ravel())
+    del lead, low0, low1, w0, w1, r, xi
+    slow = np.flatnonzero(~decided)
+    if slow.size:  # the separator, at bytes 30-31, stays
+        spelled = b"".join((b"%.17g" % v).ljust(30, b"\0") for v in x[slow].tolist())
+        words.view(np.uint8)[slow, :30] = np.frombuffer(spelled, np.uint8).reshape(-1, 30)
+    return words.tobytes().translate(None, b"\0")
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
@@ -254,8 +483,10 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
     One row per record, with the csv module's CRLF line ending.  Every
     float is written as "%.17g", 17 significant digits, which read back as
     the same double (0.1 is written 0.10000000000000001, 1.0 as 1).  The rows
-    are formatted CSV_ROWS at a time from the trace's arrays, so no copy of
-    the whole trace is made.
+    are formatted about _CSV_VALUES values at a time from the trace's arrays,
+    so no copy of the whole trace is made.  _g17_rows computes a block's
+    digits and text in numpy, byte for byte those of "%.17g" % value, and
+    hands the few values it cannot decide to "%.17g" itself.
     """
     n = trace.x.shape[1]
     header = ["t"] + [f"x_{j + 1}" for j in range(n)]
@@ -266,9 +497,9 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
         header += [f"err_norm_{k + 1}", f"inv_res_{k + 1}"]
         columns += [z, trace.xhat[k], trace.error_norms[:, k : k + 1],
                     trace.invariance_residuals[:, k : k + 1]]
-    row = ",".join(["%.17g"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, trace.times.size, CSV_ROWS):
-            block = np.hstack([c[start : start + CSV_ROWS] for c in columns])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    rows = _block_rows(len(header))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("ascii"))
+        for start in range(0, trace.times.size, rows):
+            block = np.hstack([c[start : start + rows] for c in columns], dtype=np.float64)
+            fh.write(_g17_rows(block))

@@ -7,6 +7,8 @@ import os
 import re
 import struct
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,15 @@ from distobs import (
 from distobs import cli, error_system
 from distobs.cli import main
 from distobs.linalg import numerical_rank
-from distobs.problem import CSV_ROWS, GAIN_MATRICES, realization_to_dict
+from distobs.problem import (
+    GAIN_MATRICES,
+    _G17_RANGE,
+    _X_MIN,
+    _block_rows,
+    _g17_digits,
+    _g17_rows,
+    realization_to_dict,
+)
 from distobs.synthesis import assemble_gains
 
 from conftest import (
@@ -536,9 +546,14 @@ class TestSimulateCommand:
         json.loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize("flag", ["--x0", "--z0"])
-    @pytest.mark.parametrize("value", ["1,a,2,3", "1,nan,2,3"])
+    @pytest.mark.parametrize("value", ["1,a,2,3", "1,nan,2,3", "1,,2,3,4", "1, ,2,3,4",
+                                       "1,2,3,4,", ",1,2,3,4"])
     def test_non_numeric_initial_state_exit1(self, flag, value, standard_files,
                                              capsys):
+        """A field that is not a finite number is a parse error.  So is an
+        empty or blank one, which would otherwise be dropped and shift the
+        fields after it: without it, each of these has the n = 4 entries
+        that --x0 needs."""
         _, _, problem, gains = standard_files
         capsys.readouterr()
         assert main(["simulate", gains, problem, flag, value]) == 1
@@ -1051,28 +1066,136 @@ class TestTraceCsvText:
                 "1.0000000000000001e-05", "10000000000000000",
                 "4.9406564584124654e-324", "1.7976931348623157e+308"} <= spelled
 
-    @pytest.mark.parametrize("records", [1, CSV_ROWS, CSV_ROWS + 1])
-    def test_fully_measured_node(self, records, tmp_path):
+    @pytest.mark.parametrize("records", ["1", "block", "block+1"])
+    def test_fully_measured_node(self, records, tmp_path, monkeypatch):
         """A node with p_i = n has no z columns; 1 record, one block and one
-        block plus one record give one row each, all as wide as the header."""
+        block plus one record give one row each, all as wide as the header,
+        in one, one and two formatting passes."""
         plant, graph = mixed_structure_instance()
         realization = synthesize(plant, graph)
-        cfg = SimulationConfig(t_final=CSV_ROWS * 1e-3, dt=1e-3, x0=np.ones(plant.n))
+        width = 1 + plant.n + sum(g.n_gain.shape[0] + plant.n + 2 for g in realization.nodes)
+        block = _block_rows(width)
+        passes = 2 if records == "block+1" else 1
+        records = {"1": 1, "block": block, "block+1": block + 1}[records]
+        cfg = SimulationConfig(t_final=block * 1e-3, dt=1e-3, x0=np.ones(plant.n))
         full = simulate(realization, plant, graph, cfg)
-        assert full.times.size == CSV_ROWS + 1 and full.z[1].shape[1] == 0
+        assert full.times.size == block + 1 and full.z[1].shape[1] == 0
         trace = SimulationTrace(
             times=full.times[:records], x=full.x[:records],
             z=[z[:records] for z in full.z], xhat=[xh[:records] for xh in full.xhat],
             invariance_residuals=full.invariance_residuals[:records],
             error_norms=full.error_norms[:records])
+        blocks = []
+        monkeypatch.setattr("distobs.problem._g17_rows",
+                            lambda b: blocks.append(b.shape) or _g17_rows(b))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         header, rows = read_trace_csv(path)
-        assert "z_2_1" not in header and "xhat_2_1" in header
+        assert "z_2_1" not in header and "xhat_2_1" in header and len(header) == width
+        assert len(blocks) == passes and blocks[0][1] == width
         assert len(rows) == records
         assert all(len(row.split(",")) == len(header) for row in rows)
         assert_same_bits(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2),
                          trace_table(trace, header))
+
+
+class TestPercent17gFormatter:
+    """The trace writer's numpy formatter, against "%.17g" % value itself."""
+
+    @staticmethod
+    def corpus() -> np.ndarray:
+        """Over 1e6 seeded values: random 64-bit patterns (every exponent,
+        subnormals, NaN payloads), and, each with both signs, zeros, NaN and
+        inf, the powers of ten from 1e-320 to 1e308 and their neighbours (the
+        %g switch points 1e-5/1e-4 and 1e16/1e17 among them, and the doubles
+        just below a power whose 17 digits carry to it), 2- and 3-digit
+        exponents around 1e+-99 and 1e+-100, values with trailing zero
+        digits (small integers, k/1000, k/8, integers times a power of 2),
+        and normal deviates scaled by 1e-30 to 1e30, as a trace holds."""
+        rng = np.random.default_rng(20261020)
+        pow10 = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        values = np.concatenate([
+            np.array([0.0, np.nan, np.inf, 9.9999999999999999e16, 0.99999999999999999e-4]),
+            pow10, np.nextafter(pow10, 0), np.nextafter(pow10, np.inf),
+            rng.uniform(1, 10, 20_000) * 10.0 ** rng.choice([-100, -99, 99, 100], 20_000),
+            np.arange(20_000.0), np.arange(20_000) / 1000, np.arange(20_000) / 8,
+            rng.integers(1, 10**6, 20_000) * 2.0 ** rng.integers(-60, 60, 20_000),
+            rng.standard_normal(350_000) * 10.0 ** rng.integers(-30, 30, 350_000),
+        ])
+        patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        return np.concatenate([patterns, values, -values])
+
+    @staticmethod
+    def ties(rng) -> np.ndarray:
+        """Doubles whose exact decimal has 18 significant digits, the last
+        a 5: m / 2**j, m odd, with 18 - j digits before the point."""
+        found = []
+        for j in range(2, 18):
+            low = 10.0 ** (17 - j)
+            high = min(10.0 ** (18 - j), 2.0 ** (53 - j))
+            m = rng.integers(low * 2**j, high * 2**j, 20) | 1
+            found.append(m / 2.0**j)
+        return np.concatenate(found + [[2.0**50 + 0.25, 2.0**50 + 0.75]])
+
+    @staticmethod
+    def assert_rows_match(values: np.ndarray, cols: int = 7) -> None:
+        """_g17_rows gives "%.17g" % value for every value, in blocks of the
+        writer's size."""
+        values = np.concatenate([values, np.ones(-values.size % cols)])
+        rows = _block_rows(cols)
+        for start in range(0, values.size, rows * cols):
+            block = values[start : start + rows * cols].reshape(-1, cols)
+            row = ",".join(["%.17g"] * cols) + "\r\n"
+            want = ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+            got = _g17_rows(block)
+            if got != want:
+                wrong = [(v, a, b) for v, a, b in zip(
+                    block.ravel().tolist(), re.split(b",|\r\n", got), re.split(b",|\r\n", want))
+                    if a != b]
+                pytest.fail(f"{wrong[0][0]!r} written {wrong[0][1]!r}, not {wrong[0][2]!r}")
+
+    def test_rows_are_percent_17g_byte_for_byte(self):
+        values = self.corpus()
+        assert values.size >= 1_000_000
+        self.assert_rows_match(values)
+
+    def test_decided_digits_are_percent_16e(self):
+        """Where _g17_digits decides a value, D and X are the mantissa digits
+        and exponent of "%.16e" % |x|.  It decides no value outside its
+        range, and inside it leaves only exact ties, which the next test
+        plants, and exact powers of ten, whose y is 1e16 itself."""
+        values = self.corpus()[::4]
+        d, xi, decided = _g17_digits(values)
+        ax = np.abs(values)
+        inside = (ax >= _G17_RANGE[0]) & (ax < _G17_RANGE[1])
+        assert not decided[~inside].any()
+        spelled = [f"{d}e{x + _X_MIN}" for d, x in
+                   zip(d[decided].tolist(), xi[decided].tolist())]
+        want = (("%.16e" % v).split("e") for v in ax[decided].tolist())
+        assert [f"{m.replace('.', '')}e{int(x)}" for m, x in want] == spelled
+        for v in ax[inside & ~decided].tolist():
+            digits = "".join(map(str, Decimal(v).as_tuple().digits)).rstrip("0")
+            assert digits == "1" or len(digits) == 18 and digits[-1] == "5", v
+
+    def test_carry_to_the_next_power_is_decided(self):
+        """1e-14 is the double just below 10**-14 whose 17 digits round up to
+        it: D carries to 1e17, which is written as 1e16 at X = -14."""
+        assert Fraction(1e-14) < Fraction(1, 10**14)
+        d, xi, decided = _g17_digits(np.array([1e-14, -1e-14]))
+        assert decided.all() and (d == 10**16).all() and (xi + _X_MIN == -14).all()
+        assert _g17_rows(np.array([[1e-14, -1e-14]])) == b"1e-14,-1e-14\r\n"
+
+    def test_ties_take_the_fallback(self):
+        """An exact tie between two 17-digit decimals is not decided, and is
+        written as "%.17g" writes it, rounded to even."""
+        ties = self.ties(np.random.default_rng(7))
+        assert all(len(d.as_tuple().digits) == 18 and d.as_tuple().digits[-1] == 5
+                   for d in map(Decimal, ties.tolist()))
+        values = np.concatenate([ties, -ties])
+        assert not _g17_digits(values)[2].any()
+        self.assert_rows_match(values)
+        assert _g17_rows(np.array([[2.0**50 + 0.25, 2.0**50 + 0.75]])) == (
+            b"1125899906842624.2,1125899906842624.8\r\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])
