@@ -233,9 +233,13 @@ def cmd_verify(args) -> int:
     realization = dataclasses.replace(realization, alpha=problem.alpha)
     checks = certify(realization, plant, spectral, frfs, decomps)
     for check in checks.values():
-        check["detail"] = (f"value {check['value']:.6g} vs bound {check['bound']:.6g}"
-                           if check["value"] is not None else "proved by the Cholesky factorization"
-                           f" of -(W R + R^T W + 2 alpha W) - c I, c = {check['shift']:.3g}")
+        check["detail"] = f"value {check['value']:.6g} vs bound {check['bound']:.6g}"
+    lyapunov = checks["lyapunov"]
+    if lyapunov["node"] is not None:
+        lyapunov["detail"] += (
+            f", an upper bound on lambda_max(W R + R^T W + 2 alpha W): node LMI "
+            f"{lyapunov['node_term']:.3g} (node {lyapunov['node']}) + lemma "
+            f"{lyapunov['lemma_term']:.3g} + coupling {lyapunov['coupling_term']:.3g}")
 
     if args.json:
         print(_strict_json(checks, indent=1))
@@ -244,8 +248,10 @@ def cmd_verify(args) -> int:
             print(f"{name:<14}{'pass' if check['pass'] else 'FAIL':<6}{check['detail']}")
     for name, check in checks.items():
         if not check["pass"]:
+            # the per-node checks also name their worst node
+            node = {"node": check["node"]} if "node" in check else {}
             _emit_error(name, f"certificate '{name}' failed",
-                        value=check["value"], bound=check["bound"])
+                        value=check["value"], bound=check["bound"], **node)
             return EXIT_CERTIFICATE
     return EXIT_OK
 

@@ -6,28 +6,32 @@ written once, in _coupling_scales, as the blocks C_ij = -gamma r_i lap_ij
 M_i at the nonzeros of the Laplacian, for the simulator and the error
 system alike.
 With G = blkdiag(N_i) T_s^T + [C_ij], the stacked error e = col(e_1, ...,
-e_N) obeys e' = T_s G e and stays on im T_s, of dimension N n - sum p_i.
+e_N) obeys e' = T_s G e and stays on im T_s, of dimension K = N n - sum p_i.
 There it is generated by the restricted matrix R = G T_s, with blocks
 N_i [i = j] + C_ij P_j: the observer block of the simulator's generator F,
-which restricted_generator() fills block by block for both.
+which _fill_rows fills block by block, for any run of nodes.
 
-certify() builds R once, of order K = N n - sum p_i, and forms no Nn-sized
-matrix.  The Lyapunov certificate is the sign of M = W R + R^T W + 2 alpha W,
-W = blkdiag_i(P_ie, I), formed over R and proved by a Cholesky factorization
-of -M - c I with Rump's shift c.  With W positive definite, which the lmi
-check requires of every P_ie, M < 0 bounds R's spectral abscissa below
--alpha, so it certifies the decay rate.  The invariance residual is T_p^T F
-T_s = blkdiag_i(T_ip^T P_i) R, with T_ip from the problem's own
-decomposition, so that it tests that each P_i spans im T_is.
+certify() forms no matrix of order K when every node has v_i = n.  The
+invariance residual is T_p^T F T_s = blkdiag_i(T_ip^T P_i) R, with T_ip from
+the problem's own decomposition, so that it tests that each P_i spans
+im T_is; it is taken over row strips of R of at most STRIP_ROWS rows.  The
+Lyapunov certificate is an upper bound on the top eigenvalue of
+M = W R + R^T W + 2 alpha W, W = blkdiag_i(P_ie, I), composed as the paper's
+proof goes: each node's LMI, the graph lemma and a coupling defect that is
+zero in exact arithmetic (_lyapunov).  With W positive definite, which the
+lmi check requires of every P_ie, M < 0 bounds R's spectral abscissa below
+-alpha, so it certifies the decay rate.
 
-R's blocks, the invariance rows and the P_ie row scaling of the Lyapunov
-matrix are each one stacked product per shape of node blocks; only the
-LAPACK eigenvalue calls of the lmi check stay per node.
+R's blocks, the invariance rows and the node matrices of the Lyapunov bound
+are each one stacked product per shape of node blocks; only the Cholesky
+factorizations that prove the eigenvalue bounds, and the LAPACK eigenvalue
+calls of the lmi check, run per node.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -35,12 +39,9 @@ from .graph import GraphSpectralData
 from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
-    _cholesky_completes,
-    _cholesky_shift,
-    _eigvalsh,
     _node_groups,
+    _positive_definite,
     _stack,
-    _symmetrize_in_place,
 )
 from .synthesis import (
     ObserverRealization,
@@ -59,6 +60,17 @@ CERTIFICATE_BOUNDS = {
     "lyapunov": (lambda a_norm: 0.0, False),
 }
 
+# rows of R that one strip of the invariance check holds at a time
+STRIP_ROWS = 128
+
+# unit roundoff and the smallest subnormal of binary64, and the unit roundoff
+# of numpy's longdouble (x87 extended precision on x86-64, binary64 where
+# longdouble is double), in which the node matrices are formed
+_U = 2.0**-53
+_ETA = 2.0**-1074
+_EXT = np.longdouble
+_U_EXT = float(np.finfo(_EXT).eps) / 2
+
 
 def _judge(name: str, value: float, a_norm: float) -> dict:
     bound_of, inclusive = CERTIFICATE_BOUNDS[name]
@@ -68,7 +80,8 @@ def _judge(name: str, value: float, a_norm: float) -> dict:
 
 
 def _coupling_scales(realization: ObserverRealization, lap: np.ndarray):
-    """(i, j, s_ij) as arrays over the nonzeros of the Laplacian lap = D - A.
+    """(i, j, s_ij) as arrays over the nonzeros of the Laplacian lap = D - A,
+    in row-major order.
 
     Node i's observer receives sum_j C_ij xhat_j = gamma r_i M_i sum_j a_ij
     (xhat_j - xhat_i), so C_ij = s_ij M_i with s_ij = -gamma r_i lap_ij.
@@ -96,32 +109,50 @@ def _blocks(starts_i, rows: int, starts_j, cols: int):
             np.asarray(starts_j)[:, None, None] + np.arange(cols))
 
 
-def restricted_generator(
-    realization: ObserverRealization, laplacian: np.ndarray
-) -> np.ndarray:
-    """The restricted error generator R, of order N n - sum p_i.
-
-    Block (i, j) is N_i [i = j] + C_ij P_j: the observer block of the
-    simulator's generator, filled only where the Laplacian has a nonzero,
-    with one stacked product and one block fill per shape of blocks.
-    """
+def _generator_blocks(realization: ObserverRealization, laplacian: np.ndarray) -> list:
+    """The nonzero blocks of R, block (i, j) = N_i [i = j] + C_ij P_j, as
+    (i, j, stack, add) per shape of blocks, with i and j the block rows and
+    columns in row-major order: first the N_i, which _fill_rows writes, then
+    the products C_ij P_j, one stacked product per shape, which it adds."""
     nodes = realization.nodes
+    orders = np.diff(_offsets(realization))
     if laplacian.shape[0] != len(nodes):
         raise ValueError("graph size does not match the realization")
-    off = _offsets(realization)
-    orders = np.diff(off)
-    r_mat = np.zeros((off[-1], off[-1]))
+    out = []
     for group in _node_groups(orders.tolist()):
-        o = orders[group[0]]
-        r_mat[_blocks(off[group], o, off[group], o)] = _stack(
-            [nodes[i].n_gain for i in group])
-    # the coupling blocks C_ij P_j, added to them
+        at = np.asarray(group)
+        out.append((at, at, _stack([nodes[x].n_gain for x in at]), False))
     rows, cols, scales = _coupling_scales(realization, laplacian)
     for group in _node_groups(list(zip(orders[rows].tolist(), orders[cols].tolist()))):
         i, j = rows[group], cols[group]
         c = scales[group][:, None, None] * _stack([nodes[x].m_gain for x in i])
-        r_mat[_blocks(off[i], orders[i[0]], off[j], orders[j[0]])] += (
-            c @ _stack([nodes[x].p_out for x in j]))
+        out.append((i, j, c @ _stack([nodes[x].p_out for x in j]), True))
+    return out
+
+
+def _fill_rows(blocks: list, off: np.ndarray, first: int, stop: int, out: np.ndarray) -> None:
+    """Fill the rows of nodes first, ..., stop - 1 of R into out, zeros with
+    one row per row of those nodes, from the blocks of _generator_blocks."""
+    for i, j, stack, add in blocks:
+        a, b = np.searchsorted(i, [first, stop])
+        at = _blocks(off[i[a:b]] - off[first], stack.shape[1], off[j[a:b]], stack.shape[2])
+        if add:
+            out[at] += stack[a:b]
+        else:
+            out[at] = stack[a:b]
+
+
+def restricted_generator(
+    realization: ObserverRealization, laplacian: np.ndarray
+) -> np.ndarray:
+    """The restricted error generator R, of order N n - sum p_i: the
+    observer block of the simulator's generator, filled only where the
+    Laplacian has a nonzero, with one stacked product and one block fill per
+    shape of blocks."""
+    blocks = _generator_blocks(realization, laplacian)
+    off = _offsets(realization)
+    r_mat = np.zeros((off[-1], off[-1]))
+    _fill_rows(blocks, off, 0, len(off) - 1, r_mat)
     return r_mat
 
 
@@ -131,75 +162,284 @@ def _runs(keys) -> list[tuple[int, int]]:
     return list(zip([0] + stops[:-1], stops))
 
 
-# rows of R that one stacked P_ie product scales at a time
-SCALED_ROWS = 64
-
-
-def _lyapunov_in_place(
-    m: np.ndarray, realization: ObserverRealization, alpha: float
-) -> tuple[bool, float | None, float]:
-    """(proved, mu, c): M = W R + R^T W + 2 alpha W < 0 is proved when the
-    Cholesky factorization of -M - c I, c = linalg._cholesky_shift, completes;
-    only a failure computes mu, M's top eigenvalue (None otherwise).  (True,
-    -inf, 0) when R is empty, (False, NaN, NaN) when M is not finite.  R = m,
-    in C order, is overwritten: W = blkdiag_i(P_ie, I_{n - v_i}), the weight
-    of V(e) = e^T P e on im T_s, scales the first v_i - p_i rows of each node
-    block of R + alpha I, in stacks of at most SCALED_ROWS rows, and -M
-    follows, which LAPACK overwrites."""
-    if m.size == 0:
-        return True, -np.inf, 0.0
-    m[np.diag_indices_from(m)] += alpha
-    nodes = realization.nodes
-    off = _offsets(realization)
-    shapes = [(g.p_ie.shape[0], g.n_gain.shape[0]) for g in nodes]
-    for start, stop in _runs(shapes):
-        k, order = shapes[start]
-        if k == 0:
-            continue
-        pie = _stack([g.p_ie for g in nodes[start:stop]])
-        # the weight of e^T P_ie e, and P_ie bit for bit when it is symmetric
-        weight = 0.5 * (pie + pie.transpose(0, 2, 1))
-        step = max(1, SCALED_ROWS // k)
-        for a in range(start, stop, step):
-            b = min(a + step, stop)
-            rows = m[off[a] : off[b]].reshape(b - a, order, m.shape[1])[:, :k]
-            rows[...] = weight[a - start : b - start] @ rows
-    _symmetrize_in_place(m, -1.0)
-    if not np.isfinite(m).all():
-        return False, np.nan, np.nan
-    diagonal = np.diagonal(m).copy()
-    shift = float(_cholesky_shift(diagonal))
-    m[np.diag_indices_from(m)] -= shift
-    # dpotrf overwrites the upper triangle of m.T (m in Fortran order) alone
-    if _cholesky_completes(m.T):
-        return True, None, shift
-    np.negative(m, out=m)  # M again, exactly, in m's upper triangle
-    m[np.diag_indices_from(m)] = -diagonal
-    for i in range(1, len(m)):  # and mirrored over the factor dpotrf left below it
-        m[i, :i] = m[:i, i]
-    top = m.shape[0]  # 1-based: the largest eigenvalue only
-    mu = _eigvalsh(m.T, True, range="I", il=top, iu=top)[0]
-    return False, float(mu), shift
+def _strips(off: np.ndarray) -> list[tuple[int, int]]:
+    """(first, stop) of consecutive runs of whole nodes, of at most STRIP_ROWS
+    rows of R each unless one node alone has more."""
+    out, first = [], 0
+    while first < len(off) - 1:
+        last = int(np.searchsorted(off, off[first] + STRIP_ROWS, "right")) - 1
+        out.append((first, max(first + 1, last)))
+        first = out[-1][1]
+    return out
 
 
 def _invariance(
-    realization: ObserverRealization, r_mat: np.ndarray, t_ps: list[np.ndarray]
+    realization: ObserverRealization, laplacian: np.ndarray, t_ps: list[np.ndarray]
 ) -> float:
     """||T_p^T F T_s|| = ||stack_i (T_ip^T P_i) R_i||, with R_i the rows of
     node i in R: F = T_s G and R = G T_s with T_s = blkdiag(P_i), and T_ip the
-    basis of im F_i^T that t_ps lists per node.  One stacked product per run
-    of equally shaped nodes."""
+    basis of im F_i^T that t_ps lists per node.  R is held one strip of
+    _strips at a time, filled as restricted_generator fills it, and one
+    stacked product per run of equally shaped nodes of a strip multiplies
+    it."""
     nodes = realization.nodes
     off = _offsets(realization)
+    blocks = _generator_blocks(realization, laplacian)
     shapes = [(t_p.shape[1], g.n_gain.shape[0]) for t_p, g in zip(t_ps, nodes)]
     p_off = np.cumsum([0] + [p for p, _ in shapes])
-    out = np.empty((p_off[-1], r_mat.shape[1]))
-    for a, b in _runs(shapes):
-        p, order = shapes[a]
-        left = _stack(t_ps[a:b]).transpose(0, 2, 1) @ _stack([g.p_out for g in nodes[a:b]])
-        rows = r_mat[off[a] : off[b]].reshape(b - a, order, r_mat.shape[1])
-        out[p_off[a] : p_off[b]] = (left @ rows).reshape(p_off[b] - p_off[a], -1)
+    out = np.empty((p_off[-1], off[-1]))
+    strips = _strips(off)
+    buffer = np.empty((max(off[b] - off[a] for a, b in strips), off[-1]))
+    for first, stop in strips:
+        strip = buffer[: off[stop] - off[first]]
+        strip[...] = 0.0
+        _fill_rows(blocks, off, first, stop, strip)
+        for a, b in _runs(shapes[first:stop]):
+            a, b = a + first, b + first
+            left = (_stack(t_ps[a:b]).transpose(0, 2, 1)
+                    @ _stack([g.p_out for g in nodes[a:b]]))
+            rows = strip[off[a] - off[first] : off[b] - off[first]]
+            product = left @ rows.reshape(b - a, shapes[a][1], off[-1])
+            out[p_off[a] : p_off[b]] = product.reshape(p_off[b] - p_off[a], -1)
     return float(np.linalg.norm(out))
+
+
+def _up(x, ops: int):
+    """An upper bound on the exact value of the nonnegative x that `ops`
+    roundings computed (Higham 2002, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1), itself rounded up."""
+    return x * (1.0 + 2.0 * (ops + 1) * _U) + ops * _ETA
+
+
+def _gamma(k: int, u: float = _U) -> float:
+    """Higham's gamma_k = k u / (1 - k u), which bounds k roundings."""
+    return k * u / (1.0 - k * u)
+
+
+def _above(x: float) -> float:
+    """The float after x: rounded up, the exact value of one operation whose
+    rounded result is x."""
+    return math.nextafter(x, math.inf)
+
+
+def _below(x: float) -> float:
+    """The float before x: rounded down, as _above rounds up."""
+    return math.nextafter(x, -math.inf)
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Upper bounds on the Frobenius norm of each node of a stack."""
+    return _up(np.sqrt(np.einsum("kij,kij->k", x, x)), x.shape[1] * x.shape[2] + 1)
+
+
+def _diagonals(x: np.ndarray) -> np.ndarray:
+    """The writable diagonals of a C-contiguous stack of square nodes."""
+    return x.reshape(len(x), -1)[:, :: x.shape[1] + 1]
+
+
+def _proves_top(stack: np.ndarray, errors: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Whether beta is proved above the top eigenvalue of every symmetric
+    matrix within `errors` of each node B: linalg._positive_definite proves
+    lambda_min(A) > e for A = fl(beta I - B), node by node, and
+    e = errors + 2 u max|a_ii| covers the rounding of A's diagonal."""
+    a = np.negative(stack)
+    diag = _diagonals(a)
+    diag += beta[:, None]
+    return _positive_definite(a, errors + 2 * _U * np.abs(diag).max(axis=1))
+
+
+def _top_eigenvalue_bounds(stack: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """Upper bounds beta on the top eigenvalue of every symmetric matrix
+    within `errors` (in the 2-norm) of each exactly symmetric node B of the
+    stack (_proves_top): -inf for empty nodes, NaN where B or its error is
+    not finite, +inf where no candidate is proved.  The candidates are the
+    computed top eigenvalue plus 2 and then 16 times a margin that exceeds
+    the shift c there."""
+    count, k, _ = stack.shape
+    if k == 0:
+        return np.full(count, -np.inf)
+    if not (np.isfinite(stack).all() and np.isfinite(errors).all()):
+        finite = np.isfinite(stack).all(axis=(1, 2)) & np.isfinite(errors)
+        out = np.full(count, np.nan)
+        if finite.any():
+            out[finite] = _top_eigenvalue_bounds(stack[finite], errors[finite])
+        return out
+    try:
+        top = np.linalg.eigvalsh(stack)[:, -1]
+    except np.linalg.LinAlgError:  # the eigensolver did not converge: nothing is proved
+        return np.full(count, np.inf)
+    spread = np.abs(top[:, None] - np.diagonal(stack, axis1=1, axis2=2)).sum(axis=1)
+    margin = errors + (k + 4) * _U * spread
+    beta = top + 2.0 * margin
+    failed = ~_proves_top(stack, errors, beta)
+    if failed.any():
+        retry = top[failed] + 16.0 * margin[failed]
+        beta[failed] = np.where(_proves_top(stack[failed], errors[failed], retry), retry, np.inf)
+    return beta
+
+
+def _node_terms(realization: ObserverRealization, g: np.ndarray):
+    """Per node i: an upper bound on lambda_max(B_i), B_i = W_i N_i + N_i^T W_i
+    + 2 alpha W_i + gamma G_i - gamma epsilon I, and upper bounds on ||D_i||_2,
+    D_i = W_i M_i - P_i^T, on ||P_i||_2 and on delta_i = ||I - P_i^T P_i||_2,
+    each in exact arithmetic on the stored gains; and an upper bound on
+    lambda_max(W).  W_i = blkdiag(sym P_ie, I), with sym P_ie the matrix that
+    the lmi check proves positive definite.  One stack per shape of node.
+
+    B_i is formed in longdouble and then rounded: with a P_ie of norm 1e9,
+    W_i N_i has entries near 1e13 that cancel in B_i down to its eigenvalues
+    near -0.25, and a binary64 product's rounding bound alone would exceed
+    them.  A product's rounding is at most gamma_k |X| |Y| (Higham 2002, sec.
+    3.5), with the inner dimension and the additions after it counted in k,
+    whose Frobenius norm is at most ||X||_F ||Y||_F; the last rounding is at
+    most u |B_i|.
+    """
+    nodes, alpha = realization.nodes, realization.alpha
+    gamma, epsilon = realization.gamma, realization.epsilon
+    top = np.full(len(nodes), -np.inf)
+    d_norm, p_norm, delta = np.zeros((3, len(nodes)))
+    w_top = 1.0
+    shapes = [(x.p_ie.shape[0], x.n_gain.shape[0]) for x in nodes]
+    for group in _node_groups(shapes):
+        (k, o), n = shapes[group[0]], nodes[group[0]].p_out.shape[0]
+        if o == 0:
+            continue
+        pie, n_gain, m_gain, p_out = (np.array([getattr(nodes[i], f) for i in group])
+                                      for f in ("p_ie", "n_gain", "m_gain", "p_out"))
+        sym = 0.5 * (pie + pie.transpose(0, 2, 1))
+        w = sym
+        if k < o:
+            w = np.zeros((len(group), o, o))
+            w[:, :k, :k] = sym
+            _diagonals(w)[:, k:] = 1.0
+        f_sym, f_n, f_m, f_p = (_frobenius(x) for x in (sym, n_gain, m_gain, p_out))
+        f_w = _up(np.sqrt(f_sym * f_sym + (o - k)), 3)
+        w_top = max(w_top, float(np.max(f_sym, initial=0.0)))
+        w_ext = w.astype(_EXT)
+        wn, p_t = w_ext @ n_gain.astype(_EXT), p_out.transpose(0, 2, 1)
+        b = wn + wn.transpose(0, 2, 1) + (2 * _EXT(alpha)) * w_ext
+        _diagonals(b)[...] += _EXT(gamma) * (np.where(np.arange(o) < k, g[group][:, None], 0.0)
+                                             - _EXT(epsilon))
+        b = b.astype(float)
+        b_err = (_gamma(o + 6, _U_EXT) * (2.0 * f_w * (f_n + alpha) + gamma * math.sqrt(o)
+                                          * (np.abs(g[group]) + abs(epsilon)))
+                 + _U * _frobenius(b))
+        top[group] = _top_eigenvalue_bounds(b, _up(b_err, 8))
+        # D_i and I - P_i^T P_i, each plus the bound on its rounding
+        d_norm[group] = _up(_frobenius(w @ m_gain - p_t) + _gamma(o + 1) * (f_w * f_m + f_p), 6)
+        delta[group] = _up(_frobenius(np.eye(o) - p_t @ p_out)
+                           + _gamma(n + 1) * (f_p * f_p + math.sqrt(o)), 6)
+        p_norm[group] = _up(np.sqrt(1.0 + delta[group]), 2)
+    return top, d_norm, p_norm, delta, w_top
+
+
+def _lemma_lower_bound(realization: ObserverRealization, laplacian: np.ndarray,
+                       g: np.ndarray, delta: np.ndarray) -> float:
+    """A lower bound lambda_s on lambda_min(P^T (mirror_r (x) I_n) P + G),
+    with P = blkdiag(P_i), G_i = g_i on the first v_i - p_i coordinates of
+    node i and mirror_r = diag(r) L + L^T diag(r) from the gains file's r.
+
+    When every v_i = n, G = P^T (diag g (x) I_n) P + blkdiag(g_i (I - P_i^T
+    P_i)), so the matrix is P^T (Y (x) I_n) P plus a term above -max|g| delta,
+    Y = mirror_r + diag g.  With Lambda <= lambda_min(Y) and 1 - delta <=
+    P^T P <= 1 + delta, lambda_s = Lambda - |Lambda| delta - max|g| delta.
+    Lambda is Gershgorin's bound min_i (y_ii - sum_{j != i} |y_ij|), which is
+    min g exactly when r is the Perron vector, since mirror_r's off-diagonal
+    entries are nonpositive and its rows sum to zero; where that is below
+    epsilon, the design's own level, the Cholesky proof of the N x N matrix Y
+    gives it instead.  When some v_i < n, the matrix of order K is formed,
+    block (i, j) = mirror_ij P_i^T P_j, and bounded as it stands.  Each bound
+    covers the rounding of forming its matrix.
+    """
+    nodes, r = realization.nodes, realization.r_vector
+    # mirror_r = S + S^T with S = diag(r) L, exactly symmetric, and the
+    # rounding of forming it is at most gamma_2 (|S| + |S|^T)
+    scaled = r[:, None] * laplacian
+    mirror = scaled + scaled.T
+    if all(x.p_ie.shape[0] == x.n_gain.shape[0] for x in nodes):
+        big_n = len(nodes)
+        _diagonals(mirror[None])[0] += g
+        y_err = float(_up(_gamma(3) * (2.0 * _frobenius(scaled[None])[0] + math.sqrt(g @ g)), 5))
+        rows, diag = np.abs(mirror).sum(axis=1), np.abs(np.diagonal(mirror))
+        discs = np.diagonal(mirror) + diag - rows - _up(_gamma(big_n + 4) * (rows + 2 * diag), 3)
+        low = _below(float(np.min(discs)) - y_err)
+        if not low >= realization.epsilon:
+            low = max(low, -float(_top_eigenvalue_bounds(-mirror[None], np.array([y_err]))[0]))
+        slack = _above(_above(abs(low) + float(np.max(np.abs(g)))) * float(np.max(delta)))
+        return _below(low - slack)
+    mirror_abs = np.abs(scaled)
+    mirror_abs += mirror_abs.T
+    off = _offsets(realization)
+    x = np.zeros((off[-1], off[-1]))
+    for i, j in zip(*np.nonzero(np.triu((mirror != 0) | np.eye(len(nodes), dtype=bool)))):
+        blk = mirror[i, j] * (nodes[i].p_out.T @ nodes[j].p_out)
+        if i == j:
+            blk = 0.5 * (blk + blk.T)
+        x[off[i] : off[i + 1], off[j] : off[j + 1]] = blk
+        x[off[j] : off[j + 1], off[i] : off[i + 1]] = blk.T
+    for i, node in enumerate(nodes):
+        at = off[i] + np.arange(node.p_ie.shape[0])
+        x[at, at] += g[i]
+    # |Delta_ij| <= gamma_{n+5} |mirror|_ij |P_i|^T |P_j| entrywise, whose
+    # Frobenius norm is at most |mirror|_ij ||P_i||_F ||P_j||_F, and g's addition
+    f = np.array([_up(np.linalg.norm(node.p_out), node.p_out.size + 1) for node in nodes])
+    x_abs = mirror_abs * f[:, None] * f + np.diag(np.abs(g))
+    n = nodes[0].p_out.shape[0]
+    x_err = _up(_gamma(n + 5) * _frobenius(x_abs[None]), 6)
+    return -float(_top_eigenvalue_bounds(-x[None], x_err)[0])
+
+
+def _lyapunov(realization: ObserverRealization, laplacian: np.ndarray, g: np.ndarray) -> dict:
+    """The lyapunov entry: an upper bound on lambda_max(M) for
+    M = W R + R^T W + 2 alpha W in exact arithmetic on the stored gains,
+    composed from node-sized terms, with no matrix of order K when every
+    v_i = n.
+
+    Derivation.  R_ij = N_i [i = j] + s_ij M_i P_j with s_ij = -gamma r_i
+    lap_ij, and W_i M_i = P_i^T + D_i, where D_i = W_i M_i - P_i^T is zero in
+    exact arithmetic (M_i = W_i^-1 T_is^T and P_i = T_is).  Since s_ij + s_ji
+    = -gamma mirror_ij,
+        M = blkdiag(W_i N_i + N_i^T W_i + 2 alpha W_i)
+            - gamma P^T (mirror_r (x) I_n) P + E + E^T,   E_ij = s_ij D_i P_j,
+          = blkdiag(B_i) - gamma (P^T (mirror_r (x) I_n) P + G - epsilon I)
+            + E + E^T,
+    with B_i node i's LMI on its stored gains.  So, for gamma >= 0,
+        lambda_max(M) <= max_i lambda_max(B_i) - gamma (lambda_s - epsilon)
+                         + 2 ||C||_2,
+    where lambda_s <= lambda_min(P^T (mirror_r (x) I_n) P + G)
+    (_lemma_lower_bound) and C_ij = |s_ij| ||D_i||_2 ||P_j||_2 is N x N in
+    the Laplacian's pattern, since ||E||_2 is at most the 2-norm of the
+    matrix of its block norms.  ||C||_2 <= sqrt(||C||_1 ||C||_inf).
+
+    Each term is an upper bound that holds in floating point, and so is
+    their sum: node is the 1-based node of the largest lambda_max(B_i).  A
+    gamma < 0 makes the lemma term +inf.  M(alpha') = M(alpha) + 2 (alpha' -
+    alpha) W, so a value v < 0 certifies every rate below alpha + (-v) /
+    (2 lambda_max(W)): rate_bound, rounded down, with lambda_max(W) <=
+    max(1, max_i ||sym P_ie||_F).
+    """
+    alpha, gamma, epsilon = realization.alpha, realization.gamma, realization.epsilon
+    top, d_norm, p_norm, delta, w_top = _node_terms(realization, g)
+    if np.all(top == -np.inf):  # an empty observer: every node has p_i = n
+        return {"value": -np.inf, "node_term": -np.inf, "lemma_term": 0.0,
+                "coupling_term": 0.0, "node": None, "rate_bound": np.inf}
+    node_term = float(np.max(top))
+    if gamma > 0:
+        lam_s = _lemma_lower_bound(realization, laplacian, g, delta)
+        lemma_term = _above(gamma * _above(epsilon - lam_s))
+    else:
+        lemma_term = 0.0 if gamma == 0 else np.inf
+    rows, cols, scales = _coupling_scales(realization, laplacian)
+    c = _up(np.abs(scales), 2) * d_norm[rows] * p_norm[cols]
+    big_n = len(realization.nodes)
+    c_inf = float(_up(np.max(np.bincount(rows, c, big_n)), big_n + 4))
+    c_one = float(_up(np.max(np.bincount(cols, c, big_n)), big_n + 4))
+    coupling_term = 2.0 * _above(math.sqrt(_above(c_inf * c_one)))
+    value = _above(_above(node_term + lemma_term) + coupling_term)
+    rate = _below(alpha + _below(-value / (2.0 * w_top))) if value < 0 else None
+    return {"value": value, "node_term": node_term, "lemma_term": lemma_term,
+            "coupling_term": coupling_term, "node": int(np.argmax(top)) + 1,
+            "rate_bound": rate}
 
 
 def certify(
@@ -211,28 +451,32 @@ def certify(
 ) -> dict:
     """Check a design against every certificate in CERTIFICATE_BOUNDS.
 
-    Returns {name: {"value", "bound", "pass"}} in the table's order.  The lmi
-    check also carries "nodes", the worst eigenvalue of each node's LMI, and
-    lyapunov "shift", the c of the Cholesky test that alone decides it.
+    Returns {name: {"value", "bound", "pass"}} in the table's order.  The
+    cancellation and lmi checks also carry "nodes", each node's residual or
+    worst LMI eigenvalue, and "node", the 1-based node of the largest (or of
+    the first NaN); lyapunov carries its three terms, its "node" and
+    "rate_bound" (_lyapunov).
     """
-    alpha = realization.alpha
     nodes = realization.nodes
+    g = _lemma_weights(len(nodes))
+    residuals = verify_cancellation(list(nodes), decomps, frfs).tolist()
     lmi_eigs = verify_lmi_th1(
-        [g.p_ie for g in nodes], [g.h_inj for g in nodes], decomps,
-        realization.gamma, realization.epsilon, alpha, _lemma_weights(len(nodes)),
+        [x.p_ie for x in nodes], [x.h_inj for x in nodes], decomps,
+        realization.gamma, realization.epsilon, realization.alpha, g,
     )
+    lap = spectral.laplacian
+    lyapunov = _lyapunov(realization, lap, g)
     # np.max propagates a NaN residual or eigenvalue, so that it fails the check
     values = {
-        "cancellation": np.max(verify_cancellation(list(nodes), decomps, frfs)),
+        "cancellation": np.max(residuals),
         "lmi": np.max(lmi_eigs),
+        "invariance": _invariance(realization, lap, [d.t_p for d in decomps]),
+        "lyapunov": lyapunov.pop("value"),
     }
-    # R serves the invariance rows and then becomes the Lyapunov matrix
-    r_mat = restricted_generator(realization, spectral.laplacian)
-    values["invariance"] = _invariance(realization, r_mat, [d.t_p for d in decomps])
-    proved, mu, shift = _lyapunov_in_place(r_mat, realization, alpha)
     a_norm = float(np.linalg.norm(plant.a))
     checks = {name: _judge(name, value, a_norm) for name, value in values.items()}
-    checks["lyapunov"] = {"value": mu, "bound": float(CERTIFICATE_BOUNDS["lyapunov"][0](a_norm)),
-                          "pass": proved, "shift": shift}
-    checks["lmi"]["nodes"] = lmi_eigs
+    for name, per_node in (("cancellation", residuals), ("lmi", lmi_eigs)):
+        # np.argmax names the first NaN, if there is one
+        checks[name].update(nodes=per_node, node=int(np.argmax(per_node)) + 1)
+    checks["lyapunov"].update(lyapunov)
     return checks

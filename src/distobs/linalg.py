@@ -383,15 +383,13 @@ def _symmetrize_in_place(m: np.ndarray, scale: float) -> None:
         col[...] = w
 
 
-def _eigvalsh(m: np.ndarray, overwrite_a: bool = False, **subset) -> np.ndarray:
+def _eigvalsh(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Ascending eigenvalues of the symmetric nonempty m from its lower
-    triangle: scipy.linalg.eigvalsh's dsyevr call.  `subset` is dsyevr's
-    range="I", il=, iu= (1-based) for scipy's subset_by_index."""
+    triangle: scipy.linalg.eigvalsh's dsyevr call."""
     (m,) = _finite(m)
     lwork, liwork = _workspace("dsyevr_lwork", m.shape[0], lower=1)
     w, _, count, _, info = lapack.dsyevr(m, compute_v=0, lower=1, lwork=lwork,
-                                         liwork=liwork, overwrite_a=overwrite_a,
-                                         **subset)
+                                         liwork=liwork, overwrite_a=overwrite_a)
     if info != 0:
         raise np.linalg.LinAlgError("Internal Error.")
     return w[:count]
@@ -429,10 +427,14 @@ def _cholesky_completes(a: np.ndarray) -> bool:
     return lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)[1] == 0
 
 
-def _positive_definite(stack: np.ndarray) -> np.ndarray:
+def _positive_definite(stack: np.ndarray, extra=None) -> np.ndarray:
     """Whether each finite symmetric node of the stack is proved positive
-    definite by its own Cholesky factorization at _cholesky_shift."""
+    definite by its own Cholesky factorization at _cholesky_shift; given
+    extra >= 0 per node, whether each is proved to have every eigenvalue
+    above extra, the shift grown by extra and rounded up."""
     shift = _cholesky_shift(np.diagonal(stack, axis1=1, axis2=2))
+    if extra is not None:  # rounded up, and one rounding of extra: (1 - u)^3 (1 + 4 u) > 1
+        shift = (shift + extra) * (1 + 4 * 2.0**-53)
     shifted = stack - shift[:, None, None] * np.eye(stack.shape[1])
     return np.array([_cholesky_completes(a) for a in shifted], dtype=bool)
 

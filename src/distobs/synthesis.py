@@ -124,8 +124,7 @@ class NodeGains:
 @dataclass(frozen=True)
 class ObserverRealization:
     """Complete distributed observer: per-node gains plus global scalars.
-    certificate is synthesize's certify() report, not in the gains file; its
-    lyapunov value is None where the shifted Cholesky proved the sign."""
+    certificate is synthesize's certify() report, not in the gains file."""
 
     nodes: tuple[NodeGains, ...]
     gamma: float

@@ -632,6 +632,49 @@ class TestVerifyCommand:
         assert json.loads(captured.err.strip().splitlines()[-1]
                           )["error"]["step"] == "cancellation"
 
+    def test_perturbed_q_fails_cancellation_naming_its_node(self, standard_files,
+                                                           tmp_path, capsys):
+        """cancellation lists each node's residual, and the error JSON names
+        the worst node, 1-based."""
+        _, _, problem, gains = standard_files
+        doc = decimal_document(gains)
+        doc["nodes"][1]["Q"][0][0] += 1e-3
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(bad), problem, "--json"]) == 4
+        captured = capsys.readouterr()
+        check = strict_loads(captured.out)["cancellation"]
+        assert not check["pass"] and len(check["nodes"]) == 3
+        assert check["nodes"][1] == check["value"] > check["bound"]
+        assert max(check["nodes"][0], check["nodes"][2]) <= check["bound"]
+        error = strict_loads(captured.err.strip().splitlines()[-1])["error"]
+        assert (error["step"], error["node"]) == ("cancellation", 2) == (
+            "cancellation", check["node"])
+
+    def test_planted_coupling_defect_fails_lyapunov_naming_a_node(
+            self, standard_files, tmp_path, capsys):
+        """Node 1's M scaled by 1.5 plants a coupling defect D_1 = W_1 M_1 -
+        P_1^T of norm about 0.5, which no other check sees: lyapunov fails,
+        and its error JSON names the node of its largest node term."""
+        _, _, problem, gains = standard_files
+        doc = decimal_document(gains)
+        doc["nodes"][0]["M"] = (1.5 * np.array(doc["nodes"][0]["M"])).tolist()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(bad), problem, "--json"]) == 4
+        captured = capsys.readouterr()
+        report = strict_loads(captured.out)
+        assert [name for name, c in report.items() if not c["pass"]] == ["lyapunov"]
+        check = report["lyapunov"]
+        assert check["value"] > 0 and check["rate_bound"] is None
+        assert check["coupling_term"] > -(check["node_term"] + check["lemma_term"])
+        assert f"(node {check['node']})" in check["detail"]
+        error = strict_loads(captured.err.strip().splitlines()[-1])["error"]
+        assert (error["step"], error["node"]) == ("lyapunov", check["node"])
+        assert error["node"] in (1, 2, 3)
+
     def test_zeroed_injection_fails_lyapunov(self, tmp_path, capsys):
         plant, graph, problem = jordan_problem(tmp_path)
         gains = str(tmp_path / "gains.json")

@@ -6,7 +6,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from distobs import (
     NetworkGraph,
@@ -75,15 +74,6 @@ def generator_block_by_block(r, lap):
     return out
 
 
-def lyapunov_block_by_block(r_mat, r, alpha):
-    m = r_mat + alpha * np.eye(r_mat.shape[0])
-    for g, start in zip(r.nodes, error_system._offsets(r)):
-        stop = start + g.p_ie.shape[0]
-        m[start:stop] = 0.5 * (g.p_ie + g.p_ie.T) @ m[start:stop]
-    k = m.shape[0]
-    return scipy.linalg.eigvalsh(m + m.T, subset_by_index=[k - 1, k - 1])[0]
-
-
 @pytest.mark.parametrize("case", range(6))
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_synthesis_and_certificates_match_node_by_node(case, alpha):
@@ -112,15 +102,19 @@ def test_synthesis_and_certificates_match_node_by_node(case, alpha):
         for g, d, start, stop in zip(r.nodes, decomps, off, off[1:])]))
     assert bits(cert["invariance"]["value"]) == bits(invariance)
     if r_mat.size:
-        # the shifted Cholesky proves the sign and measures no value, so the
-        # value is compared where the check fails: beyond the abscissa's rate
-        mu = lyapunov_block_by_block(r_mat, r, alpha)
-        assert cert["lyapunov"]["pass"] and cert["lyapunov"]["value"] is None and mu < 0
+        # the Lyapunov bound's node terms, each node's alone on a design of one
+        g = synthesis._lemma_weights(len(r.nodes))
+        terms = error_system._node_terms(r, g)
+        for i, node in enumerate(r.nodes):
+            alone = error_system._node_terms(dataclasses.replace(r, nodes=(node,)), g[i : i + 1])
+            for got, want in zip(terms[:4], alone[:4]):
+                assert bits(got[i]) == bits(want[0])
+        assert cert["lyapunov"]["pass"]
+        assert bits(cert["lyapunov"]["node_term"]) == bits(np.max(terms[0]))
         beyond = -4.0 * spectral_abscissa(r_mat[None])[0]
         failed = certify(dataclasses.replace(r, alpha=beyond), plant,
                          spectral_data(graph), frfs, decomps)["lyapunov"]
         assert not failed["pass"]
-        assert bits(failed["value"]) == bits(lyapunov_block_by_block(r_mat, r, beyond))
 
 
 def test_records_are_views_into_one_stack_per_shape():
