@@ -6,7 +6,7 @@ Lyapunov decrease that certifies the decay rate), and deterministic
 simulation of the coupled dynamics.
 """
 
-from .error_system import certify, restricted_generator
+from .error_system import certify, restricted_generator, verify_cancellation, verify_lmi_th1
 from .graph import (
     GraphSpectralData,
     GraphStructureError,
@@ -57,8 +57,6 @@ from .synthesis import (
     select_gamma,
     solve_pie,
     synthesize,
-    verify_cancellation,
-    verify_lmi_th1,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,13 @@
 """Closed-loop error dynamics and the analytic convergence certificates.
 
+Every condition that the paper's proof checks of a design is here, and
+certify() checks them all: the cancellation identity and each node's LMI
+(verify_cancellation and verify_lmi_th1, which take lists of nodes of any
+shapes and split them into groups of equal shape), invariance of im T_s and
+the Lyapunov decrease.  synthesis builds the design and calls certify(); this
+module names synthesis's records only in annotations, so it imports nothing
+from synthesis.
+
 Node i's observer hears its neighbours through the coupling term
     gamma r_i M_i sum_j a_ij (xhat_j - xhat_i) = sum_j C_ij xhat_j,
 written once, in _coupling_scales, as the blocks C_ij = -gamma r_i lap_ij
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,17 +48,15 @@ from .graph import GraphSpectralData
 from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
+    _eigvalsh,
+    _fields,
     _node_groups,
     _positive_definite,
     _stack,
 )
-from .synthesis import (
-    ObserverRealization,
-    Plant,
-    _lemma_weights,
-    verify_cancellation,
-    verify_lmi_th1,
-)
+
+if TYPE_CHECKING:
+    from .synthesis import ObserverRealization, Plant
 
 # The certificates in the order certify() reports them.  Each has its bound as
 # a function of ||A||_F, and whether a value equal to the bound passes.
@@ -79,6 +86,112 @@ def _judge(name: str, value: float, a_norm: float) -> dict:
     return {"value": float(value), "bound": bound, "pass": bool(ok)}
 
 
+def _lemma_weights(node_count: int) -> np.ndarray:
+    """The lemma weights g_i of the design, one per node; certify() judges
+    with the same."""
+    return np.ones(node_count)
+
+
+def verify_cancellation(gains, decomps, frfs) -> np.ndarray:
+    """Frobenius norm of the state-dependence cancellation identity of each
+    node of the lists, as an array.
+
+    The identity (S L - S N S^T K) D F T + S N S^T + (K D F T - I) T^T A T
+    must vanish for the assembled gains, and so must Q - T K, since the
+    observer's output map Q is the K of the identity in x coordinates.
+    """
+    out = np.empty(len(decomps))
+    shapes = [(d.p_dim, d.v_dim, f.d_factor.shape[0]) for d, f in zip(decomps, frfs)]
+    for group in _node_groups(shapes):
+        out[group] = _cancellation([gains[i] for i in group], [decomps[i] for i in group],
+                                   [frfs[i] for i in group])
+    return out
+
+
+def _cancellation(gains, decomps, frfs) -> np.ndarray:
+    n, p = decomps[0].n_dim, decomps[0].p_dim
+    s = np.vstack([np.zeros((p, n - p)), np.eye(n - p)])
+    t_orth = _fields(decomps, "t_orth")
+    dft = _fields(frfs, "d_factor") @ _fields(frfs, "f_factor") @ t_orth
+    at = _fields(decomps, "a_transformed")
+    l_gain, n_gain, k_mat, q_out = (_fields(gains, name)
+                                    for name in ("l_gain", "n_gain", "k_mat", "q_out"))
+    sns = s @ n_gain @ s.T
+    lhs = (s @ l_gain - sns @ k_mat) @ dft + sns + (k_mat @ dft - np.eye(n)) @ at
+    # np.linalg.norm of each node's identity and then of its Q - T K, squared:
+    # one dot product each, so that an exact Q adds an exact zero
+    squares = np.zeros(len(lhs))
+    for x in (lhs, q_out - t_orth @ k_mat):
+        flat = x.reshape(len(x), 1, -1)
+        squares += (flat @ flat.transpose(0, 2, 1)).ravel()
+    return np.sqrt(squares)
+
+
+def verify_lmi_th1(
+    p_ies: list[np.ndarray],
+    h_injs: list[np.ndarray],
+    decomps: list[NodeDecomposition],
+    gamma: float,
+    epsilon: float,
+    alpha: float,
+    g_weights,
+) -> list[float]:
+    """The worst eigenvalue of each node's feasibility LMI at its design
+    (P_ie, H), which must be negative.
+
+    The LMI is taken at P_iu = I and W_i = P_ie H_i.  Empty node blocks
+    (p = n) report -inf, a P_ie that linalg._positive_definite does not prove
+    positive definite reports +inf, and an LMI or a P_ie that is not finite
+    reports NaN.
+    """
+    worst = [-np.inf if d.n_dim == d.p_dim else np.inf for d in decomps]
+    g_weights = np.asarray(g_weights, dtype=float)
+    nonempty = [i for i, d in enumerate(decomps) if d.n_dim > d.p_dim]
+    shapes = [(decomps[i].n_dim, decomps[i].v_dim, decomps[i].p_dim) for i in nonempty]
+    for group in _node_groups(shapes):
+        pie = _stack([p_ies[nonempty[j]] for j in group])
+        pie = 0.5 * (pie + pie.transpose(0, 2, 1))
+        # the nodes whose P_ie is empty, proved positive definite or not finite
+        keep = ~np.isfinite(pie).all(axis=(1, 2))
+        keep[~keep] = _positive_definite(pie[~keep])
+        nodes = [nonempty[j] for j, kept in zip(group, keep) if kept]
+        if not nodes:
+            continue
+        blk = _lmi_blocks([p_ies[i] for i in nodes], [h_injs[i] for i in nodes],
+                          [decomps[i] for i in nodes], gamma * g_weights[nodes],
+                          gamma, epsilon, alpha)
+        for i, b in zip(nodes, blk):
+            # NaN when the LMI is not finite, so that the check fails
+            worst[i] = float(_eigvalsh(b)[-1]) if np.isfinite(b).all() else np.nan
+    return worst
+
+
+def _lmi_blocks(p_ies, h_injs, decomps, gamma_g, gamma, epsilon, alpha) -> np.ndarray:
+    """The symmetrized LMI matrices of equally shaped nodes, as one stack."""
+    d0 = decomps[0]
+    n, v, p = d0.n_dim, d0.v_dim, d0.p_dim
+    k = v - p
+    pie, h = _stack(p_ies), _stack(h_injs)
+    at = _fields(decomps, "a_transformed")
+    a22, a32, a_u = at[:, p:v, p:v], at[:, v:, p:v], at[:, v:, v:]
+    w = pie @ h
+    ea12 = _fields(decomps, "e_mat") @ at[:, :p, p:v]
+    phi = (
+        pie @ a22
+        + a22.transpose(0, 2, 1) @ pie
+        - w @ ea12
+        - ea12.transpose(0, 2, 1) @ w.transpose(0, 2, 1)
+        + 2.0 * alpha * pie
+    )
+    blk = np.empty((len(decomps), n - p, n - p))
+    blk[:, :k, :k] = phi + gamma_g[:, None, None] * np.eye(k)
+    blk[:, :k, k:] = a32.transpose(0, 2, 1)
+    blk[:, k:, :k] = a32
+    blk[:, k:, k:] = a_u.transpose(0, 2, 1) + a_u + 2.0 * alpha * np.eye(n - v)
+    blk -= gamma * epsilon * np.eye(n - p)
+    return 0.5 * (blk + blk.transpose(0, 2, 1))
+
+
 def _coupling_scales(realization: ObserverRealization, lap: np.ndarray):
     """(i, j, s_ij) as arrays over the nonzeros of the Laplacian lap = D - A,
     in row-major order.
@@ -88,13 +201,6 @@ def _coupling_scales(realization: ObserverRealization, lap: np.ndarray):
     """
     rows, cols = np.nonzero(lap)
     return rows, cols, -realization.gamma * realization.r_vector[rows] * lap[rows, cols]
-
-
-def _coupling(realization: ObserverRealization, lap: np.ndarray):
-    """Nonzero blocks (i, j, C_ij) of the coupling term, one at a time."""
-    rows, cols, scales = _coupling_scales(realization, lap)
-    for i, j, scale in zip(rows.tolist(), cols.tolist(), scales.tolist()):
-        yield i, j, scale * realization.nodes[i].m_gain
 
 
 def _offsets(realization: ObserverRealization) -> np.ndarray:

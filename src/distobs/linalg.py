@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-# relative tolerances of a numerical rank and of a symmetry check
+# relative tolerance of a numerical rank
 RANK_TOL = 1e-9
-SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -137,6 +136,11 @@ def _stack(arrays) -> np.ndarray:
     else:
         out = np.empty((len(arrays), rows, cols))
     return np.stack(arrays, out=out)
+
+
+def _fields(records, name: str) -> np.ndarray:
+    """The stack of one field of equally shaped per-node records."""
+    return _stack([getattr(r, name) for r in records])
 
 
 def _node_groups(keys) -> list[list[int]]:
@@ -355,34 +359,6 @@ def spectral_abscissa(m: np.ndarray) -> np.ndarray:
     return np.array(_each(largest_real_part, m))
 
 
-def _strip_pairs(m: np.ndarray, rows: int = 64):
-    """For each row strip [a, b) of the square m: m[a:b, a:], the matching
-    columns m[a:, a:b] transposed, and a work array of their shape.  The work
-    array is one buffer of `rows` rows, reused, so that it costs O(rows * k)."""
-    k = m.shape[0]
-    buf = np.empty((min(rows, k), k))
-    for a in range(0, k, rows):
-        b = min(a + rows, k)
-        yield m[a:b, a:], m[a:, a:b].T, buf[: b - a, : k - a]
-
-
-def _asymmetry(m: np.ndarray) -> float:
-    """max |m - m^T|, one strip at a time (a NaN entry propagates)."""
-    worst = [np.max(np.abs(np.subtract(row, col, out=w), out=w))
-             for row, col, w in _strip_pairs(m)]
-    return float(np.max(worst))
-
-
-def _symmetrize_in_place(m: np.ndarray, scale: float) -> None:
-    """m <- scale (m + m^T), one strip at a time: bit for bit the full-size
-    formula, since each pair of entries is summed once."""
-    for row, col, w in _strip_pairs(m):
-        np.add(row, col, out=w)
-        w *= scale
-        row[...] = w
-        col[...] = w
-
-
 def _eigvalsh(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Ascending eigenvalues of the symmetric nonempty m from its lower
     triangle: scipy.linalg.eigvalsh's dsyevr call."""
@@ -396,16 +372,9 @@ def _eigvalsh(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
 
 
 def _min_symmetric_eigenvalue_in_place(m: np.ndarray) -> float:
-    """Smallest eigenvalue of sym(m), m nonempty and overwritten; rejects m
-    not symmetric to SYMMETRY_TOL."""
-    asym = _asymmetry(m)
-    if asym > SYMMETRY_TOL * max(1.0, m.max(), -m.min()):
-        raise ValueError(f"matrix is not symmetric (deviation {asym:.3e})")
-    # an exactly symmetric m is already 0.5 (m + m^T), bit for bit
-    if asym != 0:
-        _symmetrize_in_place(m, 0.5)
-    # m is exactly symmetric, so its transpose is the same matrix in Fortran
-    # order, which LAPACK takes without a copy
+    """Smallest eigenvalue of the exactly symmetric nonempty m, overwritten.
+    m's transpose is the same matrix in Fortran order, which LAPACK takes
+    without a copy."""
     return float(_eigvalsh(m.T, overwrite_a=True)[0])
 
 

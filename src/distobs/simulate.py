@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .error_system import _coupling, _offsets, restricted_generator
+from .error_system import _coupling_scales, _offsets, restricted_generator
 from .graph import NetworkGraph, laplacian
 from .synthesis import ObserverRealization, Plant
 
@@ -63,9 +63,9 @@ def _generator(
 
     s = col(x, z_1, ..., z_N); node i reads xhat_i = P_i z_i + Q_i C_i x and
     integrates z_i' = N_i z_i + L_i C_i x + sum_j C_ij xhat_j, the coupling
-    blocks C_ij of error_system._coupling.  So F = [[A, 0], [B, R]]: R is the
-    restricted error generator that certify() checks, and B_i = L_i C_i +
-    sum_j C_ij Q_j C_j.
+    blocks C_ij = s_ij M_i of error_system._coupling_scales.  So
+    F = [[A, 0], [B, R]]: R is the restricted error generator that certify()
+    checks, and B_i = L_i C_i + sum_j C_ij Q_j C_j.
     """
     n, nodes = plant.n, realization.nodes
     lap = laplacian(graph)
@@ -79,8 +79,9 @@ def _generator(
         f[off[i] : off[i + 1], :n] = g.l_gain @ plant.c_block(i)
         est[i * n : (i + 1) * n, :n] = qc[i]
         est[i * n : (i + 1) * n, off[i] : off[i + 1]] = g.p_out
-    for i, j, c in _coupling(realization, lap):
-        f[off[i] : off[i + 1], :n] += c @ qc[j]
+    rows, cols, scales = _coupling_scales(realization, lap)
+    for i, j, scale in zip(rows.tolist(), cols.tolist(), scales.tolist()):
+        f[off[i] : off[i + 1], :n] += (scale * nodes[i].m_gain) @ qc[j]
     return f, est
 
 

@@ -9,14 +9,15 @@ The per-node stages run once per group of nodes of equal shape: the
 factorization over nodes with equal m_i, the decomposition over equal p_i,
 and the injection, Lyapunov weight and gains over equal (m_i, p_i, v_i), each
 group as one stack (see linalg).  place_injection, solve_pie and
-assemble_gains take such a group, and verify_cancellation and verify_lmi_th1
-lists of nodes, which they split into such groups; all stay per node only in
-their LAPACK calls and the eigenvalues of each LMI.  NodeDecomposition and
-NodeGains are the per-node records, views into their group's stacks.  When
-nodes fail, the error names the lowest-numbered one at its first failing
-step, as a node-by-node loop would.  gamma is in closed form: GAMMA_SAFETY
-times the least gain that the unobservable blocks allow, from one symmetric
-eigenvalue per node with v_i < n.
+assemble_gains take such a group, and stay per node only in their LAPACK
+calls.  NodeDecomposition and NodeGains are the per-node records, views into
+their group's stacks.  When nodes fail, the error names the lowest-numbered
+one at its first failing step, as a node-by-node loop would.  gamma is in
+closed form: GAMMA_SAFETY times the least gain that the unobservable blocks
+allow, from one symmetric eigenvalue per node with v_i < n.  The
+certificates are error_system's: synthesize checks its design with
+error_system.certify() and designs with its lemma weights, the ones that
+certify() judges with.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .error_system import _lemma_weights, certify
 from .graph import GraphSpectralData, GraphStructureError, NetworkGraph, spectral_data
 from .linalg import (
     FullRankFactorization,
@@ -34,10 +36,9 @@ from .linalg import (
     _each,
     _eigvalsh,
     _fail_first,
+    _fields,
     _min_symmetric_eigenvalue_in_place,
     _node_groups,
-    _positive_definite,
-    _stack,
     full_rank_factorize,
     min_energy_injection,
     numerical_rank,
@@ -265,11 +266,6 @@ def solve_pie(
     return solve_lyapunov(closed, (gamma - 2.0 * alpha) * np.eye(k))
 
 
-def _fields(records, name: str) -> np.ndarray:
-    """The stack of one field of equally shaped per-node records."""
-    return _stack([getattr(r, name) for r in records])
-
-
 def _inverses(m: np.ndarray) -> np.ndarray:
     """np.linalg.inv of each node of a stack; the StackError of the first
     singular one."""
@@ -318,106 +314,6 @@ def assemble_gains(decomps, frfs, h: np.ndarray, pie: np.ndarray) -> list[NodeGa
                       q_out=q_out[j], k_mat=k_mat[j], h_inj=h[j], p_ie=pie[j], p_dim=p,
                       v_dim=v)
             for j in range(count)]
-
-
-def verify_cancellation(gains, decomps, frfs) -> np.ndarray:
-    """Frobenius norm of the state-dependence cancellation identity of each
-    node of the lists, as an array.
-
-    The identity (S L - S N S^T K) D F T + S N S^T + (K D F T - I) T^T A T
-    must vanish for the assembled gains, and so must Q - T K, since the
-    observer's output map Q is the K of the identity in x coordinates.
-    """
-    out = np.empty(len(decomps))
-    shapes = [(d.p_dim, d.v_dim, f.d_factor.shape[0]) for d, f in zip(decomps, frfs)]
-    for group in _node_groups(shapes):
-        out[group] = _cancellation([gains[i] for i in group], [decomps[i] for i in group],
-                                   [frfs[i] for i in group])
-    return out
-
-
-def _cancellation(gains, decomps, frfs) -> np.ndarray:
-    n, p = decomps[0].n_dim, decomps[0].p_dim
-    s = np.vstack([np.zeros((p, n - p)), np.eye(n - p)])
-    t_orth = _fields(decomps, "t_orth")
-    dft = _fields(frfs, "d_factor") @ _fields(frfs, "f_factor") @ t_orth
-    at = _fields(decomps, "a_transformed")
-    l_gain, n_gain, k_mat, q_out = (_fields(gains, name)
-                                    for name in ("l_gain", "n_gain", "k_mat", "q_out"))
-    sns = s @ n_gain @ s.T
-    lhs = (s @ l_gain - sns @ k_mat) @ dft + sns + (k_mat @ dft - np.eye(n)) @ at
-    # np.linalg.norm of each node's identity and then of its Q - T K, squared:
-    # one dot product each, so that an exact Q adds an exact zero
-    squares = np.zeros(len(lhs))
-    for x in (lhs, q_out - t_orth @ k_mat):
-        flat = x.reshape(len(x), 1, -1)
-        squares += (flat @ flat.transpose(0, 2, 1)).ravel()
-    return np.sqrt(squares)
-
-
-def verify_lmi_th1(
-    p_ies: list[np.ndarray],
-    h_injs: list[np.ndarray],
-    decomps: list[NodeDecomposition],
-    gamma: float,
-    epsilon: float,
-    alpha: float,
-    g_weights,
-) -> list[float]:
-    """The worst eigenvalue of each node's feasibility LMI at its design
-    (P_ie, H), which must be negative.
-
-    The LMI is taken at P_iu = I and W_i = P_ie H_i.  Empty node blocks
-    (p = n) report -inf, a P_ie that linalg._positive_definite does not prove
-    positive definite reports +inf, and an LMI or a P_ie that is not finite
-    reports NaN.
-    """
-    worst = [-np.inf if d.n_dim == d.p_dim else np.inf for d in decomps]
-    g_weights = np.asarray(g_weights, dtype=float)
-    nonempty = [i for i, d in enumerate(decomps) if d.n_dim > d.p_dim]
-    shapes = [(decomps[i].n_dim, decomps[i].v_dim, decomps[i].p_dim) for i in nonempty]
-    for group in _node_groups(shapes):
-        pie = _stack([p_ies[nonempty[j]] for j in group])
-        pie = 0.5 * (pie + pie.transpose(0, 2, 1))
-        # the nodes whose P_ie is empty, proved positive definite or not finite
-        keep = ~np.isfinite(pie).all(axis=(1, 2))
-        keep[~keep] = _positive_definite(pie[~keep])
-        nodes = [nonempty[j] for j, kept in zip(group, keep) if kept]
-        if not nodes:
-            continue
-        blk = _lmi_blocks([p_ies[i] for i in nodes], [h_injs[i] for i in nodes],
-                          [decomps[i] for i in nodes], gamma * g_weights[nodes],
-                          gamma, epsilon, alpha)
-        for i, b in zip(nodes, blk):
-            # NaN when the LMI is not finite, so that the check fails
-            worst[i] = float(_eigvalsh(b)[-1]) if np.isfinite(b).all() else np.nan
-    return worst
-
-
-def _lmi_blocks(p_ies, h_injs, decomps, gamma_g, gamma, epsilon, alpha) -> np.ndarray:
-    """The symmetrized LMI matrices of equally shaped nodes, as one stack."""
-    d0 = decomps[0]
-    n, v, p = d0.n_dim, d0.v_dim, d0.p_dim
-    k = v - p
-    pie, h = _stack(p_ies), _stack(h_injs)
-    at = _fields(decomps, "a_transformed")
-    a22, a32, a_u = at[:, p:v, p:v], at[:, v:, p:v], at[:, v:, v:]
-    w = pie @ h
-    ea12 = _fields(decomps, "e_mat") @ at[:, :p, p:v]
-    phi = (
-        pie @ a22
-        + a22.transpose(0, 2, 1) @ pie
-        - w @ ea12
-        - ea12.transpose(0, 2, 1) @ w.transpose(0, 2, 1)
-        + 2.0 * alpha * pie
-    )
-    blk = np.empty((len(decomps), n - p, n - p))
-    blk[:, :k, :k] = phi + gamma_g[:, None, None] * np.eye(k)
-    blk[:, :k, k:] = a32.transpose(0, 2, 1)
-    blk[:, k:, :k] = a32
-    blk[:, k:, k:] = a_u.transpose(0, 2, 1) + a_u + 2.0 * alpha * np.eye(n - v)
-    blk -= gamma * epsilon * np.eye(n - p)
-    return 0.5 * (blk + blk.transpose(0, 2, 1))
 
 
 def _stacked_stage(step: str, nodes, key, run, failure: list) -> dict:
@@ -490,12 +386,6 @@ def _design(decomps, frfs, alpha: float, gamma: float) -> list[NodeGains]:
     return assemble_gains(decomps, frfs, h, pie)
 
 
-def _lemma_weights(node_count: int) -> np.ndarray:
-    """The lemma weights g_i of the design, one per node; certify() judges
-    with the same."""
-    return np.ones(node_count)
-
-
 def _checked_alpha(alpha: float) -> float:
     """alpha, the required decay rate, if it is a finite and nonnegative
     number: a boolean or a string is not one."""
@@ -519,8 +409,6 @@ def synthesize(
     graph not strongly connected, (C, A) not observable, or a node with zero
     output matrix.
     """
-    from .error_system import certify
-
     alpha = _checked_alpha(alpha)
     big_n = plant.node_count
     if graph.node_count != big_n:

@@ -17,6 +17,7 @@ from distobs import (
     spectral_abscissa,
     spectral_data,
     synthesize,
+    synthesis,
 )
 from distobs.linalg import _cholesky_shift
 from distobs.simulate import _generator
@@ -537,3 +538,12 @@ class TestCertifyMemory:
         peak = traced_peak(compute_epsilon, decomps, spectral_data(graph),
                            (1.0,) * plant.node_count)
         assert peak <= EPSILON_PEAK_LEMMA_MATRICES * nn * nn * 8, peak / (nn * nn * 8)
+
+
+def test_certificates_depend_on_nothing_in_synthesis():
+    """error_system binds nothing that synthesis defines, and synthesis
+    checks its designs with error_system's own certify and lemma weights."""
+    assert not [name for name, obj in vars(error_system).items()
+                if getattr(obj, "__module__", None) == "distobs.synthesis"]
+    assert synthesis.certify is error_system.certify
+    assert synthesis._lemma_weights is error_system._lemma_weights

@@ -69,7 +69,9 @@ def generator_block_by_block(r, lap):
     out = np.zeros((off[-1], off[-1]))
     for i, g in enumerate(r.nodes):
         out[off[i] : off[i + 1], off[i] : off[i + 1]] = g.n_gain
-    for i, j, c in error_system._coupling(r, lap):
+    rows, cols, scales = error_system._coupling_scales(r, lap)
+    for i, j, scale in zip(rows.tolist(), cols.tolist(), scales.tolist()):
+        c = scale * r.nodes[i].m_gain
         out[off[i] : off[i + 1], off[j] : off[j + 1]] += c @ r.nodes[j].p_out
     return out
 
@@ -103,7 +105,7 @@ def test_synthesis_and_certificates_match_node_by_node(case, alpha):
     assert bits(cert["invariance"]["value"]) == bits(invariance)
     if r_mat.size:
         # the Lyapunov bound's node terms, each node's alone on a design of one
-        g = synthesis._lemma_weights(len(r.nodes))
+        g = error_system._lemma_weights(len(r.nodes))
         terms = error_system._node_terms(r, g)
         for i, node in enumerate(r.nodes):
             alone = error_system._node_terms(dataclasses.replace(r, nodes=(node,)), g[i : i + 1])
@@ -158,7 +160,7 @@ def gains_failures_node_by_node(plant, graph, alpha):
     from the stages run on stacks of one."""
     frfs, decomps = decompose_nodes(plant)
     epsilon = compute_epsilon(decomps, spectral_data(graph),
-                              synthesis._lemma_weights(plant.node_count))
+                              error_system._lemma_weights(plant.node_count))
     gamma = select_gamma(decomps, epsilon, alpha)
     failures = []
     for i, (frf, dec) in enumerate(zip(frfs, decomps)):

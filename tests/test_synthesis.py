@@ -22,7 +22,7 @@ from distobs import (
     verify_cancellation,
     verify_lmi_th1,
 )
-from distobs import synthesis
+from distobs import error_system, synthesis
 from distobs.linalg import _cholesky_shift, _eigvalsh, _min_symmetric_eigenvalue_in_place
 from distobs.synthesis import BETA_FLOOR, GAMMA_SAFETY, _least_beta
 
@@ -255,7 +255,7 @@ class TestClosedFormBeta:
                 self.assert_matches_bisection(max(_least_beta(d.a_u, d.a32), BETA_FLOOR),
                                               bisection_beta(d.a_u, d.a32))
         epsilon = compute_epsilon(decomps, spectral_data(graph),
-                                  synthesis._lemma_weights(plant.node_count))
+                                  error_system._lemma_weights(plant.node_count))
         self.assert_matches_bisection(select_gamma(decomps, epsilon, alpha),
                                       bisection_gamma(decomps, epsilon, alpha))
 
