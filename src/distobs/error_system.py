@@ -1,12 +1,12 @@
 """Closed-loop error dynamics and the analytic convergence certificates.
 
 Every condition that the paper's proof checks of a design is here, and
-certify() checks them all: the cancellation identity and each node's LMI
-(verify_cancellation and verify_lmi_th1, which take lists of nodes of any
-shapes and split them into groups of equal shape), invariance of im T_s and
-the Lyapunov decrease.  synthesis builds the design and calls certify(); this
-module names synthesis's records only in annotations, so it imports nothing
-from synthesis.
+certify() checks them all: the cancellation identity (verify_cancellation,
+which takes lists of nodes of any shapes and splits them into groups of equal
+shape), each node's LMI, invariance of im T_s and the Lyapunov decrease.
+synthesis builds the design and calls certify(); this module names
+synthesis's records only in annotations, so it imports nothing from
+synthesis.
 
 Node i's observer hears its neighbours through the coupling term
     gamma r_i M_i sum_j a_ij (xhat_j - xhat_i) = sum_j C_ij xhat_j,
@@ -26,14 +26,17 @@ im T_is; it is taken over row strips of R of at most STRIP_ROWS rows.  The
 Lyapunov certificate is an upper bound on the top eigenvalue of
 M = W R + R^T W + 2 alpha W, W = blkdiag_i(P_ie, I), composed as the paper's
 proof goes: each node's LMI, the graph lemma and a coupling defect that is
-zero in exact arithmetic (_lyapunov).  With W positive definite, which the
-lmi check requires of every P_ie, M < 0 bounds R's spectral abscissa below
--alpha, so it certifies the decay rate.
+zero in exact arithmetic (_lyapunov).  The lmi check reports the first of
+these, the proved upper bound on each node's LMI (_node_terms), which is
+finite only where P_ie is proved positive definite.  With W positive
+definite, M < 0 bounds R's spectral abscissa below -alpha, so it certifies
+the decay rate.  The gains file's H is read by no check: the observer runs
+N, L, M, P and Q, and the LMI is formed from N_i and P_ie.
 
 R's blocks, the invariance rows and the node matrices of the Lyapunov bound
 are each one stacked product per shape of node blocks; only the Cholesky
-factorizations that prove the eigenvalue bounds, and the LAPACK eigenvalue
-calls of the lmi check, run per node.
+factorizations that prove positive definiteness and the eigenvalue bounds
+run per node.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .graph import GraphSpectralData
 from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
-    _eigvalsh,
     _fields,
     _node_groups,
     _positive_definite,
@@ -125,71 +127,6 @@ def _cancellation(gains, decomps, frfs) -> np.ndarray:
         flat = x.reshape(len(x), 1, -1)
         squares += (flat @ flat.transpose(0, 2, 1)).ravel()
     return np.sqrt(squares)
-
-
-def verify_lmi_th1(
-    p_ies: list[np.ndarray],
-    h_injs: list[np.ndarray],
-    decomps: list[NodeDecomposition],
-    gamma: float,
-    epsilon: float,
-    alpha: float,
-    g_weights,
-) -> list[float]:
-    """The worst eigenvalue of each node's feasibility LMI at its design
-    (P_ie, H), which must be negative.
-
-    The LMI is taken at P_iu = I and W_i = P_ie H_i.  Empty node blocks
-    (p = n) report -inf, a P_ie that linalg._positive_definite does not prove
-    positive definite reports +inf, and an LMI or a P_ie that is not finite
-    reports NaN.
-    """
-    worst = [-np.inf if d.n_dim == d.p_dim else np.inf for d in decomps]
-    g_weights = np.asarray(g_weights, dtype=float)
-    nonempty = [i for i, d in enumerate(decomps) if d.n_dim > d.p_dim]
-    shapes = [(decomps[i].n_dim, decomps[i].v_dim, decomps[i].p_dim) for i in nonempty]
-    for group in _node_groups(shapes):
-        pie = _stack([p_ies[nonempty[j]] for j in group])
-        pie = 0.5 * (pie + pie.transpose(0, 2, 1))
-        # the nodes whose P_ie is empty, proved positive definite or not finite
-        keep = ~np.isfinite(pie).all(axis=(1, 2))
-        keep[~keep] = _positive_definite(pie[~keep])
-        nodes = [nonempty[j] for j, kept in zip(group, keep) if kept]
-        if not nodes:
-            continue
-        blk = _lmi_blocks([p_ies[i] for i in nodes], [h_injs[i] for i in nodes],
-                          [decomps[i] for i in nodes], gamma * g_weights[nodes],
-                          gamma, epsilon, alpha)
-        for i, b in zip(nodes, blk):
-            # NaN when the LMI is not finite, so that the check fails
-            worst[i] = float(_eigvalsh(b)[-1]) if np.isfinite(b).all() else np.nan
-    return worst
-
-
-def _lmi_blocks(p_ies, h_injs, decomps, gamma_g, gamma, epsilon, alpha) -> np.ndarray:
-    """The symmetrized LMI matrices of equally shaped nodes, as one stack."""
-    d0 = decomps[0]
-    n, v, p = d0.n_dim, d0.v_dim, d0.p_dim
-    k = v - p
-    pie, h = _stack(p_ies), _stack(h_injs)
-    at = _fields(decomps, "a_transformed")
-    a22, a32, a_u = at[:, p:v, p:v], at[:, v:, p:v], at[:, v:, v:]
-    w = pie @ h
-    ea12 = _fields(decomps, "e_mat") @ at[:, :p, p:v]
-    phi = (
-        pie @ a22
-        + a22.transpose(0, 2, 1) @ pie
-        - w @ ea12
-        - ea12.transpose(0, 2, 1) @ w.transpose(0, 2, 1)
-        + 2.0 * alpha * pie
-    )
-    blk = np.empty((len(decomps), n - p, n - p))
-    blk[:, :k, :k] = phi + gamma_g[:, None, None] * np.eye(k)
-    blk[:, :k, k:] = a32.transpose(0, 2, 1)
-    blk[:, k:, :k] = a32
-    blk[:, k:, k:] = a_u.transpose(0, 2, 1) + a_u + 2.0 * alpha * np.eye(n - v)
-    blk -= gamma * epsilon * np.eye(n - p)
-    return 0.5 * (blk + blk.transpose(0, 2, 1))
 
 
 def _coupling_scales(realization: ObserverRealization, lap: np.ndarray):
@@ -386,11 +323,16 @@ def _top_eigenvalue_bounds(stack: np.ndarray, errors: np.ndarray) -> np.ndarray:
 
 def _node_terms(realization: ObserverRealization, g: np.ndarray):
     """Per node i: an upper bound on lambda_max(B_i), B_i = W_i N_i + N_i^T W_i
-    + 2 alpha W_i + gamma G_i - gamma epsilon I, and upper bounds on ||D_i||_2,
-    D_i = W_i M_i - P_i^T, on ||P_i||_2 and on delta_i = ||I - P_i^T P_i||_2,
-    each in exact arithmetic on the stored gains; and an upper bound on
-    lambda_max(W).  W_i = blkdiag(sym P_ie, I), with sym P_ie the matrix that
-    the lmi check proves positive definite.  One stack per shape of node.
+    + 2 alpha W_i + gamma G_i - gamma epsilon I, node i's LMI, and upper
+    bounds on ||D_i||_2, D_i = W_i M_i - P_i^T, on ||P_i||_2 and on delta_i =
+    ||I - P_i^T P_i||_2, each in exact arithmetic on the stored gains; and an
+    upper bound on lambda_max(W).  W_i = blkdiag(sym P_ie, I).  One stack per
+    shape of node.
+
+    The LMI bound is what the lmi check reports: -inf for an empty node (p_i
+    = n), NaN where P_ie is not finite, and +inf where linalg._positive_definite
+    does not prove sym P_ie positive definite, so that W > 0 holds wherever
+    every bound is finite.
 
     B_i is formed in longdouble and then rounded: with a P_ie of norm 1e9,
     W_i N_i has entries near 1e13 that cancel in B_i down to its eigenvalues
@@ -413,6 +355,10 @@ def _node_terms(realization: ObserverRealization, g: np.ndarray):
         pie, n_gain, m_gain, p_out = (np.array([getattr(nodes[i], f) for i in group])
                                       for f in ("p_ie", "n_gain", "m_gain", "p_out"))
         sym = 0.5 * (pie + pie.transpose(0, 2, 1))
+        # the finite nodes whose sym P_ie is not proved positive definite
+        finite = np.isfinite(sym).all(axis=(1, 2))
+        indefinite = finite.copy()
+        indefinite[finite] = ~_positive_definite(sym[finite])
         w = sym
         if k < o:
             w = np.zeros((len(group), o, o))
@@ -430,7 +376,7 @@ def _node_terms(realization: ObserverRealization, g: np.ndarray):
         b_err = (_gamma(o + 6, _U_EXT) * (2.0 * f_w * (f_n + alpha) + gamma * math.sqrt(o)
                                           * (np.abs(g[group]) + abs(epsilon)))
                  + _U * _frobenius(b))
-        top[group] = _top_eigenvalue_bounds(b, _up(b_err, 8))
+        top[group] = np.where(indefinite, np.inf, _top_eigenvalue_bounds(b, _up(b_err, 8)))
         # D_i and I - P_i^T P_i, each plus the bound on its rounding
         d_norm[group] = _up(_frobenius(w @ m_gain - p_t) + _gamma(o + 1) * (f_w * f_m + f_p), 6)
         delta[group] = _up(_frobenius(np.eye(o) - p_t @ p_out)
@@ -495,11 +441,12 @@ def _lemma_lower_bound(realization: ObserverRealization, laplacian: np.ndarray,
     return -float(_top_eigenvalue_bounds(-x[None], x_err)[0])
 
 
-def _lyapunov(realization: ObserverRealization, laplacian: np.ndarray, g: np.ndarray) -> dict:
+def _lyapunov(realization: ObserverRealization, laplacian: np.ndarray, g: np.ndarray,
+              terms: tuple) -> dict:
     """The lyapunov entry: an upper bound on lambda_max(M) for
     M = W R + R^T W + 2 alpha W in exact arithmetic on the stored gains,
-    composed from node-sized terms, with no matrix of order K when every
-    v_i = n.
+    composed from node-sized terms, the _node_terms of the design, with no
+    matrix of order K when every v_i = n.
 
     Derivation.  R_ij = N_i [i = j] + s_ij M_i P_j with s_ij = -gamma r_i
     lap_ij, and W_i M_i = P_i^T + D_i, where D_i = W_i M_i - P_i^T is zero in
@@ -518,14 +465,15 @@ def _lyapunov(realization: ObserverRealization, laplacian: np.ndarray, g: np.nda
     matrix of its block norms.  ||C||_2 <= sqrt(||C||_1 ||C||_inf).
 
     Each term is an upper bound that holds in floating point, and so is
-    their sum: node is the 1-based node of the largest lambda_max(B_i).  A
-    gamma < 0 makes the lemma term +inf.  M(alpha') = M(alpha) + 2 (alpha' -
-    alpha) W, so a value v < 0 certifies every rate below alpha + (-v) /
-    (2 lambda_max(W)): rate_bound, rounded down, with lambda_max(W) <=
-    max(1, max_i ||sym P_ie||_F).
+    their sum: node is the 1-based node of the largest lambda_max(B_i).  The
+    node term is +inf unless every P_ie is proved positive definite, so a
+    finite value holds with W > 0.  A gamma < 0 makes the lemma term +inf.
+    M(alpha') = M(alpha) + 2 (alpha' - alpha) W, so a value v < 0 certifies
+    every rate below alpha + (-v) / (2 lambda_max(W)): rate_bound, rounded
+    down, with lambda_max(W) <= max(1, max_i ||sym P_ie||_F).
     """
     alpha, gamma, epsilon = realization.alpha, realization.gamma, realization.epsilon
-    top, d_norm, p_norm, delta, w_top = _node_terms(realization, g)
+    top, d_norm, p_norm, delta, w_top = terms
     if np.all(top == -np.inf):  # an empty observer: every node has p_i = n
         return {"value": -np.inf, "node_term": -np.inf, "lemma_term": 0.0,
                 "coupling_term": 0.0, "node": None, "rate_bound": np.inf}
@@ -559,29 +507,28 @@ def certify(
 
     Returns {name: {"value", "bound", "pass"}} in the table's order.  The
     cancellation and lmi checks also carry "nodes", each node's residual or
-    worst LMI eigenvalue, and "node", the 1-based node of the largest (or of
-    the first NaN); lyapunov carries its three terms, its "node" and
-    "rate_bound" (_lyapunov).
+    proved upper bound on lambda_max(B_i) (_node_terms), and "node", the
+    1-based node of the largest (or of the first NaN); lyapunov carries its
+    three terms, its "node" and "rate_bound" (_lyapunov).  lmi's value and
+    lyapunov's node term are the same maximum of the same bounds.
     """
     nodes = realization.nodes
     g = _lemma_weights(len(nodes))
     residuals = verify_cancellation(list(nodes), decomps, frfs).tolist()
-    lmi_eigs = verify_lmi_th1(
-        [x.p_ie for x in nodes], [x.h_inj for x in nodes], decomps,
-        realization.gamma, realization.epsilon, realization.alpha, g,
-    )
+    terms = _node_terms(realization, g)
+    lmi_bounds = terms[0].tolist()
     lap = spectral.laplacian
-    lyapunov = _lyapunov(realization, lap, g)
-    # np.max propagates a NaN residual or eigenvalue, so that it fails the check
+    lyapunov = _lyapunov(realization, lap, g, terms)
+    # np.max propagates a NaN residual or bound, so that it fails the check
     values = {
         "cancellation": np.max(residuals),
-        "lmi": np.max(lmi_eigs),
+        "lmi": np.max(lmi_bounds),
         "invariance": _invariance(realization, lap, [d.t_p for d in decomps]),
         "lyapunov": lyapunov.pop("value"),
     }
     a_norm = float(np.linalg.norm(plant.a))
     checks = {name: _judge(name, value, a_norm) for name, value in values.items()}
-    for name, per_node in (("cancellation", residuals), ("lmi", lmi_eigs)):
+    for name, per_node in (("cancellation", residuals), ("lmi", lmi_bounds)):
         # np.argmax names the first NaN, if there is one
         checks[name].update(nodes=per_node, node=int(np.argmax(per_node)) + 1)
     checks["lyapunov"].update(lyapunov)

@@ -8,9 +8,12 @@ import scipy.linalg
 from distobs import (
     NetworkGraph,
     Plant,
+    certify,
+    decompose_nodes,
     full_rank_factorize,
     observability_decomposition,
     observability_matrix,
+    spectral_data,
 )
 from distobs.linalg import StackError, numerical_rank
 
@@ -126,6 +129,12 @@ def one_partial_node_instance(rng, n: int, n_nodes: int):
     c[0, half:] = 0.0
     plant = Plant(a=a, c=c, node_rows=(1,) * n_nodes)
     return plant, random_strongly_connected_graph(rng, n_nodes)
+
+
+def certified(plant, graph, r):
+    """certify's report on the design r, which may differ from what
+    synthesize stored."""
+    return certify(r, plant, spectral_data(graph), *decompose_nodes(plant))
 
 
 def dense_coupling(r, lap):

@@ -7,6 +7,7 @@ single-node reduction, coupling-margin positivity, the per-node feasibility
 LMI, and the two special-structure gain routes.
 """
 
+import dataclasses
 import math
 import time
 
@@ -29,11 +30,11 @@ from distobs import (
     spectral_abscissa,
     spectral_data,
     synthesize,
-    verify_lmi_th1,
 )
 from distobs.synthesis import compute_epsilon
 
 from conftest import (
+    certified,
     dense_g,
     random_observable_instance,
     stacked_errors,
@@ -251,14 +252,8 @@ def test_criterion_8_lmi_feasibility():
     plant = Plant(a=a, c=c, node_rows=(1, 1))
     graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
     r = synthesize(plant, graph)
-    decs = [
-        observability_decomposition(
-            plant.a, full_rank_factorize(plant.c_block(i)[None])[0].f_factor[None])[0]
-        for i in range(plant.node_count)
-    ]
-    corrupted = verify_lmi_th1([g.p_ie for g in r.nodes], [g.h_inj for g in r.nodes],
-                               decs, 0.0, r.epsilon, 0.0, (1.0, 1.0))
-    corrupted_ok = all(w < 0 for w in corrupted)
+    corrupted = certified(plant, graph, dataclasses.replace(r, gamma=0.0, alpha=0.0))
+    corrupted_ok = all(w < 0 for w in corrupted["lmi"]["nodes"])
     _line(8, "feasibility LMI", all_pass and not corrupted_ok,
           f"constructive candidate pass on {POOL_SIZE}x{len(ALPHAS)} runs, "
           "gamma=0 corruption rejected")

@@ -713,6 +713,8 @@ class TestVerifyCommand:
         report = strict_loads(captured.out)
         assert report["lmi"]["nodes"][1] is None
         assert report["lmi"]["value"] is None
+        # W is not positive definite, so lyapunov proves nothing either
+        assert report["lyapunov"]["value"] is None and not report["lyapunov"]["pass"]
         error = strict_loads(captured.err.strip().splitlines()[-1])["error"]
         assert error["step"] == "lmi" and error["value"] is None
 
@@ -944,7 +946,7 @@ def test_output_map_q_is_checked(standard_files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, step", [
-    ("K", "cancellation"), ("Pie", "lmi"), ("H", "lmi"), ("M", "invariance")])
+    ("K", "cancellation"), ("Pie", "lmi"), ("M", "invariance")])
 def test_non_finite_certificate_fails_closed(key, step, standard_files, tmp_path,
                                              capsys, recwarn):
     """A gain that overflows a check's matrix gives the check the value NaN,

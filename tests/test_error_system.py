@@ -23,6 +23,7 @@ from distobs.linalg import _cholesky_shift
 from distobs.simulate import _generator
 
 from conftest import (
+    certified,
     dense_coupling,
     dense_g,
     mixed_structure_instance,
@@ -120,9 +121,7 @@ class TestCertifyRate:
 
 def certified_at(plant, graph, r, alpha):
     """certify's report on the design r, judged at alpha."""
-    frfs, decomps = decompose_nodes(plant)
-    return certify(dataclasses.replace(r, alpha=alpha), plant, spectral_data(graph),
-                   frfs, decomps)
+    return certified(plant, graph, dataclasses.replace(r, alpha=alpha))
 
 
 def lyapunov_at(plant, graph, r, alpha):
@@ -189,7 +188,7 @@ class TestCertifyAgreesWithPublicChecks:
 
 class TestRateBound:
     """lyapunov certifies the decay rate: whenever it passes, with the
-    positive definite weight that the lmi check requires, every eigenvalue
+    positive definite weight that its node term proves, every eigenvalue
     of R has real part below -alpha."""
 
     def test_bounds_the_exact_abscissa(self, rng):
@@ -230,6 +229,32 @@ class TestComposedBound:
             assert check["pass"] and r.alpha < check["rate_bound"] <= -absc
             beyond = lyapunov_at(plant, graph, r, -4.0 * absc)
             assert not beyond["pass"] and beyond["rate_bound"] is None
+
+    def test_lmi_reports_the_node_term(self, rng):
+        """lmi is lyapunov's node term: each node's proved bound on
+        lambda_max(B_i), and their maximum, bit for bit."""
+        for plant, graph, r in reference_instances(rng):
+            cert = r.certificate
+            g = error_system._lemma_weights(len(r.nodes))
+            assert (np.asarray(cert["lmi"]["nodes"]).tobytes()
+                    == error_system._node_terms(r, g)[0].tobytes())
+            assert (np.float64(cert["lmi"]["value"]).tobytes()
+                    == np.float64(cert["lyapunov"]["node_term"]).tobytes())
+
+    def test_binary64_node_bound_still_passes(self, rng, monkeypatch):
+        """Where longdouble is binary64, the node matrices are formed in
+        binary64 and their rounding bound takes its unit roundoff: the
+        pipeline's designs still pass lmi and lyapunov, and no node bound is
+        below the extended-precision one."""
+        pairs = [standard_instance()] + [random_observable_instance(rng) for _ in range(10)]
+        designs = [(plant, graph, synthesize(plant, graph, alpha=0.5)) for plant, graph in pairs]
+        monkeypatch.setattr(error_system, "_EXT", np.float64)
+        monkeypatch.setattr(error_system, "_U_EXT", 2.0**-53)
+        for plant, graph, r in designs:
+            cert = certified(plant, graph, r)
+            assert cert["lmi"]["pass"] and cert["lyapunov"]["pass"]
+            assert all(b >= e for b, e in zip(cert["lmi"]["nodes"],
+                                              r.certificate["lmi"]["nodes"]))
 
     def test_planted_coupling_defect_fails_lyapunov(self):
         """M_1 scaled by 1 + t plants D_1 = t P_1^T + (1 + t) D_1, of norm

@@ -20,13 +20,13 @@ from distobs import (
     spectral_data,
     synthesize,
     verify_cancellation,
-    verify_lmi_th1,
 )
 from distobs import error_system, synthesis
 from distobs.linalg import _cholesky_shift, _eigvalsh, _min_symmetric_eigenvalue_in_place
 from distobs.synthesis import BETA_FLOOR, GAMMA_SAFETY, _least_beta
 
 from conftest import (
+    certified,
     mixed_structure_instance,
     one_partial_node_instance,
     random_observable_instance,
@@ -407,6 +407,9 @@ class TestVerifyCancellation:
 
 
 class TestVerifyLmi:
+    """The lmi check, through certify on designs that synthesize did not
+    store: each node's proved upper bound on the top eigenvalue of its LMI."""
+
     def test_pipeline_candidate_passes(self, rng):
         for _ in range(5):
             plant, graph = random_observable_instance(rng)
@@ -414,13 +417,13 @@ class TestVerifyLmi:
             assert r.certificate["lmi"]["pass"]
 
     def test_gamma_zero_with_unstable_block_fails(self):
-        a = np.diag([0.0, 1.0])  # unobservable mode at +1
-        frf1, d1 = decomp_of(a, [[1.0, 0.0]])
-        frf2, d2 = decomp_of(a, [[0.0, 1.0]])
-        eigs = verify_lmi_th1([np.zeros((0, 0))] * 2, [np.zeros((0, 1))] * 2,
-                              [d1, d2], gamma=0.0, epsilon=1.0,
-                              alpha=0.0, g_weights=[1.0, 1.0])
-        assert max(eigs) > 0
+        a = np.diag([0.0, 1.0])  # node 1's unobservable mode is at +1
+        plant = Plant(a=a, c=np.eye(2), node_rows=(1, 1))
+        graph = mutual_pair_graph()
+        r = synthesize(plant, graph)
+        lmi = certified(plant, graph, dataclasses.replace(r, gamma=0.0, epsilon=1.0,
+                                                          alpha=0.0))["lmi"]
+        assert lmi["value"] > 0 and not lmi["pass"]
 
     def test_pie_not_proved_definite_reads_inf(self):
         """A P_ie whose smallest eigenvalue lies inside its Cholesky shift,
@@ -429,41 +432,33 @@ class TestVerifyLmi:
         reads NaN.  The other nodes keep their values."""
         plant, graph = standard_instance()
         r = synthesize(plant, graph, alpha=0.5)
-        _, decomps = decompose_nodes(plant)
-        p_ies = [g.p_ie for g in r.nodes]
-        k = len(p_ies[1])
-        assert k > 1 and all(len(p) == k for p in p_ies)
+        k = len(r.nodes[1].p_ie)
+        assert k > 1 and all(len(g.p_ie) == k for g in r.nodes)
 
         def lmi(pie):
-            return verify_lmi_th1(p_ies[:1] + [pie] + p_ies[2:], [g.h_inj for g in r.nodes],
-                                  decomps, r.gamma, r.epsilon, 0.5, [1.0] * len(p_ies))
+            nodes = list(r.nodes)
+            nodes[1] = dataclasses.replace(nodes[1], p_ie=pie)
+            return certified(plant, graph, dataclasses.replace(r, nodes=tuple(nodes)))[
+                "lmi"]["nodes"]
 
         c = _cholesky_shift(np.append(np.ones(k - 1), 0.0))
-        before = lmi(p_ies[1])
+        before = lmi(r.nodes[1].p_ie)
         for small, want in ((0.5 * c, np.inf), (10.0 * c, None)):
             got = lmi(np.diag(np.append(np.ones(k - 1), small)))
             assert got[1] == want if want else np.isfinite(got[1])
             assert got[::2] == before[::2]
-        bad = p_ies[1].copy()
+        bad = r.nodes[1].p_ie.copy()
         bad[0, 0] = np.nan
         assert np.isnan(lmi(bad)[1])
 
     def test_alpha_escalation_reports_violation(self, rng):
         plant, graph = random_observable_instance(rng, n=4, n_nodes=2)
         r = synthesize(plant, graph, alpha=0.0)
-        frfs = [full_rank_factorize(plant.c_block(i)[None])[0] for i in range(2)]
-        decomps = [
-            observability_decomposition(plant.a, f.f_factor[None])[0] for f in frfs
-        ]
-        p_ies = [g.p_ie for g in r.nodes]
-        h_injs = [g.h_inj for g in r.nodes]
-        alpha = 0.0
-        eigs = [-np.inf]
-        while max(eigs) < 0 and alpha < 1e4:
+        alpha, lmi = 0.0, -np.inf
+        while lmi < 0 and alpha < 1e4:
             alpha = max(2 * alpha, 0.5)
-            eigs = verify_lmi_th1(p_ies, h_injs, decomps, r.gamma, r.epsilon,
-                                  alpha, [1.0, 1.0])
-        assert max(eigs) > 0
+            lmi = certified(plant, graph, dataclasses.replace(r, alpha=alpha))["lmi"]["value"]
+        assert lmi > 0
 
 
 class TestSynthesize:
