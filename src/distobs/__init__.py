@@ -6,7 +6,7 @@ Lyapunov decrease that certifies the decay rate), and deterministic
 simulation of the coupled dynamics.
 """
 
-from .error_system import certify, restricted_generator, verify_cancellation
+from .error_system import certify, verify_cancellation
 from .graph import (
     GraphSpectralData,
     GraphStructureError,

@@ -16,13 +16,14 @@ system alike.
 With G = blkdiag(N_i) T_s^T + [C_ij], the stacked error e = col(e_1, ...,
 e_N) obeys e' = T_s G e and stays on im T_s, of dimension K = N n - sum p_i.
 There it is generated by the restricted matrix R = G T_s, with blocks
-N_i [i = j] + C_ij P_j: the observer block of the simulator's generator F,
-which _fill_rows fills block by block, for any run of nodes.
+R_ij = N_i [i = j] + C_ij P_j: the observer block of the simulator's
+generator F, which simulate._generator forms.
 
 certify() forms no matrix of order K when every node has v_i = n.  The
 invariance residual is T_p^T F T_s = blkdiag_i(T_ip^T P_i) R, with T_ip from
 the problem's own decomposition, so that it tests that each P_i spans
-im T_is; it is taken over row strips of R of at most STRIP_ROWS rows.  The
+im T_is; it is summed over its node-sized blocks T_ip^T P_i R_ij, nonzero
+only on the diagonal and where the Laplacian is (_invariance).  The
 Lyapunov certificate is an upper bound on the top eigenvalue of
 M = W R + R^T W + 2 alpha W, W = blkdiag_i(P_ie, I), composed as the paper's
 proof goes: each node's LMI, the graph lemma and a coupling defect that is
@@ -33,15 +34,14 @@ definite, M < 0 bounds R's spectral abscissa below -alpha, so it certifies
 the decay rate.  The gains file's H is read by no check: the observer runs
 N, L, M, P and Q, and the LMI is formed from N_i and P_ie.
 
-R's blocks, the invariance rows and the node matrices of the Lyapunov bound
-are each one stacked product per shape of node blocks; only the Cholesky
+The invariance blocks and the node matrices of the Lyapunov bound are each
+one stacked product per shape of node blocks; only the Cholesky
 factorizations that prove positive definiteness and the eigenvalue bounds
 run per node.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -68,9 +68,6 @@ CERTIFICATE_BOUNDS = {
     "invariance": (lambda a_norm: 1e-9, True),
     "lyapunov": (lambda a_norm: 0.0, False),
 }
-
-# rows of R that one strip of the invariance check holds at a time
-STRIP_ROWS = 128
 
 # unit roundoff and the smallest subnormal of binary64, and the unit roundoff
 # of numpy's longdouble (x87 extended precision on x86-64, binary64 where
@@ -136,6 +133,8 @@ def _coupling_scales(realization: ObserverRealization, lap: np.ndarray):
     Node i's observer receives sum_j C_ij xhat_j = gamma r_i M_i sum_j a_ij
     (xhat_j - xhat_i), so C_ij = s_ij M_i with s_ij = -gamma r_i lap_ij.
     """
+    if lap.shape[0] != len(realization.nodes):
+        raise ValueError("graph size does not match the realization")
     rows, cols = np.nonzero(lap)
     return rows, cols, -realization.gamma * realization.r_vector[rows] * lap[rows, cols]
 
@@ -145,106 +144,37 @@ def _offsets(realization: ObserverRealization) -> np.ndarray:
     return np.cumsum([0] + [g.n_gain.shape[0] for g in realization.nodes])
 
 
-def _blocks(starts_i, rows: int, starts_j, cols: int):
-    """Index arrays of the blocks [s_i, s_i + rows) x [s_j, s_j + cols) of a
-    matrix, one (rows, cols) block per pair of starts."""
-    return (np.asarray(starts_i)[:, None, None] + np.arange(rows)[:, None],
-            np.asarray(starts_j)[:, None, None] + np.arange(cols))
-
-
-def _generator_blocks(realization: ObserverRealization, laplacian: np.ndarray) -> list:
-    """The nonzero blocks of R, block (i, j) = N_i [i = j] + C_ij P_j, as
-    (i, j, stack, add) per shape of blocks, with i and j the block rows and
-    columns in row-major order: first the N_i, which _fill_rows writes, then
-    the products C_ij P_j, one stacked product per shape, which it adds."""
-    nodes = realization.nodes
-    orders = np.diff(_offsets(realization))
-    if laplacian.shape[0] != len(nodes):
-        raise ValueError("graph size does not match the realization")
-    out = []
-    for group in _node_groups(orders.tolist()):
-        at = np.asarray(group)
-        out.append((at, at, _stack([nodes[x].n_gain for x in at]), False))
-    rows, cols, scales = _coupling_scales(realization, laplacian)
-    for group in _node_groups(list(zip(orders[rows].tolist(), orders[cols].tolist()))):
-        i, j = rows[group], cols[group]
-        c = scales[group][:, None, None] * _stack([nodes[x].m_gain for x in i])
-        out.append((i, j, c @ _stack([nodes[x].p_out for x in j]), True))
-    return out
-
-
-def _fill_rows(blocks: list, off: np.ndarray, first: int, stop: int, out: np.ndarray) -> None:
-    """Fill the rows of nodes first, ..., stop - 1 of R into out, zeros with
-    one row per row of those nodes, from the blocks of _generator_blocks."""
-    for i, j, stack, add in blocks:
-        a, b = np.searchsorted(i, [first, stop])
-        at = _blocks(off[i[a:b]] - off[first], stack.shape[1], off[j[a:b]], stack.shape[2])
-        if add:
-            out[at] += stack[a:b]
-        else:
-            out[at] = stack[a:b]
-
-
-def restricted_generator(
-    realization: ObserverRealization, laplacian: np.ndarray
-) -> np.ndarray:
-    """The restricted error generator R, of order N n - sum p_i: the
-    observer block of the simulator's generator, filled only where the
-    Laplacian has a nonzero, with one stacked product and one block fill per
-    shape of blocks."""
-    blocks = _generator_blocks(realization, laplacian)
-    off = _offsets(realization)
-    r_mat = np.zeros((off[-1], off[-1]))
-    _fill_rows(blocks, off, 0, len(off) - 1, r_mat)
-    return r_mat
-
-
-def _runs(keys) -> list[tuple[int, int]]:
-    """(start, stop) of each run of equal consecutive keys."""
-    stops = list(itertools.accumulate(len(list(run)) for _, run in itertools.groupby(keys)))
-    return list(zip([0] + stops[:-1], stops))
-
-
-def _strips(off: np.ndarray) -> list[tuple[int, int]]:
-    """(first, stop) of consecutive runs of whole nodes, of at most STRIP_ROWS
-    rows of R each unless one node alone has more."""
-    out, first = [], 0
-    while first < len(off) - 1:
-        last = int(np.searchsorted(off, off[first] + STRIP_ROWS, "right")) - 1
-        out.append((first, max(first + 1, last)))
-        first = out[-1][1]
-    return out
-
-
 def _invariance(
     realization: ObserverRealization, laplacian: np.ndarray, t_ps: list[np.ndarray]
 ) -> float:
-    """||T_p^T F T_s|| = ||stack_i (T_ip^T P_i) R_i||, with R_i the rows of
-    node i in R: F = T_s G and R = G T_s with T_s = blkdiag(P_i), and T_ip the
-    basis of im F_i^T that t_ps lists per node.  R is held one strip of
-    _strips at a time, filled as restricted_generator fills it, and one
-    stacked product per run of equally shaped nodes of a strip multiplies
-    it."""
+    """||T_p^T F T_s|| over its blocks X_i R_ij, X_i = T_ip^T P_i, at the
+    Laplacian's nonzeros and on the diagonal: F = T_s G and R = G T_s with
+    T_s = blkdiag(P_i), R_ij = N_i [i = j] + s_ij M_i P_j, and T_ip the basis
+    of im F_i^T that t_ps lists per node.  X_i N_i and X_i M_i are one stacked
+    product per shape of node, (s_ij X_i M_i) P_j one per shape of block, and
+    X_i N_i is added into block (i, i) before it is squared."""
     nodes = realization.nodes
-    off = _offsets(realization)
-    blocks = _generator_blocks(realization, laplacian)
-    shapes = [(t_p.shape[1], g.n_gain.shape[0]) for t_p, g in zip(t_ps, nodes)]
-    p_off = np.cumsum([0] + [p for p, _ in shapes])
-    out = np.empty((p_off[-1], off[-1]))
-    strips = _strips(off)
-    buffer = np.empty((max(off[b] - off[a] for a, b in strips), off[-1]))
-    for first, stop in strips:
-        strip = buffer[: off[stop] - off[first]]
-        strip[...] = 0.0
-        _fill_rows(blocks, off, first, stop, strip)
-        for a, b in _runs(shapes[first:stop]):
-            a, b = a + first, b + first
-            left = (_stack(t_ps[a:b]).transpose(0, 2, 1)
-                    @ _stack([g.p_out for g in nodes[a:b]]))
-            rows = strip[off[a] - off[first] : off[b] - off[first]]
-            product = left @ rows.reshape(b - a, shapes[a][1], off[-1])
-            out[p_off[a] : p_off[b]] = product.reshape(p_off[b] - p_off[a], -1)
-    return float(np.linalg.norm(out))
+    xn, xm = [None] * len(nodes), [None] * len(nodes)
+    for group in _node_groups([(t.shape[1], g.n_gain.shape[0]) for t, g in zip(t_ps, nodes)]):
+        at = [nodes[i] for i in group]
+        x = _stack([t_ps[i] for i in group]).transpose(0, 2, 1) @ _fields(at, "p_out")
+        for i, a, b in zip(group, x @ _fields(at, "n_gain"), x @ _fields(at, "m_gain")):
+            xn[i], xm[i] = a, b
+    rows, cols, scales = _coupling_scales(realization, laplacian)
+    alone = np.ones(len(nodes), dtype=bool)
+    alone[rows[rows == cols]] = False
+    squares = [np.square(xn[i]).ravel() for i in np.flatnonzero(alone)]
+    for group in _node_groups([(xm[i].shape[0], nodes[j].n_gain.shape[0])
+                               for i, j in zip(rows.tolist(), cols.tolist())]):
+        i, j = rows[group], cols[group]
+        block = ((scales[group][:, None, None] * _stack([xm[x] for x in i]))
+                 @ _fields([nodes[x] for x in j], "p_out"))
+        diagonal = np.flatnonzero(i == j)
+        if diagonal.size:
+            block[diagonal] += _stack([xn[x] for x in i[diagonal]])
+        squares.append(np.square(block).ravel())
+    # numpy's pairwise sum, which no BLAS thread count reorders
+    return math.sqrt(float(np.sum(np.concatenate(squares))))
 
 
 def _up(x, ops: int):

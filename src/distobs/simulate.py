@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .error_system import _coupling_scales, _offsets, restricted_generator
+from .error_system import _coupling_scales, _offsets
 from .graph import NetworkGraph, laplacian
 from .synthesis import ObserverRealization, Plant
 
@@ -64,8 +64,10 @@ def _generator(
     s = col(x, z_1, ..., z_N); node i reads xhat_i = P_i z_i + Q_i C_i x and
     integrates z_i' = N_i z_i + L_i C_i x + sum_j C_ij xhat_j, the coupling
     blocks C_ij = s_ij M_i of error_system._coupling_scales.  So
-    F = [[A, 0], [B, R]]: R is the restricted error generator that certify()
-    checks, and B_i = L_i C_i + sum_j C_ij Q_j C_j.
+    F = [[A, 0], [B, R]], formed here alone: B_i = L_i C_i + sum_j C_ij Q_j C_j,
+    and R, the restricted error generator whose invariance certify() checks,
+    has blocks R_ij = N_i [i = j] + C_ij P_j, filled at the Laplacian's
+    nonzeros in the loop that forms B.
     """
     n, nodes = plant.n, realization.nodes
     lap = laplacian(graph)
@@ -73,15 +75,17 @@ def _generator(
     qc = [g.q_out @ plant.c_block(i) for i, g in enumerate(nodes)]
     f = np.zeros((off[-1], off[-1]))
     f[:n, :n] = plant.a
-    f[n:, n:] = restricted_generator(realization, lap)
     est = np.zeros((len(nodes) * n, off[-1]))
     for i, g in enumerate(nodes):
         f[off[i] : off[i + 1], :n] = g.l_gain @ plant.c_block(i)
+        f[off[i] : off[i + 1], off[i] : off[i + 1]] = g.n_gain
         est[i * n : (i + 1) * n, :n] = qc[i]
         est[i * n : (i + 1) * n, off[i] : off[i + 1]] = g.p_out
     rows, cols, scales = _coupling_scales(realization, lap)
     for i, j, scale in zip(rows.tolist(), cols.tolist(), scales.tolist()):
-        f[off[i] : off[i + 1], :n] += (scale * nodes[i].m_gain) @ qc[j]
+        c = scale * nodes[i].m_gain
+        f[off[i] : off[i + 1], :n] += c @ qc[j]
+        f[off[i] : off[i + 1], off[j] : off[j + 1]] += c @ nodes[j].p_out
     return f, est
 
 

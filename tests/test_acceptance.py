@@ -25,12 +25,12 @@ from distobs import (
     estimate_rate,
     full_rank_factorize,
     observability_decomposition,
-    restricted_generator,
     simulate,
     spectral_abscissa,
     spectral_data,
     synthesize,
 )
+from distobs.simulate import _generator
 from distobs.synthesis import compute_epsilon
 
 from conftest import (
@@ -121,8 +121,8 @@ def test_criterion_2_rate_certification():
     failed_lyap = 0
     for alpha in ALPHAS:
         for (plant, graph), r in zip(instance_pool(), pool_runs(alpha)):
-            spectral = spectral_data(graph)
-            absc = spectral_abscissa(restricted_generator(r, spectral.laplacian)[None])[0]
+            f = _generator(r, plant, graph)[0]
+            absc = spectral_abscissa(f[plant.n :, plant.n :][None])[0]
             worst_margin = min(worst_margin, -alpha - absc)
             failed_lyap += not r.certificate["lyapunov"]["pass"]
     elapsed = time.perf_counter() - t0

@@ -19,19 +19,18 @@ from distobs import (
     SimulationConfig,
     SimulationTrace,
     full_rank_factorize,
-    laplacian,
     load_realization,
     observability_decomposition,
     observability_matrix,
-    restricted_generator,
     save_realization,
     simulate,
     synthesize,
     write_trace_csv,
 )
-from distobs import cli, error_system
+from distobs import cli
 from distobs.cli import main
 from distobs.linalg import numerical_rank
+from distobs.simulate import _generator
 from distobs.problem import (
     GAIN_MATRICES,
     _G17_RANGE,
@@ -405,10 +404,10 @@ class TestSimulateCommand:
         """An (8, 10) design whose restricted generator R has a large norm: a
         step bounded by ||R||_2, as an explicit scheme needs, would take over
         1e6 steps to the default horizon, and the run ran out of memory."""
-        _, graph, problem, gains = stiff_files
-        realization, lap = load_realization(gains), laplacian(graph)
+        plant, graph, problem, gains = stiff_files
+        f = _generator(load_realization(gains), plant, graph)[0]
         t_final = 10.0 / 0.5  # simulate's default horizon at this alpha
-        r_norm = np.linalg.norm(restricted_generator(realization, lap), 2)
+        r_norm = np.linalg.norm(f[plant.n :, plant.n :], 2)
         assert t_final * r_norm / 0.1 > 1e6
         traces = record_traces(monkeypatch)
         capsys.readouterr()
@@ -428,10 +427,10 @@ class TestSimulateCommand:
 
     def test_default_run_reads_no_spectrum(self, standard_files, capsys,
                                            monkeypatch):
-        """A default run builds the restricted generator once, for the
-        propagator, and takes no dense eigenvalues."""
+        """A default run builds the generator F once, for the propagator,
+        and takes no dense eigenvalues."""
         _, _, problem, gains = standard_files
-        calls = {"restricted_generator": 0, "eigvals": 0}
+        calls = {"_generator": 0, "eigvals": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -440,14 +439,12 @@ class TestSimulateCommand:
 
             return wrapper
 
-        generator = counting("restricted_generator", error_system.restricted_generator)
-        monkeypatch.setattr(error_system, "restricted_generator", generator)
-        monkeypatch.setattr(importlib.import_module("distobs.simulate"),
-                            "restricted_generator", generator)
+        sim = importlib.import_module("distobs.simulate")
+        monkeypatch.setattr(sim, "_generator", counting("_generator", sim._generator))
         monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
         capsys.readouterr()
         assert main(["simulate", gains, problem]) == 0
-        assert calls == {"restricted_generator": 1, "eigvals": 0}
+        assert calls == {"_generator": 1, "eigvals": 0}
 
     @staticmethod
     def peak_and_row_bytes(argv, monkeypatch):

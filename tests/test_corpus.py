@@ -39,18 +39,38 @@ print(json.dumps({"codes": [synthesized, verified], "report": json.loads(out.get
 """
 
 
+# a wide-network design whose gains file reads other bytes at one and at two
+# BLAS threads (compute_epsilon's N x N eigensolver), so it is written once
+THREADS_CASE = "make_problem_1_2_6_150.json"
+
+
+def run(args: list[str], threads: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_corpus_verdicts(name, threads, tmp_path):
     """The verdicts hold at one and at two BLAS threads."""
     synthesize_code, verify_code, failing = CASES[name]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", RUN, str(CORPUS / name),
-                           str(tmp_path / "gains.json")],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = run(["-c", RUN, str(CORPUS / name), str(tmp_path / "gains.json")], threads)
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout)
     assert got["codes"] == [synthesize_code, verify_code]
     assert [name for name, check in got["report"].items() if not check["pass"]] == failing
     assert got["error"]["step"] == failing[0]
+
+
+def test_verify_report_is_the_same_at_one_and_two_threads(tmp_path):
+    """From one gains file, verify --json writes the same bytes at one and at
+    two BLAS threads."""
+    problem, gains = str(CORPUS / THREADS_CASE), str(tmp_path / "gains.json")
+    synthesized = run(["-m", "distobs.cli", "synthesize", problem, gains], "1")
+    assert synthesized.returncode == 0, synthesized.stderr[-2000:]
+    reports = [run(["-m", "distobs.cli", "verify", gains, problem, "--json"], threads)
+               for threads in ("1", "2")]
+    assert [proc.returncode for proc in reports] == [0, 0]
+    assert reports[0].stdout == reports[1].stdout

@@ -13,7 +13,6 @@ from distobs import (
     compute_epsilon,
     decompose_nodes,
     error_system,
-    restricted_generator,
     spectral_abscissa,
     spectral_data,
     synthesize,
@@ -43,8 +42,9 @@ def synthesized(rng=None, alpha=0.5, **kwargs):
     return plant, graph, r
 
 
-def restricted(r, graph):
-    return restricted_generator(r, spectral_data(graph).laplacian)
+def restricted(r, plant, graph):
+    """R, the observer block of the simulator's generator F."""
+    return _generator(r, plant, graph)[0][plant.n :, plant.n :]
 
 
 class TestBuildErrorSystem:
@@ -56,7 +56,7 @@ class TestBuildErrorSystem:
                       c=np.array([[1.0, 0.0]]), node_rows=(1,))
         graph = NetworkGraph(weights=np.zeros((1, 1)))
         r = synthesize(plant, graph, alpha=1.0)
-        np.testing.assert_allclose(restricted(r, graph), r.nodes[0].n_gain,
+        np.testing.assert_allclose(restricted(r, plant, graph), r.nodes[0].n_gain,
                                    atol=1e-12)
         g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
         t1s = r.nodes[0].p_out
@@ -68,14 +68,14 @@ class TestBuildErrorSystem:
         plant, graph, r = synthesized(rng, alpha=0.0, n=3, n_nodes=2)
         r0 = dataclasses.replace(r, gamma=0.0)
         expected = scipy.linalg.block_diag(*(g.n_gain for g in r0.nodes))
-        np.testing.assert_allclose(restricted(r0, graph), expected, atol=1e-12)
+        np.testing.assert_allclose(restricted(r0, plant, graph), expected, atol=1e-12)
 
     def test_invariance_identities(self):
         plant, graph, r = synthesized(alpha=0.5)
         g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
         _, decomps = decompose_nodes(plant)
         t_p = scipy.linalg.block_diag(*(d.t_p for d in decomps))
-        full, r_mat = t_s @ g_mat, restricted(r, graph)
+        full, r_mat = t_s @ g_mat, restricted(r, plant, graph)
         assert np.linalg.norm(full @ t_s - t_s @ r_mat) <= 1e-9
         assert np.linalg.norm(t_p.T @ full @ t_s) <= 1e-9
         np.testing.assert_allclose(t_s.T @ t_s, np.eye(t_s.shape[1]), atol=1e-12)
@@ -86,7 +86,7 @@ class TestBuildErrorSystem:
                                           n_nodes=int(rng.integers(1, 4)))
             g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
             full_eigs = np.sort_complex(np.linalg.eigvals(t_s @ g_mat))
-            restr_eigs = np.linalg.eigvals(restricted(r, graph))
+            restr_eigs = np.linalg.eigvals(restricted(r, plant, graph))
             p_total = sum(g.p_dim for g in r.nodes)
             expected = np.sort_complex(
                 np.concatenate([restr_eigs, np.zeros(p_total, dtype=complex)])
@@ -94,10 +94,15 @@ class TestBuildErrorSystem:
             np.testing.assert_allclose(full_eigs, expected, atol=1e-8)
 
     def test_restricted_is_simulator_observer_block(self, rng):
-        """The simulator integrates exactly the R that certify() checks."""
+        """The simulator integrates the R whose blocks certify()'s invariance
+        check reads: stack_i (X_i^T P_i) R_i over the simulator's R is the
+        block sum, for a generic left factor X = blkdiag(X_i)."""
         for plant, graph, r in reference_instances(rng):
-            block = _generator(r, plant, graph)[0][plant.n :, plant.n :]
-            assert np.array_equal(restricted(r, graph), block)
+            xs = [generic_basis(g.p_out) for g in r.nodes]
+            left = scipy.linalg.block_diag(*(x.T @ g.p_out for x, g in zip(xs, r.nodes)))
+            ref = np.linalg.norm(left @ restricted(r, plant, graph))
+            got = error_system._invariance(r, spectral_data(graph).laplacian, xs)
+            assert abs(got - ref) <= 1e-12 * ref
 
 
 class TestCertifyRate:
@@ -106,7 +111,7 @@ class TestCertifyRate:
 
     def test_synthesized_instance_passes(self):
         plant, graph, r = synthesized(alpha=1.0)
-        assert spectral_abscissa(restricted(r, graph)[None])[0] < -1.0
+        assert spectral_abscissa(restricted(r, plant, graph)[None])[0] < -1.0
 
     def test_decoupled_unstable_block_fails(self):
         # node 2 cannot observe the unstable mode; without coupling it stays
@@ -116,7 +121,7 @@ class TestCertifyRate:
         graph = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
         r = synthesize(plant, graph, alpha=0.0)
         r0 = dataclasses.replace(r, gamma=0.0)
-        assert not spectral_abscissa(restricted(r0, graph)[None])[0] < 0.0
+        assert not spectral_abscissa(restricted(r0, plant, graph)[None])[0] < 0.0
 
 
 def certified_at(plant, graph, r, alpha):
@@ -136,14 +141,14 @@ class TestLyapunovDecrease:
 
     def test_fails_beyond_achieved_rate(self):
         plant, graph, r = synthesized(alpha=0.5)
-        alpha_too_big = -spectral_abscissa(restricted(r, graph)[None])[0] * 4.0
+        alpha_too_big = -spectral_abscissa(restricted(r, plant, graph)[None])[0] * 4.0
         check = lyapunov_at(plant, graph, r, alpha_too_big)
         assert not check["pass"] and check["value"] > 0
 
     def test_agrees_with_rate_certificate(self, rng):
         for _ in range(8):
             plant, graph, r = synthesized(rng, alpha=0.5)
-            if spectral_abscissa(restricted(r, graph)[None])[0] < -0.5:
+            if spectral_abscissa(restricted(r, plant, graph)[None])[0] < -0.5:
                 assert r.certificate["lyapunov"]["pass"]
 
     def test_value_bounds_stacked_weight_sandwich(self, rng):
@@ -158,7 +163,7 @@ class TestLyapunovDecrease:
             for alpha in (0.0, 0.5, 1.0):
                 r = synthesize(plant, graph, alpha=alpha)
                 spectral = spectral_data(graph)
-                beyond = -4.0 * spectral_abscissa(restricted(r, graph)[None])[0]
+                beyond = -4.0 * spectral_abscissa(restricted(r, plant, graph)[None])[0]
                 for at, passes in ((alpha, True), (beyond, False)):
                     check = lyapunov_at(plant, graph, r, at)
                     ref, rounding = stacked_sandwich(r, spectral, at)
@@ -175,10 +180,10 @@ class TestCertifyAgreesWithPublicChecks:
         it fails.  certify leaves the design's arrays as they were."""
         for plant, graph, r in reference_instances(rng):
             before = copy.deepcopy(r.nodes)
-            beyond = -4.0 * spectral_abscissa(restricted(r, graph)[None])[0]
+            beyond = -4.0 * spectral_abscissa(restricted(r, plant, graph)[None])[0]
             for alpha, passes in ((r.alpha, True), (beyond, False)):
                 check = certified_at(plant, graph, r, alpha)["lyapunov"]
-                ref, rounding = dense_lyapunov(r, graph, alpha)
+                ref, rounding = dense_lyapunov(r, plant, graph, alpha)
                 assert check["pass"] == passes == (ref < 0)
                 assert check["value"] >= ref - rounding
             for g, kept in zip(r.nodes, before):
@@ -194,7 +199,7 @@ class TestRateBound:
     def test_bounds_the_exact_abscissa(self, rng):
         seen = set()
         for plant, graph, r in reference_instances(rng):
-            absc = spectral_abscissa(restricted(r, graph)[None])[0]
+            absc = spectral_abscissa(restricted(r, plant, graph)[None])[0]
             alphas = (r.alpha, -0.9 * absc, -0.99 * absc, -4.0 * absc)
             verdicts = [certified_at(plant, graph, r, alpha)["lyapunov"]["pass"]
                         for alpha in alphas]
@@ -225,7 +230,7 @@ class TestComposedBound:
     def test_rate_bound_lies_between_alpha_and_the_abscissa(self, rng):
         for plant, graph, r in reference_instances(rng):
             check = lyapunov_at(plant, graph, r, r.alpha)
-            absc = spectral_abscissa(restricted(r, graph)[None])[0]
+            absc = spectral_abscissa(restricted(r, plant, graph)[None])[0]
             assert check["pass"] and r.alpha < check["rate_bound"] <= -absc
             beyond = lyapunov_at(plant, graph, r, -4.0 * absc)
             assert not beyond["pass"] and beyond["rate_bound"] is None
@@ -276,7 +281,7 @@ class TestComposedBound:
             assert check[term] == kept["lyapunov"][term]
         for name in ("cancellation", "lmi", "invariance"):
             assert cert[name]["pass"], name
-        ref, rounding = dense_lyapunov(planted_design, graph, 0.5)
+        ref, rounding = dense_lyapunov(planted_design, plant, graph, 0.5)
         assert check["value"] >= ref - rounding
 
     def test_gains_file_r_off_the_perron_vector_is_bounded(self, rng):
@@ -286,9 +291,9 @@ class TestComposedBound:
             big_n = len(r.nodes)
             skewed = dataclasses.replace(r, r_vector=r.r_vector * np.linspace(0.25, 2.0, big_n))
             assert big_n == 1 or not np.allclose(skewed.r_vector, r.r_vector)
-            beyond = -4.0 * spectral_abscissa(restricted(skewed, graph)[None])[0]
+            beyond = -4.0 * spectral_abscissa(restricted(skewed, plant, graph)[None])[0]
             for alpha in (0.0, r.alpha, beyond):
-                ref, rounding = dense_lyapunov(skewed, graph, alpha)
+                ref, rounding = dense_lyapunov(skewed, plant, graph, alpha)
                 assert lyapunov_at(plant, graph, skewed, alpha)["value"] >= ref - rounding
 
     def test_lemma_takes_the_proved_eigenvalue_where_gershgorin_falls_below_epsilon(self):
@@ -304,7 +309,7 @@ class TestComposedBound:
         gershgorin = np.min(2.0 * np.diagonal(y) - y.sum(axis=1))
         assert gershgorin < skewed.epsilon
         check = lyapunov_at(plant, graph, skewed, 0.5)
-        ref, rounding = dense_lyapunov(skewed, graph, 0.5)
+        ref, rounding = dense_lyapunov(skewed, plant, graph, 0.5)
         assert check["pass"] and ref < 0 and check["value"] >= ref - rounding
         lemma_by_gershgorin = skewed.gamma * (skewed.epsilon - gershgorin)
         assert check["value"] - check["lemma_term"] + lemma_by_gershgorin > 0
@@ -407,11 +412,17 @@ def top_and_rounding(m, scale):
     return top, len(m) * np.finfo(float).eps * (scale + np.linalg.norm(m))
 
 
-def dense_lyapunov(r, graph, alpha):
+def dense_lyapunov(r, plant, graph, alpha):
     """top_and_rounding of M = W R + R^T W + 2 alpha W, R and W dense."""
-    r_mat, w = restricted(r, graph), dense_weight(r)
+    r_mat, w = restricted(r, plant, graph), dense_weight(r)
     scale = 2.0 * np.linalg.norm(w) * (np.linalg.norm(r_mat) + alpha)
     return top_and_rounding(w @ r_mat + r_mat.T @ w + 2.0 * alpha * w, scale)
+
+
+def generic_basis(p_out):
+    """An n x (n - k) stand-in for T_ip, in general position to P_i."""
+    n, k = p_out.shape
+    return np.cos(np.arange(n)[:, None] + 2.0 * np.arange(n - k)[None, :])
 
 
 def reference_instances(rng):
@@ -435,21 +446,17 @@ class TestBlockFormsAgainstDenseReferences:
         for plant, graph, r in reference_instances(rng):
             g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
             ref = g_mat @ t_s
-            got = restricted_generator(r, spectral_data(graph).laplacian)
+            got = restricted(r, plant, graph)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_invariance_is_projected_full_generator(self, rng):
         """stack_i (X_i^T P_i) R_i equals X^T F T_s, F = T_s G, for any
         left factor X = blkdiag(X_i).  With the true bases T_ip both sides
         are rounding noise, so a generic X_i stands in for them."""
-        def generic(p_out):
-            n, k = p_out.shape
-            return np.cos(np.arange(n)[:, None] + 2.0 * np.arange(n - k)[None, :])
-
         for plant, graph, r in reference_instances(rng):
             lap = spectral_data(graph).laplacian
             g_mat, t_s = dense_g(r, lap)
-            xs = [generic(g.p_out) for g in r.nodes]
+            xs = [generic_basis(g.p_out) for g in r.nodes]
             x = scipy.linalg.block_diag(*xs)
             ref = np.linalg.norm(x.T @ (t_s @ g_mat) @ t_s)
             got = error_system._invariance(r, lap, xs)
@@ -461,7 +468,7 @@ class TestBlockFormsAgainstDenseReferences:
             _, decomps = decompose_nodes(plant)
             t_p = scipy.linalg.block_diag(*(d.t_p for d in decomps))
             ref = np.linalg.norm(t_p.T @ (t_s @ g_mat) @ t_s)
-            r_mat = restricted(r, graph)
+            r_mat = restricted(r, plant, graph)
             got = error_system._invariance(r, spectral_data(graph).laplacian,
                                            [d.t_p for d in decomps])
             scale = 1e-13 * np.linalg.norm(r_mat)
@@ -487,9 +494,9 @@ class TestBlockFormsAgainstDenseReferences:
         comes from the matrix of order K."""
         verdicts = set()
         for plant, graph, r in reference_instances(rng):
-            beyond = -4.0 * spectral_abscissa(restricted(r, graph)[None])[0]
+            beyond = -4.0 * spectral_abscissa(restricted(r, plant, graph)[None])[0]
             for alpha in (0.0, 0.5, 1.0, beyond):
-                ref, rounding = dense_lyapunov(r, graph, alpha)
+                ref, rounding = dense_lyapunov(r, plant, graph, alpha)
                 check = lyapunov_at(plant, graph, r, alpha)
                 assert check["value"] >= ref - rounding, (alpha, check["value"], ref)
                 if check["pass"]:
@@ -498,14 +505,12 @@ class TestBlockFormsAgainstDenseReferences:
         assert verdicts == {True, False}
 
 
-# certify's traced peak may be at most this many invariance outputs, the
-# (sum p_i) x K array of T_ip^T P_i R_i (sum p_i * K * 8 bytes): that output,
-# one strip of error_system.STRIP_ROWS rows of R (2.1 of them here), the
-# blocks of R at the Laplacian's nonzeros and node-sized work arrays.  It read
-# 4.4 at K = 300 and sum p_i = 60, where one K x K array adds K / sum p_i = 5
-# more; the restricted generator R that certify formed whole, and overwrote
-# with the Lyapunov matrix, read 7.6.
-CERTIFY_PEAK_OUTPUTS = 5
+# certify's traced peak may be at most this many (sum p_i) x K arrays (sum p_i
+# * K * 8 bytes): it holds node-sized blocks X_i R_ij of the invariance check
+# and node-sized stacks of the node terms, and no (sum p_i) x K output or strip
+# of R.  It read 1.36 at K = 300 and sum p_i = 60, where one such output adds
+# 1 and one K x K array K / sum p_i = 5.
+CERTIFY_PEAK_OUTPUTS = 2
 # compute_epsilon's traced peak when some node has v < n, in lemma matrices of
 # order N n: the matrix itself, which LAPACK overwrites, plus strip-sized work
 # arrays.  A full-size symmetrized copy beside it took about 2.1.
@@ -538,7 +543,8 @@ class TestCertifyMemory:
         return plant, r, spectral_data(graph), frfs, decomps
 
     def test_peak_is_a_few_invariance_outputs(self, wide):
-        """With every v_i = n, certify holds no K x K array."""
+        """With every v_i = n, certify holds no K x K array and no
+        (sum p_i) x K one."""
         plant, r, spectral, frfs, decomps = wide
         k, p_total = r.total_order, sum(g.p_dim for g in r.nodes)
         assert k == plant.n * plant.node_count - p_total == 300 and p_total == 60
