@@ -12,7 +12,8 @@ from distobs import (
     NetworkGraph,
     Plant,
     decompose_nodes,
-    spectral_data,
+    laplacian,
+    perron_row_vector,
     synthesize,
 )
 
@@ -30,10 +31,10 @@ graph = NetworkGraph(weights=w)
 
 print("plant spectrum:", np.round(np.linalg.eigvals(a), 3))
 
-spectral = spectral_data(graph)
+lap = laplacian(graph)
 print("\ngraph data")
-print("  laplacian:\n", spectral.laplacian)
-print("  perron row vector r:", spectral.perron_row)
+print("  laplacian:\n", lap)
+print("  perron row vector r:", perron_row_vector(lap))
 
 print("\nper-node structure")
 for i, (frf, dec) in enumerate(zip(*decompose_nodes(plant))):

@@ -8,13 +8,11 @@ simulation of the coupled dynamics.
 
 from .error_system import certify, verify_cancellation
 from .graph import (
-    GraphSpectralData,
     GraphStructureError,
     NetworkGraph,
     is_strongly_connected,
     laplacian,
     perron_row_vector,
-    spectral_data,
 )
 from .linalg import (
     FullRankFactorization,

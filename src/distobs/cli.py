@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .error_system import certify
-from .graph import is_strongly_connected, spectral_data
+from .graph import is_strongly_connected, laplacian
 from .problem import (
     load_problem,
     load_realization,
@@ -216,8 +216,11 @@ def cmd_verify(args) -> int:
     problem, realization = loaded
     plant = problem.plant
 
+    # the gains file's r is judged as it stands, so no Perron vector is computed
+    if not is_strongly_connected(problem.graph):
+        _emit_error("assumptions", "graph is not strongly connected")
+        return EXIT_INFEASIBLE
     try:
-        spectral = spectral_data(problem.graph)
         frfs, decomps = decompose_nodes(plant)
     except (ValueError, SynthesisError) as exc:
         _emit_error("assumptions", str(exc))
@@ -231,7 +234,7 @@ def cmd_verify(args) -> int:
     # alpha is the problem's requirement, not part of the observer's dynamics
     # (unlike r), so the design is judged at the problem's alpha
     realization = dataclasses.replace(realization, alpha=problem.alpha)
-    checks = certify(realization, plant, spectral, frfs, decomps)
+    checks = certify(realization, plant, laplacian(problem.graph), frfs, decomps)
     for check in checks.values():
         check["detail"] = f"value {check['value']:.6g} vs bound {check['bound']:.6g}"
     lyapunov = checks["lyapunov"]

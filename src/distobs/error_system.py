@@ -31,8 +31,11 @@ zero in exact arithmetic (_lyapunov).  The lmi check reports the first of
 these, the proved upper bound on each node's LMI (_node_terms), which is
 finite only where P_ie is proved positive definite.  With W positive
 definite, M < 0 bounds R's spectral abscissa below -alpha, so it certifies
-the decay rate.  The gains file's H is read by no check: the observer runs
-N, L, M, P and Q, and the LMI is formed from N_i and P_ie.
+the decay rate.
+
+The graph enters the proof only through its lemma, on the mirror Laplacian
+diag(r) L + L^T diag(r); _lemma_matrix forms its matrix, for synthesis's
+epsilon and for the lyapunov bound, which judges the gains file's own r.
 
 The invariance blocks and the node matrices of the Lyapunov bound are each
 one stacked product per shape of node blocks; only the Cholesky
@@ -47,7 +50,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import GraphSpectralData
 from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
@@ -315,11 +317,39 @@ def _node_terms(realization: ObserverRealization, g: np.ndarray):
     return top, d_norm, p_norm, delta, w_top
 
 
+def _lemma_matrix(r: np.ndarray, lap: np.ndarray, g: np.ndarray, bases, widths):
+    """(S, X, dense) for the Perron row vector r of the Laplacian lap, lemma
+    weights g and node bases B_i of c_i columns: S = diag(r) lap and, with
+    mirror = S + S^T exactly symmetric, X = mirror + diag g of order N when
+    every widths[i] = c_i (dense False), else X = [mirror_ij B_i^T B_j] +
+    diag(g_i on the first widths[i] coordinates of node i) of order sum c_i
+    (dense True), formed at the mirror's nonzero blocks and on the diagonal,
+    each diagonal block symmetrized."""
+    scaled = r[:, None] * lap
+    mirror = scaled + scaled.T
+    if all(w == b.shape[1] for b, w in zip(bases, widths)):
+        _diagonals(mirror[None])[0] += g
+        return scaled, mirror, False
+    off = np.cumsum([0] + [b.shape[1] for b in bases])
+    x = np.zeros((off[-1], off[-1]))
+    for i, j in zip(*np.nonzero(np.triu((mirror != 0) | np.eye(len(bases), dtype=bool)))):
+        blk = mirror[i, j] * (bases[i].T @ bases[j])
+        if i == j:
+            blk = 0.5 * (blk + blk.T)
+        x[off[i] : off[i + 1], off[j] : off[j + 1]] = blk
+        x[off[j] : off[j + 1], off[i] : off[i + 1]] = blk.T
+    for i, w in enumerate(widths):
+        at = off[i] + np.arange(w)
+        x[at, at] += g[i]
+    return scaled, x, True
+
+
 def _lemma_lower_bound(realization: ObserverRealization, laplacian: np.ndarray,
                        g: np.ndarray, delta: np.ndarray) -> float:
     """A lower bound lambda_s on lambda_min(P^T (mirror_r (x) I_n) P + G),
     with P = blkdiag(P_i), G_i = g_i on the first v_i - p_i coordinates of
-    node i and mirror_r = diag(r) L + L^T diag(r) from the gains file's r.
+    node i and mirror_r = diag(r) L + L^T diag(r) from the gains file's r
+    (_lemma_matrix).
 
     When every v_i = n, G = P^T (diag g (x) I_n) P + blkdiag(g_i (I - P_i^T
     P_i)), so the matrix is P^T (Y (x) I_n) P plus a term above -max|g| delta,
@@ -333,35 +363,23 @@ def _lemma_lower_bound(realization: ObserverRealization, laplacian: np.ndarray,
     block (i, j) = mirror_ij P_i^T P_j, and bounded as it stands.  Each bound
     covers the rounding of forming its matrix.
     """
-    nodes, r = realization.nodes, realization.r_vector
-    # mirror_r = S + S^T with S = diag(r) L, exactly symmetric, and the
-    # rounding of forming it is at most gamma_2 (|S| + |S|^T)
-    scaled = r[:, None] * laplacian
-    mirror = scaled + scaled.T
-    if all(x.p_ie.shape[0] == x.n_gain.shape[0] for x in nodes):
+    nodes = realization.nodes
+    # the rounding of forming mirror_r = S + S^T is at most gamma_2 (|S| + |S|^T)
+    scaled, x, dense = _lemma_matrix(realization.r_vector, laplacian, g,
+                                     [node.p_out for node in nodes],
+                                     [node.p_ie.shape[0] for node in nodes])
+    if not dense:
         big_n = len(nodes)
-        _diagonals(mirror[None])[0] += g
         y_err = float(_up(_gamma(3) * (2.0 * _frobenius(scaled[None])[0] + math.sqrt(g @ g)), 5))
-        rows, diag = np.abs(mirror).sum(axis=1), np.abs(np.diagonal(mirror))
-        discs = np.diagonal(mirror) + diag - rows - _up(_gamma(big_n + 4) * (rows + 2 * diag), 3)
+        rows, diag = np.abs(x).sum(axis=1), np.abs(np.diagonal(x))
+        discs = np.diagonal(x) + diag - rows - _up(_gamma(big_n + 4) * (rows + 2 * diag), 3)
         low = _below(float(np.min(discs)) - y_err)
         if not low >= realization.epsilon:
-            low = max(low, -float(_top_eigenvalue_bounds(-mirror[None], np.array([y_err]))[0]))
+            low = max(low, -float(_top_eigenvalue_bounds(-x[None], np.array([y_err]))[0]))
         slack = _above(_above(abs(low) + float(np.max(np.abs(g)))) * float(np.max(delta)))
         return _below(low - slack)
     mirror_abs = np.abs(scaled)
     mirror_abs += mirror_abs.T
-    off = _offsets(realization)
-    x = np.zeros((off[-1], off[-1]))
-    for i, j in zip(*np.nonzero(np.triu((mirror != 0) | np.eye(len(nodes), dtype=bool)))):
-        blk = mirror[i, j] * (nodes[i].p_out.T @ nodes[j].p_out)
-        if i == j:
-            blk = 0.5 * (blk + blk.T)
-        x[off[i] : off[i + 1], off[j] : off[j + 1]] = blk
-        x[off[j] : off[j + 1], off[i] : off[i + 1]] = blk.T
-    for i, node in enumerate(nodes):
-        at = off[i] + np.arange(node.p_ie.shape[0])
-        x[at, at] += g[i]
     # |Delta_ij| <= gamma_{n+5} |mirror|_ij |P_i|^T |P_j| entrywise, whose
     # Frobenius norm is at most |mirror|_ij ||P_i||_F ||P_j||_F, and g's addition
     f = np.array([_up(np.linalg.norm(node.p_out), node.p_out.size + 1) for node in nodes])
@@ -429,11 +447,12 @@ def _lyapunov(realization: ObserverRealization, laplacian: np.ndarray, g: np.nda
 def certify(
     realization: ObserverRealization,
     plant: Plant,
-    spectral: GraphSpectralData,
+    laplacian: np.ndarray,
     frfs: list[FullRankFactorization],
     decomps: list[NodeDecomposition],
 ) -> dict:
-    """Check a design against every certificate in CERTIFICATE_BOUNDS.
+    """Check a design over the graph of Laplacian `laplacian` against every
+    certificate in CERTIFICATE_BOUNDS.
 
     Returns {name: {"value", "bound", "pass"}} in the table's order.  The
     cancellation and lmi checks also carry "nodes", each node's residual or
@@ -447,13 +466,12 @@ def certify(
     residuals = verify_cancellation(list(nodes), decomps, frfs).tolist()
     terms = _node_terms(realization, g)
     lmi_bounds = terms[0].tolist()
-    lap = spectral.laplacian
-    lyapunov = _lyapunov(realization, lap, g, terms)
+    lyapunov = _lyapunov(realization, laplacian, g, terms)
     # np.max propagates a NaN residual or bound, so that it fails the check
     values = {
         "cancellation": np.max(residuals),
         "lmi": np.max(lmi_bounds),
-        "invariance": _invariance(realization, lap, [d.t_p for d in decomps]),
+        "invariance": _invariance(realization, laplacian, [d.t_p for d in decomps]),
         "lyapunov": lyapunov.pop("value"),
     }
     a_norm = float(np.linalg.norm(plant.a))

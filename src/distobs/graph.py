@@ -1,8 +1,13 @@
-"""Directed communication graphs and their Laplacian spectral quantities.
+"""Directed communication graphs: the Laplacian, strong connectivity and the
+Perron row vector.
 
 The network is a weighted digraph on N nodes.  Entry ``weights[j, i]`` is the
 weight a_ji attached to the edge (i, j), i.e. information flowing from node i
 to node j.  Node i therefore listens to node j whenever ``weights[i, j] > 0``.
+The design and the certificates take the graph as its Laplacian; the design
+also takes its Perron row vector r, which the gains file stores, and the
+certificates judge the file's own r (error_system forms the mirror Laplacian
+diag(r) L + L^T diag(r) from the two).
 """
 
 from __future__ import annotations
@@ -41,15 +46,6 @@ class NetworkGraph:
     @property
     def node_count(self) -> int:
         return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class GraphSpectralData:
-    """Laplacian, Perron row vector and mirror Laplacian R L + L^T R of a digraph."""
-
-    laplacian: np.ndarray
-    perron_row: np.ndarray
-    mirror: np.ndarray
 
 
 def laplacian(g: NetworkGraph) -> np.ndarray:
@@ -110,16 +106,3 @@ def perron_row_vector(lap: np.ndarray) -> np.ndarray:
     if resid > 1e-10 * max(1.0, np.linalg.norm(lap)):
         raise GraphStructureError("left null vector residual too large")
     return r
-
-
-def spectral_data(g: NetworkGraph) -> GraphSpectralData:
-    """Bundle Laplacian, Perron vector and mirror Laplacian.
-
-    Requires a strongly connected graph.
-    """
-    if not is_strongly_connected(g):
-        raise GraphStructureError("graph is not strongly connected")
-    lap = laplacian(g)
-    r = perron_row_vector(lap)
-    mirror = r[:, None] * lap + lap.T * r  # exactly symmetric: r_i L_ij + L_ji r_j
-    return GraphSpectralData(laplacian=lap, perron_row=r, mirror=mirror)

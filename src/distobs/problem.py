@@ -17,7 +17,7 @@ sets the adjacency weight a_ji.
 
 Gains file schema, written as compact json.dumps text and a newline:
     {"nodes": [{"N": rec, "L": rec, "M": rec, "P": rec, "Q": rec,
-                "K": rec, "H": rec, "Pie": rec}, ...],
+                "K": rec, "Pie": rec}, ...],
      "gamma": float, "epsilon": float, "r": [r_1, ..., r_N], "alpha": float}
     rec = {"shape": [rows, cols], "f8": "<base64>"}
 
@@ -151,7 +151,7 @@ def _as_matrix(arr: np.ndarray, rows: int, cols: int) -> np.ndarray:
 # gains-file matrices of a node, in the order the file lists them, and the
 # NodeGains field that holds each
 GAIN_MATRICES = {"N": "n_gain", "L": "l_gain", "M": "m_gain", "P": "p_out",
-                 "Q": "q_out", "K": "k_mat", "H": "h_inj", "Pie": "p_ie"}
+                 "Q": "q_out", "K": "k_mat", "Pie": "p_ie"}
 
 
 def _require_finite(name: str, value):
@@ -185,10 +185,11 @@ def _matrix(value) -> np.ndarray:
 
 def realization_from_dict(doc: dict) -> ObserverRealization:
     """Gains-file document to realization.  An older file may also carry P
-    as "Tis" and a "certificate" table; those keys are ignored.  Every gain
-    matrix, a record or nested lists, must be finite and 2-D, of the shape
-    that P, Q and Pie set (an empty one may be written []), gamma, epsilon
-    and r finite JSON numbers, and alpha a finite and nonnegative one."""
+    as "Tis", the injection "H" (rows p:v of K times D) and a "certificate"
+    table; those keys are ignored.  Every gain matrix, a record or nested
+    lists, must be finite and 2-D, of the shape that P, Q and Pie set (an
+    empty one may be written []), gamma, epsilon and r finite JSON numbers,
+    and alpha a finite and nonnegative one."""
     try:
         nodes = []
         for i, nd in enumerate(doc["nodes"], start=1):
@@ -210,7 +211,7 @@ def realization_from_dict(doc: dict) -> ObserverRealization:
             m_i = q.shape[1]
             k_e = pie_raw.shape[0] if pie_raw.size else 0  # = v - p
             shapes = {"N": (order, order), "L": (order, m_i), "M": (order, n),
-                      "K": (n, m_i), "H": (k_e, p), "Pie": (k_e, k_e)}
+                      "K": (n, m_i), "Pie": (k_e, k_e)}
             for key, (rows, cols) in shapes.items():
                 try:
                     mats[key] = _as_matrix(mats[key], rows, cols)
@@ -218,7 +219,7 @@ def realization_from_dict(doc: dict) -> ObserverRealization:
                     raise ProblemFormatError(f"node {i}: {key}: {exc}") from exc
             nodes.append(NodeGains(
                 n_gain=mats["N"], l_gain=mats["L"], m_gain=mats["M"], p_out=p_out,
-                q_out=q, k_mat=mats["K"], h_inj=mats["H"], p_ie=mats["Pie"],
+                q_out=q, k_mat=mats["K"], p_ie=mats["Pie"],
                 p_dim=p, v_dim=p + k_e))
         return ObserverRealization(
             nodes=tuple(nodes),

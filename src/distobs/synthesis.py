@@ -27,8 +27,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .error_system import _lemma_weights, certify
-from .graph import GraphSpectralData, GraphStructureError, NetworkGraph, spectral_data
+from .error_system import _lemma_matrix, _lemma_weights, certify
+from .graph import (
+    GraphStructureError,
+    NetworkGraph,
+    is_strongly_connected,
+    laplacian,
+    perron_row_vector,
+)
 from .linalg import (
     FullRankFactorization,
     NodeDecomposition,
@@ -108,7 +114,9 @@ class Plant:
 
 @dataclass(frozen=True)
 class NodeGains:
-    """Gain matrices of one local observer (N, L, M, P, Q, K, H)."""
+    """Gain matrices of one local observer (N, L, M, P, Q, K) and its
+    Lyapunov weight P_ie.  The injection H is a part of K: rows p:v of K are
+    H D^+."""
 
     n_gain: np.ndarray
     l_gain: np.ndarray
@@ -116,7 +124,6 @@ class NodeGains:
     p_out: np.ndarray
     q_out: np.ndarray
     k_mat: np.ndarray
-    h_inj: np.ndarray
     p_ie: np.ndarray
     p_dim: int
     v_dim: int
@@ -141,10 +148,13 @@ class ObserverRealization:
 
 def compute_epsilon(
     decomps: list[NodeDecomposition],
-    spectral: GraphSpectralData,
+    laplacian: np.ndarray,
+    r: np.ndarray,
     g_weights,
 ) -> float:
-    """Strict-positivity margin of T^T (mirror (x) I_n) T + G, scaled down.
+    """Strict-positivity margin of T^T (mirror (x) I_n) T + G, scaled down,
+    with mirror = diag(r) L + L^T diag(r) for the Perron row vector r of the
+    Laplacian L.
 
     G stacks per-node diag(g_i I_v, 0).  The returned epsilon is
     EPSILON_FRACTION times the smallest eigenvalue, so the strict inequality
@@ -153,13 +163,12 @@ def compute_epsilon(
     When every node has v = n, T = blkdiag(T_i) is orthogonal and
     G = diag(g) (x) I_n, so the lemma matrix is similar to
     (mirror + diag g) (x) I_n and the N x N factor gives the eigenvalue.
-    Otherwise the Nn x Nn lemma matrix is formed.
+    Otherwise the Nn x Nn lemma matrix is formed (error_system._lemma_matrix).
     """
-    mirror = spectral.mirror
-    if all(d.v_dim == d.n_dim for d in decomps):
-        lam_min = _min_symmetric_eigenvalue_in_place(mirror + np.diag(g_weights))
-    else:
-        lam_min = _lemma_min_eigenvalue(decomps, mirror, g_weights)
+    _, lemma, _ = _lemma_matrix(r, laplacian, g_weights, [d.t_orth for d in decomps],
+                                [d.v_dim for d in decomps])
+    # the lemma matrix is exactly symmetric and this function's own: LAPACK overwrites it
+    lam_min = _min_symmetric_eigenvalue_in_place(lemma)
     if lam_min <= 0:
         raise SynthesisError(
             "epsilon",
@@ -167,31 +176,6 @@ def compute_epsilon(
             f"(lambda_min = {lam_min:.3e})",
         )
     return float(EPSILON_FRACTION * lam_min)
-
-
-def _lemma_min_eigenvalue(decomps, mirror, g_weights) -> float:
-    """Smallest eigenvalue of the Nn x Nn lemma matrix T^T (mirror (x) I_n) T + G."""
-    n = decomps[0].n_dim
-    big_n = len(decomps)
-
-    def block(i, j):
-        blk = mirror[i, j] * (decomps[i].t_orth.T @ decomps[j].t_orth)
-        if i == j:
-            g_blk = np.zeros(n)
-            g_blk[: decomps[i].v_dim] = g_weights[i]
-            blk += np.diag(g_blk)
-        return blk
-
-    # Only the blocks at the mirror's nonzeros (and the diagonal, which
-    # carries G) are nonzero.  Each is symmetrized as 0.5 (m + m^T) would.
-    m = np.zeros((big_n * n, big_n * n))
-    pattern = (mirror != 0) | (mirror.T != 0) | np.eye(big_n, dtype=bool)
-    for i, j in zip(*np.nonzero(np.triu(pattern))):
-        sym = 0.5 * (block(i, j) + block(j, i).T)
-        m[i * n : (i + 1) * n, j * n : (j + 1) * n] = sym
-        m[j * n : (j + 1) * n, i * n : (i + 1) * n] = sym.T
-    # m is built exactly symmetric and is this function's own: LAPACK overwrites it
-    return _min_symmetric_eigenvalue_in_place(m)
 
 
 def select_gamma(
@@ -311,8 +295,7 @@ def assemble_gains(decomps, frfs, h: np.ndarray, pie: np.ndarray) -> list[NodeGa
     q_out = t_orth @ k_mat
 
     return [NodeGains(n_gain=n_gain[j], l_gain=l_gain[j], m_gain=m_gain[j], p_out=p_out[j],
-                      q_out=q_out[j], k_mat=k_mat[j], h_inj=h[j], p_ie=pie[j], p_dim=p,
-                      v_dim=v)
+                      q_out=q_out[j], k_mat=k_mat[j], p_ie=pie[j], p_dim=p, v_dim=v)
             for j in range(count)]
 
 
@@ -414,8 +397,11 @@ def synthesize(
     if graph.node_count != big_n:
         raise SynthesisError("input", "graph node count does not match output partition")
 
+    if not is_strongly_connected(graph):
+        raise SynthesisError("graph", "graph is not strongly connected")
+    lap = laplacian(graph)
     try:
-        spectral = spectral_data(graph)
+        r = perron_row_vector(lap)
     except GraphStructureError as exc:
         raise SynthesisError("graph", str(exc)) from exc
 
@@ -426,7 +412,7 @@ def synthesize(
         raise SynthesisError("observability", "(C, A) is not observable")
 
     frfs, decomps = decompose_nodes(plant)
-    epsilon = compute_epsilon(decomps, spectral, _lemma_weights(big_n))
+    epsilon = compute_epsilon(decomps, lap, r, _lemma_weights(big_n))
     gamma = select_gamma(decomps, epsilon, alpha)
 
     failure: list = []
@@ -443,8 +429,8 @@ def synthesize(
         nodes=tuple(nodes),
         gamma=gamma,
         epsilon=epsilon,
-        r_vector=spectral.perron_row.copy(),
+        r_vector=r,
         alpha=alpha,
     )
-    certificate = certify(realization, plant, spectral, frfs, decomps)
+    certificate = certify(realization, plant, lap, frfs, decomps)
     return replace(realization, certificate=certificate)

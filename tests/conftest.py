@@ -11,9 +11,10 @@ from distobs import (
     certify,
     decompose_nodes,
     full_rank_factorize,
+    laplacian,
     observability_decomposition,
     observability_matrix,
-    spectral_data,
+    perron_row_vector,
 )
 from distobs.linalg import StackError, numerical_rank
 
@@ -134,7 +135,16 @@ def one_partial_node_instance(rng, n: int, n_nodes: int):
 def certified(plant, graph, r):
     """certify's report on the design r, which may differ from what
     synthesize stored."""
-    return certify(r, plant, spectral_data(graph), *decompose_nodes(plant))
+    return certify(r, plant, laplacian(graph), *decompose_nodes(plant))
+
+
+def mirror_laplacian(graph):
+    """(Laplacian L, Perron row vector r, mirror Laplacian diag(r) L + L^T
+    diag(r)) of a strongly connected graph, the mirror formed entrywise as
+    r_i L_ij + L_ji r_j."""
+    lap = laplacian(graph)
+    r = perron_row_vector(lap)
+    return lap, r, r[:, None] * lap + lap.T * r
 
 
 def dense_coupling(r, lap):

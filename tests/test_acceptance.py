@@ -24,10 +24,10 @@ from distobs import (
     decompose_nodes,
     estimate_rate,
     full_rank_factorize,
+    laplacian,
     observability_decomposition,
     simulate,
     spectral_abscissa,
-    spectral_data,
     synthesize,
 )
 from distobs.simulate import _generator
@@ -36,6 +36,7 @@ from distobs.synthesis import compute_epsilon
 from conftest import (
     certified,
     dense_g,
+    mirror_laplacian,
     random_observable_instance,
     stacked_errors,
     standard_instance,
@@ -89,7 +90,7 @@ def standard_run(alpha: float = 0.5):
     if key not in _cache:
         plant, graph = standard_instance()
         r = synthesize(plant, graph, alpha=alpha)
-        _cache[key] = (plant, graph, r, spectral_data(graph))
+        _cache[key] = (plant, graph, r, laplacian(graph))
     return _cache[key]
 
 
@@ -143,8 +144,8 @@ def test_criterion_3_cancellation_identity():
 
 
 def test_criterion_4_invariance():
-    plant, graph, r, spectral = standard_run(0.5)
-    g_mat, t_s = dense_g(r, spectral.laplacian)
+    plant, graph, r, lap = standard_run(0.5)
+    g_mat, t_s = dense_g(r, lap)
     _, decomps = decompose_nodes(plant)
     t_p = scipy.linalg.block_diag(*(d.t_p for d in decomps))
     algebra = float(np.linalg.norm(t_p.T @ (t_s @ g_mat) @ t_s))
@@ -158,11 +159,11 @@ def test_criterion_4_invariance():
 
 
 def test_criterion_5_simulation_vs_linear_theory():
-    plant, graph, r, spectral = standard_run(0.5)
+    plant, graph, r, lap = standard_run(0.5)
     trace = run_simulation(plant, graph, r, t_final=1.0, dt=1e-3)
     errors = stacked_errors(trace)
     e0, e_final = errors[0], errors[-1]
-    g_mat, t_s = dense_g(r, spectral.laplacian)
+    g_mat, t_s = dense_g(r, lap)
     oracle = scipy.linalg.expm(t_s @ g_mat) @ e0
     rel = np.linalg.norm(e_final - oracle) / np.linalg.norm(oracle)
     alpha_hat = estimate_rate(_cache["standard_trace"])
@@ -197,7 +198,7 @@ def test_criterion_6_classical_reduction():
 
 def _lemma_matrix(plant, graph):
     """Independent assembly of T^T (mirror (x) I_n) T + G for criterion 7."""
-    spectral = spectral_data(graph)
+    mirror = mirror_laplacian(graph)[2]
     decs = []
     for i in range(plant.node_count):
         frf = full_rank_factorize(plant.c_block(i)[None])[0]
@@ -205,7 +206,7 @@ def _lemma_matrix(plant, graph):
     n = plant.n
     big_n = plant.node_count
     t_blk = scipy.linalg.block_diag(*(d.t_orth for d in decs))
-    mirror_big = np.kron(spectral.mirror, np.eye(n))
+    mirror_big = np.kron(mirror, np.eye(n))
     g_diag = np.concatenate([
         np.concatenate([np.ones(d.v_dim), np.zeros(n - d.v_dim)]) for d in decs
     ])
@@ -226,7 +227,7 @@ def test_criterion_7_coupling_margin():
     dec = observability_decomposition(a, frf.f_factor[None])[0]
     single = NetworkGraph(weights=np.zeros((1, 1)))
     with pytest.raises(SynthesisError) as exc1:
-        compute_epsilon([dec], spectral_data(single), (1.0,))
+        compute_epsilon([dec], *mirror_laplacian(single)[:2], (1.0,))
     plant_bad = Plant(a=a, c=np.array([[1.0, 0.0], [1.0, 0.0]]),
                       node_rows=(1, 1))
     pair = NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -276,7 +277,7 @@ def test_criterion_9_special_cases():
     # every node with v = p: void middle block, reduced gain formulas
     plant_sp = Plant(a=np.diag([-1.0, -2.0]), c=np.eye(2), node_rows=(1, 1))
     r_sp = synthesize(plant_sp, pair, alpha=0.5)
-    route_ok = all(g.h_inj.size == 0 and g.v_dim == g.p_dim for g in r_sp.nodes)
+    route_ok = all(g.p_ie.size == 0 and g.v_dim == g.p_dim for g in r_sp.nodes)
     certs_ok = all(
         r.certificate["lmi"]["pass"] and r.certificate["lyapunov"]["pass"]
         and r.certificate["cancellation"]["value"] <= 1e-9

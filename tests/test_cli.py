@@ -14,14 +14,18 @@ import numpy as np
 import pytest
 
 from distobs import (
+    GraphStructureError,
     NetworkGraph,
     Plant,
     SimulationConfig,
     SimulationTrace,
     full_rank_factorize,
+    is_strongly_connected,
+    laplacian,
     load_realization,
     observability_decomposition,
     observability_matrix,
+    perron_row_vector,
     save_realization,
     simulate,
     synthesize,
@@ -44,6 +48,7 @@ from distobs.synthesis import assemble_gains
 
 from conftest import (
     mixed_structure_instance,
+    random_observable_instance,
     random_strongly_connected_graph,
     standard_instance,
 )
@@ -114,7 +119,7 @@ def zero_injection_gains(plant, realization, node):
     frf = full_rank_factorize(plant.c_block(node)[None])[0]
     dec = observability_decomposition(plant.a, frf.f_factor[None])[0]
     g = realization.nodes[node]
-    bad = assemble_gains([dec], [frf], np.zeros_like(g.h_inj)[None],
+    bad = assemble_gains([dec], [frf], np.zeros((1, g.p_ie.shape[0], g.p_dim)),
                          np.eye(g.p_ie.shape[0])[None])[0]
     nodes = list(realization.nodes)
     nodes[node] = bad
@@ -186,7 +191,7 @@ class TestSynthesizeCommand:
         r2 = load_realization(again)
         for g1, g2 in zip(r1.nodes, r2.nodes):
             for name in ("n_gain", "l_gain", "m_gain", "p_out", "q_out",
-                         "k_mat", "h_inj", "p_ie"):
+                         "k_mat", "p_ie"):
                 np.testing.assert_array_equal(getattr(g1, name), getattr(g2, name))
         assert r1.gamma == r2.gamma and r1.epsilon == r2.epsilon
 
@@ -198,6 +203,28 @@ class TestSynthesizeCommand:
             nd["Tis"] = nd["P"]
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps(doc))
+        resaved = tmp_path / "resaved.json"
+        save_realization(load_realization(legacy), resaved)
+        assert resaved.read_bytes() == open(gains, "rb").read()
+
+    def test_legacy_h_key_ignored(self, standard_files, tmp_path, capsys):
+        """A gains file of the earlier format, which also held each node's
+        injection H (rows p:v of K times D), verifies as the file without it
+        does, and saves as it."""
+        plant, _, problem, gains = standard_files
+        doc = decimal_document(gains)
+        assert all("H" not in nd for nd in doc["nodes"])
+        for i, (nd, g) in enumerate(zip(doc["nodes"], load_realization(gains).nodes)):
+            d = full_rank_factorize(plant.c_block(i)[None])[0].d_factor
+            nd["H"] = (g.k_mat[g.p_dim : g.v_dim] @ d).tolist()
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(doc))
+        outcomes = []
+        for path in (gains, str(legacy)):
+            capsys.readouterr()
+            code = main(["verify", path, problem, "--json"])
+            outcomes.append((code, capsys.readouterr()))
+        assert outcomes[0][0] == 0 and outcomes[1] == outcomes[0]
         resaved = tmp_path / "resaved.json"
         save_realization(load_realization(legacy), resaved)
         assert resaved.read_bytes() == open(gains, "rb").read()
@@ -755,6 +782,67 @@ class TestVerifyCommand:
             report = json.loads(capsys.readouterr().out)
             assert not report["lyapunov"]["pass"]
 
+    def test_verify_computes_no_perron_vector(self, standard_files, tmp_path, capsys,
+                                              monkeypatch):
+        """synthesize computes the graph's Perron vector once, for the r it
+        stores; verify judges the file's r and computes none."""
+        _, _, problem, gains = standard_files
+        calls = []
+        for name in ("graph", "synthesis", "error_system", "cli"):
+            mod = importlib.import_module(f"distobs.{name}")
+            if hasattr(mod, "perron_row_vector"):
+                def counting(*args, _fn=mod.perron_row_vector, **kwargs):
+                    calls.append(1)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, "perron_row_vector", counting)
+        assert main(["verify", gains, problem]) == 0
+        assert len(calls) == 0
+        assert main(["synthesize", problem, str(tmp_path / "again.json")]) == 0
+        assert len(calls) == 1
+
+    @staticmethod
+    def chain(n_nodes, backward):
+        """The directed chain 1 <-> 2 <-> ... <-> N, forward weight 1 and
+        backward weight `backward`: strongly connected, with a Perron vector
+        whose entries span backward^(N - 1)."""
+        w = np.zeros((n_nodes, n_nodes))
+        i = np.arange(n_nodes - 1)
+        w[i + 1, i] = 1.0
+        w[i, i + 1] = backward
+        return NetworkGraph(weights=w)
+
+    def test_skewed_chain_is_verified_past_assumptions(self, tmp_path, capsys):
+        """On the (30, 4) chain the dense Perron vector comes out with a
+        non-positive entry.  verify, which reads the gains file's r, checks a
+        design on that graph and reports every certificate; synthesize still
+        stops at `graph` there (an open defect of graph.perron_row_vector)."""
+        plant, graph = random_observable_instance(np.random.default_rng(30), n=4, n_nodes=30)
+        skewed = self.chain(30, 4.0)
+        assert is_strongly_connected(skewed)
+        with pytest.raises(GraphStructureError):
+            perron_row_vector(laplacian(skewed))
+        designed = write_problem(tmp_path, problem_dict(plant, graph), "designed.json")
+        problem = write_problem(tmp_path, problem_dict(plant, skewed), "skewed.json")
+        gains = str(tmp_path / "gains.json")
+        assert main(["synthesize", designed, gains]) == 0
+        capsys.readouterr()
+        code = main(["verify", gains, problem, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["cancellation", "lmi", "invariance", "lyapunov"]
+        assert code == (0 if all(check["pass"] for check in report.values()) else 4)
+        assert main(["synthesize", problem, str(tmp_path / "skewed_gains.json")]) == 2
+        assert stderr_step(capsys) == "graph"
+
+    def test_not_strongly_connected_exit2(self, standard_files, tmp_path, capsys):
+        plant, graph, _, gains = standard_files
+        w = graph.weights.copy()
+        w[0, 2] = 0.0  # 1 -> 2 -> 3 remains: no path back to node 1
+        problem = write_problem(tmp_path, problem_dict(plant, NetworkGraph(weights=w)))
+        capsys.readouterr()
+        assert main(["verify", gains, problem]) == 2
+        assert stderr_step(capsys) == "assumptions"
+
     def test_mismatched_files_exit1(self, standard_files, tmp_path, capsys):
         _, _, _, gains = standard_files
         _, _, other_problem = jordan_problem(tmp_path)
@@ -780,7 +868,7 @@ class TestVerifyCommand:
 
 
 @pytest.mark.parametrize("command, key", [
-    ("verify", "Pie"), ("simulate", "N"), ("verify", "H"), ("simulate", "gamma")])
+    ("verify", "Pie"), ("simulate", "N"), ("verify", "K"), ("simulate", "gamma")])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_gains_exit1_at_parse(command, key, bad, standard_files, tmp_path,
                                          capsys):

@@ -13,8 +13,8 @@ from distobs import (
     compute_epsilon,
     decompose_nodes,
     error_system,
+    laplacian,
     spectral_abscissa,
-    spectral_data,
     synthesize,
     synthesis,
 )
@@ -25,6 +25,7 @@ from conftest import (
     certified,
     dense_coupling,
     dense_g,
+    mirror_laplacian,
     mixed_structure_instance,
     one_partial_node_instance,
     random_observable_instance,
@@ -58,7 +59,7 @@ class TestBuildErrorSystem:
         r = synthesize(plant, graph, alpha=1.0)
         np.testing.assert_allclose(restricted(r, plant, graph), r.nodes[0].n_gain,
                                    atol=1e-12)
-        g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
+        g_mat, t_s = dense_g(r, laplacian(graph))
         t1s = r.nodes[0].p_out
         np.testing.assert_allclose(
             t_s @ g_mat, t1s @ r.nodes[0].n_gain @ t1s.T, atol=1e-12
@@ -72,7 +73,7 @@ class TestBuildErrorSystem:
 
     def test_invariance_identities(self):
         plant, graph, r = synthesized(alpha=0.5)
-        g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
+        g_mat, t_s = dense_g(r, laplacian(graph))
         _, decomps = decompose_nodes(plant)
         t_p = scipy.linalg.block_diag(*(d.t_p for d in decomps))
         full, r_mat = t_s @ g_mat, restricted(r, plant, graph)
@@ -84,7 +85,7 @@ class TestBuildErrorSystem:
         for _ in range(6):
             plant, graph, r = synthesized(rng, alpha=0.5, n=int(rng.integers(2, 6)),
                                           n_nodes=int(rng.integers(1, 4)))
-            g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
+            g_mat, t_s = dense_g(r, laplacian(graph))
             full_eigs = np.sort_complex(np.linalg.eigvals(t_s @ g_mat))
             restr_eigs = np.linalg.eigvals(restricted(r, plant, graph))
             p_total = sum(g.p_dim for g in r.nodes)
@@ -101,7 +102,7 @@ class TestBuildErrorSystem:
             xs = [generic_basis(g.p_out) for g in r.nodes]
             left = scipy.linalg.block_diag(*(x.T @ g.p_out for x, g in zip(xs, r.nodes)))
             ref = np.linalg.norm(left @ restricted(r, plant, graph))
-            got = error_system._invariance(r, spectral_data(graph).laplacian, xs)
+            got = error_system._invariance(r, laplacian(graph), xs)
             assert abs(got - ref) <= 1e-12 * ref
 
 
@@ -162,11 +163,11 @@ class TestLyapunovDecrease:
         for plant, graph in instances:
             for alpha in (0.0, 0.5, 1.0):
                 r = synthesize(plant, graph, alpha=alpha)
-                spectral = spectral_data(graph)
+                lap = laplacian(graph)
                 beyond = -4.0 * spectral_abscissa(restricted(r, plant, graph)[None])[0]
                 for at, passes in ((alpha, True), (beyond, False)):
                     check = lyapunov_at(plant, graph, r, at)
-                    ref, rounding = stacked_sandwich(r, spectral, at)
+                    ref, rounding = stacked_sandwich(r, lap, at)
                     assert check["pass"] == passes and (ref < 0) == passes
                     assert check["value"] >= ref - rounding, (at, check["value"], ref)
 
@@ -269,7 +270,7 @@ class TestComposedBound:
         kept = certified_at(plant, graph, r, 0.5)
         margin = -kept["lyapunov"]["value"]
         assert all(check["pass"] for check in kept.values())
-        lap = spectral_data(graph).laplacian
+        lap = laplacian(graph)
         t = margin / (r.gamma * r.r_vector[0] * lap[0, 0])
         nodes = list(r.nodes)
         nodes[0] = dataclasses.replace(nodes[0], m_gain=(1.0 + t) * nodes[0].m_gain)
@@ -304,7 +305,7 @@ class TestComposedBound:
         check of M passes this design."""
         plant, graph, r = synthesized(alpha=0.5)
         skewed = dataclasses.replace(r, r_vector=r.r_vector * np.linspace(1.0, 2.0, len(r.nodes)))
-        scaled = skewed.r_vector[:, None] * spectral_data(graph).laplacian
+        scaled = skewed.r_vector[:, None] * laplacian(graph)
         y = np.abs(scaled + scaled.T + np.eye(len(r.nodes)))
         gershgorin = np.min(2.0 * np.diagonal(y) - y.sum(axis=1))
         assert gershgorin < skewed.epsilon
@@ -381,7 +382,7 @@ class TestShiftedCholesky:
         assert top_bound_of(np.zeros((0, 0))) == -np.inf
 
 
-def stacked_sandwich(r, spectral, alpha):
+def stacked_sandwich(r, lap, alpha):
     blocks = []
     for g in r.nodes:
         k = g.p_ie.shape[0]
@@ -395,7 +396,7 @@ def stacked_sandwich(r, spectral, alpha):
     n_blk = scipy.linalg.block_diag(*(g.n_gain for g in r.nodes))
     m_blk = scipy.linalg.block_diag(*(g.m_gain for g in r.nodes))
     n = r.nodes[0].p_out.shape[0]
-    coupling = np.kron(np.diag(r.r_vector) @ spectral.laplacian, np.eye(n))
+    coupling = np.kron(np.diag(r.r_vector) @ lap, np.eye(n))
     full = t_s @ n_blk @ t_s.T - r.gamma * t_s @ m_blk @ coupling
     reduced = t_s.T @ (p_w @ full + full.T @ p_w + 2.0 * alpha * p_w) @ t_s
     norm = np.linalg.norm
@@ -444,7 +445,7 @@ def dense_weight(r):
 class TestBlockFormsAgainstDenseReferences:
     def test_restricted_generator_is_g_ts(self, rng):
         for plant, graph, r in reference_instances(rng):
-            g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
+            g_mat, t_s = dense_g(r, laplacian(graph))
             ref = g_mat @ t_s
             got = restricted(r, plant, graph)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -454,7 +455,7 @@ class TestBlockFormsAgainstDenseReferences:
         left factor X = blkdiag(X_i).  With the true bases T_ip both sides
         are rounding noise, so a generic X_i stands in for them."""
         for plant, graph, r in reference_instances(rng):
-            lap = spectral_data(graph).laplacian
+            lap = laplacian(graph)
             g_mat, t_s = dense_g(r, lap)
             xs = [generic_basis(g.p_out) for g in r.nodes]
             x = scipy.linalg.block_diag(*xs)
@@ -464,12 +465,12 @@ class TestBlockFormsAgainstDenseReferences:
 
     def test_true_invariance_residual_is_rounding(self, rng):
         for plant, graph, r in reference_instances(rng):
-            g_mat, t_s = dense_g(r, spectral_data(graph).laplacian)
+            g_mat, t_s = dense_g(r, laplacian(graph))
             _, decomps = decompose_nodes(plant)
             t_p = scipy.linalg.block_diag(*(d.t_p for d in decomps))
             ref = np.linalg.norm(t_p.T @ (t_s @ g_mat) @ t_s)
             r_mat = restricted(r, plant, graph)
-            got = error_system._invariance(r, spectral_data(graph).laplacian,
+            got = error_system._invariance(r, laplacian(graph),
                                            [d.t_p for d in decomps])
             scale = 1e-13 * np.linalg.norm(r_mat)
             assert got <= scale and ref <= scale
@@ -478,7 +479,7 @@ class TestBlockFormsAgainstDenseReferences:
         """F[n:, :n] = blkdiag(L_i C_i) + [C_ij] est_x, with est_x the
         stacked Q_j C_j that the estimate map applies to x."""
         for plant, graph, r in reference_instances(rng):
-            lap = spectral_data(graph).laplacian
+            lap = laplacian(graph)
             est_x = np.vstack([g.q_out @ plant.c_block(j)
                                for j, g in enumerate(r.nodes)])
             l_c = np.vstack([g.l_gain @ plant.c_block(i)
@@ -540,23 +541,23 @@ class TestCertifyMemory:
         graph = random_strongly_connected_graph(rng, big_n)
         r = synthesize(plant, graph, alpha=0.5)
         frfs, decomps = decompose_nodes(plant)
-        return plant, r, spectral_data(graph), frfs, decomps
+        return plant, r, laplacian(graph), frfs, decomps
 
     def test_peak_is_a_few_invariance_outputs(self, wide):
         """With every v_i = n, certify holds no K x K array and no
         (sum p_i) x K one."""
-        plant, r, spectral, frfs, decomps = wide
+        plant, r, lap, frfs, decomps = wide
         k, p_total = r.total_order, sum(g.p_dim for g in r.nodes)
         assert k == plant.n * plant.node_count - p_total == 300 and p_total == 60
         assert all(d.v_dim == plant.n for d in decomps)
-        peak = traced_peak(certify, r, plant, spectral, frfs, decomps)
+        peak = traced_peak(certify, r, plant, lap, frfs, decomps)
         assert peak <= CERTIFY_PEAK_OUTPUTS * p_total * k * 8, peak / (p_total * k * 8)
 
     def test_epsilon_peak_is_a_few_node_matrices(self, wide):
-        plant, _, spectral, _, decomps = wide
+        plant, r, lap, _, decomps = wide
         big_n = plant.node_count
         assert all(d.v_dim == plant.n for d in decomps)
-        peak = traced_peak(compute_epsilon, decomps, spectral, (1.0,) * big_n)
+        peak = traced_peak(compute_epsilon, decomps, lap, r.r_vector, (1.0,) * big_n)
         assert peak <= EPSILON_PEAK_NODE_MATRICES * big_n * big_n * 8, (
             peak / (big_n * big_n * 8))
 
@@ -566,8 +567,8 @@ class TestCertifyMemory:
         _, decomps = decompose_nodes(plant)
         assert sorted(d.v_dim for d in decomps)[:2] == [3, 6]
         nn = plant.n * plant.node_count
-        peak = traced_peak(compute_epsilon, decomps, spectral_data(graph),
-                           (1.0,) * plant.node_count)
+        lap, r, _ = mirror_laplacian(graph)
+        peak = traced_peak(compute_epsilon, decomps, lap, r, (1.0,) * plant.node_count)
         assert peak <= EPSILON_PEAK_LEMMA_MATRICES * nn * nn * 8, peak / (nn * nn * 8)
 
 

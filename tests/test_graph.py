@@ -14,10 +14,10 @@ from distobs import (
     is_strongly_connected,
     laplacian,
     perron_row_vector,
-    spectral_data,
 )
+from distobs.error_system import _lemma_matrix
 
-from conftest import random_strongly_connected_graph
+from conftest import mirror_laplacian, random_strongly_connected_graph
 
 
 def cycle3():
@@ -122,37 +122,55 @@ class TestPerron:
             assert r.min() > 0
 
 
+def program_mirror(graph):
+    """(Laplacian, mirror Laplacian) of a strongly connected graph, the mirror
+    as error_system._lemma_matrix forms it: its lemma matrix for zero weights
+    over one-column bases."""
+    lap = laplacian(graph)
+    n = lap.shape[0]
+    mirror = _lemma_matrix(perron_row_vector(lap), lap, np.zeros(n),
+                           [np.ones((1, 1))] * n, [1] * n)[1]
+    return lap, mirror
+
+
 class TestSpectralData:
     def test_directed_cycle_mirror(self):
-        sd = spectral_data(cycle3())
+        _, mirror = program_mirror(cycle3())
         np.testing.assert_allclose(
-            sd.mirror, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], atol=1e-12
+            mirror, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], atol=1e-12
         )
 
     def test_mutual_pair(self):
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sd = spectral_data(NetworkGraph(weights=w))
-        np.testing.assert_allclose(sd.mirror, 2 * sd.laplacian, atol=1e-12)
+        lap, mirror = program_mirror(NetworkGraph(weights=w))
+        np.testing.assert_allclose(mirror, 2 * lap, atol=1e-12)
 
     def test_single_node_sentinel(self):
-        sd = spectral_data(NetworkGraph(weights=np.zeros((1, 1))))
-        np.testing.assert_allclose(sd.mirror, [[0.0]])
+        _, mirror = program_mirror(NetworkGraph(weights=np.zeros((1, 1))))
+        np.testing.assert_allclose(mirror, [[0.0]])
 
     def test_mirror_invariants_random(self, rng):
+        """Exactly symmetric, positive semidefinite with a simple zero
+        eigenvalue on the ones vector, and bit for bit the entrywise
+        r_i L_ij + L_ji r_j."""
         for _ in range(40):
             n = int(rng.integers(2, 9))
-            sd = spectral_data(random_strongly_connected_graph(rng, n))
-            assert np.array_equal(sd.mirror, sd.mirror.T)
-            eigs = np.sort(np.linalg.eigvalsh(sd.mirror))
+            graph = random_strongly_connected_graph(rng, n)
+            _, mirror = program_mirror(graph)
+            assert np.array_equal(mirror, mirror_laplacian(graph)[2])
+            assert np.array_equal(mirror, mirror.T)
+            eigs = np.sort(np.linalg.eigvalsh(mirror))
             assert eigs[0] >= -1e-10
             assert np.count_nonzero(np.abs(eigs) < 1e-8) == 1
-            np.testing.assert_allclose(sd.mirror @ np.ones(n), 0.0, atol=1e-10)
+            np.testing.assert_allclose(mirror @ np.ones(n), 0.0, atol=1e-10)
 
     def test_rejects_non_strongly_connected(self):
         w = np.zeros((2, 2))
         w[1, 0] = 1.0
+        graph = NetworkGraph(weights=w)
+        assert not is_strongly_connected(graph)
         with pytest.raises(GraphStructureError):
-            spectral_data(NetworkGraph(weights=w))
+            perron_row_vector(laplacian(graph))
 
 
 class TestNetworkGraphValidation:

@@ -11,8 +11,8 @@ from distobs import (
     SimulationTrace,
     check_invariance,
     estimate_rate,
+    laplacian,
     simulate,
-    spectral_data,
     synthesize,
 )
 
@@ -23,7 +23,7 @@ from conftest import dense_g, stacked_errors, standard_instance
 def standard_setup():
     plant, graph = standard_instance()
     realization = synthesize(plant, graph, alpha=1.0)
-    return plant, graph, realization, spectral_data(graph)
+    return plant, graph, realization, laplacian(graph)
 
 
 def equilibrium_initial_observer_states(realization, plant, x0):
@@ -47,7 +47,7 @@ def run(plant, graph, realization, t_final, dt, z0=None, x0=None):
 
 class TestSimulate:
     def test_zero_initial_error_stays_zero(self, standard_setup):
-        plant, graph, r, spectral = standard_setup
+        plant, graph, r, lap = standard_setup
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         z0 = equilibrium_initial_observer_states(r, plant, x0)
         trace = run(plant, graph, r, t_final=2.0, dt=2e-3, z0=z0, x0=x0)
@@ -74,18 +74,18 @@ class TestSimulate:
         np.testing.assert_allclose(trace.xhat[0], trace.x, atol=1e-12)
 
     def test_matches_matrix_exponential(self, standard_setup):
-        plant, graph, r, spectral = standard_setup
+        plant, graph, r, lap = standard_setup
         trace = run(plant, graph, r, t_final=1.0, dt=1e-3)
         errors = stacked_errors(trace)
         e0, e_final = errors[0], errors[-1]
-        g_mat, t_s = dense_g(r, spectral.laplacian)
+        g_mat, t_s = dense_g(r, lap)
         propagated = scipy.linalg.expm(t_s @ g_mat * 1.0) @ e0
         assert np.linalg.norm(e_final - propagated) <= 1e-6 * np.linalg.norm(
             propagated
         )
 
     def test_step_halving_consistency(self, standard_setup):
-        plant, graph, r, spectral = standard_setup
+        plant, graph, r, lap = standard_setup
         dt = 2e-3
         t1 = run(plant, graph, r, t_final=2.0, dt=dt)
         t2 = run(plant, graph, r, t_final=2.0, dt=dt / 2)
@@ -94,7 +94,7 @@ class TestSimulate:
         assert np.linalg.norm(e1 - e2) <= 1e-4 * max(np.linalg.norm(e2), 1e-12)
 
     def test_omniscience_at_horizon(self, standard_setup):
-        plant, graph, r, spectral = standard_setup
+        plant, graph, r, lap = standard_setup
         trace = run(plant, graph, r, t_final=20.0, dt=0.02)
         alpha_hat = estimate_rate(trace)
         horizon_needed = math.log(1e6) / alpha_hat
@@ -103,7 +103,7 @@ class TestSimulate:
             assert e_norm[-1] <= 1e-6 * e_norm[0]
 
     def test_divergence_detected(self, standard_setup):
-        plant, graph, r, spectral = standard_setup
+        plant, graph, r, lap = standard_setup
         from distobs import SimulationDiverged
 
         with pytest.raises(SimulationDiverged):
@@ -114,7 +114,7 @@ class TestSimulate:
     def test_step_halving_agrees_at_shared_samples(self, standard_setup):
         """The records are exact, so halving dt moves none of them beyond
         rounding (an explicit scheme's truncation error would)."""
-        plant, graph, r, spectral = standard_setup
+        plant, graph, r, lap = standard_setup
         dt = 2e-3
         coarse = run(plant, graph, r, t_final=2.0, dt=dt)
         fine = run(plant, graph, r, t_final=2.0, dt=dt / 2)
@@ -219,19 +219,19 @@ class TestEstimateRate:
         assert math.isnan(estimate_rate(self._trace_from_error(t, err)))
 
     def test_synthesized_rate_meets_target(self, standard_setup):
-        plant, graph, r, spectral = standard_setup
+        plant, graph, r, lap = standard_setup
         trace = run(plant, graph, r, t_final=10.0, dt=0.01)
         assert estimate_rate(trace) >= 1.0 - 0.05
 
 
 class TestCheckInvariance:
     def test_simulated_instance(self, standard_setup):
-        plant, graph, r, spectral = standard_setup
+        plant, graph, r, lap = standard_setup
         trace = run(plant, graph, r, t_final=5.0, dt=5e-3)
         assert check_invariance(trace) <= 1e-6
 
     def test_corrupted_trace(self, standard_setup):
-        plant, graph, r, spectral = standard_setup
+        plant, graph, r, lap = standard_setup
         # run long enough for the true errors to decay so the injected unit
         # off-subspace component dominates and the relative residual is ~1
         trace = run(plant, graph, r, t_final=8.0, dt=8e-3)
@@ -252,7 +252,7 @@ class TestCheckInvariance:
         assert check_invariance(corrupted) > 0.5
 
     def test_zero_error_trace(self, standard_setup):
-        plant, graph, r, spectral = standard_setup
+        plant, graph, r, lap = standard_setup
         x0 = np.ones(plant.n)
         z0 = equilibrium_initial_observer_states(r, plant, x0)
         trace = run(plant, graph, r, t_final=1.0, dt=1e-3, z0=z0, x0=x0)

@@ -20,8 +20,8 @@ from distobs import (
     place_injection,
     select_gamma,
     solve_pie,
+    laplacian,
     spectral_abscissa,
-    spectral_data,
     synthesize,
     verify_cancellation,
 )
@@ -29,7 +29,12 @@ from distobs import error_system, synthesis
 from distobs.linalg import StackError
 from distobs.simulate import _generator
 
-from conftest import mixed_structure_instance, random_observable_instance, standard_instance
+from conftest import (
+    mirror_laplacian,
+    mixed_structure_instance,
+    random_observable_instance,
+    standard_instance,
+)
 
 
 def instances():
@@ -117,7 +122,7 @@ def test_synthesis_and_certificates_match_node_by_node(case, alpha):
             assert bits(got[i]) == bits(want[0])
     assert bits(cert["lmi"]["nodes"]) == bits(terms[0])
     assert bits(cert["lmi"]["value"]) == bits(np.max(terms[0]))
-    lap = spectral_data(graph).laplacian
+    lap = laplacian(graph)
     r_mat = generator_block_by_block(r, lap)
     assert bits(_generator(r, plant, graph)[0][plant.n :, plant.n :]) == bits(r_mat)
     assert bits(cert["invariance"]["value"]) == bits(invariance_block_by_block(r, lap, decomps))
@@ -125,8 +130,8 @@ def test_synthesis_and_certificates_match_node_by_node(case, alpha):
         assert cert["lyapunov"]["pass"]
         assert bits(cert["lyapunov"]["node_term"]) == bits(np.max(terms[0]))
         beyond = -4.0 * spectral_abscissa(r_mat[None])[0]
-        failed = certify(dataclasses.replace(r, alpha=beyond), plant,
-                         spectral_data(graph), frfs, decomps)["lyapunov"]
+        failed = certify(dataclasses.replace(r, alpha=beyond), plant, lap, frfs,
+                         decomps)["lyapunov"]
         assert not failed["pass"]
 
 
@@ -170,8 +175,8 @@ def gains_failures_node_by_node(plant, graph, alpha):
     """(node, message) of each node whose injection, weight or gains fail,
     from the stages run on stacks of one."""
     frfs, decomps = decompose_nodes(plant)
-    epsilon = compute_epsilon(decomps, spectral_data(graph),
-                              error_system._lemma_weights(plant.node_count))
+    lap, r, _ = mirror_laplacian(graph)
+    epsilon = compute_epsilon(decomps, lap, r, error_system._lemma_weights(plant.node_count))
     gamma = select_gamma(decomps, epsilon, alpha)
     failures = []
     for i, (frf, dec) in enumerate(zip(frfs, decomps)):

@@ -17,7 +17,6 @@ from distobs import (
     select_gamma,
     solve_pie,
     spectral_abscissa,
-    spectral_data,
     synthesize,
     verify_cancellation,
 )
@@ -27,6 +26,7 @@ from distobs.synthesis import BETA_FLOOR, GAMMA_SAFETY, _least_beta
 
 from conftest import (
     certified,
+    mirror_laplacian,
     mixed_structure_instance,
     one_partial_node_instance,
     random_observable_instance,
@@ -49,14 +49,14 @@ def mutual_pair_graph():
     return NetworkGraph(weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def lemma_matrix(decomps, spectral, g_weights):
+def lemma_matrix(decomps, mirror, g_weights):
     """The positivity-lemma matrix T^T (mirror (x) I_n) T + G."""
     n = decomps[0].n_dim
     big_n = len(decomps)
     m = np.zeros((big_n * n, big_n * n))
     for i in range(big_n):
         for j in range(big_n):
-            m[i * n : (i + 1) * n, j * n : (j + 1) * n] = spectral.mirror[i, j] * (
+            m[i * n : (i + 1) * n, j * n : (j + 1) * n] = mirror[i, j] * (
                 decomps[i].t_orth.T @ decomps[j].t_orth
             )
         g = np.zeros(n)
@@ -104,8 +104,8 @@ class TestComputeEpsilon:
     def test_single_fully_observable_node(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         _, dec = decomp_of(a, [[1.0, 0.0]])
-        sd = spectral_data(single_node_graph())
-        eps = compute_epsilon([dec], sd, [1.0])
+        lap, r, _ = mirror_laplacian(single_node_graph())
+        eps = compute_epsilon([dec], lap, r, [1.0])
         assert eps == pytest.approx(0.9, abs=1e-12)
 
     def test_two_fully_observable_nodes(self):
@@ -113,21 +113,21 @@ class TestComputeEpsilon:
         _, d1 = decomp_of(a, [[1.0, 0.0]])
         _, d2 = decomp_of(a, [[0.0, 1.0]])
         assert d1.v_dim == 2 and d2.v_dim == 2
-        sd = spectral_data(mutual_pair_graph())
-        eps = compute_epsilon([d1, d2], sd, [1.0, 1.0])
+        lap, r, _ = mirror_laplacian(mutual_pair_graph())
+        eps = compute_epsilon([d1, d2], lap, r, [1.0, 1.0])
         assert eps == pytest.approx(0.9, abs=1e-10)
 
     def test_inequality_holds_at_returned_epsilon(self, rng):
         for _ in range(10):
             plant, graph = random_observable_instance(rng)
-            sd = spectral_data(graph)
+            lap, r, mirror = mirror_laplacian(graph)
             decomps = [
                 decomp_of(plant.a, plant.c_block(i))[1]
                 for i in range(plant.node_count)
             ]
             g = [1.0] * plant.node_count
-            eps = compute_epsilon(decomps, sd, g)
-            m = lemma_matrix(decomps, sd, g)
+            eps = compute_epsilon(decomps, lap, r, g)
+            m = lemma_matrix(decomps, mirror, g)
             assert _min_symmetric_eigenvalue_in_place(m - eps * np.eye(m.shape[0])) > 0
 
     def test_equals_dense_loop(self, rng):
@@ -144,15 +144,15 @@ class TestComputeEpsilon:
             one_partial_node_instance(np.random.default_rng(43), 5, big_n)]
         routes = set()
         for plant, graph in pairs:
-            sd = spectral_data(graph)
+            lap, r, mirror = mirror_laplacian(graph)
             _, decomps = decompose_nodes(plant)
             dense = any(d.v_dim < d.n_dim for d in decomps)
             routes.add(dense)
             for g in ([1.0] * plant.node_count,
                       list(rng.uniform(0.01, 2.0, plant.node_count))):
-                m = lemma_matrix(decomps, sd, g)
+                m = lemma_matrix(decomps, mirror, g)
                 ref = float(0.9 * scipy.linalg.eigvalsh(0.5 * (m + m.T))[0])
-                eps = compute_epsilon(decomps, sd, g)
+                eps = compute_epsilon(decomps, lap, r, g)
                 if dense:
                     assert eps == ref
                 else:
@@ -163,9 +163,9 @@ class TestComputeEpsilon:
         # N=1, v < n: the lemma matrix has an exact zero eigenvalue
         a = np.diag([1.0, 2.0])
         _, dec = decomp_of(a, [[1.0, 0.0]])
-        sd = spectral_data(single_node_graph())
+        lap, r, _ = mirror_laplacian(single_node_graph())
         with pytest.raises(SynthesisError, match="joint observability"):
-            compute_epsilon([dec], sd, [1.0])
+            compute_epsilon([dec], lap, r, [1.0])
 
 
 class TestSelectGamma:
@@ -254,8 +254,8 @@ class TestClosedFormBeta:
             if d.v_dim < d.n_dim:
                 self.assert_matches_bisection(max(_least_beta(d.a_u, d.a32), BETA_FLOOR),
                                               bisection_beta(d.a_u, d.a32))
-        epsilon = compute_epsilon(decomps, spectral_data(graph),
-                                  error_system._lemma_weights(plant.node_count))
+        lap, r, _ = mirror_laplacian(graph)
+        epsilon = compute_epsilon(decomps, lap, r, error_system._lemma_weights(plant.node_count))
         self.assert_matches_bisection(select_gamma(decomps, epsilon, alpha),
                                       bisection_gamma(decomps, epsilon, alpha))
 
